@@ -26,6 +26,7 @@ from .eigenvalues import (
     QuadResult,
     Quadrature,
     averaging_operator,
+    closed_form_sequence,
     gamma_closed_form,
     gamma_closed_form_float,
     gamma_combo_closed_form,

@@ -11,19 +11,20 @@ Planning budgets an epsilon/2 for truncating the target and an epsilon/2 for
 the synthesis, mirroring how the density argument splits the error.
 `verify_plan` then certifies the result: a brute-force maximum of the actual
 eigenvalue error over a verification window, plus an analytic bound for all
-later indices that uses the monotone decay of each term's tail.
+later indices that uses the monotone decay of each term's tail.  The
+eigenvalues come from the closed-form sequence engine, so certifying a plan
+of N terms over n_verify indices costs O(N * n_verify) float operations.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .eigenvalues import (
-    gamma_closed_form_float,
-    gamma_combo_closed_form,
-)
+import numpy as np
+
+from .eigenvalues import closed_form_sequence
 from .laguerre import _check_index
 from .seqspace import (
     LimitTail,
@@ -87,6 +88,9 @@ class ApproximationPlan:
     verified_error: float | None = None
     tail_certificate: float | None = None
     verify_window: int | None = None
+    # the truncation part of predicted_bound: sup of the (recentered) target
+    # past the first N values; set by the planners, not stored in plan JSON
+    truncation_bound: float | None = None
 
     def symbol(self) -> Symbol:
         """The defining symbol the plan realizes."""
@@ -98,16 +102,27 @@ class ApproximationPlan:
         return combo
 
     def gamma(self, n: int) -> complex:
-        return gamma_combo_closed_form(self.coefficients, self.xi, self.limit, n)
+        """gamma(n) with the same bits as `verify_plan` computes it."""
+        return complex(closed_form_sequence(self.coefficients, self.xi, self.limit, n).values[n])
 
 
 @dataclass(frozen=True)
 class VerifyReport:
+    """A plan's certificate, with the window it was computed from.
+
+    gamma, sigma and abs_error hold gamma(n), the completed target sigma(n)
+    and |gamma(n) - sigma(n)| for n = 0..n_verify; verified_error is the
+    maximum of abs_error.
+    """
+
     verified_error: float
     tail_certificate: float
     epsilon: float
     passed: bool
     n_verify: int
+    gamma: np.ndarray = field(repr=False, compare=False)
+    sigma: np.ndarray = field(repr=False, compare=False)
+    abs_error: np.ndarray = field(repr=False, compare=False)
 
     @property
     def total(self) -> float:
@@ -151,6 +166,7 @@ def plan_finite(target: SeqWindow, epsilon: float) -> ApproximationPlan:
         coefficients=coefficients,
         limit=0j,
         predicted_bound=bound,
+        truncation_bound=0.0,
     )
 
 
@@ -193,6 +209,7 @@ def plan_c0(target: SeqWindow, epsilon: float) -> ApproximationPlan:
         coefficients=coefficients,
         limit=0j,
         predicted_bound=synth_bound + sups[trunc],
+        truncation_bound=sups[trunc],
     )
 
 
@@ -213,17 +230,23 @@ def plan_convergent(target: SeqWindow, epsilon: float) -> ApproximationPlan:
         coefficients=inner.coefficients,
         limit=p,
         predicted_bound=inner.predicted_bound,
+        truncation_bound=inner.truncation_bound,
     )
 
 
 def verify_plan(plan: ApproximationPlan, n_verify: int | None = None) -> VerifyReport:
     """Certify a plan empirically plus analytically.
 
-    verified_error is the brute-force max of |gamma(n) - target(n)| over
-    n <= n_verify (closed-form eigenvalues).  The tail certificate covers all
-    n > n_verify: each term's eigenvalue tail is nonincreasing there (the
-    admissible-scale invariant), so it is bounded by its value at
-    n_verify + 1, plus the target's remaining deviation from the limit.
+    verified_error is the brute-force max of |gamma(n) - sigma(n)| over
+    n <= n_verify, where sigma is the target window completed by its tail
+    descriptor (`value_at` returns the limit past the window), so the
+    certificate covers that window-completed sequence.  The eigenvalues come
+    from `closed_form_sequence`: the Pascal recurrence on
+    a_k(n) = binom(n, k) xi^-(n-k), O(N * n_verify) float operations in all.
+    The tail certificate covers all n > n_verify: each term's eigenvalue
+    tail is nonincreasing there (the admissible-scale invariant), so it is
+    bounded by sum_k |c_k| a_k(n_verify + 1), one more step of the same
+    recurrence, plus the window's remaining deviation from the limit.
     """
     if n_verify is None:
         n_verify = max(4 * plan.n_terms, plan.n_terms + 50)
@@ -235,24 +258,24 @@ def verify_plan(plan: ApproximationPlan, n_verify: int | None = None) -> VerifyR
             f"plan scale {plan.xi} is below {xi_min}; the tail certificate's "
             "monotone-decay hypothesis does not hold"
         )
-    worst = 0.0
-    for n in range(n_verify + 1):
-        err = abs(plan.gamma(n) - plan.target.value_at(n))
-        if err > worst:
-            worst = err
-    synth_tail = sum(
-        abs(c) * gamma_closed_form_float(k, plan.xi, n_verify + 1)
-        for k, c in enumerate(plan.coefficients)
-    )
-    target_tail = 0.0
-    for n in range(n_verify + 1, len(plan.target)):
-        target_tail = max(target_tail, abs(plan.target.values[n] - plan.limit))
+    seq = closed_form_sequence(plan.coefficients, plan.xi, plan.limit, n_verify)
+    sigma = plan.target.as_array(n_verify + 1)
+    diff = seq.values - sigma
+    # hypot rounds like abs() of a Python complex, so the maximum matches a
+    # per-index recomputation bit for bit
+    abs_error = np.hypot(diff.real, diff.imag)
+    worst = float(abs_error.max())
+    synth_tail = float(np.abs(np.asarray(plan.coefficients, dtype=complex)) @ seq.next_terms)
+    rest = np.asarray(plan.target.values[n_verify + 1 :], dtype=complex) - plan.limit
+    target_tail = float(np.hypot(rest.real, rest.imag).max(initial=0.0))
     tail_certificate = synth_tail + target_tail
     passed = worst + tail_certificate <= plan.epsilon
     plan.verified_error = worst
     plan.tail_certificate = tail_certificate
     plan.verify_window = n_verify
-    return VerifyReport(worst, tail_certificate, plan.epsilon, passed, n_verify)
+    return VerifyReport(
+        worst, tail_certificate, plan.epsilon, passed, n_verify, seq.values, sigma, abs_error
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -269,15 +269,14 @@ def _cmd_approximate(args) -> int:
             raise UsageError(f"--xi must be >= {xi_min} for {plan.n_terms} coefficients")
         plan.xi = args.xi
         weighted = sum(abs(c) * (k + 1) for k, c in enumerate(plan.coefficients))
-        plan.predicted_bound = weighted / args.xi
+        plan.predicted_bound = weighted / args.xi + plan.truncation_bound
     report = verify_plan(plan, args.n_verify)
     plan_text = json.dumps(plan_to_json(plan), indent=2) + "\n"
     _write_text(args.plan_out, plan_text)
     if args.report_out:
         rows = []
-        for n in range(report.n_verify + 1):
-            gamma = plan.gamma(n)
-            sigma = target.value_at(n)
+        window = zip(report.gamma.tolist(), report.sigma.tolist(), report.abs_error.tolist())
+        for n, (gamma, sigma, err) in enumerate(window):
             rows.append(
                 {
                     "n": n,
@@ -285,7 +284,7 @@ def _cmd_approximate(args) -> int:
                     "target_im": sigma.imag,
                     "gamma_re": gamma.real,
                     "gamma_im": gamma.imag,
-                    "abs_error": abs(gamma - sigma),
+                    "abs_error": err,
                 }
             )
         report_args = argparse.Namespace(format=args.format, output=args.report_out)

@@ -6,8 +6,17 @@ monomial basis, with eigenvalues
     gamma_g(n) = (1 / n!) * integral_0^oo g(sqrt(r)) e^{-r} r^n dr.
 
 Structured symbols admit a closed form: the Laguerre-Gaussian symbol of
-degree m and scale xi gives 0 for n < m and binom(n, m) xi^{-(n-m)} for
-n >= m, and gamma is linear in the symbol with gamma(constant c) = c.
+degree m and scale xi gives a_m(n) = binom(n, m) xi^{-(n-m)} (0 for n < m),
+and gamma is linear in the symbol with gamma(constant c) = c.  Whole
+sequences of a combination sum_k c_k basic(k, xi) + p come from one float
+engine, `closed_form_sequence`: it carries the vector a(n) = (a_k(n))_k
+through the Pascal recurrence a_k(n+1) = a_k(n) / xi + a_{k-1}(n), starting
+from a(0) = e_0, and takes one dot product with the coefficients per n.
+That is O(N) float work per index, O(N * n_max) for the sequence, with every
+term nonnegative, so nothing cancels and each a_k(n) carries a relative
+error of at most about 2n roundings.  `gamma_closed_form` stays the exact
+rational oracle, and the single-index float functions evaluate each term by
+big-integer division.
 Everything else goes through quadrature against the normalized weight
 w_n(r) = exp(n ln r - r - lgamma(n + 1)), a probability density peaked at
 r = n with width sqrt(n + 1).  The quadrature window is centered on the
@@ -31,7 +40,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lgamma
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -58,12 +67,14 @@ from .symbols import (
 
 __all__ = [
     "ClosedForm",
+    "ClosedSequence",
     "EigenSeq",
     "EngineTag",
     "QuadConfig",
     "QuadResult",
     "Quadrature",
     "averaging_operator",
+    "closed_form_sequence",
     "gamma_closed_form",
     "gamma_closed_form_float",
     "gamma_combo_closed_form",
@@ -107,24 +118,72 @@ def gamma_combo_closed_form(coeffs, xi: int, p, n: int) -> complex:
     return total
 
 
+class ClosedSequence(NamedTuple):
+    """gamma(0..n_max) of a combination, and the term vector one step further."""
+
+    values: np.ndarray  # complex, length n_max + 1
+    next_terms: np.ndarray  # a_k(n_max + 1) for k < N
+
+
+def closed_form_sequence(coeffs, xi: int, p, n_max: int) -> ClosedSequence:
+    """gamma(0..n_max) of sum_k coeffs[k] * basic(k, xi) plus the constant p.
+
+    Streams a(n) = (binom(n, k) xi^-(n-k))_k through the Pascal recurrence
+    a_k(n+1) = a_k(n) / xi + a_{k-1}(n) from a(0) = e_0, one dot product
+    per n, in O(N * n_max) float work and O(N) memory.  gamma(n) is within
+    (2n + N + 1) * 2^-53 * (sum_k |coeffs[k]| a_k(n) + |p|) of the exact
+    value, up to subnormal roundoff once terms underflow.  The value at n
+    does not depend on n_max, so every caller gets the same bits for it.
+    `next_terms` is a(n_max + 1), the start of the sequence's tail.
+    """
+    xi = _check_scale(xi)
+    n_max = _check_index(n_max, "n_max")
+    coeffs = np.asarray(coeffs, dtype=complex).reshape(-1)
+    p = complex(p)
+    real = np.ascontiguousarray(coeffs.real)
+    imag = np.ascontiguousarray(coeffs.imag)
+    has_imag = bool(imag.any())
+    terms = np.zeros(len(coeffs))
+    spare = np.empty_like(terms)
+    if len(terms):
+        terms[0] = 1.0
+    out_re = np.zeros(n_max + 1)
+    out_im = np.zeros(n_max + 1)
+    for n in range(n_max + 1):
+        out_re[n] = real @ terms
+        if has_imag:
+            out_im[n] = imag @ terms
+        np.divide(terms, xi, out=spare)
+        spare[1:] += terms[:-1]
+        terms, spare = spare, terms
+    values = np.empty(n_max + 1, dtype=complex)
+    values.real = out_re + p.real
+    values.imag = out_im + p.imag
+    return ClosedSequence(values, terms)
+
+
 def has_closed_form(sym: Symbol) -> bool:
     return isinstance(
         sym, (ConstantSymbol, LaguerreGaussianSymbol, ComboSymbol, OffsetComboSymbol)
     )
 
 
+def _closed_form_params(sym: Symbol) -> tuple[tuple, int, complex]:
+    """(coefficients, xi, p) of a structured symbol as a combination plus a constant."""
+    if isinstance(sym, ConstantSymbol):
+        return (), 2, sym.value  # no terms, so the scale is never used
+    if isinstance(sym, LaguerreGaussianSymbol):
+        return (0.0,) * sym.m + (1.0,), sym.xi, 0j
+    if isinstance(sym, ComboSymbol):
+        return sym.coefficients, sym.xi, 0j
+    if isinstance(sym, OffsetComboSymbol):
+        return sym.combo.coefficients, sym.combo.xi, sym.p
+    raise ValueError(f"no closed form for {describe_symbol(sym)}")
+
+
 def gamma_for_symbol_closed(sym: Symbol, n: int) -> complex:
     """Closed-form eigenvalue for structured symbols."""
-    if isinstance(sym, ConstantSymbol):
-        _check_index(n, "n")
-        return sym.value
-    if isinstance(sym, LaguerreGaussianSymbol):
-        return complex(gamma_closed_form_float(sym.m, sym.xi, n))
-    if isinstance(sym, ComboSymbol):
-        return gamma_combo_closed_form(sym.coefficients, sym.xi, 0.0, n)
-    if isinstance(sym, OffsetComboSymbol):
-        return gamma_combo_closed_form(sym.combo.coefficients, sym.combo.xi, sym.p, n)
-    raise ValueError(f"no closed form for {describe_symbol(sym)}")
+    return gamma_combo_closed_form(*_closed_form_params(sym), n)
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +650,7 @@ def gamma_sequence(
         raise ValueError(f"{describe_symbol(sym)} has no closed form")
     use_closed = closed if engine == "auto" else engine == "closed"
     if use_closed:
-        values = [gamma_for_symbol_closed(sym, n) for n in range(n_max + 1)]
+        values = closed_form_sequence(*_closed_form_params(sym), n_max).values.tolist()
         engines: list[EngineTag] = [ClosedForm() for _ in values]
         return EigenSeq(values, engines, describe_symbol(sym))
     cfg = cfg or QuadConfig()
@@ -707,13 +766,12 @@ def shifted_gamma_residual(sym: Symbol, j: int, n_max: int, cfg: QuadConfig | No
         lambda x: _averaged_values(g_vec, j, np.asarray(x, dtype=float) ** 2, nodes, kernel),
         sup_bound=sup_g,
     )
-    closed = has_closed_form(sym)
+    if has_closed_form(sym):
+        lefts = closed_form_sequence(*_closed_form_params(sym), n_max + j).values[j:].tolist()
+    else:
+        lefts = [gamma_quadrature(sym, n + j, cfg).value for n in range(n_max + 1)]
     worst = 0.0
-    for n in range(n_max + 1):
-        if closed:
-            left = gamma_for_symbol_closed(sym, n + j)
-        else:
-            left = gamma_quadrature(sym, n + j, cfg).value
+    for n, left in enumerate(lefts):
         right = gamma_quadrature(averaged, n, cfg).value
         worst = max(worst, abs(left - right))
     return worst

@@ -187,14 +187,21 @@ def test_verify_delta0_error_is_exact():
 
 
 def test_verify_two_ones_brute_force():
-    plan = plan_finite(zero_window([1.0, 1.0]), 0.1)
-    report = verify_plan(plan, 100)
-    brute = max(
-        abs(plan.gamma(n) - plan.target.value_at(n)) for n in range(101)
-    )
-    assert report.verified_error == brute
-    assert report.verified_error <= 0.05
-    assert report.passed
+    # second input: a random complex multi-term plan with a limit offset
+    rng = np.random.default_rng(23)
+    p = complex(rng.normal(), rng.normal())
+    decay = 0.6 ** np.arange(30)
+    values = p + (rng.normal(size=30) + 1j * rng.normal(size=30)) * decay
+    random_plan = plan_convergent(SeqWindow(tuple(values), LimitTail(p)), 0.1)
+    assert random_plan.n_terms >= 5
+    for plan, n_verify in ((plan_finite(zero_window([1.0, 1.0]), 0.1), 100), (random_plan, 120)):
+        report = verify_plan(plan, n_verify)
+        brute = max(
+            abs(plan.gamma(n) - plan.target.value_at(n)) for n in range(n_verify + 1)
+        )
+        assert report.verified_error == brute
+        assert report.verified_error <= 0.05
+        assert report.passed
 
 
 def test_verify_rejects_short_window():

@@ -154,7 +154,7 @@ def test_approximate_delta0(tmp_path, capsys):
     assert plan["verified_error"] == 0.1
     header, data = read_csv(report_path.read_text())
     assert header == ["n", "target_re", "target_im", "gamma_re", "gamma_im", "abs_error"]
-    assert max(float(r[-1]) for r in data) == pytest.approx(0.1)
+    assert max(float(r[-1]) for r in data) == plan["verified_error"]
 
 
 def test_approximate_zero_target(tmp_path, capsys):
@@ -202,6 +202,20 @@ def test_approximate_xi_override_halves_error(tmp_path, capsys):
     # inadmissible scale for the support length
     code, _, _ = run(capsys, ["approximate", target, "--epsilon", "0.1", "--xi", "2"])
     assert code == 1
+
+
+def test_approximate_xi_override_keeps_truncation_term(tmp_path, capsys):
+    # the plan truncates at N = 36 (0.9^36 < 0.025); overriding the scale
+    # changes the synthesis part of the bound, not the truncated tail
+    plan_path = tmp_path / "plan.json"
+    argv = ["approximate", "generator:geometric?q=0.9&n=400", "--epsilon", "0.05"]
+    code, _, _ = run(capsys, argv + ["--xi", "400", "--plan-out", str(plan_path)])
+    assert code == 0
+    plan = json.loads(plan_path.read_text())
+    assert plan["N"] == 36
+    weighted = sum(0.9**k * (k + 1) for k in range(36))
+    assert plan["predicted_bound"] == pytest.approx(weighted / 400 + 0.9**36, rel=1e-12)
+    assert plan["verified_error"] + plan["tail_certificate"] <= plan["predicted_bound"]
 
 
 def test_verify_roundtrip_is_bit_stable(tmp_path, capsys):

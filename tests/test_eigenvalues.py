@@ -3,12 +3,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fockradial.eigenvalues import (
     ClosedForm,
     QuadConfig,
     Quadrature,
     averaging_operator,
+    closed_form_sequence,
     gamma_closed_form,
     gamma_closed_form_float,
     gamma_combo_closed_form,
@@ -50,6 +53,73 @@ def test_gamma_combo_closed_form_examples():
     assert gamma_combo_closed_form([1.0], 2, 0.0, 3) == pytest.approx(0.125)
     assert gamma_combo_closed_form([], 2, 5.0, 17) == 5.0
     assert gamma_combo_closed_form([1.0, -1.0], 2, 0.0, 1) == pytest.approx(-0.5)
+
+
+_UNIT_ROUNDOFF = 2.0**-53
+_SUBNORMAL = 2.0**-1074
+
+
+def assert_engine_matches_exact(coeffs, xi, p, values, indices):
+    """|engine(n) - exact(n)| <= (2n + N + 4) u (sum_k |c_k| a_k(n) + |p|), plus underflow slack."""
+    coeffs = [complex(c) for c in coeffs]
+    p = complex(p)
+    for n in indices:
+        terms = [gamma_closed_form(k, xi, n) for k in range(len(coeffs))]
+        exact_re = sum(Fraction(c.real) * a for c, a in zip(coeffs, terms)) + Fraction(p.real)
+        exact_im = sum(Fraction(c.imag) * a for c, a in zip(coeffs, terms)) + Fraction(p.imag)
+        got = complex(values[n])
+        err = math.hypot(
+            float(Fraction(got.real) - exact_re), float(Fraction(got.imag) - exact_im)
+        )
+        scale = sum(abs(c) * float(a) for c, a in zip(coeffs, terms)) + abs(p)
+        bound = (2 * n + len(coeffs) + 4) * _UNIT_ROUNDOFF * scale + 4 * _SUBNORMAL
+        assert err <= bound, (n, err, bound)
+
+
+_reals = st.floats(-10.0, 10.0, allow_nan=False)
+_complexes = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
+_offsets = st.one_of(
+    st.floats(1e-3, 10.0).flatmap(lambda m: st.sampled_from((m, -m))),
+    st.complex_numbers(min_magnitude=1e-3, max_magnitude=10.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    xi=st.integers(2, 10**7),
+    coeffs=st.one_of(st.lists(_reals, max_size=60), st.lists(_complexes, max_size=60)),
+    p=_offsets,
+    n_max=st.integers(0, 400),
+    picks=st.lists(st.integers(0, 400), max_size=6),
+)
+def test_closed_form_sequence_matches_exact_oracle(xi, coeffs, p, n_max, picks):
+    seq = closed_form_sequence(coeffs, xi, p, n_max)
+    assert seq.values.shape == (n_max + 1,)
+    n_terms = len(coeffs)
+    indices = {0, n_max, min(n_terms, n_max), min(n_terms + 1, n_max)}
+    indices.update(k % (n_max + 1) for k in picks)
+    assert_engine_matches_exact(coeffs, xi, p, seq.values, sorted(indices))
+    # the value at n does not depend on how far the sequence runs
+    n = max(indices - {n_max}, default=0)
+    assert closed_form_sequence(coeffs, xi, p, n).values[n] == seq.values[n]
+
+
+def test_closed_form_sequence_slow_decay_at_xi_two():
+    # at xi = 2 the terms decay slowly, so roundoff accumulates over the
+    # longest stretch of the recurrence; the tiny offset leaves the terms
+    # dominant until about n = 750 and keeps the bound above the subnormal
+    # roundoff once they underflow (past n = 1430)
+    rng = np.random.default_rng(11)
+    coeffs = rng.normal(size=60) + 1j * rng.normal(size=60)
+    p = 1e-120
+    seq = closed_form_sequence(coeffs, 2, p, 2000)
+    assert_engine_matches_exact(coeffs, 2, p, seq.values, range(0, 2001, 40))
+    # the tail step: a(n_max + 1), term by term
+    n_max = 300
+    next_terms = closed_form_sequence(coeffs, 2, p, n_max).next_terms
+    for k, a in enumerate(next_terms):
+        exact = gamma_closed_form(k, 2, n_max + 1)
+        assert abs(Fraction(a) - exact) <= (2 * n_max + 4) * _UNIT_ROUNDOFF * exact
 
 
 def test_monotone_tail_for_admissible_scales():
@@ -198,6 +268,13 @@ def test_offset_combo_closed_form():
         [v.real for v in seq.values], [3.0, 2.5, 2.25, 2.125]
     )
     assert has_closed_form(sym)
+    # complex terms and offset, against the per-index closed form; both sit
+    # within (2n + N + 1) ulps of sums of magnitude <= 3
+    coeffs = [0.5, -1.0, 0.25j]
+    seq = gamma_sequence(with_limit_offset(combo_symbol(coeffs, 3), 0.125 - 1j), 30)
+    for n in range(31):
+        want = gamma_combo_closed_form(coeffs, 3, 0.125 - 1j, n)
+        assert abs(seq.values[n] - want) <= 1e-13
 
 
 # ---------------------------------------------------------------------------
