@@ -63,10 +63,7 @@ from .seqspace import (
 )
 from .symbols import (
     CallableSymbol,
-    ComboSymbol,
-    ConstantSymbol,
-    LaguerreGaussianSymbol,
-    OffsetComboSymbol,
+    LaguerreCombo,
     Symbol,
     basic_symbol,
     combo_symbol,

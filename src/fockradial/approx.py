@@ -34,11 +34,9 @@ from .seqspace import (
     scalar_to_json,
 )
 from .symbols import (
-    ConstantSymbol,
+    LaguerreCombo,
     Symbol,
     _check_scale,
-    combo_symbol,
-    with_limit_offset,
 )
 
 __all__ = [
@@ -94,12 +92,7 @@ class ApproximationPlan:
 
     def symbol(self) -> Symbol:
         """The defining symbol the plan realizes."""
-        if not self.coefficients:
-            return ConstantSymbol(self.limit)
-        combo = combo_symbol(self.coefficients, self.xi)
-        if self.limit != 0:
-            return with_limit_offset(combo, self.limit)
-        return combo
+        return LaguerreCombo(self.xi, self.coefficients, self.limit)
 
     def gamma(self, n: int) -> complex:
         """gamma(n) with the same bits as `verify_plan` computes it."""

@@ -21,7 +21,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -144,14 +143,6 @@ def _quad_config(args) -> QuadConfig:
         raise UsageError(str(exc)) from None
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("FOCK_RADIAL_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 # ---------------------------------------------------------------------------
 # Output
 
@@ -198,14 +189,13 @@ def _cmd_eigs(args) -> int:
         raise UsageError("--n-max must be nonnegative")
     sym = _load_symbol(args.symbol)
     cfg = _quad_config(args)
-    workers = _worker_count()
     if args.engine == "both" and not has_closed_form(sym):
         raise ValidationError(f"{describe_symbol(sym)} has no closed form to compare against")
     rows = []
     failed = False
     if args.engine == "both":
         closed = gamma_sequence(sym, args.n_max, cfg, engine="closed")
-        quad = gamma_sequence(sym, args.n_max, cfg, engine="quad", max_workers=workers)
+        quad = gamma_sequence(sym, args.n_max, cfg, engine="quad")
         for n, (cv, qv, tag) in enumerate(zip(closed.values, quad.values, quad.engines)):
             failed = failed or not tag.converged
             rows.append(
@@ -220,7 +210,7 @@ def _cmd_eigs(args) -> int:
             )
         header = ["n", "gamma_re", "gamma_im", "engine", "est_abs_err", "abs_diff"]
     else:
-        seq = gamma_sequence(sym, args.n_max, cfg, engine=args.engine, max_workers=workers)
+        seq = gamma_sequence(sym, args.n_max, cfg, engine=args.engine)
         for n, (value, tag) in enumerate(zip(seq.values, seq.engines)):
             if isinstance(tag, ClosedForm):
                 engine, err = "closed", None

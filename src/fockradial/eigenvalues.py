@@ -27,16 +27,20 @@ error estimate.
 
 The module also hosts the exponential averaging operators: level 0 is
 g(sqrt(r)) and each further level integrates the previous one against the
-unit-mass kernel e^{r-u} on [r, oo).  Averaging at level j realizes the
-j-fold left shift of gamma_g at the symbol level, which
+unit-mass kernel e^{r-u} on [r, oo).  A sum of j independent unit
+exponentials is Gamma(j, 1)-distributed, so level j is the single integral
+
+    A_j g(r) = E[g(sqrt(r + G))] = integral_0^oo g(sqrt(r + s)) s^{j-1} e^{-s} / (j-1)! ds,
+
+evaluated by one composite Gauss-Legendre rule on panels that start at the
+symbol's own decay length 1/xi and widen geometrically.  Averaging at level j
+realizes the j-fold left shift of gamma_g at the symbol level, which
 `shifted_gamma_residual` checks numerically.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lgamma
@@ -44,7 +48,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import gammainc, gammaincc
+from scipy.special import gammainc, gammaincc, gammainccinv
 
 try:
     import mpmath as _mp
@@ -54,12 +58,10 @@ except ImportError:  # pragma: no cover - mpmath ships with the standard stack
 from .laguerre import _check_index
 from .symbols import (
     CallableSymbol,
-    ComboSymbol,
-    ConstantSymbol,
-    LaguerreGaussianSymbol,
-    OffsetComboSymbol,
+    LaguerreCombo,
     Symbol,
     _check_scale,
+    _eval_callable,
     describe_symbol,
     eval_symbol,
     sup_estimate,
@@ -163,22 +165,14 @@ def closed_form_sequence(coeffs, xi: int, p, n_max: int) -> ClosedSequence:
 
 
 def has_closed_form(sym: Symbol) -> bool:
-    return isinstance(
-        sym, (ConstantSymbol, LaguerreGaussianSymbol, ComboSymbol, OffsetComboSymbol)
-    )
+    return isinstance(sym, LaguerreCombo)
 
 
 def _closed_form_params(sym: Symbol) -> tuple[tuple, int, complex]:
-    """(coefficients, xi, p) of a structured symbol as a combination plus a constant."""
-    if isinstance(sym, ConstantSymbol):
-        return (), 2, sym.value  # no terms, so the scale is never used
-    if isinstance(sym, LaguerreGaussianSymbol):
-        return (0.0,) * sym.m + (1.0,), sym.xi, 0j
-    if isinstance(sym, ComboSymbol):
-        return sym.coefficients, sym.xi, 0j
-    if isinstance(sym, OffsetComboSymbol):
-        return sym.combo.coefficients, sym.combo.xi, sym.p
-    raise ValueError(f"no closed form for {describe_symbol(sym)}")
+    """(coefficients, xi, p) of a structured symbol."""
+    if not has_closed_form(sym):
+        raise ValueError(f"no closed form for {describe_symbol(sym)}")
+    return sym.coefficients, sym.xi, sym.offset
 
 
 def gamma_for_symbol_closed(sym: Symbol, n: int) -> complex:
@@ -245,33 +239,39 @@ class EigenSeq:
 
 
 # ---------------------------------------------------------------------------
-# Gauss-Kronrod 7/15 panel rule (QUADPACK dqk15 constants)
+# Gauss-Kronrod 7/15 panel rule (QUADPACK dqk15 constants, full precision)
 
 _XGK_POS = np.array(
     [
-        0.991455371120813,
-        0.949107912342759,
-        0.864864423359769,
-        0.741531185599394,
-        0.586087235467691,
-        0.405845151377397,
-        0.207784955007898,
+        0.991455371120812639206854697526329,
+        0.949107912342758524526189684047851,
+        0.864864423359769072789712788640926,
+        0.741531185599394439863864773280788,
+        0.586087235467691130294144838258730,
+        0.405845151377397166906606412076961,
+        0.207784955007898467600689403773245,
     ]
 )
 _WGK_POS = np.array(
     [
-        0.022935322010529,
-        0.063092092629979,
-        0.104790010322250,
-        0.140653259715525,
-        0.169004726639267,
-        0.190350578064785,
-        0.204432940075298,
+        0.022935322010529224963732008058970,
+        0.063092092629978553290700663189204,
+        0.104790010322250183839876322541518,
+        0.140653259715525918745189590510238,
+        0.169004726639267902826583426598550,
+        0.190350578064785409913256402421014,
+        0.204432940075298892414161999234649,
     ]
 )
-_WGK_ZERO = 0.209482141084728
-_WG_POS = np.array([0.129484966168870, 0.279705391489277, 0.381830050505119])
-_WG_ZERO = 0.417959183673469
+_WGK_ZERO = 0.209482141084727828012999174891714
+_WG_POS = np.array(
+    [
+        0.129484966168869693270611432679082,
+        0.279705391489276667901467771423780,
+        0.381830050505118944950369775488975,
+    ]
+)
+_WG_ZERO = 0.417959183673469387755102040816327
 
 _XGK = np.concatenate([-_XGK_POS, [0.0], _XGK_POS[::-1]])
 _WGK = np.concatenate([_WGK_POS, [_WGK_ZERO], _WGK_POS[::-1]])
@@ -408,32 +408,22 @@ def _mp_scalar(z: complex):
 
 def _mp_symbol_value(sym: Symbol, r):
     """g(sqrt(r)) as an mpmath number; only structured symbols are supported."""
-    if isinstance(sym, ConstantSymbol):
-        return _mp_scalar(sym.value)
-    if isinstance(sym, LaguerreGaussianSymbol):
-        t = sym.xi * r
-        p_prev, p_cur = _mp.mpf(1), 1 - t
-        for k in range(1, sym.m):
-            p_prev, p_cur = p_cur, ((2 * k + 1 - t) * p_cur - k * p_prev) / (k + 1)
-        lag = p_cur if sym.m else p_prev
-        sign = -1 if sym.m % 2 else 1
-        return sign * _mp.mpf(sym.xi) ** (sym.m + 1) * _mp.e ** (-(sym.xi - 1) * r) * lag
-    if isinstance(sym, OffsetComboSymbol):
-        return _mp_symbol_value(sym.combo, r) + _mp_scalar(sym.p)
-    if isinstance(sym, ComboSymbol):
-        t = sym.xi * r
-        total = _mp.mpf(0)
-        p_prev, p_cur = _mp.mpf(1), 1 - t
-        for k, c in enumerate(sym.coefficients):
-            lag = p_prev if k == 0 else p_cur
-            if c != 0:
-                sign = -1 if k % 2 else 1
-                total += _mp_scalar(c) * sign * _mp.mpf(sym.xi) ** (k + 1) * lag
-            if k >= 1:
-                j = k
-                p_prev, p_cur = p_cur, ((2 * j + 1 - t) * p_cur - j * p_prev) / (j + 1)
-        return total * _mp.e ** (-(sym.xi - 1) * r)
-    raise TypeError(f"no arbitrary-precision evaluation for {describe_symbol(sym)}")
+    if not isinstance(sym, LaguerreCombo):
+        raise TypeError(f"no arbitrary-precision evaluation for {describe_symbol(sym)}")
+    coeffs = sym.coefficients
+    last = max((k for k, c in enumerate(coeffs) if c), default=-1)
+    t = sym.xi * r
+    total = _mp.mpf(0)
+    lag_prev, lag = None, _mp.mpf(1)  # L_{k-1}(t), L_k(t) from k = 0
+    for k in range(last + 1):
+        if coeffs[k]:
+            sign = -1 if k % 2 else 1
+            total += _mp_scalar(coeffs[k]) * sign * _mp.mpf(sym.xi) ** (k + 1) * lag
+        if k < last:
+            step = 1 - t if k == 0 else ((2 * k + 1 - t) * lag - k * lag_prev) / (k + 1)
+            lag_prev, lag = lag, step
+    value = total * _mp.e ** (-(sym.xi - 1) * r)
+    return value + _mp_scalar(sym.offset) if sym.offset else value
 
 
 def _mp_refine_total(sym: Symbol, n: int, a: np.ndarray, b: np.ndarray):
@@ -532,12 +522,9 @@ def _weight(n: int, r: np.ndarray) -> np.ndarray:
 
 
 def _symbol_scale(sym: Symbol) -> int | None:
-    if isinstance(sym, LaguerreGaussianSymbol):
+    """The scale xi of a structured symbol with terms; None for constants and callables."""
+    if isinstance(sym, LaguerreCombo) and sym.coefficients:
         return sym.xi
-    if isinstance(sym, ComboSymbol):
-        return sym.xi
-    if isinstance(sym, OffsetComboSymbol):
-        return sym.combo.xi
     return None
 
 
@@ -633,14 +620,11 @@ def gamma_sequence(
     n_max: int,
     cfg: QuadConfig | None = None,
     engine: str = "auto",
-    max_workers: int | None = None,
 ) -> EigenSeq:
     """gamma(0..n_max) with per-entry engine tags.
 
     engine="auto" uses the closed form whenever the symbol admits one,
-    "closed" insists on it, "quad" forces quadrature.  Quadrature entries are
-    independent integrals and may be evaluated by a thread pool; the output
-    order is by n regardless.
+    "closed" insists on it, "quad" forces quadrature, one integral per n.
     """
     n_max = _check_index(n_max, "n_max")
     if engine not in ("auto", "closed", "quad"):
@@ -654,12 +638,7 @@ def gamma_sequence(
         engines: list[EngineTag] = [ClosedForm() for _ in values]
         return EigenSeq(values, engines, describe_symbol(sym))
     cfg = cfg or QuadConfig()
-    indices = range(n_max + 1)
-    if max_workers and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(lambda n: gamma_quadrature(sym, n, cfg), indices))
-    else:
-        results = [gamma_quadrature(sym, n, cfg) for n in indices]
+    results = [gamma_quadrature(sym, n, cfg) for n in range(n_max + 1)]
     values = [res.value for res in results]
     engines = [Quadrature(res.est_abs_err, res.converged) for res in results]
     return EigenSeq(values, engines, describe_symbol(sym))
@@ -668,58 +647,36 @@ def gamma_sequence(
 # ---------------------------------------------------------------------------
 # Exponential averaging operators
 
-def _vector_callable(g):
-    """Wrap a scalar-or-vector callable so it always maps arrays to arrays."""
+def _averaging_rule(j: int, sup_g: float, rel_tol: float, xi: int = 1):
+    """Nodes and weights of E[f(G)], G ~ Gamma(j, 1), as a composite Gauss-Legendre rule.
 
-    def call(x: np.ndarray) -> np.ndarray:
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", DeprecationWarning)
-                out = np.asarray(g(x))
-            if out.shape != x.shape:
-                raise TypeError("shape mismatch")
-            return out
-        except (TypeError, ValueError, DeprecationWarning):
-            return np.asarray([g(float(t)) for t in x])
-
-    return call
-
-
-def _averaging_grid(sup_g: float, rel_tol: float, order: int = 10, panel_width: float = 2.5):
-    """Composite Gauss-Legendre nodes for s in [0, T] with kernel e^{-s}.
-
-    T is the truncation horizon: past it the unit-mass kernel leaves at most
-    e^{-T} * sup|g|, held below rel_tol.  Ten nodes per width-2.5 panel keep
-    the panel error of these smooth integrands near machine precision.
+    The horizon T leaves a Gamma(j, 1) tail mass below e^-2 * rel_tol /
+    sup|g|, at least 15.  The first panel is 2.5 / xi wide, the decay length
+    of a scale-xi symbol's Gaussian factor, and each panel is 1.5 times wider
+    than the last, up to 2.5.  Ten nodes per panel keep the panel error of
+    these smooth integrands near machine precision.
     """
-    horizon = math.log(max(sup_g, 1e-12) / rel_tol) + 2.0
-    horizon = min(max(horizon, 15.0), 60.0)
-    n_panels = max(4, int(math.ceil(horizon / panel_width)))
-    base_x, base_w = leggauss(order)
-    edges = np.linspace(0.0, horizon, n_panels + 1)
+    tail = min(1.0, rel_tol / max(sup_g, 1e-12)) * math.exp(-2.0)
+    horizon = max(15.0, float(gammainccinv(j, tail)))
+    edges = [0.0]
+    width = 2.5 / xi
+    while edges[-1] < horizon:
+        edges.append(edges[-1] + width)
+        width = min(1.5 * width, 2.5)
+    edges = np.array(edges)
+    base_x, base_w = leggauss(10)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * np.diff(edges)
     nodes = (mid[:, None] + half[:, None] * base_x[None, :]).ravel()
     weights = (half[:, None] * base_w[None, :]).ravel()
-    return nodes, weights * np.exp(-nodes)
+    density = np.exp((j - 1) * np.log(nodes) - nodes - lgamma(j))
+    return nodes, weights * density
 
 
-_FANOUT_LIMIT = 5_000_000
-
-
-def _averaged_values(g_vec, level: int, r: np.ndarray, nodes, kernel) -> np.ndarray:
-    """Level-j averaged values at the points r (vectorized recursion)."""
-    if level == 0:
-        return g_vec(np.sqrt(r))
-    if r.size * nodes.size <= _FANOUT_LIMIT:
-        grid = (r[:, None] + nodes[None, :]).ravel()
-        vals = _averaged_values(g_vec, level - 1, grid, nodes, kernel)
-        return vals.reshape(r.size, nodes.size) @ kernel
-    acc = None
-    for u, w in zip(nodes, kernel):
-        part = _averaged_values(g_vec, level - 1, r + u, nodes, kernel) * w
-        acc = part if acc is None else acc + part
-    return acc
+def _average(evaluate, r: np.ndarray, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """E[g(sqrt(r + G))] at each r, where evaluate(x) = g(x) on an array."""
+    x = np.sqrt(r[:, None] + nodes[None, :])
+    return evaluate(x.ravel()).reshape(x.shape) @ weights
 
 
 def _probe_sup(g_vec, r_hi: float) -> float:
@@ -730,28 +687,30 @@ def _probe_sup(g_vec, r_hi: float) -> float:
 def averaging_operator(g, j: int, r: float, cfg: QuadConfig | None = None, sup_hint: float | None = None):
     """Level-j exponential average of g, evaluated at r >= 0.
 
-    Level 0 is g(sqrt(r)); level j integrates the previous level against the
-    unit-mass kernel e^{r-u} over [r, oo), truncated at a horizon past which
-    the kernel tail times the (probed or hinted) bound of g is below rel_tol.
+    Level 0 is g(sqrt(r)); level j >= 1 is E[g(sqrt(r + G))] with G
+    Gamma(j, 1)-distributed, truncated at a horizon past which the kernel
+    tail times the (probed or hinted) bound of g is below rel_tol.
     """
     cfg = cfg or QuadConfig()
     j = _check_index(j, "j")
     if r < 0.0 or not math.isfinite(r):
         raise ValueError("r must be finite and nonnegative")
-    g_vec = _vector_callable(g)
+
+    def g_vec(x):
+        return _eval_callable(g, x)
+
     if j == 0:
         return complex(g_vec(np.sqrt(np.array([float(r)])))[0])
     sup_g = sup_hint if sup_hint is not None else _probe_sup(g_vec, r + 70.0)
-    nodes, kernel = _averaging_grid(sup_g, cfg.rel_tol)
-    out = _averaged_values(g_vec, j, np.array([float(r)]), nodes, kernel)[0]
-    return complex(out)
+    nodes, weights = _averaging_rule(j, sup_g, cfg.rel_tol)
+    return complex(_average(g_vec, np.array([float(r)]), nodes, weights)[0])
 
 
 def shifted_gamma_residual(sym: Symbol, j: int, n_max: int, cfg: QuadConfig | None = None) -> float:
     """Max over n <= n_max of |gamma(n + j) - gamma-of-level-j-average(n)|.
 
     The left side uses the closed form when available (quadrature otherwise);
-    the right side always evaluates the nested averaging integrals inside the
+    the right side evaluates the Gamma(j, 1) averaging integral inside the
     quadrature, so the identity is checked across genuinely different paths.
     """
     cfg = cfg or QuadConfig()
@@ -759,11 +718,14 @@ def shifted_gamma_residual(sym: Symbol, j: int, n_max: int, cfg: QuadConfig | No
     if j < 1:
         raise ValueError("shift order j must be >= 1")
     n_max = _check_index(n_max, "n_max")
-    g_vec = _vector_callable(lambda x: eval_symbol(sym, x))
     sup_g = sup_estimate(sym)
-    nodes, kernel = _averaging_grid(sup_g, cfg.rel_tol)
+    nodes, weights = _averaging_rule(j, sup_g, cfg.rel_tol, _symbol_scale(sym) or 1)
+
+    def base(x):
+        return eval_symbol(sym, x)
+
     averaged = CallableSymbol(
-        lambda x: _averaged_values(g_vec, j, np.asarray(x, dtype=float) ** 2, nodes, kernel),
+        lambda x: _average(base, np.asarray(x, dtype=float) ** 2, nodes, weights),
         sup_bound=sup_g,
     )
     if has_closed_form(sym):

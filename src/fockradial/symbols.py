@@ -3,33 +3,37 @@
 The central family is the Laguerre-Gaussian symbol of degree m and integer
 scale xi >= 2,
 
-    a(x) = (-1)^m xi^(m+1) exp(-(xi - 1) x^2) L_m(xi x^2),
+    basic(m, xi)(x) = (-1)^m xi^(m+1) exp(-(xi - 1) x^2) L_m(xi x^2).
 
-together with finite linear combinations sharing one scale, an optional
-constant offset, plain constants, and user-supplied callables.  Evaluation
-combines the scale power, the Gaussian factor and the polynomial magnitude in
-log space with explicit sign tracking, so large m and xi neither overflow the
-power nor lose the underflowing Gaussian prematurely.
+Every structured symbol is one `LaguerreCombo`: a finite combination
+sum_k c_k basic(k, xi) sharing one scale, plus a constant offset p.  A
+constant has no terms, and basic(m, xi) has one-hot coefficients.  Black-box
+functions are `CallableSymbol`s.  Evaluation combines the scale power, the
+Gaussian factor and the polynomial magnitude in log space with explicit sign
+tracking, so large m and xi neither overflow the power nor lose the
+underflowing Gaussian prematurely.
+
+Averaging a symbol j times shifts its eigenvalue sequence left by j; the j
+exponential averages compose into one expectation E[g(sqrt(r + G))] with G
+Gamma(j, 1)-distributed, which `fockradial.eigenvalues` evaluates through
+`eval_symbol`.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Union
 
 import numpy as np
 
-from .laguerre import _check_index, laguerre_eval, laguerre_eval_all
+from .laguerre import _check_index, laguerre_eval_all
 from .seqspace import scalar_from_json, scalar_to_json
 
 __all__ = [
     "CallableSymbol",
-    "ComboSymbol",
-    "ConstantSymbol",
-    "LaguerreGaussianSymbol",
-    "OffsetComboSymbol",
+    "LaguerreCombo",
     "Symbol",
     "basic_symbol",
     "combo_symbol",
@@ -51,45 +55,21 @@ def _check_scale(xi) -> int:
 
 
 @dataclass(frozen=True)
-class ConstantSymbol:
-    value: complex
+class LaguerreCombo:
+    """sum_k coefficients[k] * basic(k, xi) + offset.
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", complex(self.value))
+    With no coefficients this is the constant `offset`, whose scale is
+    never used.
+    """
 
-
-@dataclass(frozen=True)
-class LaguerreGaussianSymbol:
-    m: int
-    xi: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "m", _check_index(self.m))
-        object.__setattr__(self, "xi", _check_scale(self.xi))
-
-
-@dataclass(frozen=True)
-class ComboSymbol:
-    xi: int
-    coefficients: tuple[complex, ...]
+    xi: int = 2
+    coefficients: tuple[complex, ...] = ()
+    offset: complex = 0j
 
     def __post_init__(self):
         object.__setattr__(self, "xi", _check_scale(self.xi))
-        coeffs = tuple(complex(c) for c in self.coefficients)
-        if not coeffs:
-            raise ValueError("combo needs at least one coefficient")
-        object.__setattr__(self, "coefficients", coeffs)
-
-
-@dataclass(frozen=True)
-class OffsetComboSymbol:
-    combo: ComboSymbol
-    p: complex
-
-    def __post_init__(self):
-        if not isinstance(self.combo, ComboSymbol):
-            raise ValueError("offset applies to a combo symbol")
-        object.__setattr__(self, "p", complex(self.p))
+        object.__setattr__(self, "coefficients", tuple(complex(c) for c in self.coefficients))
+        object.__setattr__(self, "offset", complex(self.offset))
 
 
 @dataclass(frozen=True)
@@ -104,94 +84,84 @@ class CallableSymbol:
     sup_bound: float = 1.0
 
 
-Symbol = Union[
-    ConstantSymbol,
-    LaguerreGaussianSymbol,
-    ComboSymbol,
-    OffsetComboSymbol,
-    CallableSymbol,
-]
+Symbol = Union[LaguerreCombo, CallableSymbol]
 
 
-def basic_symbol(m: int, xi: int) -> LaguerreGaussianSymbol:
+def basic_symbol(m: int, xi: int) -> LaguerreCombo:
     """The degree-m, scale-xi Laguerre-Gaussian symbol."""
-    return LaguerreGaussianSymbol(m, xi)
+    m = _check_index(m)
+    return LaguerreCombo(xi, (0.0,) * m + (1.0,))
 
 
-def combo_symbol(coeffs, xi: int) -> ComboSymbol:
+def combo_symbol(coeffs, xi: int) -> LaguerreCombo:
     """Linear combination sum_k coeffs[k] * basic_symbol(k, xi)."""
-    return ComboSymbol(xi, tuple(coeffs))
+    coeffs = tuple(coeffs)
+    if not coeffs:
+        raise ValueError("combo needs at least one coefficient")
+    return LaguerreCombo(xi, coeffs)
 
 
-def with_limit_offset(u: ComboSymbol, p) -> OffsetComboSymbol:
-    """u plus the constant p; the result tends to p at infinity."""
-    return OffsetComboSymbol(u, p)
+def with_limit_offset(u: LaguerreCombo, p) -> LaguerreCombo:
+    """u plus the constant p; a combination plus p tends to p at infinity."""
+    if not isinstance(u, LaguerreCombo):
+        raise ValueError("offset applies to a structured symbol")
+    return replace(u, offset=u.offset + complex(p))
 
 
 # ---------------------------------------------------------------------------
 # Evaluation
 
-def _eval_basic(m: int, xi: int, x: np.ndarray) -> np.ndarray:
-    t = xi * x * x
-    lag = np.atleast_1d(laguerre_eval(m, t))
-    abs_lag = np.abs(lag)
-    log_xi = np.log(x.dtype.type(xi))
-    with np.errstate(divide="ignore"):
-        log_mag = (
-            (m + 1) * log_xi
-            - (xi - 1) * x * x
-            + np.where(abs_lag > 0.0, np.log(np.where(abs_lag > 0.0, abs_lag, 1.0)), -np.inf)
-        )
-    sign = np.where(lag >= 0.0, 1.0, -1.0) * (-1.0 if m % 2 else 1.0)
-    with np.errstate(over="ignore"):
-        return sign * np.exp(log_mag)
+def _eval_terms(sym: LaguerreCombo, x: np.ndarray) -> np.ndarray:
+    """sum_k c_k basic(k, xi) at the points x, without the offset.
 
-
-def _eval_combo(sym: ComboSymbol, x: np.ndarray) -> np.ndarray:
-    xi = sym.xi
+    Only the terms with a nonzero coefficient get a log magnitude
+    (k + 1) ln xi + ln |L_k(xi x^2)|.  The largest one is factored out per
+    point before the shared Gaussian is applied, which keeps xi^(k+1)
+    representable for any admissible k.  Real coefficients keep the
+    arithmetic real.
+    """
     coeffs = np.asarray(sym.coefficients, dtype=complex)
-    n_terms = len(coeffs)
-    t = xi * x * x
-    lag = laguerre_eval_all(n_terms - 1, t)  # (n_terms, len(x))
-    abs_lag = np.abs(lag)
+    rows = np.flatnonzero(coeffs)
+    if not rows.size:
+        return np.zeros_like(x)
+    weights = coeffs[rows]
+    if not weights.imag.any():
+        weights = weights.real
+    weights = weights * np.where(rows % 2, -1.0, 1.0)  # the (-1)^k of each term
+    xi = sym.xi
+    lag = laguerre_eval_all(int(rows[-1]), xi * x * x)[rows]
     log_xi = np.log(x.dtype.type(xi))
-    gains = (np.arange(1, n_terms + 1, dtype=x.dtype) * log_xi)[:, None]
     with np.errstate(divide="ignore"):
-        log_terms = gains + np.where(
-            abs_lag > 0.0, np.log(np.where(abs_lag > 0.0, abs_lag, 1.0)), -np.inf
-        )
-    # factor the largest term magnitude out per point, then apply the shared
-    # Gaussian once; keeps xi^(k+1) representable for any admissible k
+        log_terms = (rows + 1)[:, None] * log_xi + np.log(np.abs(lag))
     peak = np.max(log_terms, axis=0)
     peak_ok = np.isfinite(peak)
     safe_peak = np.where(peak_ok, peak, 0.0)
-    scaled = np.exp(log_terms - safe_peak[None, :])
-    signs = np.where(lag >= 0.0, 1.0, -1.0) * ((-1.0) ** np.arange(n_terms))[:, None]
-    mix = np.sum(coeffs[:, None] * signs * scaled, axis=0)
+    mix = weights @ np.copysign(np.exp(log_terms - safe_peak), lag)
     with np.errstate(over="ignore"):
         envelope = np.exp(safe_peak - (xi - 1) * x * x)
     return np.where(peak_ok, mix * envelope, 0.0)
 
 
-def _eval_callable(sym: CallableSymbol, x: np.ndarray) -> np.ndarray:
+def _eval_callable(fn: Callable, x: np.ndarray) -> np.ndarray:
+    """fn at the points x, called once on the array when fn is vectorized."""
     try:
         with warnings.catch_warnings():
             # scalar-only evaluators (math.*) trip numpy's array-to-scalar
             # deprecation on size-1 input; treat that as "not vectorized"
             warnings.simplefilter("error", DeprecationWarning)
-            out = np.asarray(sym.evaluator(x))
+            out = np.asarray(fn(x))
         if out.shape != x.shape:
             raise TypeError("shape mismatch")
         return out
     except (TypeError, ValueError, DeprecationWarning):
-        return np.asarray([sym.evaluator(float(t)) for t in x])
+        return np.asarray([fn(float(t)) for t in x])
 
 
 def eval_symbol(sym: Symbol, x):
     """Pointwise value of the symbol at x >= 0 (scalar or array).
 
-    Extended-precision float input is honored throughout the structured
-    variants, which the quadrature engine uses for cancellation-critical
+    Extended-precision float input is honored throughout structured
+    symbols, which the quadrature engine uses for cancellation-critical
     integrals.
     """
     arr = np.asarray(x)
@@ -202,16 +172,11 @@ def eval_symbol(sym: Symbol, x):
     if np.any(arr < 0.0):
         raise ValueError("x must be nonnegative")
     pts = np.atleast_1d(arr)
-    if isinstance(sym, ConstantSymbol):
-        out = np.full(pts.shape, sym.value)
-    elif isinstance(sym, LaguerreGaussianSymbol):
-        out = _eval_basic(sym.m, sym.xi, pts)
-    elif isinstance(sym, ComboSymbol):
-        out = _eval_combo(sym, pts)
-    elif isinstance(sym, OffsetComboSymbol):
-        out = _eval_combo(sym.combo, pts) + sym.p
+    if isinstance(sym, LaguerreCombo):
+        p = sym.offset
+        out = _eval_terms(sym, pts) + (p.real if p.imag == 0.0 else p)
     elif isinstance(sym, CallableSymbol):
-        out = _eval_callable(sym, pts)
+        out = _eval_callable(sym.evaluator, pts)
     else:
         raise TypeError(f"not a symbol: {sym!r}")
     if arr.ndim == 0:
@@ -231,35 +196,23 @@ def sup_estimate(sym: Symbol, n_grid: int = 4001) -> float:
     """Grid estimate of sup |sym| over [0, oo).
 
     A lower bound (up to grid resolution) used for diagnostics and for
-    integration tail budgets.  Callables report their declared bound.
+    integration tail budgets: the grid sup of the terms plus |offset|.
+    Callables report their declared bound.
     """
-    if isinstance(sym, ConstantSymbol):
-        return abs(sym.value)
     if isinstance(sym, CallableSymbol):
         return float(sym.sup_bound)
-    if isinstance(sym, LaguerreGaussianSymbol):
-        reach = _gaussian_reach((sym.m + 1) * math.log(sym.xi), sym.xi)
-        grid = np.linspace(0.0, reach, n_grid)
-        return float(np.max(np.abs(eval_symbol(sym, grid))))
-    if isinstance(sym, ComboSymbol):
+    terms = 0.0
+    if sym.coefficients:
         reach = _gaussian_reach(len(sym.coefficients) * math.log(sym.xi), sym.xi)
         grid = np.linspace(0.0, reach, n_grid)
-        return float(np.max(np.abs(eval_symbol(sym, grid))))
-    if isinstance(sym, OffsetComboSymbol):
-        return sup_estimate(sym.combo, n_grid) + abs(sym.p)
-    raise TypeError(f"not a symbol: {sym!r}")
+        terms = float(np.max(np.abs(_eval_terms(sym, grid))))
+    return terms + abs(sym.offset)
 
 
 def describe_symbol(sym: Symbol) -> str:
-    if isinstance(sym, ConstantSymbol):
-        return f"constant({sym.value})"
-    if isinstance(sym, LaguerreGaussianSymbol):
-        return f"laguerre_basic(m={sym.m}, xi={sym.xi})"
-    if isinstance(sym, ComboSymbol):
-        return f"combo(xi={sym.xi}, n_terms={len(sym.coefficients)})"
-    if isinstance(sym, OffsetComboSymbol):
-        return f"combo(xi={sym.combo.xi}, n_terms={len(sym.combo.coefficients)}, offset={sym.p})"
-    return "callable"
+    if isinstance(sym, CallableSymbol):
+        return "callable"
+    return f"combo(xi={sym.xi}, n_terms={len(sym.coefficients)}, offset={sym.offset})"
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +225,7 @@ def symbol_from_json(obj) -> Symbol:
     if kind == "constant":
         if "value" not in obj:
             raise ValueError("constant symbol needs a 'value'")
-        return ConstantSymbol(scalar_from_json(obj["value"]))
+        return LaguerreCombo(offset=scalar_from_json(obj["value"]))
     if kind == "laguerre_basic":
         try:
             return basic_symbol(obj["m"], obj["xi"])
@@ -290,18 +243,19 @@ def symbol_from_json(obj) -> Symbol:
 
 
 def symbol_to_json(sym: Symbol) -> dict:
-    if isinstance(sym, ConstantSymbol):
-        return {"type": "constant", "value": scalar_to_json(sym.value)}
-    if isinstance(sym, LaguerreGaussianSymbol):
-        return {"type": "laguerre_basic", "m": sym.m, "xi": sym.xi}
-    if isinstance(sym, ComboSymbol):
-        return {
-            "type": "combo",
-            "xi": sym.xi,
-            "coefficients": [scalar_to_json(c) for c in sym.coefficients],
-        }
-    if isinstance(sym, OffsetComboSymbol):
-        out = symbol_to_json(sym.combo)
-        out["offset"] = scalar_to_json(sym.p)
-        return out
-    raise ValueError("callable symbols cannot be serialized")
+    """The most specific schema entry: constant, laguerre_basic or combo."""
+    if isinstance(sym, CallableSymbol):
+        raise ValueError("callable symbols cannot be serialized")
+    if not sym.coefficients:
+        return {"type": "constant", "value": scalar_to_json(sym.offset)}
+    m = len(sym.coefficients) - 1
+    if not sym.offset and sym.coefficients == basic_symbol(m, sym.xi).coefficients:
+        return {"type": "laguerre_basic", "m": m, "xi": sym.xi}
+    out = {
+        "type": "combo",
+        "xi": sym.xi,
+        "coefficients": [scalar_to_json(c) for c in sym.coefficients],
+    }
+    if sym.offset:
+        out["offset"] = scalar_to_json(sym.offset)
+    return out

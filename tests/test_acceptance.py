@@ -30,7 +30,7 @@ from fockradial.seqspace import (
     sqrt_dist,
     vp_smooth,
 )
-from fockradial.symbols import CallableSymbol, ConstantSymbol, basic_symbol
+from fockradial.symbols import CallableSymbol, LaguerreCombo, basic_symbol
 
 
 def test_criterion_1_closed_form_fidelity():
@@ -71,7 +71,7 @@ def test_criterion_2_exact_error_norm():
 
 def test_criterion_3_constant_symbol():
     start = time.perf_counter()
-    one = ConstantSymbol(1.0)
+    one = LaguerreCombo(offset=1.0)
     cfg = QuadConfig()
     for n in range(501):
         assert abs(gamma_quadrature(one, n, cfg).value - 1.0) <= 1e-10, n
@@ -81,7 +81,7 @@ def test_criterion_3_constant_symbol():
 def test_criterion_4_shift_identity():
     start = time.perf_counter()
     symbols = [
-        ConstantSymbol(1.0),
+        LaguerreCombo(offset=1.0),
         CallableSymbol(lambda x: np.exp(-(x**2)), sup_bound=1.0),
         basic_symbol(0, 2),
         basic_symbol(1, 4),

@@ -14,9 +14,9 @@ from fockradial.approx import (
     plan_to_json,
     verify_plan,
 )
-from fockradial.eigenvalues import gamma_closed_form
+from fockradial.eigenvalues import gamma_closed_form, gamma_sequence
 from fockradial.seqspace import LimitTail, SeqGenerator, SeqWindow, UnknownTail, ZeroTail
-from fockradial.symbols import ComboSymbol, ConstantSymbol, OffsetComboSymbol
+from fockradial.symbols import eval_symbol
 
 
 def zero_window(values):
@@ -250,13 +250,21 @@ def test_verify_halves_when_scale_doubles():
 
 def test_plan_symbol_shapes():
     plan = plan_finite(zero_window([1.0, -0.5]), 0.1)
-    assert isinstance(plan.symbol(), ComboSymbol)
     conv = plan_convergent(SeqWindow((2.0,) * 5, LimitTail(2.0)), 0.1)
-    assert isinstance(conv.symbol(), ConstantSymbol)
     spiked = plan_convergent(
         SeqWindow((3.0,) + (2.0,) * 10, LimitTail(2.0)), 0.2
     )
-    assert isinstance(spiked.symbol(), OffsetComboSymbol)
+    # the symbol's closed form is the plan's own gamma, bit for bit
+    for each in (plan, conv, spiked):
+        seq = gamma_sequence(each.symbol(), 30, engine="closed")
+        assert seq.values == [each.gamma(n) for n in range(31)]
+    # a constant plan evaluates to its limit everywhere; the others tend to it
+    grid = np.linspace(0.0, 5.0, 11)
+    assert np.all(eval_symbol(conv.symbol(), grid) == 2.0)
+    assert eval_symbol(plan.symbol(), 0.0) != 0.0
+    assert eval_symbol(plan.symbol(), 40.0) == 0.0
+    assert eval_symbol(spiked.symbol(), 0.0) != 2.0
+    assert eval_symbol(spiked.symbol(), 40.0) == 2.0
 
 
 def test_plan_json_roundtrip():

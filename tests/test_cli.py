@@ -357,18 +357,6 @@ def test_generator_target_validation(capsys):
     assert code == 2
 
 
-def test_threads_env_var(tmp_path, capsys, monkeypatch):
-    sym = write_json(tmp_path / "s.json", {"type": "constant", "value": 1})
-    monkeypatch.setenv("FOCK_RADIAL_THREADS", "4")
-    code, out, _ = run(capsys, ["eigs", sym, "--n-max", "8", "--engine", "quad"])
-    assert code == 0
-    _, data = read_csv(out)
-    assert all(abs(float(r[1]) - 1.0) <= 1e-10 for r in data)
-    monkeypatch.setenv("FOCK_RADIAL_THREADS", "not-a-number")
-    code, _, _ = run(capsys, ["eigs", sym, "--n-max", "2", "--engine", "quad"])
-    assert code == 0
-
-
 def test_csv_is_locale_free(tmp_path, capsys):
     sym = write_json(tmp_path / "s.json", {"type": "laguerre_basic", "m": 0, "xi": 2})
     code, out, _ = run(capsys, ["eigs", sym, "--n-max", "2"])

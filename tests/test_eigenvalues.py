@@ -6,7 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fockradial import eigenvalues
 from fockradial.eigenvalues import (
+    _WG7,
+    _WGK,
+    _XGK,
     ClosedForm,
     QuadConfig,
     Quadrature,
@@ -22,7 +26,7 @@ from fockradial.eigenvalues import (
 )
 from fockradial.symbols import (
     CallableSymbol,
-    ConstantSymbol,
+    LaguerreCombo,
     basic_symbol,
     combo_symbol,
     sup_estimate,
@@ -153,7 +157,7 @@ def test_norm_bound_closed_form_families():
 # quadrature
 
 def test_gamma_quadrature_constant_one():
-    one = ConstantSymbol(1.0)
+    one = LaguerreCombo(offset=1.0)
     for n in (0, 1, 7, 63, 200, 500):
         res = gamma_quadrature(one, n)
         assert abs(res.value - 1.0) <= 1e-10
@@ -197,9 +201,32 @@ def test_gamma_quadrature_linearity():
 
 def test_weight_normalization():
     # gamma of the constant-1 symbol is the weight's total mass
-    one = ConstantSymbol(1.0)
+    one = LaguerreCombo(offset=1.0)
     for n in (0, 5, 50, 500):
         assert abs(gamma_quadrature(one, n).value - 1.0) <= 1e-10
+
+
+def test_gauss_kronrod_constants_are_exact():
+    # both rules have unit-interval mass 2 and integrate x^k exactly up to
+    # their degree: 22 for Kronrod-15, 13 for the embedded Gauss-7
+    ulps = 4 * np.spacing(2.0)
+    gauss_nodes = _XGK[1::2]
+    assert abs(_WGK.sum() - 2.0) <= ulps
+    assert abs(_WG7.sum() - 2.0) <= ulps
+    for nodes, weights, degree in ((_XGK, _WGK, 22), (gauss_nodes, _WG7, 13)):
+        for k in range(degree + 1):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert abs(weights @ nodes**k - exact) <= ulps, (len(nodes), k)
+
+
+def test_cancellation_cells_without_mpmath(monkeypatch):
+    # the criterion-1 cells whose cancellation reaches past the longdouble
+    # tier must hold their tolerance when the mpmath tier is unavailable
+    monkeypatch.setattr(eigenvalues, "_mp", None)
+    for m, n_top in ((8, 1), (9, 2), (10, 4)):
+        sym = basic_symbol(m, 8)
+        for n in range(n_top + 1):
+            assert abs(gamma_quadrature(sym, n).value) <= 1e-9, (m, n)
 
 
 def test_quad_config_validation():
@@ -213,7 +240,7 @@ def test_quad_config_validation():
 
 def test_nonconvergence_is_flagged_not_raised():
     cfg = QuadConfig(rel_tol=1e-30, max_subdivisions=1)
-    res = gamma_quadrature(ConstantSymbol(1.0), 3, cfg)
+    res = gamma_quadrature(LaguerreCombo(offset=1.0), 3, cfg)
     assert not res.converged
     assert abs(res.value - 1.0) <= 1e-9  # value still sane
     assert res.est_abs_err > 1e-30  # and the estimate stays honest
@@ -229,7 +256,7 @@ def test_gamma_sequence_closed():
 
 
 def test_gamma_sequence_zero_symbol():
-    seq = gamma_sequence(ConstantSymbol(0.0), 10)
+    seq = gamma_sequence(LaguerreCombo(offset=0.0), 10)
     assert all(v == 0 for v in seq.values)
 
 
@@ -252,13 +279,6 @@ def test_gamma_sequence_forced_engines():
         gamma_sequence(CallableSymbol(lambda x: x, 1.0), 3, engine="closed")
     with pytest.raises(ValueError):
         gamma_sequence(sym, 3, engine="warp")
-
-
-def test_gamma_sequence_parallel_matches_serial():
-    sym = CallableSymbol(lambda x: np.exp(-(x**2)), sup_bound=1.0)
-    serial = gamma_sequence(sym, 8, engine="quad")
-    parallel = gamma_sequence(sym, 8, engine="quad", max_workers=4)
-    assert serial.values == parallel.values
 
 
 def test_offset_combo_closed_form():
@@ -308,11 +328,17 @@ def test_averaging_validation():
 # shift identity
 
 def test_shift_identity_constant():
-    assert shifted_gamma_residual(ConstantSymbol(1.0), 1, 10) <= 1e-9
+    assert shifted_gamma_residual(LaguerreCombo(offset=1.0), 1, 10) <= 1e-9
 
 
 def test_shift_identity_basic_symbol():
     assert shifted_gamma_residual(basic_symbol(0, 2), 1, 20) < 1e-7
+    # the Gaussian factor decays on the scale 1/xi, far faster than the
+    # averaging kernel; the averaging rule has to resolve it
+    assert shifted_gamma_residual(basic_symbol(5, 8), 1, 5) < 1e-6
+    assert shifted_gamma_residual(basic_symbol(0, 16), 1, 5) < 1e-6
+    # three averages at once: one Gamma(3, 1) integral
+    assert shifted_gamma_residual(basic_symbol(3, 4), 3, 4) < 1e-6
 
 
 def test_shift_identity_gaussian_level_two():
@@ -322,4 +348,4 @@ def test_shift_identity_gaussian_level_two():
 
 def test_shift_identity_validation():
     with pytest.raises(ValueError):
-        shifted_gamma_residual(ConstantSymbol(1.0), 0, 5)
+        shifted_gamma_residual(LaguerreCombo(offset=1.0), 0, 5)

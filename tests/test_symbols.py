@@ -5,10 +5,7 @@ import pytest
 
 from fockradial.symbols import (
     CallableSymbol,
-    ComboSymbol,
-    ConstantSymbol,
-    LaguerreGaussianSymbol,
-    OffsetComboSymbol,
+    LaguerreCombo,
     basic_symbol,
     combo_symbol,
     eval_symbol,
@@ -82,6 +79,8 @@ def test_combo_examples():
     zero = combo_symbol([0.0, 0.0], 2)
     assert np.all(eval_symbol(zero, grid) == 0.0)
     assert eval_symbol(combo_symbol([1.0, 1.0], 2), 0.0) == pytest.approx(-2.0)
+    # the basic symbol is the combination with one-hot coefficients
+    assert basic_symbol(3, 8) == combo_symbol([0, 0, 0, 1], 8)
 
 
 def test_offset_combo():
@@ -95,7 +94,7 @@ def test_offset_combo():
 
 
 def test_constant_and_callable():
-    assert eval_symbol(ConstantSymbol(2.0 - 1.0j), 11.0) == 2.0 - 1.0j
+    assert eval_symbol(LaguerreCombo(offset=2.0 - 1.0j), 11.0) == 2.0 - 1.0j
     sym = CallableSymbol(lambda x: np.exp(-x), sup_bound=1.0)
     assert eval_symbol(sym, 2.0) == pytest.approx(math.exp(-2))
     scalar_only = CallableSymbol(lambda x: math.exp(-float(x)), sup_bound=1.0)
@@ -120,11 +119,11 @@ def test_constructor_validation():
     with pytest.raises(ValueError):
         combo_symbol([], 2)
     with pytest.raises(ValueError):
-        with_limit_offset(basic_symbol(0, 2), 1.0)
+        with_limit_offset(CallableSymbol(lambda x: x, 1.0), 1.0)
 
 
 def test_sup_estimate():
-    assert sup_estimate(ConstantSymbol(-3.0)) == 3.0
+    assert sup_estimate(LaguerreCombo(offset=-3.0)) == 3.0
     assert sup_estimate(CallableSymbol(lambda x: x, sup_bound=7.0)) == 7.0
     # a_{0,xi} peaks at 0 with value xi
     assert sup_estimate(basic_symbol(0, 5)) == pytest.approx(5.0)
@@ -136,12 +135,22 @@ def test_sup_estimate():
 
 def test_symbol_json_roundtrip():
     for sym in (
-        ConstantSymbol(1.5),
-        ConstantSymbol(1.0 + 2.0j),
+        LaguerreCombo(offset=1.5),
+        LaguerreCombo(offset=1.0 + 2.0j),
         basic_symbol(3, 8),
         combo_symbol([1.0, -0.5, 0.25j], 4),
         with_limit_offset(combo_symbol([1.0, 2.0], 2), 0.5 - 1.0j),
     ):
+        assert symbol_from_json(symbol_to_json(sym)) == sym
+    # every schema entry survives a round trip through the one symbol type
+    for obj in (
+        {"type": "constant", "value": [0.5, -2.0]},
+        {"type": "laguerre_basic", "m": 0, "xi": 2},
+        {"type": "combo", "xi": 2, "coefficients": [1.0]},
+        {"type": "combo", "xi": 5, "coefficients": [0.0, 0.0, 1.0], "offset": 0.0},
+        {"type": "combo", "xi": 3, "coefficients": [[0.5, 1.0], -1.0], "offset": 2.0},
+    ):
+        sym = symbol_from_json(obj)
         assert symbol_from_json(symbol_to_json(sym)) == sym
 
 
