@@ -136,7 +136,6 @@ def _quad_config(args) -> QuadConfig:
     try:
         return QuadConfig(
             rel_tol=args.rel_tol,
-            peak_window_sigmas=args.peak_window_sigmas,
             max_subdivisions=args.max_subdivisions,
         )
     except ValueError as exc:
@@ -412,12 +411,6 @@ def _cmd_diagnose(args) -> int:
 
 def _add_quad_flags(sub) -> None:
     sub.add_argument("--rel-tol", type=float, default=1e-10, help="quadrature relative tolerance")
-    sub.add_argument(
-        "--peak-window-sigmas",
-        type=float,
-        default=14.0,
-        help="integration half-width in units of sqrt(n+1)",
-    )
     sub.add_argument(
         "--max-subdivisions", type=int, default=2000, help="adaptive subdivision budget"
     )

@@ -23,7 +23,10 @@ r = n with width sqrt(n + 1).  The quadrature window is centered on the
 peak, widened until the analytic out-of-window mass (incomplete gamma) is
 negligible, and refined adaptively with a Gauss-Kronrod 7/15 rule; the
 out-of-window mass times the symbol bound is folded into the reported
-error estimate.
+error estimate.  When float64 cannot certify a structured symbol, one
+escalation loop recomputes the value on the settled panels, in longdouble
+and then in mpmath, and stops at the first pass whose roundoff is below a
+tenth of the tolerance.  Black-box callables stay in float64.
 
 The module also hosts the exponential averaging operators: level 0 is
 g(sqrt(r)) and each further level integrates the previous one against the
@@ -40,6 +43,8 @@ realizes the j-fold left shift of gamma_g at the symbol level, which
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -186,14 +191,11 @@ def gamma_for_symbol_closed(sym: Symbol, n: int) -> complex:
 @dataclass(frozen=True)
 class QuadConfig:
     rel_tol: float = 1e-10
-    peak_window_sigmas: float = 14.0
     max_subdivisions: int = 2000
 
     def __post_init__(self):
         if not self.rel_tol > 0.0:
             raise ValueError("rel_tol must be positive")
-        if not self.peak_window_sigmas >= 6.0:
-            raise ValueError("peak_window_sigmas must be >= 6")
         if self.max_subdivisions < 0:
             raise ValueError("max_subdivisions must be nonnegative")
 
@@ -281,11 +283,12 @@ _WG7 = np.concatenate([_WG_POS, [_WG_ZERO], _WG_POS[::-1]])
 _ERR_FLOOR = 1.1e-14  # ~50 ulp of the panel's absolute integral
 
 
-def _gk15_batch(f, a: np.ndarray, b: np.ndarray):
+def _gk15_batch(f, a: np.ndarray, b: np.ndarray, floor: float):
     """Gauss-Kronrod 7/15 on a batch of panels.
 
     Returns (values, error estimates, absolute integrals), one entry per
-    panel.  All panel nodes are evaluated in a single call to f.
+    panel; no estimate is below floor times the panel's absolute integral.
+    All panel nodes are evaluated in a single call to f.
     """
     half = 0.5 * (b - a)
     center = 0.5 * (a + b)
@@ -303,100 +306,63 @@ def _gk15_batch(f, a: np.ndarray, b: np.ndarray):
         resasc * np.minimum(1.0, (200.0 * diff / safe) ** 1.5),
         diff,
     )
-    return resk, np.maximum(err, _ERR_FLOOR * resabs), resabs
+    return resk, np.maximum(err, floor * resabs), resabs
 
 
-def _leggauss_longdouble(order: int = 16):
-    """Gauss-Legendre nodes and weights in extended precision.
+# ---------------------------------------------------------------------------
+# Extended-precision passes
 
-    Newton iteration on the Legendre recurrence, carried out in longdouble,
-    so the rule itself does not reintroduce double-precision noise.
-    """
-    k = np.arange(order, dtype=np.longdouble)
-    x = np.cos(np.pi * (k + 0.75) / (order + 0.5)).astype(np.longdouble)
-    eps = float(np.finfo(np.longdouble).eps)
-    for _ in range(100):
-        p_prev = np.ones_like(x)
-        p_cur = x.copy()
-        for j in range(2, order + 1):
-            p_prev, p_cur = p_cur, ((2 * j - 1) * x * p_cur - (j - 1) * p_prev) / j
-        deriv = order * (x * p_cur - p_prev) / (x * x - 1.0)
-        step = p_cur / deriv
-        x = x - step
-        if float(np.max(np.abs(step))) < 4.0 * eps:
-            break
-    p_prev = np.ones_like(x)
-    p_cur = x.copy()
+# roundoff of each pass per unit of absolute integral: ~eps of its number
+# type times the typical log-scale magnitude inside the integrand
+_LD_NOISE = 1e-17
+_MP_DPS = 30
+_MP_NOISE = 10.0 ** (2 - _MP_DPS)
+_to_longdouble = functools.partial(np.asarray, dtype=np.longdouble)
+
+
+def _to_mpf(values) -> np.ndarray:
+    return np.array([_mp.mpf(float(v)) for v in values], dtype=object)
+
+
+def _legendre(x, order: int):
+    """P_order(x) and its derivative by the three-term recurrence, in the number type of x."""
+    p_prev, p_cur = 1, x
     for j in range(2, order + 1):
         p_prev, p_cur = p_cur, ((2 * j - 1) * x * p_cur - (j - 1) * p_prev) / j
-    deriv = order * (x * p_cur - p_prev) / (x * x - 1.0)
-    weights = 2.0 / ((1.0 - x * x) * deriv * deriv)
-    return x, weights
+    return p_cur, order * (x * p_cur - p_prev) / (x * x - 1)
 
 
-_GL_LD: tuple[np.ndarray, np.ndarray] | None = None
+@functools.cache
+def _gauss_legendre_rule(convert, order: int):
+    """(convert, nodes, weights) of Gauss-Legendre on [-1, 1], in the number type convert makes.
 
-
-def _gl_longdouble_total(f, a: np.ndarray, b: np.ndarray):
-    """Sum of panel integrals in extended precision (Gauss-Legendre 16).
-
-    Used as a second pass when double precision cannot certify the requested
-    tolerance, which happens for strongly cancelling integrands: the value is
-    then limited by roundoff at the scale of the absolute integral, and the
-    extended-precision pass pushes that floor down by roughly three orders.
-    Every settled panel is bisected once more here: the adaptive loop stops
-    refining at the double-precision estimator floor, and one extra halving
-    drives the remaining rule truncation far below the roundoff floor.
+    Eight Newton steps on the Legendre recurrence, in that type, from the
+    float64 asymptotic guesses: convergence is quadratic, so they pass 30
+    digits.  An mpmath rule keeps the precision it was first built at.
     """
-    global _GL_LD
-    if _GL_LD is None:
-        _GL_LD = _leggauss_longdouble()
-    xs, ws = _GL_LD
+    x = convert(np.cos(np.pi * (np.arange(order) + 0.75) / (order + 0.5)))
+    for _ in range(8):
+        p, deriv = _legendre(x, order)
+        x = x - p / deriv
+    _, deriv = _legendre(x, order)
+    return convert, x, 2 / ((1 - x * x) * deriv * deriv)
+
+
+def _refine_total(rule, integrand, a: np.ndarray, b: np.ndarray) -> complex:
+    """The integral over the panels [a, b], each bisected once, in the rule's number type.
+
+    The halving takes the rule's truncation far below the pass's roundoff.  Panel
+    ends are converted first, so no float64 rounding reaches the nodes.
+    """
+    convert, xs, ws = rule
     mids = 0.5 * (a + b)
-    a2 = np.concatenate([a, mids]).astype(np.longdouble)
-    b2 = np.concatenate([mids, b]).astype(np.longdouble)
-    half = 0.5 * (b2 - a2)
-    center = 0.5 * (a2 + b2)
+    lo = convert(np.concatenate([a, mids]))
+    hi = convert(np.concatenate([mids, b]))
+    half = (hi - lo) / 2
+    center = (hi + lo) / 2
     nodes = center[:, None] + half[:, None] * xs[None, :]
-    fx = np.atleast_2d(f(nodes.ravel())).reshape(nodes.shape)
-    panel_vals = (fx * ws[None, :]).sum(axis=1) * half
-    return complex(panel_vals.sum())
-
-
-# error floor of the extended-precision pass per unit of absolute integral:
-# ~eps_longdouble times the typical log-scale magnitude inside the integrand
-_LD_NOISE = 1e-17
-
-_MP_DPS = 30
-_MP_GL_CACHE: dict[int, tuple[list, list]] = {}
-
-
-def _mp_leggauss(order: int = 24):
-    """Gauss-Legendre nodes and weights as mpmath numbers (cached)."""
-    if order in _MP_GL_CACHE:
-        return _MP_GL_CACHE[order]
-    xs = []
-    for k in range(order):
-        x = _mp.mpf(math.cos(math.pi * (k + 0.75) / (order + 0.5)))
-        for _ in range(60):
-            p_prev, p_cur = _mp.mpf(1), x
-            for j in range(2, order + 1):
-                p_prev, p_cur = p_cur, ((2 * j - 1) * x * p_cur - (j - 1) * p_prev) / j
-            deriv = order * (x * p_cur - p_prev) / (x * x - 1)
-            step = p_cur / deriv
-            x -= step
-            if abs(step) < _mp.mpf(10) ** (-_MP_DPS - 4):
-                break
-        xs.append(x)
-    ws = []
-    for x in xs:
-        p_prev, p_cur = _mp.mpf(1), x
-        for j in range(2, order + 1):
-            p_prev, p_cur = p_cur, ((2 * j - 1) * x * p_cur - (j - 1) * p_prev) / j
-        deriv = order * (x * p_cur - p_prev) / (x * x - 1)
-        ws.append(2 / ((1 - x * x) * deriv * deriv))
-    _MP_GL_CACHE[order] = (xs, ws)
-    return xs, ws
+    fx = integrand(nodes.ravel()).reshape(nodes.shape)
+    return complex(((fx * ws[None, :]).sum(axis=1) * half).sum())
 
 
 def _mp_scalar(z: complex):
@@ -426,36 +392,26 @@ def _mp_symbol_value(sym: Symbol, r):
     return value + _mp_scalar(sym.offset) if sym.offset else value
 
 
-def _mp_refine_total(sym: Symbol, n: int, a: np.ndarray, b: np.ndarray):
-    """Arbitrary-precision integral over the settled panels (each bisected once).
+def _extended_passes(sym: Symbol, n: int, integrand):
+    """The passes past float64, in order: (rule, integrand, roundoff per unit of resabs).
 
-    Returns None when mpmath is unavailable or the symbol is a black-box
-    callable.  Runs only for the handful of integrals whose cancellation
-    exceeds even the extended-precision floor.
+    Gauss-Legendre 16 in longdouble, then 24 in mpmath (if installed).  Black-box
+    callables get none: their own evaluators would reintroduce float64 noise.
     """
-    if _mp is None or isinstance(sym, CallableSymbol):
-        return None
-    mids = 0.5 * (a + b)
-    a2 = np.concatenate([a, mids])
-    b2 = np.concatenate([mids, b])
-    with _mp.workdps(_MP_DPS):
-        xs, ws = _mp_leggauss()
-        fact = _mp.factorial(n)
-        total = _mp.mpf(0)
-        for lo, hi in zip(a2, b2):
-            lo_mp, hi_mp = _mp.mpf(float(lo)), _mp.mpf(float(hi))
-            half = (hi_mp - lo_mp) / 2
-            center = (hi_mp + lo_mp) / 2
-            panel = _mp.mpf(0)
-            for x, w in zip(xs, ws):
-                r = center + half * x
-                weight = r**n * _mp.e ** (-r) / fact
-                panel += w * _mp_symbol_value(sym, r) * weight
-            total += half * panel
-        return complex(total)
+    if isinstance(sym, CallableSymbol):
+        return
+    yield _gauss_legendre_rule(_to_longdouble, 16), integrand, _LD_NOISE
+    if _mp is None:
+        return
+    fact = _mp.factorial(n)
+
+    def mp_integrand(r):
+        return np.array([_mp_symbol_value(sym, x) * x**n * _mp.e ** (-x) / fact for x in r])
+
+    yield _gauss_legendre_rule(_to_mpf, 24), mp_integrand, _MP_NOISE
 
 
-def _adaptive_gk(f, edges: np.ndarray, cfg: QuadConfig):
+def _adaptive_gk(f, edges: np.ndarray, cfg: QuadConfig, floor: float):
     """Globally adaptive bisection over the panels delimited by `edges`.
 
     Each round splits every panel whose error exceeds its share of the
@@ -465,7 +421,7 @@ def _adaptive_gk(f, edges: np.ndarray, cfg: QuadConfig):
     """
     a = np.asarray(edges[:-1], dtype=float)
     b = np.asarray(edges[1:], dtype=float)
-    vals, errs, resabs = _gk15_batch(f, a, b)
+    vals, errs, resabs = _gk15_batch(f, a, b, floor)
     splits = 0
     while True:
         total = vals.sum()
@@ -475,7 +431,7 @@ def _adaptive_gk(f, edges: np.ndarray, cfg: QuadConfig):
             break
         share = tol / (2.0 * len(a))
         width_ok = (b - a) > 1e-15 * np.maximum(np.abs(b), 1.0)
-        mask = (errs > share) & (errs > 4.0 * _ERR_FLOOR * resabs) & width_ok
+        mask = (errs > share) & (errs > 4.0 * floor * resabs) & width_ok
         if not mask.any():
             break
         idx = np.nonzero(mask)[0]
@@ -487,7 +443,7 @@ def _adaptive_gk(f, edges: np.ndarray, cfg: QuadConfig):
         mid = 0.5 * (a[idx] + b[idx])
         child_a = np.concatenate([a[idx], mid])
         child_b = np.concatenate([mid, b[idx]])
-        child_vals, child_errs, child_abs = _gk15_batch(f, child_a, child_b)
+        child_vals, child_errs, child_abs = _gk15_batch(f, child_a, child_b, floor)
         keep = np.ones(len(a), dtype=bool)
         keep[idx] = False
         a = np.concatenate([a[keep], child_a])
@@ -503,6 +459,9 @@ def _adaptive_gk(f, edges: np.ndarray, cfg: QuadConfig):
 
 # ---------------------------------------------------------------------------
 # The normalized weight and the quadrature driver
+
+_PEAK_WINDOW_SIGMAS = 14.0  # initial half-width of the window, in units of sqrt(n + 1)
+
 
 def _weight(n: int, r: np.ndarray) -> np.ndarray:
     """w_n(r) = exp(n ln r - r - lgamma(n + 1)); integrates to 1 on [0, oo).
@@ -566,22 +525,22 @@ def gamma_quadrature(sym: Symbol, n: int, cfg: QuadConfig | None = None) -> Quad
 
     The returned error estimate adds the analytic out-of-window bound
     sup|g| * (mass below the window + mass above it) to the accumulated
-    panel estimates.  `converged` certifies the estimate against rel_tol at
-    the symbol's own scale (the weight has unit mass, so sup|g| bounds every
-    eigenvalue); when certification fails the best value is still returned
-    with the honest estimate.
+    panel estimates, each at least the float64 roundoff floor of its panel.
+    `converged` certifies the estimate against rel_tol at the symbol's own
+    scale (the weight has unit mass, so sup|g| bounds every eigenvalue);
+    when certification fails the best value is still returned with the
+    honest estimate.
 
-    Structured symbols whose integrand cancels below the double-precision
-    floor are recomputed on the settled panels in extended precision, and in
-    arbitrary precision when even that floor is too coarse; the estimate is
-    left untouched (an overestimate stays honest).
+    If float64 cannot certify a structured symbol, the escalation loop recomputes
+    the value on the settled panels, pass by pass, up to the first pass whose roundoff
+    times the absolute integral is at most 0.1 * rel_tol * max(1, |value|).
     """
     cfg = cfg or QuadConfig()
     n = _check_index(n, "n")
     sup_g = sup_estimate(sym)
     sigma = math.sqrt(n + 1.0)
-    lo = max(0.0, n - cfg.peak_window_sigmas * sigma)
-    hi = n + cfg.peak_window_sigmas * sigma
+    lo = max(0.0, n - _PEAK_WINDOW_SIGMAS * sigma)
+    hi = n + _PEAK_WINDOW_SIGMAS * sigma
     mass_target = 0.05 * cfg.rel_tol
     # widen until the weight mass outside [lo, hi] is negligible; for small n
     # the right tail of the weight is fat and needs more than the sigma rule
@@ -598,19 +557,17 @@ def gamma_quadrature(sym: Symbol, n: int, cfg: QuadConfig | None = None) -> Quad
     def integrand(r):
         return eval_symbol(sym, np.sqrt(r)) * _weight(n, r)
 
-    edges = _panel_edges(sym, n, lo, hi)
+    # the weight's exponent rounds at the scale of lgamma(n + 2)
+    floor = _ERR_FLOOR + float(np.finfo(float).eps) * lgamma(n + 2)
     value, err, strict_ok, splits, fin_a, fin_b, resabs = _adaptive_gk(
-        integrand, edges, cfg
+        integrand, _panel_edges(sym, n, lo, hi), cfg, floor
     )
-    if not strict_ok and not isinstance(sym, CallableSymbol):
-        # the value itself is cancellation-limited; escalate precision on the
-        # settled panels (black-box callables stay in float64: their own
-        # evaluators would reintroduce the noise)
-        value = _gl_longdouble_total(integrand, fin_a, fin_b)
-        if _LD_NOISE * resabs > 0.1 * cfg.rel_tol * max(1.0, abs(value)):
-            refined = _mp_refine_total(sym, n, fin_a, fin_b)
-            if refined is not None:
-                value = refined
+    if not strict_ok:
+        with _mp.workdps(_MP_DPS) if _mp is not None else contextlib.nullcontext():
+            for rule, pass_integrand, noise in _extended_passes(sym, n, integrand):
+                value = _refine_total(rule, pass_integrand, fin_a, fin_b)
+                if noise * resabs <= 0.1 * cfg.rel_tol * max(1.0, abs(value)):
+                    break
     converged = err <= cfg.rel_tol * max(abs(value), sup_g, 1e-300)
     return QuadResult(complex(value), float(err + tail_bound), converged, splits)
 

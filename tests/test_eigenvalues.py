@@ -144,7 +144,7 @@ def test_monotone_tail_for_admissible_scales():
 
 
 def test_norm_bound_closed_form_families():
-    # |gamma(n)| <= grid-estimated sup of the symbol
+    # |gamma(n)| <= the sup bound of the symbol
     for m in range(6):
         for xi in (2, 4):
             sym = basic_symbol(m, xi)
@@ -229,11 +229,56 @@ def test_cancellation_cells_without_mpmath(monkeypatch):
             assert abs(gamma_quadrature(sym, n).value) <= 1e-9, (m, n)
 
 
+def _assert_gauss_legendre(rule, order, one, eps):
+    # unit-interval mass 2, and x^k integrated exactly up to degree 2 order - 1
+    _, nodes, weights = rule
+    assert len(nodes) == order
+    assert abs(weights.sum() - 2 * one) <= 4 * eps
+    for k in range(2 * order):
+        exact = 2 * one / (k + 1) if k % 2 == 0 else 0 * one
+        assert abs((weights * nodes**k).sum() - exact) <= 4 * eps, (order, k)
+
+
+def test_gauss_legendre_rule_in_longdouble():
+    one = np.longdouble(1)
+    for order in (2, 7, 16):
+        rule = eigenvalues._gauss_legendre_rule(eigenvalues._to_longdouble, order)
+        assert rule[1].dtype == np.longdouble and rule[2].dtype == np.longdouble
+        _assert_gauss_legendre(rule, order, one, np.finfo(np.longdouble).eps)
+
+
+def test_gauss_legendre_rule_in_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(eigenvalues._MP_DPS):
+        eps = mpmath.mpf(2) ** -mpmath.mp.prec
+        for order in (3, 24):
+            rule = eigenvalues._gauss_legendre_rule(eigenvalues._to_mpf, order)
+            assert all(isinstance(x, mpmath.mpf) for x in rule[1])
+            _assert_gauss_legendre(rule, order, mpmath.mpf(1), eps)
+
+
+def test_mpmath_pass_holds_the_deepest_cancellation():
+    # at n = 0 these integrands cancel past the longdouble floor; only the
+    # mpmath pass brings them within the tolerance
+    pytest.importorskip("mpmath")
+    for m, xi in ((12, 8), (9, 16)):
+        assert abs(gamma_quadrature(basic_symbol(m, xi), 0).value) <= 1e-9, (m, xi)
+
+
+def test_error_estimate_covers_oscillating_callable():
+    # g(x) = cos(b x^2) has gamma(n) = Re (1 - ib)^-(n+1); the rounding of
+    # the weight grows with n, and the estimate has to grow with it
+    for b, indices in ((0.8, range(260)), (0.3, (600, 900, 1188)), (1.5, range(0, 260, 3))):
+        sym = CallableSymbol(lambda x, b=b: np.cos(b * x**2), sup_bound=1.0)
+        for n in indices:
+            res = gamma_quadrature(sym, n)
+            exact = ((1 - 1j * b) ** -(n + 1)).real
+            assert abs(res.value - exact) <= res.est_abs_err, (b, n)
+
+
 def test_quad_config_validation():
     with pytest.raises(ValueError):
         QuadConfig(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadConfig(peak_window_sigmas=2.0)
     with pytest.raises(ValueError):
         QuadConfig(max_subdivisions=-1)
 

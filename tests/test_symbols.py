@@ -133,6 +133,30 @@ def test_sup_estimate():
     )
 
 
+def test_sup_estimate_is_an_upper_bound():
+    # the bound is reached at 0 when every term has the same sign there, so
+    # allow the rounding of both sides
+    slack = 1.0 + 1e-14
+    # the pair of terms peaks away from 0, between the points of a coarse grid
+    pair = combo_symbol([1.0, 1.0], 2)
+    dense = np.linspace(0.0, 5.0, 10**6)
+    assert np.max(np.abs(eval_symbol(pair, dense))) <= sup_estimate(pair)
+    rng = np.random.default_rng(4)
+    grid = np.linspace(0.0, 6.0, 20001)
+    for _ in range(100):
+        size = int(rng.integers(2, 6))
+        coeffs = rng.normal(size=size) + 1j * rng.normal(size=size) * rng.integers(0, 2)
+        sym = with_limit_offset(combo_symbol(coeffs, int(rng.integers(2, 9))), rng.normal())
+        assert np.max(np.abs(eval_symbol(sym, grid))) <= slack * sup_estimate(sym), coeffs
+    # a basic symbol peaks at 0, where it is xi^(m+1)
+    for m, xi in ((0, 5), (3, 2), (12, 8), (40, 16)):
+        assert sup_estimate(basic_symbol(m, xi)) == pytest.approx(float(xi) ** (m + 1), rel=1e-13)
+        assert sup_estimate(basic_symbol(m, xi)) == pytest.approx(abs(eval_symbol(basic_symbol(m, xi), 0.0)))
+    # past the float range the bound is inf, not an error
+    assert sup_estimate(combo_symbol(np.ones(528), 1_900_000)) == math.inf
+    assert sup_estimate(basic_symbol(600, 10**6)) == math.inf
+
+
 def test_symbol_json_roundtrip():
     for sym in (
         LaguerreCombo(offset=1.5),
