@@ -228,7 +228,10 @@ def _cmd_eigs(args) -> int:
         header = ["n", "gamma_re", "gamma_im", "engine", "est_abs_err"]
     _emit(args, header, rows)
     if failed:
-        raise NumericError("quadrature did not converge within the subdivision budget")
+        raise NumericError(
+            "quadrature could not certify its tolerance: "
+            "the subdivision budget or the precision tiers ran out"
+        )
     return EXIT_OK
 
 
@@ -410,9 +413,10 @@ def _cmd_diagnose(args) -> int:
 # Parser
 
 def _add_quad_flags(sub) -> None:
-    sub.add_argument("--rel-tol", type=float, default=1e-10, help="quadrature relative tolerance")
+    tau_help = "quadrature tolerance: each eigenvalue's error must be <= rel_tol * max(1, |gamma|)"
+    sub.add_argument("--rel-tol", type=float, default=QuadConfig.rel_tol, help=tau_help)
     sub.add_argument(
-        "--max-subdivisions", type=int, default=2000, help="adaptive subdivision budget"
+        "--max-subdivisions", type=int, default=QuadConfig.max_subdivisions, help="split budget"
     )
 
 

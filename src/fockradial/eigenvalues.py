@@ -23,10 +23,10 @@ r = n with width sqrt(n + 1).  The quadrature window is centered on the
 peak, widened until the analytic out-of-window mass (incomplete gamma) is
 negligible, and refined adaptively with a Gauss-Kronrod 7/15 rule; the
 out-of-window mass times the symbol bound is folded into the reported
-error estimate.  When float64 cannot certify a structured symbol, one
-escalation loop recomputes the value on the settled panels, in longdouble
-and then in mpmath, and stops at the first pass whose roundoff is below a
-tenth of the tolerance.  Black-box callables stay in float64.
+error estimate.  Every decision tests tau(v) = rel_tol * max(1, |v|).  When
+float64 misses tau on a structured symbol, one escalation loop recomputes
+the value on the settled panels, in longdouble and then in mpmath, and stops
+at the first pass whose roundoff is below a tenth of tau.  Callables stay in float64.
 
 The module also hosts the exponential averaging operators: level 0 is
 g(sqrt(r)) and each further level integrates the previous one against the
@@ -190,6 +190,8 @@ def gamma_for_symbol_closed(sym: Symbol, n: int) -> complex:
 
 @dataclass(frozen=True)
 class QuadConfig:
+    """Tolerance tau(v) = rel_tol * max(1, |v|) for each eigenvalue v; a cap on adaptive splits."""
+
     rel_tol: float = 1e-10
     max_subdivisions: int = 2000
 
@@ -198,6 +200,10 @@ class QuadConfig:
             raise ValueError("rel_tol must be positive")
         if self.max_subdivisions < 0:
             raise ValueError("max_subdivisions must be nonnegative")
+
+    def tolerance(self, value) -> float:
+        """tau(value) = rel_tol * max(1, |value|), the one tolerance of the quadrature."""
+        return self.rel_tol * max(1.0, abs(value))
 
 
 @dataclass(frozen=True)
@@ -312,9 +318,8 @@ def _gk15_batch(f, a: np.ndarray, b: np.ndarray, floor: float):
 # ---------------------------------------------------------------------------
 # Extended-precision passes
 
-# roundoff of each pass per unit of absolute integral: ~eps of its number
-# type times the typical log-scale magnitude inside the integrand
-_LD_NOISE = 1e-17
+# roundoff of each pass per unit of absolute integral: 100 eps of its number
+# type, for the typical log-scale magnitude inside the integrand
 _MP_DPS = 30
 _MP_NOISE = 10.0 ** (2 - _MP_DPS)
 _to_longdouble = functools.partial(np.asarray, dtype=np.longdouble)
@@ -395,12 +400,13 @@ def _mp_symbol_value(sym: Symbol, r):
 def _extended_passes(sym: Symbol, n: int, integrand):
     """The passes past float64, in order: (rule, integrand, roundoff per unit of resabs).
 
-    Gauss-Legendre 16 in longdouble, then 24 in mpmath (if installed).  Black-box
-    callables get none: their own evaluators would reintroduce float64 noise.
+    Gauss-Legendre 16 in longdouble (the platform's type: its eps sets the roundoff), then 24
+    in mpmath (if installed).  Callables get none: their evaluators are float64.
     """
     if isinstance(sym, CallableSymbol):
         return
-    yield _gauss_legendre_rule(_to_longdouble, 16), integrand, _LD_NOISE
+    rule = _gauss_legendre_rule(_to_longdouble, 16)
+    yield rule, integrand, 100 * float(np.finfo(rule[1].dtype).eps)
     if _mp is None:
         return
     fact = _mp.factorial(n)
@@ -414,10 +420,10 @@ def _extended_passes(sym: Symbol, n: int, integrand):
 def _adaptive_gk(f, edges: np.ndarray, cfg: QuadConfig, floor: float):
     """Globally adaptive bisection over the panels delimited by `edges`.
 
-    Each round splits every panel whose error exceeds its share of the
-    tolerance, skipping panels already at their roundoff floor (splitting
-    cannot improve those).  Rounds are batched so the integrand is called a
-    handful of times per integral; the procedure is deterministic.
+    Until the summed error is within tau(total), each round splits every panel
+    whose error exceeds its share of tau, skipping panels already at their
+    roundoff floor (splitting cannot improve those).  Rounds are batched so the
+    integrand is called a handful of times per integral; the procedure is deterministic.
     """
     a = np.asarray(edges[:-1], dtype=float)
     b = np.asarray(edges[1:], dtype=float)
@@ -426,7 +432,7 @@ def _adaptive_gk(f, edges: np.ndarray, cfg: QuadConfig, floor: float):
     while True:
         total = vals.sum()
         total_err = float(errs.sum())
-        tol = cfg.rel_tol * max(abs(total), 1e-300)
+        tol = cfg.tolerance(total)
         if total_err <= tol or splits >= cfg.max_subdivisions:
             break
         share = tol / (2.0 * len(a))
@@ -451,10 +457,7 @@ def _adaptive_gk(f, edges: np.ndarray, cfg: QuadConfig, floor: float):
         vals = np.concatenate([vals[keep], child_vals])
         errs = np.concatenate([errs[keep], child_errs])
         resabs = np.concatenate([resabs[keep], child_abs])
-    total = vals.sum()
-    total_err = float(errs.sum())
-    tol = cfg.rel_tol * max(abs(total), 1e-300)
-    return total, total_err, total_err <= tol, splits, a, b, float(resabs.sum())
+    return total, total_err, splits, a, b, float(resabs.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -523,21 +526,17 @@ def _panel_edges(sym: Symbol, n: int, lo: float, hi: float) -> np.ndarray:
 def gamma_quadrature(sym: Symbol, n: int, cfg: QuadConfig | None = None) -> QuadResult:
     """gamma(n) for an arbitrary bounded symbol, by adaptive quadrature.
 
-    The returned error estimate adds the analytic out-of-window bound
-    sup|g| * (mass below the window + mass above it) to the accumulated
-    panel estimates, each at least the float64 roundoff floor of its panel.
-    `converged` certifies the estimate against rel_tol at the symbol's own
-    scale (the weight has unit mass, so sup|g| bounds every eigenvalue);
-    when certification fails the best value is still returned with the
-    honest estimate.
-
-    If float64 cannot certify a structured symbol, the escalation loop recomputes
-    the value on the settled panels, pass by pass, up to the first pass whose roundoff
-    times the absolute integral is at most 0.1 * rel_tol * max(1, |value|).
+    Every decision tests tau(v) = rel_tol * max(1, |v|) (`QuadConfig.tolerance`).
+    The float64 panel estimates, each at least its panel's roundoff floor, sum to
+    the error err.  If err > tau(value) on a structured symbol, each extended pass
+    recomputes the value on the settled panels and sets err to its roundoff times
+    the absolute integral, up to the first pass with 10 * err <= tau(value).
+    `converged` is err <= tau(value); `est_abs_err` adds the analytic out-of-window
+    bound sup|g| * (mass outside the window) to err.  Both describe the value
+    returned, which is the best one even when certification fails.
     """
     cfg = cfg or QuadConfig()
     n = _check_index(n, "n")
-    sup_g = sup_estimate(sym)
     sigma = math.sqrt(n + 1.0)
     lo = max(0.0, n - _PEAK_WINDOW_SIGMAS * sigma)
     hi = n + _PEAK_WINDOW_SIGMAS * sigma
@@ -552,23 +551,24 @@ def gamma_quadrature(sym: Symbol, n: int, cfg: QuadConfig | None = None) -> Quad
         if float(gammaincc(n + 1, hi)) <= mass_target:
             break
         hi += 2.0 * sigma
-    tail_bound = sup_g * float(gammainc(n + 1, lo) + gammaincc(n + 1, hi))
+    tail_bound = sup_estimate(sym) * float(gammainc(n + 1, lo) + gammaincc(n + 1, hi))
 
     def integrand(r):
         return eval_symbol(sym, np.sqrt(r)) * _weight(n, r)
 
     # the weight's exponent rounds at the scale of lgamma(n + 2)
     floor = _ERR_FLOOR + float(np.finfo(float).eps) * lgamma(n + 2)
-    value, err, strict_ok, splits, fin_a, fin_b, resabs = _adaptive_gk(
+    value, err, splits, fin_a, fin_b, resabs = _adaptive_gk(
         integrand, _panel_edges(sym, n, lo, hi), cfg, floor
     )
-    if not strict_ok:
+    if err > cfg.tolerance(value):
         with _mp.workdps(_MP_DPS) if _mp is not None else contextlib.nullcontext():
             for rule, pass_integrand, noise in _extended_passes(sym, n, integrand):
                 value = _refine_total(rule, pass_integrand, fin_a, fin_b)
-                if noise * resabs <= 0.1 * cfg.rel_tol * max(1.0, abs(value)):
+                err = noise * resabs
+                if 10.0 * err <= cfg.tolerance(value):
                     break
-    converged = err <= cfg.rel_tol * max(abs(value), sup_g, 1e-300)
+    converged = err <= cfg.tolerance(value)
     return QuadResult(complex(value), float(err + tail_bound), converged, splits)
 
 
@@ -636,17 +636,12 @@ def _average(evaluate, r: np.ndarray, nodes: np.ndarray, weights: np.ndarray) ->
     return evaluate(x.ravel()).reshape(x.shape) @ weights
 
 
-def _probe_sup(g_vec, r_hi: float) -> float:
-    grid = np.linspace(0.0, math.sqrt(r_hi), 257)
-    return float(np.max(np.abs(g_vec(grid))))
-
-
-def averaging_operator(g, j: int, r: float, cfg: QuadConfig | None = None, sup_hint: float | None = None):
+def averaging_operator(g, j: int, r: float, cfg: QuadConfig | None = None):
     """Level-j exponential average of g, evaluated at r >= 0.
 
     Level 0 is g(sqrt(r)); level j >= 1 is E[g(sqrt(r + G))] with G
     Gamma(j, 1)-distributed, truncated at a horizon past which the kernel
-    tail times the (probed or hinted) bound of g is below rel_tol.
+    tail times the probed bound of g is below rel_tol.
     """
     cfg = cfg or QuadConfig()
     j = _check_index(j, "j")
@@ -658,8 +653,8 @@ def averaging_operator(g, j: int, r: float, cfg: QuadConfig | None = None, sup_h
 
     if j == 0:
         return complex(g_vec(np.sqrt(np.array([float(r)])))[0])
-    sup_g = sup_hint if sup_hint is not None else _probe_sup(g_vec, r + 70.0)
-    nodes, weights = _averaging_rule(j, sup_g, cfg.rel_tol)
+    probe = g_vec(np.linspace(0.0, math.sqrt(r + 70.0), 257))
+    nodes, weights = _averaging_rule(j, float(np.max(np.abs(probe))), cfg.rel_tol)
     return complex(_average(g_vec, np.array([float(r)]), nodes, weights)[0])
 
 

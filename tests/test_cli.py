@@ -3,9 +3,12 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
+from fockradial import eigenvalues
 from fockradial.cli import main
+from fockradial.symbols import combo_symbol, symbol_to_json
 
 
 def write_json(path, payload):
@@ -109,6 +112,26 @@ def test_eigs_exit_codes(tmp_path, capsys):
         ],
     )
     assert code == 3 and "numeric" in err
+
+
+def test_eigs_both_fails_on_uncertified_cancellation(tmp_path, capsys, monkeypatch):
+    # 40 terms at xi = 40: the integrand cancels from ~1e64 past every
+    # precision tier, so no quadrature value may claim convergence.  The
+    # mpmath tier misses too, at 2.5 s per index, so the test runs without it
+    monkeypatch.setattr(eigenvalues, "_mp", None)
+    coeffs = np.random.default_rng(0).normal(size=40)
+    sym = write_json(tmp_path / "s.json", symbol_to_json(combo_symbol(coeffs, 40)))
+    results = []
+    quadrature = eigenvalues.gamma_quadrature
+
+    def spy(*args):
+        results.append(quadrature(*args))
+        return results[-1]
+
+    monkeypatch.setattr(eigenvalues, "gamma_quadrature", spy)
+    code, _, err = run(capsys, ["eigs", sym, "--n-max", "2", "--engine", "both"])
+    assert code == 3 and "certify" in err
+    assert len(results) == 3 and not any(res.converged for res in results)
 
 
 def test_eigs_output_file(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 
@@ -179,10 +180,35 @@ def test_gamma_quadrature_cross_engine():
 
 def test_gamma_quadrature_cancellation_cells():
     # closed form is exactly zero below the degree; the quadrature must hold
-    # the absolute tolerance despite integrand mass ~ xi^m
+    # the absolute tolerance despite integrand mass ~ xi^m, and say so
     for n in range(4):
         res = gamma_quadrature(basic_symbol(10, 8), n)
         assert abs(res.value) <= 1e-9
+        assert res.converged
+        assert abs(res.value) <= res.est_abs_err
+
+
+def test_exact_zero_converges_in_float64(monkeypatch):
+    # gamma = 0 at n < m; float64 already holds it far inside the absolute
+    # tolerance, so no extended-precision pass may be needed to certify it
+    def no_pass(*args):
+        raise AssertionError("extended-precision pass")
+
+    monkeypatch.setattr(eigenvalues, "_refine_total", no_pass)
+    res = gamma_quadrature(basic_symbol(1, 2), 0)
+    assert res.converged
+    assert abs(res.value) <= 1e-12
+
+
+def test_cancellation_cells_with_float64_longdouble(monkeypatch):
+    # where longdouble is float64 the escalation must take its roundoff from
+    # the type and move on to mpmath instead of trusting float64 nodes
+    pytest.importorskip("mpmath")
+    monkeypatch.setattr(eigenvalues, "_to_longdouble", functools.partial(np.asarray, dtype=float))
+    for m, xi, indices in ((10, 4, range(3)), (8, 8, (2,)), (6, 16, (2,))):
+        for n in indices:
+            got = gamma_quadrature(basic_symbol(m, xi), n).value
+            assert abs(got - gamma_closed_form_float(m, xi, n)) <= 1e-12, (m, xi, n)
 
 
 def test_gamma_quadrature_linearity():
