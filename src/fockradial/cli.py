@@ -229,8 +229,7 @@ def _cmd_eigs(args) -> int:
     _emit(args, header, rows)
     if failed:
         raise NumericError(
-            "quadrature could not certify its tolerance: "
-            "the subdivision budget or the precision tiers ran out"
+            "quadrature could not certify its tolerance: split budget or precision tiers ran out"
         )
     return EXIT_OK
 

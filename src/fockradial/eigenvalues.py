@@ -203,7 +203,7 @@ class QuadConfig:
 
     def tolerance(self, value) -> float:
         """tau(value) = rel_tol * max(1, |value|), the one tolerance of the quadrature."""
-        return self.rel_tol * max(1.0, abs(value))
+        return self.rel_tol * max(1.0, float(abs(value)))
 
 
 @dataclass(frozen=True)
@@ -318,10 +318,10 @@ def _gk15_batch(f, a: np.ndarray, b: np.ndarray, floor: float):
 # ---------------------------------------------------------------------------
 # Extended-precision passes
 
-# roundoff of each pass per unit of absolute integral: 100 eps of its number
-# type, for the typical log-scale magnitude inside the integrand
+# a pass's roundoff per unit of absolute integral is 100 eps of its number
+# type, for the typical log-scale magnitude inside the integrand; mpmath at
+# _MP_DPS digits has eps 10^-_MP_DPS
 _MP_DPS = 30
-_MP_NOISE = 10.0 ** (2 - _MP_DPS)
 _to_longdouble = functools.partial(np.asarray, dtype=np.longdouble)
 
 
@@ -398,15 +398,15 @@ def _mp_symbol_value(sym: Symbol, r):
 
 
 def _extended_passes(sym: Symbol, n: int, integrand):
-    """The passes past float64, in order: (rule, integrand, roundoff per unit of resabs).
+    """The passes past float64, in order: (rule, integrand, eps of its number type).
 
-    Gauss-Legendre 16 in longdouble (the platform's type: its eps sets the roundoff), then 24
-    in mpmath (if installed).  Callables get none: their evaluators are float64.
+    Gauss-Legendre 16 in longdouble (the platform's type), then 24 in mpmath
+    (if installed).  Callables get none: their evaluators are float64.
     """
     if isinstance(sym, CallableSymbol):
         return
     rule = _gauss_legendre_rule(_to_longdouble, 16)
-    yield rule, integrand, 100 * float(np.finfo(rule[1].dtype).eps)
+    yield rule, integrand, float(np.finfo(rule[1].dtype).eps)
     if _mp is None:
         return
     fact = _mp.factorial(n)
@@ -414,7 +414,7 @@ def _extended_passes(sym: Symbol, n: int, integrand):
     def mp_integrand(r):
         return np.array([_mp_symbol_value(sym, x) * x**n * _mp.e ** (-x) / fact for x in r])
 
-    yield _gauss_legendre_rule(_to_mpf, 24), mp_integrand, _MP_NOISE
+    yield _gauss_legendre_rule(_to_mpf, 24), mp_integrand, 10.0**-_MP_DPS
 
 
 def _adaptive_gk(f, edges: np.ndarray, cfg: QuadConfig, floor: float):
@@ -424,27 +424,30 @@ def _adaptive_gk(f, edges: np.ndarray, cfg: QuadConfig, floor: float):
     whose error exceeds its share of tau, skipping panels already at their
     roundoff floor (splitting cannot improve those).  Rounds are batched so the
     integrand is called a handful of times per integral; the procedure is deterministic.
+    `settled` is False if the budget ran out while a panel still needed a split.
     """
     a = np.asarray(edges[:-1], dtype=float)
     b = np.asarray(edges[1:], dtype=float)
     vals, errs, resabs = _gk15_batch(f, a, b, floor)
     splits = 0
+    settled = True
     while True:
         total = vals.sum()
         total_err = float(errs.sum())
         tol = cfg.tolerance(total)
-        if total_err <= tol or splits >= cfg.max_subdivisions:
+        if total_err <= tol:
             break
         share = tol / (2.0 * len(a))
         width_ok = (b - a) > 1e-15 * np.maximum(np.abs(b), 1.0)
         mask = (errs > share) & (errs > 4.0 * floor * resabs) & width_ok
         if not mask.any():
             break
+        if splits >= cfg.max_subdivisions:
+            settled = False
+            break
         idx = np.nonzero(mask)[0]
         if splits + len(idx) > cfg.max_subdivisions:
-            keep_n = cfg.max_subdivisions - splits
-            order = np.lexsort((a[idx], -errs[idx]))
-            idx = idx[order][:keep_n]
+            idx = idx[np.lexsort((a[idx], -errs[idx]))][: cfg.max_subdivisions - splits]
         splits += len(idx)
         mid = 0.5 * (a[idx] + b[idx])
         child_a = np.concatenate([a[idx], mid])
@@ -457,7 +460,7 @@ def _adaptive_gk(f, edges: np.ndarray, cfg: QuadConfig, floor: float):
         vals = np.concatenate([vals[keep], child_vals])
         errs = np.concatenate([errs[keep], child_errs])
         resabs = np.concatenate([resabs[keep], child_abs])
-    return total, total_err, splits, a, b, float(resabs.sum())
+    return total, total_err, settled, splits, a, b, float(resabs.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -526,14 +529,14 @@ def _panel_edges(sym: Symbol, n: int, lo: float, hi: float) -> np.ndarray:
 def gamma_quadrature(sym: Symbol, n: int, cfg: QuadConfig | None = None) -> QuadResult:
     """gamma(n) for an arbitrary bounded symbol, by adaptive quadrature.
 
-    Every decision tests tau(v) = rel_tol * max(1, |v|) (`QuadConfig.tolerance`).
-    The float64 panel estimates, each at least its panel's roundoff floor, sum to
-    the error err.  If err > tau(value) on a structured symbol, each extended pass
-    recomputes the value on the settled panels and sets err to its roundoff times
-    the absolute integral, up to the first pass with 10 * err <= tau(value).
-    `converged` is err <= tau(value); `est_abs_err` adds the analytic out-of-window
-    bound sup|g| * (mass outside the window) to err.  Both describe the value
-    returned, which is the best one even when certification fails.
+    Every decision tests tau(v) = rel_tol * max(1, |v|) (`QuadConfig.tolerance`),
+    absolute below unit size.  The float64 panel estimates, each at least its
+    panel's roundoff floor, sum to the error err.  If err > tau(value) on a
+    structured symbol whose panels all settled within the subdivision budget,
+    each extended pass recomputes the value on them and sets err to its roundoff
+    times the absolute integral, up to the first pass with 10 * err <= tau(value).
+    `converged` is err <= tau(value); `est_abs_err` adds to err the out-of-window
+    bound sup|g| * (mass outside the window), which `converged` leaves out.
     """
     cfg = cfg or QuadConfig()
     n = _check_index(n, "n")
@@ -558,18 +561,17 @@ def gamma_quadrature(sym: Symbol, n: int, cfg: QuadConfig | None = None) -> Quad
 
     # the weight's exponent rounds at the scale of lgamma(n + 2)
     floor = _ERR_FLOOR + float(np.finfo(float).eps) * lgamma(n + 2)
-    value, err, splits, fin_a, fin_b, resabs = _adaptive_gk(
+    value, err, settled, splits, fin_a, fin_b, resabs = _adaptive_gk(
         integrand, _panel_edges(sym, n, lo, hi), cfg, floor
     )
-    if err > cfg.tolerance(value):
+    if settled and err > cfg.tolerance(value):
         with _mp.workdps(_MP_DPS) if _mp is not None else contextlib.nullcontext():
-            for rule, pass_integrand, noise in _extended_passes(sym, n, integrand):
+            for rule, pass_integrand, eps in _extended_passes(sym, n, integrand):
                 value = _refine_total(rule, pass_integrand, fin_a, fin_b)
-                err = noise * resabs
+                err = 100.0 * eps * resabs
                 if 10.0 * err <= cfg.tolerance(value):
                     break
-    converged = err <= cfg.tolerance(value)
-    return QuadResult(complex(value), float(err + tail_bound), converged, splits)
+    return QuadResult(complex(value), float(err + tail_bound), err <= cfg.tolerance(value), splits)
 
 
 def gamma_sequence(

@@ -134,6 +134,15 @@ def test_eigs_both_fails_on_uncertified_cancellation(tmp_path, capsys, monkeypat
     assert len(results) == 3 and not any(res.converged for res in results)
 
 
+def test_eigs_both_fails_when_the_budget_runs_out(tmp_path, capsys):
+    # at the default tolerance, but with no splits allowed, the float64 panels
+    # of basic(4, 8) never settle, so no precision tier may certify them
+    sym = write_json(tmp_path / "s.json", {"type": "laguerre_basic", "m": 4, "xi": 8})
+    argv = ["eigs", sym, "--n-max", "3", "--engine", "both", "--max-subdivisions", "0"]
+    code, _, err = run(capsys, argv)
+    assert code == 3 and "certify" in err
+
+
 def test_eigs_output_file(tmp_path, capsys):
     sym = write_json(tmp_path / "s.json", {"type": "laguerre_basic", "m": 0, "xi": 2})
     out_path = tmp_path / "table.csv"

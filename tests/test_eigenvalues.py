@@ -180,12 +180,13 @@ def test_gamma_quadrature_cross_engine():
 
 def test_gamma_quadrature_cancellation_cells():
     # closed form is exactly zero below the degree; the quadrature must hold
-    # the absolute tolerance despite integrand mass ~ xi^m, and say so
+    # the absolute tolerance despite integrand mass ~ xi^m, and say so;
+    # est_abs_err would prove nothing here, its out-of-window part is ~1e-2
     for n in range(4):
         res = gamma_quadrature(basic_symbol(10, 8), n)
         assert abs(res.value) <= 1e-9
         assert res.converged
-        assert abs(res.value) <= res.est_abs_err
+        assert abs(res.value) <= QuadConfig().tolerance(0.0)
 
 
 def test_exact_zero_converges_in_float64(monkeypatch):
@@ -300,6 +301,33 @@ def test_error_estimate_covers_oscillating_callable():
             res = gamma_quadrature(sym, n)
             exact = ((1 - 1j * b) ** -(n + 1)).real
             assert abs(res.value - exact) <= res.est_abs_err, (b, n)
+
+
+def test_small_symbol_is_held_to_the_absolute_tolerance():
+    # tau = rel_tol * max(1, |gamma|) is absolute below unit size: every value
+    # of 1e-6 basic(2, 2) is within rel_tol of the closed form, not within
+    # rel_tol of itself
+    cfg = QuadConfig()
+    sym = LaguerreCombo(xi=2, coefficients=(0.0, 0.0, 1e-6))
+    for n in range(0, 60, 3):
+        res = gamma_quadrature(sym, n, cfg)
+        exact = 1e-6 * gamma_closed_form_float(2, 2, n)
+        assert res.converged, n
+        assert abs(res.value - exact) <= cfg.rel_tol, n
+
+
+def test_budget_exhaustion_is_not_converged():
+    # with no splits allowed basic(4, 8) cannot settle its panels at small n;
+    # no extended pass may then certify a value whose panels still carry
+    # float64 truncation error
+    cfg = QuadConfig(max_subdivisions=0)
+    results = [gamma_quadrature(basic_symbol(4, 8), n, cfg) for n in range(10)]
+    assert not any(res.converged for res in results[:4])
+    for n, res in enumerate(results):
+        exact = gamma_closed_form_float(4, 8, n)
+        assert abs(res.value - exact) <= res.est_abs_err, n
+        if res.converged:
+            assert abs(res.value - exact) <= cfg.tolerance(exact), n
 
 
 def test_quad_config_validation():
