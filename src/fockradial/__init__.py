@@ -20,11 +20,9 @@ from .approx import (
     verify_plan,
 )
 from .eigenvalues import (
-    ClosedForm,
     EigenSeq,
+    Eigenvalue,
     QuadConfig,
-    QuadResult,
-    Quadrature,
     averaging_operator,
     closed_form_sequence,
     gamma_closed_form,
@@ -74,4 +72,4 @@ from .symbols import (
     with_limit_offset,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

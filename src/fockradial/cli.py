@@ -33,12 +33,7 @@ from .approx import (
     plan_to_json,
     verify_plan,
 )
-from .eigenvalues import (
-    ClosedForm,
-    QuadConfig,
-    gamma_sequence,
-    has_closed_form,
-)
+from .eigenvalues import QuadConfig, gamma_sequence, has_closed_form
 from .seqspace import (
     LimitTail,
     SeqGenerator,
@@ -188,44 +183,29 @@ def _cmd_eigs(args) -> int:
         raise UsageError("--n-max must be nonnegative")
     sym = _load_symbol(args.symbol)
     cfg = _quad_config(args)
-    if args.engine == "both" and not has_closed_form(sym):
+    both = args.engine == "both"
+    if both and not has_closed_form(sym):
         raise ValidationError(f"{describe_symbol(sym)} has no closed form to compare against")
+    # with --engine both the table shows the closed form and the quadrature's distance from it
+    shown = gamma_sequence(sym, args.n_max, cfg, engine="closed").values if both else None
+    seq = gamma_sequence(sym, args.n_max, cfg, engine="quad" if both else args.engine)
+    header = ["n", "gamma_re", "gamma_im", "engine", "est_abs_err"] + (["abs_diff"] if both else [])
     rows = []
     failed = False
-    if args.engine == "both":
-        closed = gamma_sequence(sym, args.n_max, cfg, engine="closed")
-        quad = gamma_sequence(sym, args.n_max, cfg, engine="quad")
-        for n, (cv, qv, tag) in enumerate(zip(closed.values, quad.values, quad.engines)):
-            failed = failed or not tag.converged
-            rows.append(
-                {
-                    "n": n,
-                    "gamma_re": cv.real,
-                    "gamma_im": cv.imag,
-                    "engine": "both",
-                    "est_abs_err": tag.est_abs_err,
-                    "abs_diff": abs(cv - qv),
-                }
-            )
-        header = ["n", "gamma_re", "gamma_im", "engine", "est_abs_err", "abs_diff"]
-    else:
-        seq = gamma_sequence(sym, args.n_max, cfg, engine=args.engine)
-        for n, (value, tag) in enumerate(zip(seq.values, seq.engines)):
-            if isinstance(tag, ClosedForm):
-                engine, err = "closed", None
-            else:
-                engine, err = "quad", tag.est_abs_err
-                failed = failed or not tag.converged
-            rows.append(
-                {
-                    "n": n,
-                    "gamma_re": value.real,
-                    "gamma_im": value.imag,
-                    "engine": engine,
-                    "est_abs_err": err,
-                }
-            )
-        header = ["n", "gamma_re", "gamma_im", "engine", "est_abs_err"]
+    for n, res in enumerate(seq.entries):
+        value = shown[n] if both else res.value
+        row = {
+            "n": n,
+            "gamma_re": value.real,
+            "gamma_im": value.imag,
+            "engine": "both" if both else res.engine,
+            "est_abs_err": res.est_abs_err,
+        }
+        failed = failed or not res.converged
+        if both:
+            row["abs_diff"] = abs(value - res.value)
+            failed = failed or row["abs_diff"] > res.est_abs_err
+        rows.append(row)
     _emit(args, header, rows)
     if failed:
         raise NumericError(

@@ -20,13 +20,19 @@ big-integer division.
 Everything else goes through quadrature against the normalized weight
 w_n(r) = exp(n ln r - r - lgamma(n + 1)), a probability density peaked at
 r = n with width sqrt(n + 1).  The quadrature window is centered on the
-peak, widened until the analytic out-of-window mass (incomplete gamma) is
-negligible, and refined adaptively with a Gauss-Kronrod 7/15 rule; the
-out-of-window mass times the symbol bound is folded into the reported
-error estimate.  Every decision tests tau(v) = rel_tol * max(1, |v|).  When
-float64 misses tau on a structured symbol, one escalation loop recomputes
-the value on the settled panels, in longdouble and then in mpmath, and stops
-at the first pass whose roundoff is below a tenth of tau.  Callables stay in float64.
+peak and reaches, by the inverse incomplete gamma function, to where the
+weight mass outside it times the symbol bound sup|g| is below rel_tol / 10;
+that product is folded into the reported error estimate.  The window is
+refined adaptively with a Gauss-Kronrod 7/15 rule.  Every decision tests
+tau(v) = rel_tol * max(1, |v|).  When float64 misses tau on a structured
+symbol, one escalation loop recomputes the value on the settled panels, in
+longdouble and then in mpmath, and stops at the first pass whose roundoff is
+below a tenth of tau.  Callables stay in float64.
+
+Each eigenvalue comes back as one `Eigenvalue` record: its value, the engine
+that produced it ("closed" or "quad") and, for quadrature, the error
+estimate, the `converged` flag and the number of subdivisions.  `EigenSeq`
+holds one record per index.
 
 The module also hosts the exponential averaging operators: level 0 is
 g(sqrt(r)) and each further level integrates the previous one against the
@@ -49,11 +55,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lgamma
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import gammainc, gammaincc, gammainccinv
+from scipy.special import gammainc, gammaincc, gammainccinv, gammaincinv
 
 try:
     import mpmath as _mp
@@ -73,13 +79,10 @@ from .symbols import (
 )
 
 __all__ = [
-    "ClosedForm",
     "ClosedSequence",
     "EigenSeq",
-    "EngineTag",
+    "Eigenvalue",
     "QuadConfig",
-    "QuadResult",
-    "Quadrature",
     "averaging_operator",
     "closed_form_sequence",
     "gamma_closed_form",
@@ -186,7 +189,7 @@ def gamma_for_symbol_closed(sym: Symbol, n: int) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# Quadrature configuration and results
+# Eigenvalue records and the quadrature configuration
 
 @dataclass(frozen=True)
 class QuadConfig:
@@ -207,43 +210,37 @@ class QuadConfig:
 
 
 @dataclass(frozen=True)
-class QuadResult:
+class Eigenvalue:
+    """One eigenvalue gamma(n) and how it was produced.
+
+    engine is "closed" (the float closed form: est_abs_err None, converged
+    True, no subdivisions) or "quad" (`gamma_quadrature`: est_abs_err bounds
+    |value - gamma(n)|, converged says the value met its tolerance).
+    """
+
     value: complex
-    est_abs_err: float
-    converged: bool
-    subdivisions: int
-
-
-@dataclass(frozen=True)
-class ClosedForm:
-    pass
-
-
-@dataclass(frozen=True)
-class Quadrature:
-    est_abs_err: float
+    engine: str
+    est_abs_err: float | None = None
     converged: bool = True
+    subdivisions: int = 0
 
 
-EngineTag = Union[ClosedForm, Quadrature]
-
-
-@dataclass
+@dataclass(frozen=True)
 class EigenSeq:
-    """A window of gamma values with per-entry engine provenance."""
+    """gamma(0..n_max), one `Eigenvalue` record per index."""
 
-    values: list[complex]
-    engines: list[EngineTag]
-    symbol_descr: str
+    entries: list[Eigenvalue]
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self.entries)
+
+    @property
+    def values(self) -> list[complex]:
+        return [entry.value for entry in self.entries]
 
     @property
     def converged(self) -> bool:
-        return all(
-            tag.converged for tag in self.engines if isinstance(tag, Quadrature)
-        )
+        return all(entry.converged for entry in self.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -377,24 +374,38 @@ def _mp_scalar(z: complex):
     return _mp.mpc(z.real, z.imag)
 
 
-def _mp_symbol_value(sym: Symbol, r):
-    """g(sqrt(r)) as an mpmath number; only structured symbols are supported."""
-    if not isinstance(sym, LaguerreCombo):
-        raise TypeError(f"no arbitrary-precision evaluation for {describe_symbol(sym)}")
+def _mp_integrand(sym: LaguerreCombo, n: int):
+    """r -> g(sqrt(r)) r^n e^-r / n! on an object array of mpmath nodes.
+
+    The term factors c_k (-1)^k xi^(k+1) are formed once, at the working
+    precision, and each call runs the Laguerre recurrence once over all nodes.
+    """
     coeffs = sym.coefficients
     last = max((k for k, c in enumerate(coeffs) if c), default=-1)
-    t = sym.xi * r
-    total = _mp.mpf(0)
-    lag_prev, lag = None, _mp.mpf(1)  # L_{k-1}(t), L_k(t) from k = 0
-    for k in range(last + 1):
-        if coeffs[k]:
-            sign = -1 if k % 2 else 1
-            total += _mp_scalar(coeffs[k]) * sign * _mp.mpf(sym.xi) ** (k + 1) * lag
-        if k < last:
-            step = 1 - t if k == 0 else ((2 * k + 1 - t) * lag - k * lag_prev) / (k + 1)
-            lag_prev, lag = lag, step
-    value = total * _mp.e ** (-(sym.xi - 1) * r)
-    return value + _mp_scalar(sym.offset) if sym.offset else value
+    mp_xi = _mp.mpf(sym.xi)
+    factors = [
+        _mp_scalar(c) * (-1 if k % 2 else 1) * mp_xi ** (k + 1) if c else None
+        for k, c in enumerate(coeffs[: last + 1])
+    ]
+    offset = _mp_scalar(sym.offset) if sym.offset else None
+    fact = _mp.factorial(n)
+
+    def integrand(r):
+        t = sym.xi * r
+        total = _mp.mpf(0)
+        lag_prev, lag = None, _mp.mpf(1)  # L_{k-1}(t), L_k(t) from k = 0
+        for k, factor in enumerate(factors):
+            if factor is not None:
+                total = total + factor * lag
+            if k < last:
+                step = 1 - t if k == 0 else ((2 * k + 1 - t) * lag - k * lag_prev) / (k + 1)
+                lag_prev, lag = lag, step
+        value = total * _mp.e ** (-(sym.xi - 1) * r)
+        if offset is not None:
+            value = value + offset
+        return value * r**n * _mp.e ** (-r) / fact
+
+    return integrand
 
 
 def _extended_passes(sym: Symbol, n: int, integrand):
@@ -409,12 +420,7 @@ def _extended_passes(sym: Symbol, n: int, integrand):
     yield rule, integrand, float(np.finfo(rule[1].dtype).eps)
     if _mp is None:
         return
-    fact = _mp.factorial(n)
-
-    def mp_integrand(r):
-        return np.array([_mp_symbol_value(sym, x) * x**n * _mp.e ** (-x) / fact for x in r])
-
-    yield _gauss_legendre_rule(_to_mpf, 24), mp_integrand, 10.0**-_MP_DPS
+    yield _gauss_legendre_rule(_to_mpf, 24), _mp_integrand(sym, n), 10.0**-_MP_DPS
 
 
 def _adaptive_gk(f, edges: np.ndarray, cfg: QuadConfig, floor: float):
@@ -466,7 +472,7 @@ def _adaptive_gk(f, edges: np.ndarray, cfg: QuadConfig, floor: float):
 # ---------------------------------------------------------------------------
 # The normalized weight and the quadrature driver
 
-_PEAK_WINDOW_SIGMAS = 14.0  # initial half-width of the window, in units of sqrt(n + 1)
+_PEAK_WINDOW_SIGMAS = 14.0  # smallest half-width of the window, in units of sqrt(n + 1)
 
 
 def _weight(n: int, r: np.ndarray) -> np.ndarray:
@@ -526,7 +532,7 @@ def _panel_edges(sym: Symbol, n: int, lo: float, hi: float) -> np.ndarray:
     return np.array(refined)
 
 
-def gamma_quadrature(sym: Symbol, n: int, cfg: QuadConfig | None = None) -> QuadResult:
+def gamma_quadrature(sym: Symbol, n: int, cfg: QuadConfig | None = None) -> Eigenvalue:
     """gamma(n) for an arbitrary bounded symbol, by adaptive quadrature.
 
     Every decision tests tau(v) = rel_tol * max(1, |v|) (`QuadConfig.tolerance`),
@@ -535,26 +541,20 @@ def gamma_quadrature(sym: Symbol, n: int, cfg: QuadConfig | None = None) -> Quad
     structured symbol whose panels all settled within the subdivision budget,
     each extended pass recomputes the value on them and sets err to its roundoff
     times the absolute integral, up to the first pass with 10 * err <= tau(value).
-    `converged` is err <= tau(value); `est_abs_err` adds to err the out-of-window
-    bound sup|g| * (mass outside the window), which `converged` leaves out.
+    The window leaves weight mass 0.05 * rel_tol / max(1, sup|g|) or less on
+    each side, so the out-of-window bound sup|g| * (mass outside) is at most
+    rel_tol / 10 for a finite sup|g|.  The record's `converged` is
+    err <= tau(value); its `est_abs_err` is err plus that bound.
     """
     cfg = cfg or QuadConfig()
     n = _check_index(n, "n")
     sigma = math.sqrt(n + 1.0)
-    lo = max(0.0, n - _PEAK_WINDOW_SIGMAS * sigma)
-    hi = n + _PEAK_WINDOW_SIGMAS * sigma
-    mass_target = 0.05 * cfg.rel_tol
-    # widen until the weight mass outside [lo, hi] is negligible; for small n
-    # the right tail of the weight is fat and needs more than the sigma rule
-    for _ in range(200):
-        if lo <= 0.0 or float(gammainc(n + 1, lo)) <= mass_target:
-            break
-        lo = max(0.0, lo - 2.0 * sigma)
-    for _ in range(200):
-        if float(gammaincc(n + 1, hi)) <= mass_target:
-            break
-        hi += 2.0 * sigma
-    tail_bound = sup_estimate(sym) * float(gammainc(n + 1, lo) + gammaincc(n + 1, hi))
+    sup_g = sup_estimate(sym)
+    # the floor keeps the window finite when sup|g| is inf
+    mass_target = max(0.05 * cfg.rel_tol / max(1.0, sup_g), np.finfo(float).tiny)
+    lo = max(0.0, min(n - _PEAK_WINDOW_SIGMAS * sigma, float(gammaincinv(n + 1, mass_target))))
+    hi = max(n + _PEAK_WINDOW_SIGMAS * sigma, float(gammainccinv(n + 1, mass_target)))
+    tail_bound = sup_g * float(gammainc(n + 1, lo) + gammaincc(n + 1, hi))
 
     def integrand(r):
         return eval_symbol(sym, np.sqrt(r)) * _weight(n, r)
@@ -571,7 +571,9 @@ def gamma_quadrature(sym: Symbol, n: int, cfg: QuadConfig | None = None) -> Quad
                 err = 100.0 * eps * resabs
                 if 10.0 * err <= cfg.tolerance(value):
                     break
-    return QuadResult(complex(value), float(err + tail_bound), err <= cfg.tolerance(value), splits)
+    return Eigenvalue(
+        complex(value), "quad", float(err + tail_bound), err <= cfg.tolerance(value), splits
+    )
 
 
 def gamma_sequence(
@@ -580,7 +582,7 @@ def gamma_sequence(
     cfg: QuadConfig | None = None,
     engine: str = "auto",
 ) -> EigenSeq:
-    """gamma(0..n_max) with per-entry engine tags.
+    """gamma(0..n_max) as `Eigenvalue` records.
 
     engine="auto" uses the closed form whenever the symbol admits one,
     "closed" insists on it, "quad" forces quadrature, one integral per n.
@@ -594,13 +596,9 @@ def gamma_sequence(
     use_closed = closed if engine == "auto" else engine == "closed"
     if use_closed:
         values = closed_form_sequence(*_closed_form_params(sym), n_max).values.tolist()
-        engines: list[EngineTag] = [ClosedForm() for _ in values]
-        return EigenSeq(values, engines, describe_symbol(sym))
+        return EigenSeq([Eigenvalue(value, "closed") for value in values])
     cfg = cfg or QuadConfig()
-    results = [gamma_quadrature(sym, n, cfg) for n in range(n_max + 1)]
-    values = [res.value for res in results]
-    engines = [Quadrature(res.est_abs_err, res.converged) for res in results]
-    return EigenSeq(values, engines, describe_symbol(sym))
+    return EigenSeq([gamma_quadrature(sym, n, cfg) for n in range(n_max + 1)])
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -141,6 +142,23 @@ def test_eigs_both_fails_when_the_budget_runs_out(tmp_path, capsys):
     argv = ["eigs", sym, "--n-max", "3", "--engine", "both", "--max-subdivisions", "0"]
     code, _, err = run(capsys, argv)
     assert code == 3 and "certify" in err
+
+
+def test_eigs_both_fails_when_the_closed_form_is_outside_the_estimate(tmp_path, capsys, monkeypatch):
+    # every quadrature value claims convergence, but one estimate no longer
+    # covers its distance from the closed form
+    sym = write_json(tmp_path / "s.json", {"type": "laguerre_basic", "m": 1, "xi": 4})
+    quadrature = eigenvalues.gamma_quadrature
+
+    def spy(sym, n, cfg):
+        res = quadrature(sym, n, cfg)
+        return dataclasses.replace(res, est_abs_err=0.0) if n == 3 else res
+
+    monkeypatch.setattr(eigenvalues, "gamma_quadrature", spy)
+    code, out, err = run(capsys, ["eigs", sym, "--n-max", "6", "--engine", "both"])
+    assert code == 3 and "certify" in err
+    _, data = read_csv(out)
+    assert float(data[3][4]) == 0.0 < float(data[3][5])
 
 
 def test_eigs_output_file(tmp_path, capsys):

@@ -12,9 +12,7 @@ from fockradial.eigenvalues import (
     _WG7,
     _WGK,
     _XGK,
-    ClosedForm,
     QuadConfig,
-    Quadrature,
     averaging_operator,
     closed_form_sequence,
     gamma_closed_form,
@@ -166,11 +164,13 @@ def test_gamma_quadrature_constant_one():
 
 
 def test_gamma_quadrature_gaussian_callable():
-    # g(x) = e^{-x^2} has eigenvalues 2^{-(n+1)}
-    sym = CallableSymbol(lambda x: np.exp(-(x**2)), sup_bound=1.0)
-    for n in range(5):
-        res = gamma_quadrature(sym, n)
-        assert abs(res.value - 2.0 ** -(n + 1)) <= 1e-10
+    # g(x) = e^{-x^2} has eigenvalues 2^{-(n+1)}; an infinite declared bound
+    # must still give a finite window
+    for bound in (1.0, math.inf):
+        sym = CallableSymbol(lambda x: np.exp(-(x**2)), sup_bound=bound)
+        for n in range(5):
+            res = gamma_quadrature(sym, n)
+            assert abs(res.value - 2.0 ** -(n + 1)) <= 1e-10
 
 
 def test_gamma_quadrature_cross_engine():
@@ -180,13 +180,15 @@ def test_gamma_quadrature_cross_engine():
 
 def test_gamma_quadrature_cancellation_cells():
     # closed form is exactly zero below the degree; the quadrature must hold
-    # the absolute tolerance despite integrand mass ~ xi^m, and say so;
-    # est_abs_err would prove nothing here, its out-of-window part is ~1e-2
-    for n in range(4):
-        res = gamma_quadrature(basic_symbol(10, 8), n)
-        assert abs(res.value) <= 1e-9
-        assert res.converged
-        assert abs(res.value) <= QuadConfig().tolerance(0.0)
+    # the absolute tolerance despite integrand mass ~ xi^m, and say so; the
+    # window leaves out weight mass small enough for sup|g| ~ xi^(m+1), so
+    # the error estimate stays as tight as the tolerance
+    for m, xi, indices in ((10, 8, range(4)), (9, 8, (0,)), (6, 16, (3,))):
+        for n in indices:
+            res = gamma_quadrature(basic_symbol(m, xi), n)
+            assert res.converged, (m, xi, n)
+            assert abs(res.value) <= QuadConfig().tolerance(0.0), (m, xi, n)
+            assert abs(res.value) <= res.est_abs_err <= 1e-9, (m, xi, n)
 
 
 def test_exact_zero_converges_in_float64(monkeypatch):
@@ -292,6 +294,65 @@ def test_mpmath_pass_holds_the_deepest_cancellation():
         assert abs(gamma_quadrature(basic_symbol(m, xi), 0).value) <= 1e-9, (m, xi)
 
 
+def _mp_integrand_by_node(sym, n):
+    """The node-by-node reference of `eigenvalues._mp_integrand`."""
+    mpmath = pytest.importorskip("mpmath")
+
+    def scalar(z):
+        z = complex(z)
+        return mpmath.mpf(z.real) if z.imag == 0.0 else mpmath.mpc(z.real, z.imag)
+
+    def value(r):
+        coeffs = sym.coefficients
+        last = max((k for k, c in enumerate(coeffs) if c), default=-1)
+        t = sym.xi * r
+        total = mpmath.mpf(0)
+        lag_prev, lag = None, mpmath.mpf(1)
+        for k in range(last + 1):
+            if coeffs[k]:
+                sign = -1 if k % 2 else 1
+                total += scalar(coeffs[k]) * sign * mpmath.mpf(sym.xi) ** (k + 1) * lag
+            if k < last:
+                step = 1 - t if k == 0 else ((2 * k + 1 - t) * lag - k * lag_prev) / (k + 1)
+                lag_prev, lag = lag, step
+        out = total * mpmath.e ** (-(sym.xi - 1) * r)
+        return out + scalar(sym.offset) if sym.offset else out
+
+    fact = mpmath.factorial(n)
+    return lambda nodes: [value(x) * x**n * mpmath.e ** (-x) / fact for x in nodes]
+
+
+def test_mp_integrand_is_bit_identical_to_the_node_loop():
+    mpmath = pytest.importorskip("mpmath")
+    symbols = [
+        basic_symbol(10, 8),
+        combo_symbol(np.random.default_rng(0).normal(size=6), 40),
+        LaguerreCombo(offset=1.0),
+        LaguerreCombo(xi=3, coefficients=(0.5, 0.0, -1.0 + 0.25j), offset=0.125 - 1j),
+    ]
+    with mpmath.workdps(eigenvalues._MP_DPS):
+        nodes = np.array([mpmath.mpf(0)] + [mpmath.mpf(k) / 7 for k in range(1, 40)], dtype=object)
+        for sym in symbols:
+            for n in (0, 1, 2, 5):
+                got = eigenvalues._mp_integrand(sym, n)(nodes)
+                want = _mp_integrand_by_node(sym, n)(nodes)
+                assert [(type(v), v) for v in got] == [(type(v), v) for v in want], (sym, n)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    coeffs=st.lists(st.floats(-2.0, 2.0, allow_nan=False), min_size=1, max_size=4),
+    xi=st.integers(2, 16),
+    n_max=st.integers(0, 20),
+)
+def test_converged_quadrature_lies_within_its_estimate(coeffs, xi, n_max):
+    seq = gamma_sequence(combo_symbol(coeffs, xi), n_max, engine="quad")
+    for n, res in enumerate(seq.entries):
+        exact = sum(Fraction(c) * gamma_closed_form(k, xi, n) for k, c in enumerate(coeffs))
+        err = math.hypot(float(Fraction(res.value.real) - exact), res.value.imag)
+        assert not res.converged or err <= res.est_abs_err, (n, err, res)
+
+
 def test_error_estimate_covers_oscillating_callable():
     # g(x) = cos(b x^2) has gamma(n) = Re (1 - ib)^-(n+1); the rounding of
     # the weight grows with n, and the estimate has to grow with it
@@ -351,7 +412,7 @@ def test_nonconvergence_is_flagged_not_raised():
 def test_gamma_sequence_closed():
     seq = gamma_sequence(basic_symbol(0, 2), 3)
     assert [v.real for v in seq.values] == [1.0, 0.5, 0.25, 0.125]
-    assert all(isinstance(tag, ClosedForm) for tag in seq.engines)
+    assert all(entry.engine == "closed" for entry in seq.entries)
 
 
 def test_gamma_sequence_zero_symbol():
@@ -363,7 +424,7 @@ def test_gamma_sequence_quadrature_engine():
     sym = CallableSymbol(lambda x: np.exp(-(x**2)), sup_bound=1.0)
     seq = gamma_sequence(sym, 4)
     expected = [2.0 ** -(n + 1) for n in range(5)]
-    assert all(isinstance(tag, Quadrature) for tag in seq.engines)
+    assert all(entry.engine == "quad" for entry in seq.entries)
     assert seq.converged
     np.testing.assert_allclose([v.real for v in seq.values], expected, atol=1e-10)
 
