@@ -23,25 +23,14 @@ from .eigenvalues import (
     EigenSeq,
     Eigenvalue,
     QuadConfig,
-    averaging_operator,
     closed_form_sequence,
-    gamma_closed_form,
-    gamma_closed_form_float,
     gamma_combo_closed_form,
     gamma_quadrature,
     gamma_sequence,
     has_closed_form,
     shifted_gamma_residual,
 )
-from .laguerre import (
-    DEFAULT_DEGREE_CAP,
-    DegreeCapError,
-    LaguerrePoly,
-    laguerre_coeffs,
-    laguerre_eval,
-    laguerre_moment,
-    laguerre_moment_signed_log,
-)
+from .laguerre import laguerre_eval
 from .seqspace import (
     LimitTail,
     SeqGenerator,
@@ -72,4 +61,4 @@ from .symbols import (
     with_limit_offset,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

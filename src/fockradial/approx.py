@@ -122,15 +122,24 @@ class VerifyReport:
         return self.verified_error + self.tail_certificate
 
 
-def _synthesize(coefficients: tuple[complex, ...], budget: float) -> tuple[int, float]:
-    """Smallest admissible scale with sum |c_k| (k + 1) / xi <= budget.
+def _min_admissible_scale(n_terms: int) -> int:
+    """xi_min = max(2, ceil((N + 1) / 2)), the smallest admissible scale for N terms.
 
-    Admissible means xi >= max(2, ceil((N + 1) / 2)), so every term of degree
-    m <= N - 1 satisfies the exact-sup hypothesis xi >= (m + 2) / 2.
+    At xi >= xi_min every term of degree m <= N - 1 satisfies the exact-sup
+    hypothesis xi >= (m + 2) / 2, and its eigenvalue tail decays monotonically.
     """
-    n_terms = len(coefficients)
-    xi_min = max(2, math.ceil((n_terms + 1) / 2))
-    weighted = sum(abs(c) * (k + 1) for k, c in enumerate(coefficients))
+    return max(2, math.ceil((n_terms + 1) / 2))
+
+
+def _weighted_sum(coefficients) -> float:
+    """sum_k |c_k| (k + 1): the synthesis error bound times the scale xi."""
+    return sum(abs(c) * (k + 1) for k, c in enumerate(coefficients))
+
+
+def _synthesize(coefficients: tuple[complex, ...], budget: float) -> tuple[int, float]:
+    """Smallest admissible scale with sum |c_k| (k + 1) / xi <= budget."""
+    xi_min = _min_admissible_scale(len(coefficients))
+    weighted = _weighted_sum(coefficients)
     if weighted == 0.0:
         return xi_min, 0.0
     xi = max(xi_min, math.ceil(weighted / budget))
@@ -245,7 +254,7 @@ def verify_plan(plan: ApproximationPlan, n_verify: int | None = None) -> VerifyR
         n_verify = max(4 * plan.n_terms, plan.n_terms + 50)
     if n_verify < plan.n_terms:
         raise ValueError("n_verify must be at least the truncation length")
-    xi_min = max(2, math.ceil((plan.n_terms + 1) / 2))
+    xi_min = _min_admissible_scale(plan.n_terms)
     if plan.xi < xi_min:
         raise ValueError(
             f"plan scale {plan.xi} is below {xi_min}; the tail certificate's "

@@ -20,12 +20,13 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 from pathlib import Path
 
 from .approx import (
     InsufficientDataError,
+    _min_admissible_scale,
+    _weighted_sum,
     plan_c0,
     plan_convergent,
     plan_finite,
@@ -235,12 +236,11 @@ def _cmd_approximate(args) -> int:
     except InsufficientDataError as exc:
         raise ValidationError(str(exc)) from None
     if args.xi is not None:
-        xi_min = max(2, math.ceil((plan.n_terms + 1) / 2))
+        xi_min = _min_admissible_scale(plan.n_terms)
         if args.xi < xi_min:
             raise UsageError(f"--xi must be >= {xi_min} for {plan.n_terms} coefficients")
         plan.xi = args.xi
-        weighted = sum(abs(c) * (k + 1) for k, c in enumerate(plan.coefficients))
-        plan.predicted_bound = weighted / args.xi + plan.truncation_bound
+        plan.predicted_bound = _weighted_sum(plan.coefficients) / args.xi + plan.truncation_bound
     report = verify_plan(plan, args.n_verify)
     plan_text = json.dumps(plan_to_json(plan), indent=2) + "\n"
     _write_text(args.plan_out, plan_text)

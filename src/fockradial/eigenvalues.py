@@ -14,9 +14,8 @@ through the Pascal recurrence a_k(n+1) = a_k(n) / xi + a_{k-1}(n), starting
 from a(0) = e_0, and takes one dot product with the coefficients per n.
 That is O(N) float work per index, O(N * n_max) for the sequence, with every
 term nonnegative, so nothing cancels and each a_k(n) carries a relative
-error of at most about 2n roundings.  `gamma_closed_form` stays the exact
-rational oracle, and the single-index float functions evaluate each term by
-big-integer division.
+error of at most about 2n roundings.  The single-index functions evaluate
+each term by big-integer division, correctly rounded.
 Everything else goes through quadrature against the normalized weight
 w_n(r) = exp(n ln r - r - lgamma(n + 1)), a probability density peaked at
 r = n with width sqrt(n + 1).  The quadrature window is centered on the
@@ -34,17 +33,18 @@ that produced it ("closed" or "quad") and, for quadrature, the error
 estimate, the `converged` flag and the number of subdivisions.  `EigenSeq`
 holds one record per index.
 
-The module also hosts the exponential averaging operators: level 0 is
-g(sqrt(r)) and each further level integrates the previous one against the
-unit-mass kernel e^{r-u} on [r, oo).  A sum of j independent unit
-exponentials is Gamma(j, 1)-distributed, so level j is the single integral
+The module ends with the shift identity.  One exponential average
+integrates g(sqrt(u)) against the unit-mass kernel e^{r-u} on [r, oo).  A sum
+of j independent unit exponentials is Gamma(j, 1)-distributed, so j averages
+compose into the single integral
 
     A_j g(r) = E[g(sqrt(r + G))] = integral_0^oo g(sqrt(r + s)) s^{j-1} e^{-s} / (j-1)! ds,
 
-evaluated by one composite Gauss-Legendre rule on panels that start at the
-symbol's own decay length 1/xi and widen geometrically.  Averaging at level j
-realizes the j-fold left shift of gamma_g at the symbol level, which
-`shifted_gamma_residual` checks numerically.
+which `_averaging_rule` discretizes by one composite Gauss-Legendre rule on
+panels that start at the symbol's own decay length 1/xi and widen
+geometrically, and `_average` applies.  Averaging j times realizes the j-fold
+left shift of gamma_g at the symbol level, which `shifted_gamma_residual`
+checks numerically.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ import contextlib
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, lgamma
 from typing import NamedTuple
 
@@ -66,13 +65,12 @@ try:
 except ImportError:  # pragma: no cover - mpmath ships with the standard stack
     _mp = None
 
-from .laguerre import _check_index
+from .laguerre import _as_float_array, _check_index
 from .symbols import (
     CallableSymbol,
     LaguerreCombo,
     Symbol,
     _check_scale,
-    _eval_callable,
     describe_symbol,
     eval_symbol,
     sup_estimate,
@@ -83,10 +81,7 @@ __all__ = [
     "EigenSeq",
     "Eigenvalue",
     "QuadConfig",
-    "averaging_operator",
     "closed_form_sequence",
-    "gamma_closed_form",
-    "gamma_closed_form_float",
     "gamma_combo_closed_form",
     "gamma_for_symbol_closed",
     "gamma_quadrature",
@@ -99,32 +94,18 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Closed forms
 
-def gamma_closed_form(m: int, xi: int, n: int) -> Fraction:
-    """Exact eigenvalue of the Laguerre-Gaussian symbol: 0 for n < m, else binom(n, m) / xi^(n-m)."""
-    m = _check_index(m)
-    n = _check_index(n, "n")
-    xi = _check_scale(xi)
-    if n < m:
-        return Fraction(0)
-    return Fraction(comb(n, m), xi ** (n - m))
-
-
-def gamma_closed_form_float(m: int, xi: int, n: int) -> float:
-    """Float mirror of `gamma_closed_form` (correctly rounded; underflows to 0)."""
-    if n < m:
-        return 0.0
-    return comb(n, m) / (xi ** (n - m))
-
-
 def gamma_combo_closed_form(coeffs, xi: int, p, n: int) -> complex:
-    """Eigenvalue of sum_k coeffs[k] * basic(k, xi) plus the constant p, by linearity."""
+    """Eigenvalue of sum_k coeffs[k] * basic(k, xi) plus the constant p, by linearity.
+
+    Term k contributes binom(n, k) / xi^(n-k), correctly rounded (0 for n < k).
+    """
     n = _check_index(n, "n")
     xi = _check_scale(xi)
     total = complex(p)
     for k, c in enumerate(coeffs):
         c = complex(c)
         if c != 0:
-            total += c * gamma_closed_form_float(k, xi, n)
+            total += c * (comb(n, k) / xi ** (n - k) if k <= n else 0.0)
     return total
 
 
@@ -481,9 +462,7 @@ def _weight(n: int, r: np.ndarray) -> np.ndarray:
     The float dtype of r is preserved so the extended-precision pass keeps
     its accuracy through the weight factor.
     """
-    r = np.asarray(r)
-    if r.dtype.kind != "f":
-        r = r.astype(float)
+    r = _as_float_array(r)
     out = np.zeros_like(r)
     pos = r > 0.0
     out[pos] = np.exp(n * np.log(r[pos]) - r[pos] - lgamma(n + 1))
@@ -497,6 +476,29 @@ def _symbol_scale(sym: Symbol) -> int | None:
     if isinstance(sym, LaguerreCombo) and sym.coefficients:
         return sym.xi
     return None
+
+
+_SUBNORMAL = math.ldexp(1.0, -1074)  # the smallest float64 subnormal
+
+
+def _underflow_bound(sym: Symbol, sup_g: float, width: float, panels: int) -> float:
+    """A bound of the subnormal roundoff in the float64 integral over a window of this width.
+
+    A rounding that lands below the normal range errs by up to 2^-1075 in
+    absolute terms, however small the result.  At a node, the K nonzero terms
+    of a structured symbol take K such roundings before `_eval_terms` scales
+    them by at most xi^(k_max + 1); the offset, that scaling and the product
+    with the weight take three more, and the weight's own rounding is scaled
+    by |g| <= sup|g|.  The Gauss-Kronrod sums take eight more per unit width
+    and one per panel.  Each count is doubled for the two parts of a complex value.
+    """
+    coeffs = sym.coefficients if isinstance(sym, LaguerreCombo) else ()
+    rows = [k for k, c in enumerate(coeffs) if c]
+    scaled = 0.0  # K * xi^(k_max + 1) * 2^-1074, formed in log space
+    if rows:
+        log_scale = (rows[-1] + 1) * math.log(sym.xi) + math.log(_SUBNORMAL)
+        scaled = len(rows) * (math.exp(log_scale) if log_scale < 709.0 else math.inf)
+    return width * scaled + _SUBNORMAL * (width * (sup_g + 11.0) + panels)
 
 
 def _panel_edges(sym: Symbol, n: int, lo: float, hi: float) -> np.ndarray:
@@ -544,7 +546,8 @@ def gamma_quadrature(sym: Symbol, n: int, cfg: QuadConfig | None = None) -> Eige
     The window leaves weight mass 0.05 * rel_tol / max(1, sup|g|) or less on
     each side, so the out-of-window bound sup|g| * (mass outside) is at most
     rel_tol / 10 for a finite sup|g|.  The record's `converged` is
-    err <= tau(value); its `est_abs_err` is err plus that bound.
+    err <= tau(value); its `est_abs_err` is err plus that bound plus the
+    subnormal roundoff, which no relative floor covers (`_underflow_bound`).
     """
     cfg = cfg or QuadConfig()
     n = _check_index(n, "n")
@@ -571,9 +574,9 @@ def gamma_quadrature(sym: Symbol, n: int, cfg: QuadConfig | None = None) -> Eige
                 err = 100.0 * eps * resabs
                 if 10.0 * err <= cfg.tolerance(value):
                     break
-    return Eigenvalue(
-        complex(value), "quad", float(err + tail_bound), err <= cfg.tolerance(value), splits
-    )
+    est_abs_err = err + tail_bound + _underflow_bound(sym, sup_g, hi - lo, len(fin_a))
+    converged = err <= cfg.tolerance(value)
+    return Eigenvalue(complex(value), "quad", float(est_abs_err), converged, splits)
 
 
 def gamma_sequence(
@@ -602,7 +605,7 @@ def gamma_sequence(
 
 
 # ---------------------------------------------------------------------------
-# Exponential averaging operators
+# Exponential averaging and the shift identity
 
 def _averaging_rule(j: int, sup_g: float, rel_tol: float, xi: int = 1):
     """Nodes and weights of E[f(G)], G ~ Gamma(j, 1), as a composite Gauss-Legendre rule.
@@ -634,28 +637,6 @@ def _average(evaluate, r: np.ndarray, nodes: np.ndarray, weights: np.ndarray) ->
     """E[g(sqrt(r + G))] at each r, where evaluate(x) = g(x) on an array."""
     x = np.sqrt(r[:, None] + nodes[None, :])
     return evaluate(x.ravel()).reshape(x.shape) @ weights
-
-
-def averaging_operator(g, j: int, r: float, cfg: QuadConfig | None = None):
-    """Level-j exponential average of g, evaluated at r >= 0.
-
-    Level 0 is g(sqrt(r)); level j >= 1 is E[g(sqrt(r + G))] with G
-    Gamma(j, 1)-distributed, truncated at a horizon past which the kernel
-    tail times the probed bound of g is below rel_tol.
-    """
-    cfg = cfg or QuadConfig()
-    j = _check_index(j, "j")
-    if r < 0.0 or not math.isfinite(r):
-        raise ValueError("r must be finite and nonnegative")
-
-    def g_vec(x):
-        return _eval_callable(g, x)
-
-    if j == 0:
-        return complex(g_vec(np.sqrt(np.array([float(r)])))[0])
-    probe = g_vec(np.linspace(0.0, math.sqrt(r + 70.0), 257))
-    nodes, weights = _averaging_rule(j, float(np.max(np.abs(probe))), cfg.rel_tol)
-    return complex(_average(g_vec, np.array([float(r)]), nodes, weights)[0])
 
 
 def shifted_gamma_residual(sym: Symbol, j: int, n_max: int, cfg: QuadConfig | None = None) -> float:

@@ -1,4 +1,4 @@
-"""Laguerre polynomials: stable evaluation, exact coefficients, exponential moments.
+"""Laguerre polynomials: stable float evaluation by the three-term recurrence.
 
 The degree-m Laguerre polynomial has the explicit form
 
@@ -11,34 +11,14 @@ and satisfies the three-term recurrence
 
 Floating-point evaluation goes through the recurrence, which stays well
 behaved on [0, oo); the explicit sum cancels catastrophically for large
-arguments.  Exact rational coefficients and moments are retained alongside
-the float paths and serve as test oracles for them.
+arguments.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from math import comb, factorial, lgamma
-
 import numpy as np
 
-__all__ = [
-    "DEFAULT_DEGREE_CAP",
-    "DegreeCapError",
-    "LaguerrePoly",
-    "laguerre_coeffs",
-    "laguerre_eval",
-    "laguerre_eval_all",
-    "laguerre_moment",
-    "laguerre_moment_signed_log",
-]
-
-DEFAULT_DEGREE_CAP = 64
-
-
-class DegreeCapError(ValueError):
-    """Raised when a requested degree exceeds the configured cap."""
+__all__ = ["laguerre_eval", "laguerre_eval_all"]
 
 
 def _check_index(m, name: str = "m") -> int:
@@ -92,75 +72,3 @@ def laguerre_eval_all(m_max: int, x) -> np.ndarray:
     for k in range(1, m_max):
         out[k + 1] = ((2 * k + 1 - arr) * out[k] - k * out[k - 1]) / (k + 1)
     return out
-
-
-def laguerre_coeffs(m: int, max_degree: int = DEFAULT_DEGREE_CAP) -> list[Fraction]:
-    """Exact coefficients [c_0, ..., c_m] of L_m, with c_k = (-1)^k binom(m, k) / k!."""
-    m = _check_index(m)
-    if m > max_degree:
-        raise DegreeCapError(f"degree {m} exceeds the configured cap {max_degree}")
-    return [Fraction((-1) ** k * comb(m, k), factorial(k)) for k in range(m + 1)]
-
-
-@dataclass(frozen=True)
-class LaguerrePoly:
-    """A Laguerre polynomial held as exact rational coefficients.
-
-    `eval_exact` is free of rounding and cancellation, which makes it the
-    oracle against which the recurrence path is checked.
-    """
-
-    degree: int
-    coefficients: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if len(self.coefficients) != self.degree + 1:
-            raise ValueError("coefficient count must be degree + 1")
-        if self.coefficients[0] != 1:
-            raise ValueError("constant coefficient of every Laguerre polynomial is 1")
-
-    @classmethod
-    def of_degree(cls, m: int, max_degree: int = DEFAULT_DEGREE_CAP) -> "LaguerrePoly":
-        return cls(m, tuple(laguerre_coeffs(m, max_degree)))
-
-    def eval_exact(self, x) -> Fraction:
-        """Horner evaluation in exact rational arithmetic.
-
-        Floats are converted through Fraction, which is exact (binary floats
-        are dyadic rationals).
-        """
-        if isinstance(x, float):
-            x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
-
-    def __call__(self, x) -> float:
-        return float(self.eval_exact(x))
-
-
-def laguerre_moment(m: int, n: int) -> Fraction:
-    """Exact weighted power moment of L_m against r^n with weight e^{-r} on [0, oo).
-
-    Vanishes for m > n; equals (-1)^m (n!)^2 / ((n - m)! m!) otherwise.
-    """
-    m = _check_index(m)
-    n = _check_index(n, "n")
-    if m > n:
-        return Fraction(0)
-    return Fraction((-1) ** m * factorial(n) ** 2, factorial(n - m) * factorial(m))
-
-
-def laguerre_moment_signed_log(m: int, n: int) -> tuple[int, float]:
-    """Float-safe variant of `laguerre_moment`: (sign, log magnitude).
-
-    Returns (0, -inf) when the moment vanishes.  The log magnitude is computed
-    through lgamma so that values far beyond the float range stay usable.
-    """
-    m = _check_index(m)
-    n = _check_index(n, "n")
-    if m > n:
-        return 0, float("-inf")
-    sign = -1 if m % 2 else 1
-    return sign, 2.0 * lgamma(n + 1) - lgamma(n - m + 1) - lgamma(m + 1)

@@ -27,7 +27,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .laguerre import _check_index, laguerre_eval_all
+from .laguerre import _as_float_array, _check_index, laguerre_eval_all
 from .seqspace import scalar_from_json, scalar_to_json
 
 __all__ = [
@@ -163,9 +163,7 @@ def eval_symbol(sym: Symbol, x):
     symbols, which the quadrature engine uses for cancellation-critical
     integrals.
     """
-    arr = np.asarray(x)
-    if arr.dtype.kind != "f":
-        arr = arr.astype(float)
+    arr = _as_float_array(x)
     if not np.all(np.isfinite(arr)):
         raise ValueError("x must be finite")
     if np.any(arr < 0.0):

@@ -11,15 +11,10 @@ from fractions import Fraction
 
 import numpy as np
 
+from exact import gamma_closed_form
 from fockradial.approx import plan_finite, verify_plan
 from fockradial.cli import main
-from fockradial.eigenvalues import (
-    QuadConfig,
-    gamma_closed_form,
-    gamma_closed_form_float,
-    gamma_quadrature,
-    shifted_gamma_residual,
-)
+from fockradial.eigenvalues import QuadConfig, gamma_quadrature, shifted_gamma_residual
 from fockradial.seqspace import (
     LimitTail,
     SeqGenerator,
@@ -41,7 +36,7 @@ def test_criterion_1_closed_form_fidelity():
             sym = basic_symbol(m, xi)
             for n in range(201):
                 got = gamma_quadrature(sym, n, cfg).value
-                want = gamma_closed_form_float(m, xi, n)
+                want = float(gamma_closed_form(m, xi, n))
                 assert abs(got - want) <= max(1e-9, 1e-6 * abs(want)), (m, xi, n)
     assert time.perf_counter() - start < 60.0
 

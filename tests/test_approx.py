@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from exact import gamma_closed_form
 from fockradial.approx import (
     InsufficientDataError,
     delta_error,
@@ -14,7 +15,7 @@ from fockradial.approx import (
     plan_to_json,
     verify_plan,
 )
-from fockradial.eigenvalues import gamma_closed_form, gamma_sequence
+from fockradial.eigenvalues import gamma_sequence
 from fockradial.seqspace import LimitTail, SeqGenerator, SeqWindow, UnknownTail, ZeroTail
 from fockradial.symbols import eval_symbol
 

@@ -4,19 +4,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from exact import gamma_closed_form
 from fockradial import eigenvalues
 from fockradial.eigenvalues import (
     _WG7,
     _WGK,
     _XGK,
     QuadConfig,
-    averaging_operator,
+    _average,
+    _averaging_rule,
     closed_form_sequence,
-    gamma_closed_form,
-    gamma_closed_form_float,
     gamma_combo_closed_form,
     gamma_quadrature,
     gamma_sequence,
@@ -43,13 +43,13 @@ def test_gamma_closed_form_examples():
 
 
 def test_gamma_closed_form_float_matches_exact():
+    # a one-term combination is the float closed form of basic(m, xi)
     for m in range(6):
         for xi in (2, 4, 16):
             for n in range(0, 40):
                 exact = gamma_closed_form(m, xi, n)
-                assert gamma_closed_form_float(m, xi, n) == pytest.approx(
-                    float(exact), rel=1e-15, abs=0.0
-                )
+                got = gamma_combo_closed_form([0.0] * m + [1.0], xi, 0.0, n)
+                assert got == pytest.approx(float(exact), rel=1e-15, abs=0.0)
 
 
 def test_gamma_combo_closed_form_examples():
@@ -149,7 +149,7 @@ def test_norm_bound_closed_form_families():
             sym = basic_symbol(m, xi)
             bound = sup_estimate(sym) + 1e-9
             for n in range(51):
-                assert abs(gamma_closed_form_float(m, xi, n)) <= bound
+                assert abs(float(gamma_closed_form(m, xi, n))) <= bound
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +211,7 @@ def test_cancellation_cells_with_float64_longdouble(monkeypatch):
     for m, xi, indices in ((10, 4, range(3)), (8, 8, (2,)), (6, 16, (2,))):
         for n in indices:
             got = gamma_quadrature(basic_symbol(m, xi), n).value
-            assert abs(got - gamma_closed_form_float(m, xi, n)) <= 1e-12, (m, xi, n)
+            assert abs(got - float(gamma_closed_form(m, xi, n))) <= 1e-12, (m, xi, n)
 
 
 def test_gamma_quadrature_linearity():
@@ -345,6 +345,9 @@ def test_mp_integrand_is_bit_identical_to_the_node_loop():
     xi=st.integers(2, 16),
     n_max=st.integers(0, 20),
 )
+# subnormal values, which the float64 integral loses entirely: only the
+# absolute underflow term of the estimate covers them
+@example(coeffs=[5e-324, 5e-324], xi=2, n_max=1)
 def test_converged_quadrature_lies_within_its_estimate(coeffs, xi, n_max):
     seq = gamma_sequence(combo_symbol(coeffs, xi), n_max, engine="quad")
     for n, res in enumerate(seq.entries):
@@ -372,7 +375,7 @@ def test_small_symbol_is_held_to_the_absolute_tolerance():
     sym = LaguerreCombo(xi=2, coefficients=(0.0, 0.0, 1e-6))
     for n in range(0, 60, 3):
         res = gamma_quadrature(sym, n, cfg)
-        exact = 1e-6 * gamma_closed_form_float(2, 2, n)
+        exact = 1e-6 * float(gamma_closed_form(2, 2, n))
         assert res.converged, n
         assert abs(res.value - exact) <= cfg.rel_tol, n
 
@@ -385,7 +388,7 @@ def test_budget_exhaustion_is_not_converged():
     results = [gamma_quadrature(basic_symbol(4, 8), n, cfg) for n in range(10)]
     assert not any(res.converged for res in results[:4])
     for n, res in enumerate(results):
-        exact = gamma_closed_form_float(4, 8, n)
+        exact = float(gamma_closed_form(4, 8, n))
         assert abs(res.value - exact) <= res.est_abs_err, n
         if res.converged:
             assert abs(res.value - exact) <= cfg.tolerance(exact), n
@@ -458,30 +461,25 @@ def test_offset_combo_closed_form():
 
 
 # ---------------------------------------------------------------------------
-# averaging operators
+# exponential averaging
+
+def _averaged(g, j, sup_g, r):
+    """E[g(sqrt(r + G))], G ~ Gamma(j, 1), by the rule the shift identity runs."""
+    nodes, weights = _averaging_rule(j, sup_g, QuadConfig().rel_tol)
+    return _average(g, np.array([r]), nodes, weights)[0]
+
 
 def test_averaging_constant_has_unit_mass_kernel():
-    for j in range(4):
-        assert averaging_operator(lambda x: 3.0, j, 1.7) == pytest.approx(3.0, abs=1e-9)
-
-
-def test_averaging_level_zero_is_substitution():
-    assert averaging_operator(lambda x: math.cos(x), 0, 9.0) == pytest.approx(
-        math.cos(3.0)
-    )
+    for j in range(1, 4):
+        got = _averaged(lambda x: np.full_like(x, 3.0), j, 3.0, 1.7)
+        assert got == pytest.approx(3.0, abs=1e-9)
 
 
 def test_averaging_square_example():
-    # g(x) = x^2: level 0 gives u, level 1 gives r + 1
-    assert averaging_operator(lambda x: x**2, 1, 2.0) == pytest.approx(3.0, abs=1e-8)
-    assert averaging_operator(lambda x: x**2, 1, 0.0) == pytest.approx(1.0, abs=1e-8)
-
-
-def test_averaging_validation():
-    with pytest.raises(ValueError):
-        averaging_operator(lambda x: x, -1, 1.0)
-    with pytest.raises(ValueError):
-        averaging_operator(lambda x: x, 1, -1.0)
+    # g(x) = x^2, so g(sqrt(r + G)) = r + G: level 1 gives r + 1; the bound
+    # 100 covers r + G up to the rule's horizon (about 30)
+    assert _averaged(lambda x: x**2, 1, 100.0, 2.0) == pytest.approx(3.0, abs=1e-8)
+    assert _averaged(lambda x: x**2, 1, 100.0, 0.0) == pytest.approx(1.0, abs=1e-8)
 
 
 # ---------------------------------------------------------------------------

@@ -7,15 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from fockradial.laguerre import (
-    DegreeCapError,
-    LaguerrePoly,
-    laguerre_coeffs,
-    laguerre_eval,
-    laguerre_eval_all,
-    laguerre_moment,
-    laguerre_moment_signed_log,
-)
+from exact import laguerre_coeffs, laguerre_exact, laguerre_moment
+from fockradial.laguerre import laguerre_eval, laguerre_eval_all
 
 
 def test_degree_zero_is_constant_one():
@@ -49,9 +42,8 @@ def test_recurrence_matches_exact_horner():
     # the exact-rational Horner sum is the oracle for the float recurrence
     grid = np.linspace(0.0, 50.0, 26)
     for m in range(21):
-        poly = LaguerrePoly.of_degree(m)
         for x in grid:
-            exact = float(poly.eval_exact(float(x)))
+            exact = float(laguerre_exact(m, float(x)))
             rec = laguerre_eval(m, float(x))
             assert abs(rec - exact) <= 1e-12 * max(1.0, abs(exact))
 
@@ -98,26 +90,8 @@ def test_moment_matches_numeric_quadrature():
 def test_moment_vanishes_above_diagonal(m, n):
     if m > n:
         assert laguerre_moment(m, n) == 0
-        assert laguerre_moment_signed_log(m, n) == (0, float("-inf"))
     else:
         assert laguerre_moment(m, n) != 0
-
-
-def test_moment_signed_log_matches_exact():
-    for m in range(11):
-        for n in range(m, 21):
-            sign, log_mag = laguerre_moment_signed_log(m, n)
-            exact = laguerre_moment(m, n)
-            assert sign == (1 if exact > 0 else -1)
-            assert math.isclose(log_mag, math.log(abs(exact)), rel_tol=1e-12)
-
-
-def test_degree_cap():
-    with pytest.raises(DegreeCapError):
-        laguerre_coeffs(65)
-    assert len(laguerre_coeffs(65, max_degree=70)) == 66
-    with pytest.raises(DegreeCapError):
-        LaguerrePoly.of_degree(65)
 
 
 def test_invalid_arguments():
@@ -129,8 +103,3 @@ def test_invalid_arguments():
         laguerre_eval(2, float("nan"))
     with pytest.raises(ValueError):
         laguerre_eval(2.5, 1.0)
-
-
-def test_poly_invariant_rejects_bad_constant_term():
-    with pytest.raises(ValueError):
-        LaguerrePoly(1, (Fraction(2), Fraction(-1)))
