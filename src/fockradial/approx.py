@@ -8,8 +8,9 @@ exactly (m + 1) / xi (valid once xi >= (m + 2) / 2), so the synthesis error
 is controlled by sum |coeff_k| (k + 1) / xi and shrinks linearly in 1 / xi.
 
 Planning budgets an epsilon/2 for truncating the target and an epsilon/2 for
-the synthesis, mirroring how the density argument splits the error.
-`verify_plan` then certifies the result: a brute-force maximum of the actual
+the synthesis, mirroring how the density argument splits the error.  A plan
+is immutable and holds no certificate.  `verify_plan` computes one and
+returns it as a `VerifyReport`: a brute-force maximum of the actual
 eigenvalue error over a verification window, plus an analytic bound for all
 later indices that uses the monotone decay of each term's tail.  The
 eigenvalues come from the closed-form sequence engine, so certifying a plan
@@ -19,8 +20,9 @@ of N terms over n_verify indices costs O(N * n_verify) float operations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -74,21 +76,29 @@ def delta_error(m: int, xi: int) -> Fraction:
     return Fraction(m + 1, xi)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ApproximationPlan:
+    """The symbol limit + sum_k coefficients[k] basic(k, xi), planned for target within epsilon.
+
+    verify_window is the window the plan is certified over; None means the
+    default max(4N, N + 50).  The certificate itself is the `VerifyReport`
+    that `verify_plan` returns.
+    """
+
     target: SeqWindow
     epsilon: float
-    n_terms: int
     xi: int
     coefficients: tuple[complex, ...]
     limit: complex
     predicted_bound: float
-    verified_error: float | None = None
-    tail_certificate: float | None = None
     verify_window: int | None = None
     # the truncation part of predicted_bound: sup of the (recentered) target
     # past the first N values; set by the planners, not stored in plan JSON
     truncation_bound: float | None = None
+
+    @property
+    def n_terms(self) -> int:
+        return len(self.coefficients)
 
     def symbol(self) -> Symbol:
         """The defining symbol the plan realizes."""
@@ -101,7 +111,7 @@ class ApproximationPlan:
 
 @dataclass(frozen=True)
 class VerifyReport:
-    """A plan's certificate, with the window it was computed from.
+    """A plan's certificate, with the window it was computed from; plans hold none.
 
     gamma, sigma and abs_error hold gamma(n), the completed target sigma(n)
     and |gamma(n) - sigma(n)| for n = 0..n_verify; verified_error is the
@@ -136,16 +146,26 @@ def _weighted_sum(coefficients) -> float:
     return sum(abs(c) * (k + 1) for k, c in enumerate(coefficients))
 
 
-def _synthesize(coefficients: tuple[complex, ...], budget: float) -> tuple[int, float]:
-    """Smallest admissible scale with sum |c_k| (k + 1) / xi <= budget."""
-    xi_min = _min_admissible_scale(len(coefficients))
+def _plan(
+    target: SeqWindow, epsilon: float, coefficients: tuple[complex, ...], truncation_bound: float
+) -> ApproximationPlan:
+    """The plan at the least admissible xi with sum |c_k| (k + 1) / xi <= epsilon / 2."""
+    budget = 0.5 * epsilon
+    xi = _min_admissible_scale(len(coefficients))
     weighted = _weighted_sum(coefficients)
-    if weighted == 0.0:
-        return xi_min, 0.0
-    xi = max(xi_min, math.ceil(weighted / budget))
-    while weighted / xi > budget:
-        xi += 1
-    return xi, weighted / xi
+    if weighted != 0.0:
+        xi = max(xi, math.ceil(weighted / budget))
+        while weighted / xi > budget:
+            xi += 1
+    return ApproximationPlan(
+        target=target,
+        epsilon=float(epsilon),
+        xi=xi,
+        coefficients=coefficients,
+        limit=0j,
+        predicted_bound=weighted / xi + truncation_bound,
+        truncation_bound=truncation_bound,
+    )
 
 
 def plan_finite(target: SeqWindow, epsilon: float) -> ApproximationPlan:
@@ -158,26 +178,7 @@ def plan_finite(target: SeqWindow, epsilon: float) -> ApproximationPlan:
         raise ValueError("epsilon must be positive")
     if not isinstance(target.tail, ZeroTail):
         raise ValueError("finite planning needs a zero-tail target")
-    coefficients = target.values
-    xi, bound = _synthesize(coefficients, 0.5 * epsilon)
-    return ApproximationPlan(
-        target=target,
-        epsilon=float(epsilon),
-        n_terms=len(coefficients),
-        xi=xi,
-        coefficients=coefficients,
-        limit=0j,
-        predicted_bound=bound,
-        truncation_bound=0.0,
-    )
-
-
-def _tail_suffix_sups(values: tuple[complex, ...]) -> list[float]:
-    """sups[k] = max |values[k:]| (sups[len] = 0)."""
-    sups = [0.0] * (len(values) + 1)
-    for k in range(len(values) - 1, -1, -1):
-        sups[k] = max(abs(values[k]), sups[k + 1])
-    return sups
+    return _plan(target, epsilon, target.values, 0.0)
 
 
 def plan_c0(target: SeqWindow, epsilon: float) -> ApproximationPlan:
@@ -194,62 +195,44 @@ def plan_c0(target: SeqWindow, epsilon: float) -> ApproximationPlan:
     if not (zero_tail or limit_zero):
         raise ValueError("null-convergent planning needs a zero or limit-0 tail")
     threshold = 0.5 * epsilon * _STRICT
-    sups = _tail_suffix_sups(target.values)
+    # sups[k] = max |values[k:]|, and sups[len] = 0
+    sups = list(accumulate(map(abs, reversed(target.values)), max, initial=0.0))[::-1]
     n_win = len(target)
     trunc = next((k for k in range(n_win + 1) if sups[k] <= threshold), n_win)
     if trunc == n_win and sups[n_win - 1] > threshold and not zero_tail:
         raise InsufficientDataError(
             "window never falls below epsilon / 2; cannot certify the tail"
         )
-    coefficients = target.values[:trunc]
-    xi, synth_bound = _synthesize(coefficients, 0.5 * epsilon)
-    return ApproximationPlan(
-        target=target,
-        epsilon=float(epsilon),
-        n_terms=trunc,
-        xi=xi,
-        coefficients=coefficients,
-        limit=0j,
-        predicted_bound=synth_bound + sups[trunc],
-        truncation_bound=sups[trunc],
-    )
+    return _plan(target, epsilon, target.values[:trunc], sups[trunc])
 
 
 def plan_convergent(target: SeqWindow, epsilon: float) -> ApproximationPlan:
-    """Plan for a convergent target with limit p: plan the recentered part, keep p as offset."""
-    if not epsilon > 0.0:
-        raise ValueError("epsilon must be positive")
+    """Plan for a convergent target with limit p: `plan_c0` of target - p, offset by p."""
     if not isinstance(target.tail, LimitTail):
         raise ValueError("convergent planning needs a limit tail")
     p = target.tail.p
     recentered = SeqWindow(tuple(v - p for v in target.values), LimitTail(0j))
-    inner = plan_c0(recentered, epsilon)
-    return ApproximationPlan(
-        target=target,
-        epsilon=float(epsilon),
-        n_terms=inner.n_terms,
-        xi=inner.xi,
-        coefficients=inner.coefficients,
-        limit=p,
-        predicted_bound=inner.predicted_bound,
-        truncation_bound=inner.truncation_bound,
-    )
+    return replace(plan_c0(recentered, epsilon), target=target, limit=p)
 
 
 def verify_plan(plan: ApproximationPlan, n_verify: int | None = None) -> VerifyReport:
-    """Certify a plan empirically plus analytically.
+    """Certify a plan empirically plus analytically; the plan is not changed.
 
-    verified_error is the brute-force max of |gamma(n) - sigma(n)| over
-    n <= n_verify, where sigma is the target window completed by its tail
-    descriptor (`value_at` returns the limit past the window), so the
-    certificate covers that window-completed sequence.  The eigenvalues come
-    from `closed_form_sequence`: the Pascal recurrence on
-    a_k(n) = binom(n, k) xi^-(n-k), O(N * n_verify) float operations in all.
+    n_verify defaults to the plan's verify_window, and to max(4N, N + 50)
+    when that is None.  verified_error is the brute-force max of
+    |gamma(n) - sigma(n)| over n <= n_verify, where sigma is the target
+    window completed by its tail descriptor (`value_at` returns the limit
+    past the window), so the certificate covers that window-completed
+    sequence.  The eigenvalues come from `closed_form_sequence`: the Pascal
+    recurrence on a_k(n) = binom(n, k) xi^-(n-k), O(N * n_verify) float
+    operations in all.
     The tail certificate covers all n > n_verify: each term's eigenvalue
     tail is nonincreasing there (the admissible-scale invariant), so it is
     bounded by sum_k |c_k| a_k(n_verify + 1), one more step of the same
     recurrence, plus the window's remaining deviation from the limit.
     """
+    if n_verify is None:
+        n_verify = plan.verify_window
     if n_verify is None:
         n_verify = max(4 * plan.n_terms, plan.n_terms + 50)
     if n_verify < plan.n_terms:
@@ -272,9 +255,6 @@ def verify_plan(plan: ApproximationPlan, n_verify: int | None = None) -> VerifyR
     target_tail = float(np.hypot(rest.real, rest.imag).max(initial=0.0))
     tail_certificate = synth_tail + target_tail
     passed = worst + tail_certificate <= plan.epsilon
-    plan.verified_error = worst
-    plan.tail_certificate = tail_certificate
-    plan.verify_window = n_verify
     return VerifyReport(
         worst, tail_certificate, plan.epsilon, passed, n_verify, seq.values, sigma, abs_error
     )
@@ -283,7 +263,8 @@ def verify_plan(plan: ApproximationPlan, n_verify: int | None = None) -> VerifyR
 # ---------------------------------------------------------------------------
 # Plan JSON schema
 
-def plan_to_json(plan: ApproximationPlan) -> dict:
+def plan_to_json(plan: ApproximationPlan, report: VerifyReport | None = None) -> dict:
+    """The plan's JSON object; the three certificate keys come from report (null without one)."""
     return {
         "epsilon": plan.epsilon,
         "N": plan.n_terms,
@@ -291,32 +272,29 @@ def plan_to_json(plan: ApproximationPlan) -> dict:
         "coefficients": [scalar_to_json(c) for c in plan.coefficients],
         "p": scalar_to_json(plan.limit),
         "predicted_bound": plan.predicted_bound,
-        "verified_error": plan.verified_error,
-        "tail_certificate": plan.tail_certificate,
-        "verify_window": plan.verify_window,
+        "verified_error": None if report is None else report.verified_error,
+        "tail_certificate": None if report is None else report.tail_certificate,
+        "verify_window": None if report is None else report.n_verify,
     }
 
 
 def plan_from_json(obj, target: SeqWindow) -> ApproximationPlan:
+    """Read a plan back; a stored verify_window is the window `verify_plan` certifies over."""
     try:
         coefficients = tuple(scalar_from_json(c) for c in obj["coefficients"])
+        n_terms = int(obj["N"])
+        window = obj.get("verify_window")
         plan = ApproximationPlan(
             target=target,
             epsilon=float(obj["epsilon"]),
-            n_terms=int(obj["N"]),
             xi=int(obj["xi"]),
             coefficients=coefficients,
             limit=scalar_from_json(obj["p"]),
             predicted_bound=float(obj["predicted_bound"]),
+            verify_window=None if window is None else int(window),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"invalid plan JSON: {exc}") from None
-    if plan.n_terms != len(coefficients):
+    if n_terms != len(coefficients):
         raise ValueError("plan JSON is inconsistent: N != len(coefficients)")
-    if plan.verify_window is None and obj.get("verify_window") is not None:
-        plan.verify_window = int(obj["verify_window"])
-    if obj.get("verified_error") is not None:
-        plan.verified_error = float(obj["verified_error"])
-    if obj.get("tail_certificate") is not None:
-        plan.tail_certificate = float(obj["tail_certificate"])
     return plan

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -27,7 +28,6 @@ from .approx import (
     InsufficientDataError,
     _min_admissible_scale,
     _weighted_sum,
-    plan_c0,
     plan_convergent,
     plan_finite,
     plan_from_json,
@@ -219,12 +219,14 @@ def _make_plan(target: SeqWindow, epsilon: float):
     if isinstance(target.tail, ZeroTail):
         return plan_finite(target, epsilon)
     if isinstance(target.tail, LimitTail):
-        if target.tail.p == 0:
-            return plan_c0(target, epsilon)
         return plan_convergent(target, epsilon)
     raise ValidationError(
         "target tail is unknown; approximation needs a 'zero' or 'limit' tail descriptor"
     )
+
+
+def _report_fields(report, names: tuple[str, ...]) -> dict:
+    return {name: getattr(report, name) for name in names}
 
 
 def _cmd_approximate(args) -> int:
@@ -239,10 +241,10 @@ def _cmd_approximate(args) -> int:
         xi_min = _min_admissible_scale(plan.n_terms)
         if args.xi < xi_min:
             raise UsageError(f"--xi must be >= {xi_min} for {plan.n_terms} coefficients")
-        plan.xi = args.xi
-        plan.predicted_bound = _weighted_sum(plan.coefficients) / args.xi + plan.truncation_bound
+        bound = _weighted_sum(plan.coefficients) / args.xi + plan.truncation_bound
+        plan = dataclasses.replace(plan, xi=args.xi, predicted_bound=bound)
     report = verify_plan(plan, args.n_verify)
-    plan_text = json.dumps(plan_to_json(plan), indent=2) + "\n"
+    plan_text = json.dumps(plan_to_json(plan, report), indent=2) + "\n"
     _write_text(args.plan_out, plan_text)
     if args.report_out:
         rows = []
@@ -263,12 +265,7 @@ def _cmd_approximate(args) -> int:
             report_args,
             ["n", "target_re", "target_im", "gamma_re", "gamma_im", "abs_error"],
             rows,
-            summary={
-                "verified_error": report.verified_error,
-                "tail_certificate": report.tail_certificate,
-                "epsilon": report.epsilon,
-                "passed": report.passed,
-            },
+            _report_fields(report, ("verified_error", "tail_certificate", "epsilon", "passed")),
         )
     if not report.passed:
         print(
@@ -291,14 +288,9 @@ def _cmd_verify(args) -> int:
         report = verify_plan(plan, args.n_verify)
     except ValueError as exc:
         raise ValidationError(str(exc)) from None
-    payload = {
-        "verified_error": report.verified_error,
-        "tail_certificate": report.tail_certificate,
-        "total": report.total,
-        "epsilon": report.epsilon,
-        "passed": report.passed,
-        "n_verify": report.n_verify,
-    }
+    payload = _report_fields(
+        report, ("verified_error", "tail_certificate", "total", "epsilon", "passed", "n_verify")
+    )
     _write_text(getattr(args, "output", None), json.dumps(payload, indent=2) + "\n")
     return EXIT_OK if report.passed else EXIT_VALIDATION
 

@@ -38,22 +38,13 @@ def _as_float_array(x) -> np.ndarray:
 
 
 def laguerre_eval(m: int, x):
-    """Evaluate L_m at x (scalar or array) via the three-term recurrence.
+    """Evaluate L_m at x (scalar or array): row m of `laguerre_eval_all`.
 
     The float dtype of `x` is preserved, so extended-precision input yields
-    extended-precision output.
+    extended-precision output; a scalar `x` gives a float.
     """
-    m = _check_index(m)
-    arr = _as_float_array(x)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("x must be finite")
-    prev = np.ones_like(arr)
-    if m == 0:
-        return float(prev) if arr.ndim == 0 else prev
-    cur = 1.0 - arr
-    for k in range(1, m):
-        prev, cur = cur, ((2 * k + 1 - arr) * cur - k * prev) / (k + 1)
-    return float(cur) if arr.ndim == 0 else cur
+    row = laguerre_eval_all(_check_index(m), x)[m]
+    return float(row[0]) if np.ndim(x) == 0 else row
 
 
 def laguerre_eval_all(m_max: int, x) -> np.ndarray:

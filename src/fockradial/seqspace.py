@@ -7,15 +7,17 @@ a constant (`LimitTail`), or unasserted (`UnknownTail`).
 
 Quantities whose definitions range over all indices (modulus of continuity,
 Lipschitz seminorm, sup norms) are computed over the window, completed with
-descriptor values where those are defined.  The results are therefore
-certified lower bounds of the untruncated quantities, never claims of
-equality.  Operations that must read past the window (Vallee-Poussin
-smoothing near the right edge) consume the descriptor; with an unknown tail
-they fall back to the largest prefix they can smooth honestly.
+descriptor values where those are defined.  They are lower bounds of the
+untruncated quantities, except the modulus of continuity with a limit tail:
+that is the modulus of the window-completed sequence, which may be larger.
+Operations that must read past the window (Vallee-Poussin smoothing near the
+right edge) consume the descriptor; with an unknown tail they fall back to
+the largest prefix they can smooth honestly.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -75,10 +77,10 @@ class SeqWindow:
     tail: Tail = UnknownTail()
 
     def __post_init__(self):
-        vals = tuple(complex(v) for v in self.values)
+        vals = tuple(map(complex, self.values))
         if len(vals) < 1:
             raise ValueError("window must hold at least one value")
-        if not all(math.isfinite(v.real) and math.isfinite(v.imag) for v in vals):
+        if not all(map(cmath.isfinite, vals)):
             raise ValueError("window values must be finite")
         object.__setattr__(self, "values", vals)
 
@@ -208,7 +210,10 @@ def modulus_of_continuity(sigma: SeqWindow, delta: float) -> float:
     Scans every index pair at sqrt-distance <= delta whose values are defined,
     i.e. both inside the window, or one inside and one in the descriptor-defined
     tail neighborhood just past it.  The result is monotone nondecreasing in
-    delta and is a certified lower bound of the full modulus.
+    delta.  With a zero or unknown tail it is a lower bound of the full
+    modulus.  With a limit tail it is the modulus of the window-completed
+    sequence, which can exceed the true one: for q^j with q = 0.9 at
+    delta = 0.4 it is 0.4305 over 10 values and 0.1010 from 25 values on.
     """
     if not delta > 0.0:
         raise ValueError("delta must be positive")
@@ -351,19 +356,6 @@ class SeqGenerator:
             if not self.support:
                 raise ValueError("finite_support generator needs values")
             object.__setattr__(self, "support", tuple(complex(v) for v in self.support))
-
-    def value_at(self, j: int) -> complex:
-        if j < 0:
-            raise ValueError("index must be nonnegative")
-        if self.kind == "cos_sqrt":
-            return complex(math.cos(math.sqrt(j)))
-        if self.kind == "sqrt_abs_sin_pi_sqrt":
-            return complex(math.sqrt(abs(math.sin(math.pi * math.sqrt(j)))))
-        if self.kind == "geometric":
-            return self.q**j
-        if self.kind == "inverse_plus_one":
-            return complex(1.0 / (j + 1))
-        return self.support[j] if j < len(self.support) else 0j
 
     def tail(self) -> Tail:
         if self.kind in ("geometric", "inverse_plus_one"):

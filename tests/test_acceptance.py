@@ -4,6 +4,7 @@ Each test pins the stated tolerance and runtime budget.  The conftest hook
 prints one PASS/FAIL line per criterion at the end of the run.
 """
 
+import dataclasses
 import json
 import math
 import time
@@ -187,7 +188,7 @@ def test_criterion_8_convergence_rate():
     plan = plan_finite(delta3, 0.1)
     base = verify_plan(plan).verified_error
     doubled = plan_finite(delta3, 0.1)
-    doubled.xi = plan.xi * 2
+    doubled = dataclasses.replace(doubled, xi=plan.xi * 2)
     halved = verify_plan(doubled).verified_error
     assert abs(halved / base - 0.5) <= 0.05 * 0.5
     assert time.perf_counter() - start < 5.0

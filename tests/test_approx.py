@@ -1,8 +1,12 @@
+import dataclasses
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exact import gamma_closed_form
 from fockradial.approx import (
@@ -184,7 +188,6 @@ def test_verify_delta0_error_is_exact():
     report = verify_plan(plan)
     assert report.verified_error == 0.1
     assert report.passed
-    assert plan.verified_error == 0.1
 
 
 def test_verify_two_ones_brute_force():
@@ -214,7 +217,7 @@ def test_verify_rejects_short_window():
 def test_verify_rejects_inadmissible_scale():
     # a loaded plan whose scale breaks the monotone-tail hypothesis
     plan = plan_finite(zero_window([0.1] * 10), 1.0)
-    plan.xi = 2  # needs xi >= ceil(11 / 2)
+    plan = dataclasses.replace(plan, xi=2)  # needs xi >= ceil(11 / 2)
     with pytest.raises(ValueError):
         verify_plan(plan)
 
@@ -244,7 +247,7 @@ def test_verify_halves_when_scale_doubles():
     plan = plan_finite(zero_window([0.0, 0.0, 0.0, 1.0]), 0.1)
     first = verify_plan(plan).verified_error
     doubled = plan_finite(zero_window([0.0, 0.0, 0.0, 1.0]), 0.1)
-    doubled.xi = plan.xi * 2
+    doubled = dataclasses.replace(doubled, xi=plan.xi * 2)
     second = verify_plan(doubled).verified_error
     assert abs(second / first - 0.5) <= 0.05 * 0.5
 
@@ -271,13 +274,15 @@ def test_plan_symbol_shapes():
 def test_plan_json_roundtrip():
     target = zero_window([1.0, 0.5j])
     plan = plan_finite(target, 0.1)
-    verify_plan(plan)
-    payload = plan_to_json(plan)
+    report = verify_plan(plan, 60)
+    payload = plan_to_json(plan, report)
     again = plan_from_json(payload, target)
     assert again.coefficients == plan.coefficients
     assert again.xi == plan.xi
     assert again.limit == plan.limit
-    assert verify_plan(again).verified_error == plan.verified_error
+    # the stored window is the one a re-certification uses by default
+    assert again.verify_window == 60
+    assert verify_plan(again) == report
 
 
 def test_plan_json_rejects_garbage():
@@ -289,3 +294,56 @@ def test_plan_json_rejects_garbage():
     payload["N"] = 7
     with pytest.raises(ValueError):
         plan_from_json(payload, target)
+
+
+def test_plan_is_frozen_and_verify_leaves_it_unchanged():
+    plan = plan_finite(zero_window([1.0, -0.5]), 0.1)
+    before = dataclasses.astuple(plan)
+    report = verify_plan(plan, 80)
+    assert dataclasses.astuple(plan) == before
+    assert plan.verify_window is None
+    assert plan.n_terms == 2
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        plan.xi = 2 * plan.xi
+    # the certificate keys of plan JSON come from the report, or are null without one
+    assert plan_to_json(plan)["verified_error"] is None
+    payload = plan_to_json(plan, report)
+    assert list(payload) == [
+        "epsilon", "N", "xi", "coefficients", "p", "predicted_bound",
+        "verified_error", "tail_certificate", "verify_window",
+    ]
+    assert payload["verified_error"] == report.verified_error
+    assert payload["tail_certificate"] == report.tail_certificate
+    assert payload["verify_window"] == 80
+
+
+def test_verify_uses_the_plans_window():
+    plan = plan_finite(zero_window([1.0]), 0.2)
+    assert verify_plan(plan).n_verify == 51
+    assert verify_plan(dataclasses.replace(plan, verify_window=7)).n_verify == 7
+    # a window of 0 is a window, not a missing one
+    empty = plan_finite(zero_window([0.0]), 0.2)
+    empty = dataclasses.replace(empty, coefficients=(), verify_window=0)
+    report = verify_plan(empty)
+    assert report.n_verify == 0
+    assert report.passed
+
+
+_ENTRY = st.sampled_from([0.0, -0.0, 0.5, -0.25, 1e-3, 0.03]) | st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(_ENTRY, _ENTRY), min_size=1, max_size=30),
+    st.floats(0.01, 1.0),
+)
+def test_plan_convergent_is_plan_c0_on_limit_zero(entries, epsilon):
+    values = [complex(re, im) for re, im in entries] + [0j]
+    target = SeqWindow(tuple(values), LimitTail(0j))
+    via_c0 = plan_c0(target, epsilon)
+    via_limit = plan_convergent(target, epsilon)
+    assert dataclasses.astuple(via_limit) == dataclasses.astuple(via_c0)
+    assert json.dumps(plan_to_json(via_limit)) == json.dumps(plan_to_json(via_c0))
+    # a limit written as -0.0 gives an equal plan, up to the sign of its zeros
+    signed = SeqWindow(tuple(values), LimitTail(complex(-0.0, -0.0)))
+    assert plan_convergent(signed, epsilon) == via_c0

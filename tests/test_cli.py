@@ -288,6 +288,28 @@ def test_verify_roundtrip_is_bit_stable(tmp_path, capsys):
     assert report["tail_certificate"] == stored["tail_certificate"]
 
 
+def test_verify_recertifies_at_the_stored_window(tmp_path, capsys):
+    plan_path = tmp_path / "plan.json"
+    target = "generator:geometric?q=0.9&n=400"
+    argv = ["approximate", target, "--epsilon", "0.05", "--n-verify", "2000"]
+    code, _, _ = run(capsys, argv + ["--plan-out", str(plan_path)])
+    assert code == 0
+    stored = json.loads(plan_path.read_text())
+    assert stored["verify_window"] == 2000
+    code, out, _ = run(capsys, ["verify", "--plan", str(plan_path), "--target", target])
+    assert code == 0
+    report = json.loads(out)
+    assert report["n_verify"] == 2000
+    assert report["verified_error"] == stored["verified_error"]
+    assert report["tail_certificate"] == stored["tail_certificate"]
+    # an explicit --n-verify still wins over the stored window
+    code, out, _ = run(
+        capsys, ["verify", "--plan", str(plan_path), "--target", target, "--n-verify", "144"]
+    )
+    assert code == 0
+    assert json.loads(out)["n_verify"] == 144
+
+
 def test_verify_failing_plan(tmp_path, capsys):
     target = delta0_target(tmp_path)
     # a deliberately bad plan: scale too small for the promised epsilon

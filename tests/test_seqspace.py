@@ -298,9 +298,9 @@ def test_vp_smooth_rejects_bad_delta():
 
 def test_generator_values():
     gen = SeqGenerator("cos_sqrt")
-    assert gen.value_at(0) == 1.0
-    assert gen.value_at(4) == pytest.approx(math.cos(2.0))
     w = gen.window(500)
+    assert w.values[0] == 1.0
+    assert w.values[4] == pytest.approx(math.cos(2.0))
     assert all(-1.0 <= v.real <= 1.0 and v.imag == 0 for v in w.values)
 
     gen = SeqGenerator("sqrt_abs_sin_pi_sqrt")
@@ -308,29 +308,16 @@ def test_generator_values():
     assert all(0.0 <= v.real <= 1.0 for v in w.values)
 
     geom = SeqGenerator("geometric", q=0.5)
-    assert geom.value_at(3) == 0.125
+    assert geom.window(10).values[3] == 0.125
     assert isinstance(geom.window(10).tail, LimitTail)
 
     inv = SeqGenerator("inverse_plus_one")
-    assert inv.value_at(3) == 0.25
+    assert inv.window(10).values[3] == 0.25
 
     fin = SeqGenerator("finite_support", support=(1.0, 2.0))
-    assert fin.value_at(1) == 2.0
-    assert fin.value_at(7) == 0.0
+    assert fin.window(10).values[1] == 2.0
+    assert fin.window(10).values[7] == 0.0
     assert isinstance(fin.window(5).tail, ZeroTail)
-
-
-def test_generator_window_matches_value_at():
-    for gen in (
-        SeqGenerator("cos_sqrt"),
-        SeqGenerator("sqrt_abs_sin_pi_sqrt"),
-        SeqGenerator("geometric", q=0.25 + 0.1j),
-        SeqGenerator("inverse_plus_one"),
-        SeqGenerator("finite_support", support=(3.0, 0.0, 1.0)),
-    ):
-        w = gen.window(30)
-        for j in (0, 1, 7, 29):
-            assert w.values[j] == pytest.approx(gen.value_at(j))
 
 
 def test_generator_validation():
