@@ -80,6 +80,8 @@ def delta_error(m: int, xi: int) -> Fraction:
 class ApproximationPlan:
     """The symbol limit + sum_k coefficients[k] basic(k, xi), planned for target within epsilon.
 
+    The plan stores only its inputs; both bounds are derived from them, so
+    `dataclasses.replace` (a new xi, say) never leaves a stale bound.
     verify_window is the window the plan is certified over; None means the
     default max(4N, N + 50).  The certificate itself is the `VerifyReport`
     that `verify_plan` returns.
@@ -90,23 +92,25 @@ class ApproximationPlan:
     xi: int
     coefficients: tuple[complex, ...]
     limit: complex
-    predicted_bound: float
     verify_window: int | None = None
-    # the truncation part of predicted_bound: sup of the (recentered) target
-    # past the first N values; set by the planners, not stored in plan JSON
-    truncation_bound: float | None = None
 
     @property
     def n_terms(self) -> int:
         return len(self.coefficients)
 
+    @property
+    def truncation_bound(self) -> float:
+        """max |sigma(n) - p| over the window past the first N values; 0 when there are none."""
+        return max((abs(v - self.limit) for v in self.target.values[self.n_terms :]), default=0.0)
+
+    @property
+    def predicted_bound(self) -> float:
+        """The synthesis bound sum_k |c_k| (k + 1) / xi plus the truncation bound."""
+        return _weighted_sum(self.coefficients) / self.xi + self.truncation_bound
+
     def symbol(self) -> Symbol:
         """The defining symbol the plan realizes."""
         return LaguerreCombo(self.xi, self.coefficients, self.limit)
-
-    def gamma(self, n: int) -> complex:
-        """gamma(n) with the same bits as `verify_plan` computes it."""
-        return complex(closed_form_sequence(self.coefficients, self.xi, self.limit, n).values[n])
 
 
 @dataclass(frozen=True)
@@ -146,9 +150,7 @@ def _weighted_sum(coefficients) -> float:
     return sum(abs(c) * (k + 1) for k, c in enumerate(coefficients))
 
 
-def _plan(
-    target: SeqWindow, epsilon: float, coefficients: tuple[complex, ...], truncation_bound: float
-) -> ApproximationPlan:
+def _plan(target: SeqWindow, epsilon: float, coefficients: tuple[complex, ...]) -> ApproximationPlan:
     """The plan at the least admissible xi with sum |c_k| (k + 1) / xi <= epsilon / 2."""
     budget = 0.5 * epsilon
     xi = _min_admissible_scale(len(coefficients))
@@ -157,15 +159,7 @@ def _plan(
         xi = max(xi, math.ceil(weighted / budget))
         while weighted / xi > budget:
             xi += 1
-    return ApproximationPlan(
-        target=target,
-        epsilon=float(epsilon),
-        xi=xi,
-        coefficients=coefficients,
-        limit=0j,
-        predicted_bound=weighted / xi + truncation_bound,
-        truncation_bound=truncation_bound,
-    )
+    return ApproximationPlan(target, float(epsilon), xi, coefficients, limit=0j)
 
 
 def plan_finite(target: SeqWindow, epsilon: float) -> ApproximationPlan:
@@ -178,7 +172,7 @@ def plan_finite(target: SeqWindow, epsilon: float) -> ApproximationPlan:
         raise ValueError("epsilon must be positive")
     if not isinstance(target.tail, ZeroTail):
         raise ValueError("finite planning needs a zero-tail target")
-    return _plan(target, epsilon, target.values, 0.0)
+    return _plan(target, epsilon, target.values)
 
 
 def plan_c0(target: SeqWindow, epsilon: float) -> ApproximationPlan:
@@ -203,7 +197,7 @@ def plan_c0(target: SeqWindow, epsilon: float) -> ApproximationPlan:
         raise InsufficientDataError(
             "window never falls below epsilon / 2; cannot certify the tail"
         )
-    return _plan(target, epsilon, target.values[:trunc], sups[trunc])
+    return _plan(target, epsilon, target.values[:trunc])
 
 
 def plan_convergent(target: SeqWindow, epsilon: float) -> ApproximationPlan:
@@ -221,7 +215,7 @@ def verify_plan(plan: ApproximationPlan, n_verify: int | None = None) -> VerifyR
     n_verify defaults to the plan's verify_window, and to max(4N, N + 50)
     when that is None.  verified_error is the brute-force max of
     |gamma(n) - sigma(n)| over n <= n_verify, where sigma is the target
-    window completed by its tail descriptor (`value_at` returns the limit
+    window completed by its tail descriptor (`as_array` fills in the limit
     past the window), so the certificate covers that window-completed
     sequence.  The eigenvalues come from `closed_form_sequence`: the Pascal
     recurrence on a_k(n) = binom(n, k) xi^-(n-k), O(N * n_verify) float
@@ -282,16 +276,15 @@ def plan_from_json(obj, target: SeqWindow) -> ApproximationPlan:
     """Read a plan back; a stored verify_window is the window `verify_plan` certifies over."""
     try:
         coefficients = tuple(scalar_from_json(c) for c in obj["coefficients"])
-        n_terms = int(obj["N"])
+        n_terms = _check_index(obj["N"], "N")
         window = obj.get("verify_window")
         plan = ApproximationPlan(
             target=target,
             epsilon=float(obj["epsilon"]),
-            xi=int(obj["xi"]),
+            xi=_check_scale(obj["xi"]),
             coefficients=coefficients,
             limit=scalar_from_json(obj["p"]),
-            predicted_bound=float(obj["predicted_bound"]),
-            verify_window=None if window is None else int(window),
+            verify_window=None if window is None else _check_index(window, "verify_window"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"invalid plan JSON: {exc}") from None

@@ -26,8 +26,6 @@ from pathlib import Path
 
 from .approx import (
     InsufficientDataError,
-    _min_admissible_scale,
-    _weighted_sum,
     plan_convergent,
     plan_finite,
     plan_from_json,
@@ -238,12 +236,11 @@ def _cmd_approximate(args) -> int:
     except InsufficientDataError as exc:
         raise ValidationError(str(exc)) from None
     if args.xi is not None:
-        xi_min = _min_admissible_scale(plan.n_terms)
-        if args.xi < xi_min:
-            raise UsageError(f"--xi must be >= {xi_min} for {plan.n_terms} coefficients")
-        bound = _weighted_sum(plan.coefficients) / args.xi + plan.truncation_bound
-        plan = dataclasses.replace(plan, xi=args.xi, predicted_bound=bound)
-    report = verify_plan(plan, args.n_verify)
+        plan = dataclasses.replace(plan, xi=args.xi)
+    try:
+        report = verify_plan(plan, args.n_verify)
+    except ValueError as exc:  # a scale below xi_min or a window shorter than N
+        raise UsageError(str(exc)) from None
     plan_text = json.dumps(plan_to_json(plan, report), indent=2) + "\n"
     _write_text(args.plan_out, plan_text)
     if args.report_out:
@@ -350,13 +347,11 @@ def _cmd_diagnose(args) -> int:
         if prefix < len(target):
             # diagnostics are windowed; a truncated prefix asserts nothing past it
             target = SeqWindow(target.values[:prefix], UnknownTail())
-    rows = [
-        {
-            "quantity": "lipschitz_seminorm",
-            "param": "",
-            "value": lipschitz_seminorm(target),
-        }
-    ]
+    try:
+        lipschitz = lipschitz_seminorm(target)
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from None
+    rows = [{"quantity": "lipschitz_seminorm", "param": "", "value": lipschitz}]
     for delta in _DIAGNOSE_DELTAS:
         rows.append(
             {

@@ -49,21 +49,15 @@ checks numerically.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 from dataclasses import dataclass
 from math import comb, lgamma
 from typing import NamedTuple
 
+import mpmath as _mp
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy.special import gammainc, gammaincc, gammainccinv, gammaincinv
-
-try:
-    import mpmath as _mp
-except ImportError:  # pragma: no cover - mpmath ships with the standard stack
-    _mp = None
 
 from .laguerre import _as_float_array, _check_index
 from .symbols import (
@@ -301,6 +295,7 @@ def _gk15_batch(f, a: np.ndarray, b: np.ndarray, floor: float):
 # _MP_DPS digits has eps 10^-_MP_DPS
 _MP_DPS = 30
 _to_longdouble = functools.partial(np.asarray, dtype=np.longdouble)
+_to_float64 = functools.partial(np.asarray, dtype=float)
 
 
 def _to_mpf(values) -> np.ndarray:
@@ -392,15 +387,13 @@ def _mp_integrand(sym: LaguerreCombo, n: int):
 def _extended_passes(sym: Symbol, n: int, integrand):
     """The passes past float64, in order: (rule, integrand, eps of its number type).
 
-    Gauss-Legendre 16 in longdouble (the platform's type), then 24 in mpmath
-    (if installed).  Callables get none: their evaluators are float64.
+    Gauss-Legendre 16 in longdouble (the platform's type), then 24 in mpmath.
+    Callables get none: their evaluators are float64.
     """
     if isinstance(sym, CallableSymbol):
         return
     rule = _gauss_legendre_rule(_to_longdouble, 16)
     yield rule, integrand, float(np.finfo(rule[1].dtype).eps)
-    if _mp is None:
-        return
     yield _gauss_legendre_rule(_to_mpf, 24), _mp_integrand(sym, n), 10.0**-_MP_DPS
 
 
@@ -568,7 +561,7 @@ def gamma_quadrature(sym: Symbol, n: int, cfg: QuadConfig | None = None) -> Eige
         integrand, _panel_edges(sym, n, lo, hi), cfg, floor
     )
     if settled and err > cfg.tolerance(value):
-        with _mp.workdps(_MP_DPS) if _mp is not None else contextlib.nullcontext():
+        with _mp.workdps(_MP_DPS):
             for rule, pass_integrand, eps in _extended_passes(sym, n, integrand):
                 value = _refine_total(rule, pass_integrand, fin_a, fin_b)
                 err = 100.0 * eps * resabs
@@ -624,7 +617,7 @@ def _averaging_rule(j: int, sup_g: float, rel_tol: float, xi: int = 1):
         edges.append(edges[-1] + width)
         width = min(1.5 * width, 2.5)
     edges = np.array(edges)
-    base_x, base_w = leggauss(10)
+    _, base_x, base_w = _gauss_legendre_rule(_to_float64, 10)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * np.diff(edges)
     nodes = (mid[:, None] + half[:, None] * base_x[None, :]).ravel()

@@ -99,13 +99,6 @@ class SeqWindow:
             return self.tail.p
         raise ValueError("tail is unknown; this operation needs a tail descriptor")
 
-    def value_at(self, n: int) -> complex:
-        if n < 0:
-            raise ValueError("index must be nonnegative")
-        if n < len(self.values):
-            return self.values[n]
-        return self.tail_value()
-
     @property
     def sup_norm(self) -> float:
         """Sup of |values|, including the tail constant when the tail is known."""

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from exact import gamma_closed_form
 from fockradial.approx import (
     InsufficientDataError,
+    _weighted_sum,
     delta_error,
     plan_c0,
     plan_convergent,
@@ -19,7 +20,7 @@ from fockradial.approx import (
     plan_to_json,
     verify_plan,
 )
-from fockradial.eigenvalues import gamma_sequence
+from fockradial.eigenvalues import closed_form_sequence, gamma_sequence
 from fockradial.seqspace import LimitTail, SeqGenerator, SeqWindow, UnknownTail, ZeroTail
 from fockradial.symbols import eval_symbol
 
@@ -200,9 +201,9 @@ def test_verify_two_ones_brute_force():
     assert random_plan.n_terms >= 5
     for plan, n_verify in ((plan_finite(zero_window([1.0, 1.0]), 0.1), 100), (random_plan, 120)):
         report = verify_plan(plan, n_verify)
-        brute = max(
-            abs(plan.gamma(n) - plan.target.value_at(n)) for n in range(n_verify + 1)
-        )
+        gammas = closed_form_sequence(plan.coefficients, plan.xi, plan.limit, n_verify).values
+        sigma = plan.target.as_array(n_verify + 1)
+        brute = max(abs(complex(g) - complex(s)) for g, s in zip(gammas, sigma))
         assert report.verified_error == brute
         assert report.verified_error <= 0.05
         assert report.passed
@@ -258,10 +259,10 @@ def test_plan_symbol_shapes():
     spiked = plan_convergent(
         SeqWindow((3.0,) + (2.0,) * 10, LimitTail(2.0)), 0.2
     )
-    # the symbol's closed form is the plan's own gamma, bit for bit
+    # the symbol's closed form is the gamma that verify_plan certifies, bit for bit
     for each in (plan, conv, spiked):
         seq = gamma_sequence(each.symbol(), 30, engine="closed")
-        assert seq.values == [each.gamma(n) for n in range(31)]
+        assert seq.values == verify_plan(each, 30).gamma.tolist()
     # a constant plan evaluates to its limit everywhere; the others tend to it
     grid = np.linspace(0.0, 5.0, 11)
     assert np.all(eval_symbol(conv.symbol(), grid) == 2.0)
@@ -347,3 +348,31 @@ def test_plan_convergent_is_plan_c0_on_limit_zero(entries, epsilon):
     # a limit written as -0.0 gives an equal plan, up to the sign of its zeros
     signed = SeqWindow(tuple(values), LimitTail(complex(-0.0, -0.0)))
     assert plan_convergent(signed, epsilon) == via_c0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(["finite", "c0", "convergent"]),
+    st.lists(st.tuples(_ENTRY, _ENTRY), min_size=1, max_size=30),
+    st.tuples(_ENTRY, _ENTRY),
+    st.floats(0.01, 1.0),
+    st.integers(0, 10**6),
+)
+def test_plan_bounds_are_derived_from_its_inputs(kind, entries, limit, epsilon, extra):
+    deviations = [complex(re, im) for re, im in entries]
+    if kind == "finite":
+        p, plan = 0j, plan_finite(zero_window(deviations), epsilon)
+    else:
+        # the closing p lets the window fall below any epsilon / 2
+        p = complex(*limit) if kind == "convergent" else 0j
+        target = SeqWindow(tuple(p + d for d in deviations) + (p,), LimitTail(p))
+        plan = (plan_convergent if kind == "convergent" else plan_c0)(target, epsilon)
+    past = np.asarray(plan.target.values[plan.n_terms :], dtype=complex) - p
+    # np.hypot rounds like abs() of a Python complex; np.abs need not
+    assert plan.truncation_bound == float(np.hypot(past.real, past.imag).max(initial=0.0))
+    assert plan.predicted_bound <= epsilon
+    # any admissible rescaling keeps the truncation term and rescales the synthesis term
+    xi = max(2, math.ceil((plan.n_terms + 1) / 2)) + extra
+    moved = dataclasses.replace(plan, xi=xi)
+    assert moved.truncation_bound == plan.truncation_bound
+    assert moved.predicted_bound == _weighted_sum(plan.coefficients) / xi + plan.truncation_bound

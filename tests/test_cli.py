@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import math
 
@@ -8,7 +9,9 @@ import numpy as np
 import pytest
 
 from fockradial import eigenvalues
+from fockradial.approx import plan_from_json
 from fockradial.cli import main
+from fockradial.seqspace import SeqGenerator
 from fockradial.symbols import combo_symbol, symbol_to_json
 
 
@@ -118,8 +121,11 @@ def test_eigs_exit_codes(tmp_path, capsys):
 def test_eigs_both_fails_on_uncertified_cancellation(tmp_path, capsys, monkeypatch):
     # 40 terms at xi = 40: the integrand cancels from ~1e64 past every
     # precision tier, so no quadrature value may claim convergence.  The
-    # mpmath tier misses too, at 2.5 s per index, so the test runs without it
-    monkeypatch.setattr(eigenvalues, "_mp", None)
+    # mpmath tier misses too, at 2.5 s per index, so the test stops after longdouble
+    passes = eigenvalues._extended_passes
+    monkeypatch.setattr(
+        eigenvalues, "_extended_passes", lambda *args: itertools.islice(passes(*args), 1)
+    )
     coeffs = np.random.default_rng(0).normal(size=40)
     sym = write_json(tmp_path / "s.json", symbol_to_json(combo_symbol(coeffs, 40)))
     results = []
@@ -234,6 +240,15 @@ def test_approximate_usage_errors(tmp_path, capsys):
     assert code == 1
 
 
+def test_approximate_window_shorter_than_the_plan_is_a_usage_error(capsys):
+    # the plan truncates at N = 36, so a 5-index window cannot certify it
+    argv = ["approximate", "generator:geometric?q=0.9&n=400", "--epsilon", "0.05"]
+    code, out, err = run(capsys, argv + ["--n-verify", "5"])
+    assert code == 1
+    assert err.startswith("usage error: ") and "truncation length" in err
+    assert out == ""
+
+
 def test_approximate_xi_override_halves_error(tmp_path, capsys):
     target = write_json(
         tmp_path / "t.json",
@@ -266,6 +281,18 @@ def test_approximate_xi_override_keeps_truncation_term(tmp_path, capsys):
     weighted = sum(0.9**k * (k + 1) for k in range(36))
     assert plan["predicted_bound"] == pytest.approx(weighted / 400 + 0.9**36, rel=1e-12)
     assert plan["verified_error"] + plan["tail_certificate"] <= plan["predicted_bound"]
+
+
+@pytest.mark.parametrize("xi", [None, 400])
+def test_plan_read_back_has_the_written_predicted_bound(tmp_path, capsys, xi):
+    plan_path = tmp_path / "plan.json"
+    argv = ["approximate", "generator:geometric?q=0.9&n=400", "--epsilon", "0.05"]
+    argv += ["--plan-out", str(plan_path)] + ([] if xi is None else ["--xi", str(xi)])
+    code, _, _ = run(capsys, argv)
+    assert code == 0
+    stored = json.loads(plan_path.read_text())
+    target = SeqGenerator(kind="geometric", q=0.9).window(400)
+    assert plan_from_json(stored, target).predicted_bound == stored["predicted_bound"]
 
 
 def test_verify_roundtrip_is_bit_stable(tmp_path, capsys):
@@ -328,6 +355,30 @@ def test_verify_failing_plan(tmp_path, capsys):
     code, out, _ = run(capsys, ["verify", "--plan", plan_path, "--target", target])
     assert code == 2
     assert json.loads(out)["passed"] is False
+
+
+def test_verify_rejects_non_integer_plan_fields(tmp_path, capsys):
+    # xi = 10.7 must not be certified as xi = 10, nor true or "5" read as integers
+    target = delta0_target(tmp_path)
+    plan = {
+        "epsilon": 0.2,
+        "N": 1,
+        "xi": 10,
+        "coefficients": [1.0],
+        "p": 0.0,
+        "predicted_bound": 0.1,
+        "verified_error": None,
+        "tail_certificate": None,
+        "verify_window": 51,
+    }
+    plan_path = write_json(tmp_path / "plan.json", plan)
+    code, _, _ = run(capsys, ["verify", "--plan", plan_path, "--target", target])
+    assert code == 0
+    for key, bad in itertools.product(("xi", "N", "verify_window"), (10.7, True, "5")):
+        plan_path = write_json(tmp_path / "plan.json", {**plan, key: bad})
+        code, out, err = run(capsys, ["verify", "--plan", plan_path, "--target", target])
+        assert code == 2, (key, bad)
+        assert out == "" and "invalid plan JSON" in err, (key, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +471,15 @@ def test_diagnose_constant_target_is_all_zero(tmp_path, capsys):
     assert code == 0
     rows = json.loads(out)["rows"]
     assert all(r["value"] == 0.0 for r in rows)
+
+
+def test_diagnose_one_value_target_is_a_validation_error(tmp_path, capsys):
+    one = write_json(tmp_path / "t.json", {"values": [1.0], "tail": {"kind": "zero"}})
+    for target in ("generator:cos_sqrt?n=1", one):
+        code, out, err = run(capsys, ["diagnose", target])
+        assert code == 2
+        assert err == "error: window too short; need at least two values\n"
+        assert out == ""
 
 
 def test_generator_target_validation(capsys):

@@ -2,6 +2,7 @@ import functools
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -206,12 +207,12 @@ def test_exact_zero_converges_in_float64(monkeypatch):
 def test_cancellation_cells_with_float64_longdouble(monkeypatch):
     # where longdouble is float64 the escalation must take its roundoff from
     # the type and move on to mpmath instead of trusting float64 nodes
-    pytest.importorskip("mpmath")
     monkeypatch.setattr(eigenvalues, "_to_longdouble", functools.partial(np.asarray, dtype=float))
     for m, xi, indices in ((10, 4, range(3)), (8, 8, (2,)), (6, 16, (2,))):
         for n in indices:
-            got = gamma_quadrature(basic_symbol(m, xi), n).value
-            assert abs(got - float(gamma_closed_form(m, xi, n))) <= 1e-12, (m, xi, n)
+            res = gamma_quadrature(basic_symbol(m, xi), n)
+            assert res.converged, (m, xi, n)
+            assert abs(res.value - float(gamma_closed_form(m, xi, n))) <= 1e-12, (m, xi, n)
 
 
 def test_gamma_quadrature_linearity():
@@ -248,16 +249,6 @@ def test_gauss_kronrod_constants_are_exact():
             assert abs(weights @ nodes**k - exact) <= ulps, (len(nodes), k)
 
 
-def test_cancellation_cells_without_mpmath(monkeypatch):
-    # the criterion-1 cells whose cancellation reaches past the longdouble
-    # tier must hold their tolerance when the mpmath tier is unavailable
-    monkeypatch.setattr(eigenvalues, "_mp", None)
-    for m, n_top in ((8, 1), (9, 2), (10, 4)):
-        sym = basic_symbol(m, 8)
-        for n in range(n_top + 1):
-            assert abs(gamma_quadrature(sym, n).value) <= 1e-9, (m, n)
-
-
 def _assert_gauss_legendre(rule, order, one, eps):
     # unit-interval mass 2, and x^k integrated exactly up to degree 2 order - 1
     _, nodes, weights = rule
@@ -266,6 +257,13 @@ def _assert_gauss_legendre(rule, order, one, eps):
     for k in range(2 * order):
         exact = 2 * one / (k + 1) if k % 2 == 0 else 0 * one
         assert abs((weights * nodes**k).sum() - exact) <= 4 * eps, (order, k)
+
+
+def test_gauss_legendre_rule_in_float64():
+    # the ten-point rule of the averaging integral
+    rule = eigenvalues._gauss_legendre_rule(eigenvalues._to_float64, 10)
+    assert rule[1].dtype == np.float64 and rule[2].dtype == np.float64
+    _assert_gauss_legendre(rule, 10, 1.0, np.finfo(float).eps)
 
 
 def test_gauss_legendre_rule_in_longdouble():
@@ -277,7 +275,6 @@ def test_gauss_legendre_rule_in_longdouble():
 
 
 def test_gauss_legendre_rule_in_mpmath():
-    mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(eigenvalues._MP_DPS):
         eps = mpmath.mpf(2) ** -mpmath.mp.prec
         for order in (3, 24):
@@ -289,14 +286,12 @@ def test_gauss_legendre_rule_in_mpmath():
 def test_mpmath_pass_holds_the_deepest_cancellation():
     # at n = 0 these integrands cancel past the longdouble floor; only the
     # mpmath pass brings them within the tolerance
-    pytest.importorskip("mpmath")
     for m, xi in ((12, 8), (9, 16)):
         assert abs(gamma_quadrature(basic_symbol(m, xi), 0).value) <= 1e-9, (m, xi)
 
 
 def _mp_integrand_by_node(sym, n):
     """The node-by-node reference of `eigenvalues._mp_integrand`."""
-    mpmath = pytest.importorskip("mpmath")
 
     def scalar(z):
         z = complex(z)
@@ -323,7 +318,6 @@ def _mp_integrand_by_node(sym, n):
 
 
 def test_mp_integrand_is_bit_identical_to_the_node_loop():
-    mpmath = pytest.importorskip("mpmath")
     symbols = [
         basic_symbol(10, 8),
         combo_symbol(np.random.default_rng(0).normal(size=6), 40),

@@ -1,13 +1,17 @@
-"""The public surface: every exported name resolves, and the version matches the project's.
+"""The public surface: every exported name resolves, the version matches the project's,
+and the package imports exactly the third-party modules the project declares.
 
 A name dropped from a module but left in its `__all__` or in the package's
-re-exports fails here, not first in a user's `from fockradial import ...`.
+re-exports fails here, not first in a user's `from fockradial import ...`;
+so does an import that an installation from pyproject.toml would not satisfy.
 """
 
 import ast
 import importlib
 import pathlib
 import pkgutil
+import re
+import sys
 
 import pytest
 
@@ -36,8 +40,24 @@ def test_every_package_import_resolves():
             assert hasattr(fockradial, alias.asname or alias.name), alias.name
 
 
-def test_version_matches_the_project():
+def _project() -> dict:
     tomllib = pytest.importorskip("tomllib")
     with open(_ROOT / "pyproject.toml", "rb") as fh:
-        project = tomllib.load(fh)["project"]
-    assert fockradial.__version__ == project["version"]
+        return tomllib.load(fh)["project"]
+
+
+def test_version_matches_the_project():
+    assert fockradial.__version__ == _project()["version"]
+
+
+def test_third_party_imports_are_the_declared_dependencies():
+    imported = set()
+    for path in pathlib.Path(fockradial.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.partition(".")[0])
+    third_party = imported - set(sys.stdlib_module_names)
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group() for dep in _project()["dependencies"]}
+    assert third_party == declared

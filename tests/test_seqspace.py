@@ -78,11 +78,11 @@ def test_window_validation():
 
 def test_tail_completion():
     w = window([1.0, 2.0], ZeroTail())
-    assert w.value_at(5) == 0
+    assert w.as_array(6)[5] == 0
     w = window([1.0], LimitTail(3.0))
-    assert w.value_at(10) == 3.0
+    assert w.as_array(11)[10] == 3.0
     with pytest.raises(ValueError):
-        window([1.0]).value_at(10)
+        window([1.0]).as_array(11)
 
 
 def test_sup_norm_includes_tail():
