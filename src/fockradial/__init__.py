@@ -61,4 +61,4 @@ from .symbols import (
     with_limit_offset,
 )
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"

@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import accumulate
+from numbers import Real
 
 import numpy as np
 
@@ -150,6 +151,13 @@ def _weighted_sum(coefficients) -> float:
     return sum(abs(c) * (k + 1) for k, c in enumerate(coefficients))
 
 
+def _check_epsilon(epsilon) -> float:
+    """epsilon as a float; it must be a finite, positive real and not a bool."""
+    if isinstance(epsilon, bool) or not isinstance(epsilon, Real) or not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be a finite positive real, got {epsilon!r}")
+    return float(epsilon)
+
+
 def _plan(target: SeqWindow, epsilon: float, coefficients: tuple[complex, ...]) -> ApproximationPlan:
     """The plan at the least admissible xi with sum |c_k| (k + 1) / xi <= epsilon / 2."""
     budget = 0.5 * epsilon
@@ -159,7 +167,7 @@ def _plan(target: SeqWindow, epsilon: float, coefficients: tuple[complex, ...]) 
         xi = max(xi, math.ceil(weighted / budget))
         while weighted / xi > budget:
             xi += 1
-    return ApproximationPlan(target, float(epsilon), xi, coefficients, limit=0j)
+    return ApproximationPlan(target, epsilon, xi, coefficients, limit=0j)
 
 
 def plan_finite(target: SeqWindow, epsilon: float) -> ApproximationPlan:
@@ -168,8 +176,7 @@ def plan_finite(target: SeqWindow, epsilon: float) -> ApproximationPlan:
     The scale is the smallest admissible one keeping the per-term error sum
     within epsilon / 2.
     """
-    if not epsilon > 0.0:
-        raise ValueError("epsilon must be positive")
+    epsilon = _check_epsilon(epsilon)
     if not isinstance(target.tail, ZeroTail):
         raise ValueError("finite planning needs a zero-tail target")
     return _plan(target, epsilon, target.values)
@@ -182,8 +189,7 @@ def plan_c0(target: SeqWindow, epsilon: float) -> ApproximationPlan:
     values stay strictly below epsilon / 2 (window evidence plus the tail
     descriptor), and synthesis of the prefix within the other epsilon / 2.
     """
-    if not epsilon > 0.0:
-        raise ValueError("epsilon must be positive")
+    epsilon = _check_epsilon(epsilon)
     zero_tail = isinstance(target.tail, ZeroTail)
     limit_zero = isinstance(target.tail, LimitTail) and target.tail.p == 0
     if not (zero_tail or limit_zero):
@@ -280,7 +286,7 @@ def plan_from_json(obj, target: SeqWindow) -> ApproximationPlan:
         window = obj.get("verify_window")
         plan = ApproximationPlan(
             target=target,
-            epsilon=float(obj["epsilon"]),
+            epsilon=_check_epsilon(obj["epsilon"]),
             xi=_check_scale(obj["xi"]),
             coefficients=coefficients,
             limit=scalar_from_json(obj["p"]),

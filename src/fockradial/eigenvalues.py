@@ -24,9 +24,10 @@ weight mass outside it times the symbol bound sup|g| is below rel_tol / 10;
 that product is folded into the reported error estimate.  The window is
 refined adaptively with a Gauss-Kronrod 7/15 rule.  Every decision tests
 tau(v) = rel_tol * max(1, |v|).  When float64 misses tau on a structured
-symbol, one escalation loop recomputes the value on the settled panels, in
-longdouble and then in mpmath, and stops at the first pass whose roundoff is
-below a tenth of tau.  Callables stay in float64.
+symbol, the same adaptive loop reruns from the settled panels in longdouble,
+then in mpmath, each pass to tau / 10 and with an error that is its own
+Gauss-Kronrod estimate, floored at 100 eps of its number type; the first pass
+that meets tau / 10 ends it.  Callables stay in float64.
 
 Each eigenvalue comes back as one `Eigenvalue` record: its value, the engine
 that produced it ("closed" or "quad") and, for quadrature, the error
@@ -59,7 +60,7 @@ import mpmath as _mp
 import numpy as np
 from scipy.special import gammainc, gammaincc, gammainccinv, gammaincinv
 
-from .laguerre import _as_float_array, _check_index
+from .laguerre import _as_float_array, _check_index, _laguerre_rows
 from .symbols import (
     CallableSymbol,
     LaguerreCombo,
@@ -219,203 +220,105 @@ class EigenSeq:
 
 
 # ---------------------------------------------------------------------------
-# Gauss-Kronrod 7/15 panel rule (QUADPACK dqk15 constants, full precision)
+# Gauss-Kronrod 7/15 panel rule (QUADPACK dqk15 constants, 33 digits) in any number type
 
-_XGK_POS = np.array(
-    [
-        0.991455371120812639206854697526329,
-        0.949107912342758524526189684047851,
-        0.864864423359769072789712788640926,
-        0.741531185599394439863864773280788,
-        0.586087235467691130294144838258730,
-        0.405845151377397166906606412076961,
-        0.207784955007898467600689403773245,
-    ]
+_XGK_POS = (
+    "0.991455371120812639206854697526329",
+    "0.949107912342758524526189684047851",
+    "0.864864423359769072789712788640926",
+    "0.741531185599394439863864773280788",
+    "0.586087235467691130294144838258730",
+    "0.405845151377397166906606412076961",
+    "0.207784955007898467600689403773245",
 )
-_WGK_POS = np.array(
-    [
-        0.022935322010529224963732008058970,
-        0.063092092629978553290700663189204,
-        0.104790010322250183839876322541518,
-        0.140653259715525918745189590510238,
-        0.169004726639267902826583426598550,
-        0.190350578064785409913256402421014,
-        0.204432940075298892414161999234649,
-    ]
+_WGK_POS = (
+    "0.022935322010529224963732008058970",
+    "0.063092092629978553290700663189204",
+    "0.104790010322250183839876322541518",
+    "0.140653259715525918745189590510238",
+    "0.169004726639267902826583426598550",
+    "0.190350578064785409913256402421014",
+    "0.204432940075298892414161999234649",
+    "0.209482141084727828012999174891714",
 )
-_WGK_ZERO = 0.209482141084727828012999174891714
-_WG_POS = np.array(
-    [
-        0.129484966168869693270611432679082,
-        0.279705391489276667901467771423780,
-        0.381830050505118944950369775488975,
-    ]
+_WG_POS = (
+    "0.129484966168869693270611432679082",
+    "0.279705391489276667901467771423780",
+    "0.381830050505118944950369775488975",
+    "0.417959183673469387755102040816327",
 )
-_WG_ZERO = 0.417959183673469387755102040816327
 
-_XGK = np.concatenate([-_XGK_POS, [0.0], _XGK_POS[::-1]])
-_WGK = np.concatenate([_WGK_POS, [_WGK_ZERO], _WGK_POS[::-1]])
-# the embedded Gauss-7 nodes are the odd-indexed Kronrod abscissae
-_WG7 = np.concatenate([_WG_POS, [_WG_ZERO], _WG_POS[::-1]])
-
-_ERR_FLOOR = 1.1e-14  # ~50 ulp of the panel's absolute integral
-
-
-def _gk15_batch(f, a: np.ndarray, b: np.ndarray, floor: float):
-    """Gauss-Kronrod 7/15 on a batch of panels.
-
-    Returns (values, error estimates, absolute integrals), one entry per
-    panel; no estimate is below floor times the panel's absolute integral.
-    All panel nodes are evaluated in a single call to f.
-    """
-    half = 0.5 * (b - a)
-    center = 0.5 * (a + b)
-    nodes = center[:, None] + half[:, None] * _XGK[None, :]
-    fx = np.atleast_2d(f(nodes.ravel())).reshape(nodes.shape)
-    resk = half * (fx @ _WGK)
-    resg = half * (fx[:, 1::2] @ _WG7)
-    mean = (resk / (b - a))[:, None]
-    resabs = half * (np.abs(fx) @ _WGK)
-    resasc = half * (np.abs(fx - mean) @ _WGK)
-    diff = np.abs(resk - resg)
-    safe = np.where(resasc > 0.0, resasc, 1.0)
-    err = np.where(
-        resasc > 0.0,
-        resasc * np.minimum(1.0, (200.0 * diff / safe) ** 1.5),
-        diff,
-    )
-    return resk, np.maximum(err, floor * resabs), resabs
-
-
-# ---------------------------------------------------------------------------
-# Extended-precision passes
-
-# a pass's roundoff per unit of absolute integral is 100 eps of its number
-# type, for the typical log-scale magnitude inside the integrand; mpmath at
-# _MP_DPS digits has eps 10^-_MP_DPS
+# mpmath passes run at _MP_DPS digits, eps 10^-_MP_DPS; the constants carry
+# 33 digits, so _MP_DPS must stay <= 32
 _MP_DPS = 30
+_MP_FLOOR = 100.0 * 10.0**-_MP_DPS
 _to_longdouble = functools.partial(np.asarray, dtype=np.longdouble)
 _to_float64 = functools.partial(np.asarray, dtype=float)
 
 
 def _to_mpf(values) -> np.ndarray:
-    return np.array([_mp.mpf(float(v)) for v in values], dtype=object)
-
-
-def _legendre(x, order: int):
-    """P_order(x) and its derivative by the three-term recurrence, in the number type of x."""
-    p_prev, p_cur = 1, x
-    for j in range(2, order + 1):
-        p_prev, p_cur = p_cur, ((2 * j - 1) * x * p_cur - (j - 1) * p_prev) / j
-    return p_cur, order * (x * p_cur - p_prev) / (x * x - 1)
+    with _mp.workdps(_MP_DPS):
+        return np.array([_mp.mpf(v) for v in values], dtype=object)
 
 
 @functools.cache
-def _gauss_legendre_rule(convert, order: int):
-    """(convert, nodes, weights) of Gauss-Legendre on [-1, 1], in the number type convert makes.
+def _gk15_rule(convert):
+    """(Kronrod nodes, Kronrod weights, Gauss-7 weights) on [-1, 1], in convert's number type.
 
-    Eight Newton steps on the Legendre recurrence, in that type, from the
-    float64 asymptotic guesses: convergence is quadratic, so they pass 30
-    digits.  An mpmath rule keeps the precision it was first built at.
+    Each number is converted straight from its string, so an mpmath rule has
+    _MP_DPS digits at any working precision.  Gauss-7 uses the odd Kronrod nodes.
     """
-    x = convert(np.cos(np.pi * (np.arange(order) + 0.75) / (order + 0.5)))
-    for _ in range(8):
-        p, deriv = _legendre(x, order)
-        x = x - p / deriv
-    _, deriv = _legendre(x, order)
-    return convert, x, 2 / ((1 - x * x) * deriv * deriv)
+    nodes = tuple("-" + x for x in _XGK_POS) + ("0",) + _XGK_POS[::-1]
+    wgk, wg7 = _WGK_POS + _WGK_POS[-2::-1], _WG_POS + _WG_POS[-2::-1]
+    return convert(nodes), convert(wgk), convert(wg7)
 
 
-def _refine_total(rule, integrand, a: np.ndarray, b: np.ndarray) -> complex:
-    """The integral over the panels [a, b], each bisected once, in the rule's number type.
+_ERR_FLOOR = 1.1e-14  # ~50 ulp of the panel's absolute integral
 
-    The halving takes the rule's truncation far below the pass's roundoff.  Panel
-    ends are converted first, so no float64 rounding reaches the nodes.
+
+def _gk15_batch(f, rule, a: np.ndarray, b: np.ndarray, floor: float):
+    """Gauss-Kronrod 7/15 on a batch of panels, in the number type of the rule and the panels.
+
+    Returns (values, error estimates, absolute integrals), one entry per
+    panel; no estimate is below floor times the panel's absolute integral.
+    All panel nodes are evaluated in a single call to f.
     """
-    convert, xs, ws = rule
-    mids = 0.5 * (a + b)
-    lo = convert(np.concatenate([a, mids]))
-    hi = convert(np.concatenate([mids, b]))
-    half = (hi - lo) / 2
-    center = (hi + lo) / 2
-    nodes = center[:, None] + half[:, None] * xs[None, :]
-    fx = integrand(nodes.ravel()).reshape(nodes.shape)
-    return complex(((fx * ws[None, :]).sum(axis=1) * half).sum())
+    xgk, wgk, wg7 = rule
+    half = 0.5 * (b - a)
+    center = 0.5 * (a + b)
+    nodes = center[:, None] + half[:, None] * xgk[None, :]
+    fx = np.atleast_2d(f(nodes.ravel())).reshape(nodes.shape)
+    resk = half * (fx @ wgk)
+    resg = half * (fx[:, 1::2] @ wg7)
+    mean = (resk / (b - a))[:, None]
+    resabs = half * (np.abs(fx) @ wgk)
+    resasc = half * (np.abs(fx - mean) @ wgk)
+    diff = np.abs(resk - resg)
+    safe = np.where(resasc > 0.0, resasc, 1.0)
+    err = np.where(resasc > 0.0, resasc * np.minimum(1.0, (200.0 * diff / safe) ** 1.5), diff)
+    return resk, np.maximum(err, floor * resabs), resabs
 
 
-def _mp_scalar(z: complex):
-    z = complex(z)
-    if z.imag == 0.0:
-        return _mp.mpf(z.real)
-    return _mp.mpc(z.real, z.imag)
-
-
-def _mp_integrand(sym: LaguerreCombo, n: int):
-    """r -> g(sqrt(r)) r^n e^-r / n! on an object array of mpmath nodes.
-
-    The term factors c_k (-1)^k xi^(k+1) are formed once, at the working
-    precision, and each call runs the Laguerre recurrence once over all nodes.
-    """
-    coeffs = sym.coefficients
-    last = max((k for k, c in enumerate(coeffs) if c), default=-1)
-    mp_xi = _mp.mpf(sym.xi)
-    factors = [
-        _mp_scalar(c) * (-1 if k % 2 else 1) * mp_xi ** (k + 1) if c else None
-        for k, c in enumerate(coeffs[: last + 1])
-    ]
-    offset = _mp_scalar(sym.offset) if sym.offset else None
-    fact = _mp.factorial(n)
-
-    def integrand(r):
-        t = sym.xi * r
-        total = _mp.mpf(0)
-        lag_prev, lag = None, _mp.mpf(1)  # L_{k-1}(t), L_k(t) from k = 0
-        for k, factor in enumerate(factors):
-            if factor is not None:
-                total = total + factor * lag
-            if k < last:
-                step = 1 - t if k == 0 else ((2 * k + 1 - t) * lag - k * lag_prev) / (k + 1)
-                lag_prev, lag = lag, step
-        value = total * _mp.e ** (-(sym.xi - 1) * r)
-        if offset is not None:
-            value = value + offset
-        return value * r**n * _mp.e ** (-r) / fact
-
-    return integrand
-
-
-def _extended_passes(sym: Symbol, n: int, integrand):
-    """The passes past float64, in order: (rule, integrand, eps of its number type).
-
-    Gauss-Legendre 16 in longdouble (the platform's type), then 24 in mpmath.
-    Callables get none: their evaluators are float64.
-    """
-    if isinstance(sym, CallableSymbol):
-        return
-    rule = _gauss_legendre_rule(_to_longdouble, 16)
-    yield rule, integrand, float(np.finfo(rule[1].dtype).eps)
-    yield _gauss_legendre_rule(_to_mpf, 24), _mp_integrand(sym, n), 10.0**-_MP_DPS
-
-
-def _adaptive_gk(f, edges: np.ndarray, cfg: QuadConfig, floor: float):
-    """Globally adaptive bisection over the panels delimited by `edges`.
+def _adaptive_gk(f, convert, a, b, cfg: QuadConfig, floor: float, reach: float):
+    """Globally adaptive bisection of the panels [a, b], in the number type convert makes.
 
     Until the summed error is within tau(total), each round splits every panel
     whose error exceeds its share of tau, skipping panels already at their
-    roundoff floor (splitting cannot improve those).  Rounds are batched so the
-    integrand is called a handful of times per integral; the procedure is deterministic.
-    `settled` is False if the budget ran out while a panel still needed a split.
+    roundoff floor (splitting cannot improve those).  Splitting stops once
+    reach, the floor of the finest pass there is, times the absolute integral
+    exceeds tau: no pass can then meet it.  Rounds are batched, so the
+    integrand is called a handful of times per integral.  `settled` is False
+    if the budget ran out while a panel still needed a split.
     """
-    a = np.asarray(edges[:-1], dtype=float)
-    b = np.asarray(edges[1:], dtype=float)
-    vals, errs, resabs = _gk15_batch(f, a, b, floor)
-    splits = 0
-    settled = True
+    rule = _gk15_rule(convert)
+    a, b = convert(a), convert(b)
+    vals, errs, resabs = _gk15_batch(f, rule, a, b, floor)
+    splits, settled = 0, True
     while True:
         total = vals.sum()
         total_err = float(errs.sum())
         tol = cfg.tolerance(total)
-        if total_err <= tol:
+        if total_err <= tol or reach * float(resabs.sum()) > tol:
             break
         share = tol / (2.0 * len(a))
         width_ok = (b - a) > 1e-15 * np.maximum(np.abs(b), 1.0)
@@ -432,7 +335,7 @@ def _adaptive_gk(f, edges: np.ndarray, cfg: QuadConfig, floor: float):
         mid = 0.5 * (a[idx] + b[idx])
         child_a = np.concatenate([a[idx], mid])
         child_b = np.concatenate([mid, b[idx]])
-        child_vals, child_errs, child_abs = _gk15_batch(f, child_a, child_b, floor)
+        child_vals, child_errs, child_abs = _gk15_batch(f, rule, child_a, child_b, floor)
         keep = np.ones(len(a), dtype=bool)
         keep[idx] = False
         a = np.concatenate([a[keep], child_a])
@@ -440,7 +343,55 @@ def _adaptive_gk(f, edges: np.ndarray, cfg: QuadConfig, floor: float):
         vals = np.concatenate([vals[keep], child_vals])
         errs = np.concatenate([errs[keep], child_errs])
         resabs = np.concatenate([resabs[keep], child_abs])
-    return total, total_err, settled, splits, a, b, float(resabs.sum())
+    return total, total_err, settled, splits, a, b
+
+
+# ---------------------------------------------------------------------------
+# Extended-precision passes
+
+def _mp_scalar(z: complex):
+    z = complex(z)
+    return _mp.mpf(z.real) if z.imag == 0.0 else _mp.mpc(z.real, z.imag)
+
+
+def _mp_integrand(sym: LaguerreCombo, n: int):
+    """r -> g(sqrt(r)) r^n e^-r / n! on an object array of mpmath nodes.
+
+    The term factors c_k (-1)^k xi^(k+1) are formed once, at the working
+    precision, and each call runs the Laguerre recurrence once over all nodes.
+    """
+    coeffs = sym.coefficients
+    last = max((k for k, c in enumerate(coeffs) if c), default=-1)
+    mp_xi = _mp.mpf(sym.xi)
+    factors = [
+        _mp_scalar(c) * (-1 if k % 2 else 1) * mp_xi ** (k + 1) if c else None
+        for k, c in enumerate(coeffs[: last + 1])
+    ]
+    offset = _mp_scalar(sym.offset)
+    fact = _mp.factorial(n)
+
+    def integrand(r):
+        total = _mp.mpf(0)
+        for factor, lag in zip(factors, _laguerre_rows(last, sym.xi * r)):
+            if factor is not None:
+                total = total + factor * lag
+        value = total * _mp.e ** (-(sym.xi - 1) * r) + offset
+        return value * r**n * _mp.e ** (-r) / fact
+
+    return integrand
+
+
+def _extended_passes(sym: Symbol, n: int, integrand):
+    """The passes past float64, in order: (convert, integrand, floor of its GK estimates).
+
+    longdouble (the platform's type), then mpmath at _MP_DPS digits.  The floor,
+    100 eps of the type per unit of absolute integral, is the pass's roundoff at
+    the integrand's typical log-scale magnitude.  Callables get none (float64).
+    """
+    if isinstance(sym, CallableSymbol):
+        return
+    yield _to_longdouble, integrand, 100.0 * float(np.finfo(_to_longdouble(0.0).dtype).eps)
+    yield _to_mpf, _mp_integrand(sym, n), _MP_FLOOR
 
 
 # ---------------------------------------------------------------------------
@@ -494,8 +445,8 @@ def _underflow_bound(sym: Symbol, sup_g: float, width: float, panels: int) -> fl
     return width * scaled + _SUBNORMAL * (width * (sup_g + 11.0) + panels)
 
 
-def _panel_edges(sym: Symbol, n: int, lo: float, hi: float) -> np.ndarray:
-    """Initial panel boundaries clustered around every plausible mass peak.
+def _panel_edges(sym: Symbol, n: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Initial panels (left ends, right ends), clustered around every plausible mass peak.
 
     The bare weight peaks at r = n; a symbol carrying the Gaussian factor
     exp(-(xi-1) x^2) shifts the effective peak of the integrand to r = n/xi.
@@ -524,7 +475,7 @@ def _panel_edges(sym: Symbol, n: int, lo: float, hi: float) -> np.ndarray:
             pieces = int(math.ceil(gap / max_width))
             refined.extend(left + gap * i / pieces for i in range(1, pieces))
         refined.append(right)
-    return np.array(refined)
+    return np.array(refined[:-1]), np.array(refined[1:])
 
 
 def gamma_quadrature(sym: Symbol, n: int, cfg: QuadConfig | None = None) -> Eigenvalue:
@@ -534,8 +485,9 @@ def gamma_quadrature(sym: Symbol, n: int, cfg: QuadConfig | None = None) -> Eige
     absolute below unit size.  The float64 panel estimates, each at least its
     panel's roundoff floor, sum to the error err.  If err > tau(value) on a
     structured symbol whose panels all settled within the subdivision budget,
-    each extended pass recomputes the value on them and sets err to its roundoff
-    times the absolute integral, up to the first pass with 10 * err <= tau(value).
+    each extended pass reruns `_adaptive_gk` from them in its number type, to
+    tau / 10 and with the rest of the budget, up to the first pass that meets
+    it; `subdivisions` counts the splits of every pass.
     The window leaves weight mass 0.05 * rel_tol / max(1, sup|g|) or less on
     each side, so the out-of-window bound sup|g| * (mass outside) is at most
     rel_tol / 10 for a finite sup|g|.  The record's `converged` is
@@ -557,15 +509,19 @@ def gamma_quadrature(sym: Symbol, n: int, cfg: QuadConfig | None = None) -> Eige
 
     # the weight's exponent rounds at the scale of lgamma(n + 2)
     floor = _ERR_FLOOR + float(np.finfo(float).eps) * lgamma(n + 2)
-    value, err, settled, splits, fin_a, fin_b, resabs = _adaptive_gk(
-        integrand, _panel_edges(sym, n, lo, hi), cfg, floor
+    reach = floor if isinstance(sym, CallableSymbol) else _MP_FLOOR
+    value, err, settled, splits, fin_a, fin_b = _adaptive_gk(
+        integrand, _to_float64, *_panel_edges(sym, n, lo, hi), cfg, floor, reach
     )
     if settled and err > cfg.tolerance(value):
         with _mp.workdps(_MP_DPS):
-            for rule, pass_integrand, eps in _extended_passes(sym, n, integrand):
-                value = _refine_total(rule, pass_integrand, fin_a, fin_b)
-                err = 100.0 * eps * resabs
-                if 10.0 * err <= cfg.tolerance(value):
+            for convert, pass_integrand, pass_floor in _extended_passes(sym, n, integrand):
+                pass_cfg = QuadConfig(cfg.rel_tol / 10.0, cfg.max_subdivisions - splits)
+                value, err, _, more, _, _ = _adaptive_gk(
+                    pass_integrand, convert, fin_a, fin_b, pass_cfg, pass_floor, reach
+                )
+                splits += more
+                if err <= pass_cfg.tolerance(value):
                     break
     est_abs_err = err + tail_bound + _underflow_bound(sym, sup_g, hi - lo, len(fin_a))
     converged = err <= cfg.tolerance(value)
@@ -617,7 +573,7 @@ def _averaging_rule(j: int, sup_g: float, rel_tol: float, xi: int = 1):
         edges.append(edges[-1] + width)
         width = min(1.5 * width, 2.5)
     edges = np.array(edges)
-    _, base_x, base_w = _gauss_legendre_rule(_to_float64, 10)
+    base_x, base_w = np.polynomial.legendre.leggauss(10)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * np.diff(edges)
     nodes = (mid[:, None] + half[:, None] * base_x[None, :]).ravel()

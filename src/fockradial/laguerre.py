@@ -37,13 +37,40 @@ def _as_float_array(x) -> np.ndarray:
     return arr
 
 
+def _laguerre_rows(m: int, t):
+    """Yield L_0(t), ..., L_m(t) by the recurrence in t's number type, keeping two rows alive.
+
+    Steps work in place (a temporary row per step page-faults large rows
+    anew), so a yielded row is overwritten two steps later.
+    """
+    prev, row = None, np.ones_like(t)
+    yield row
+    for k in range(m):
+        new = 2 * k + 1 - t
+        if k:
+            new *= row
+            prev *= k
+            new -= prev
+            new /= k + 1
+        prev, row = row, new
+        yield row
+
+
+def _finite_arg(x) -> np.ndarray:
+    arr = np.atleast_1d(_as_float_array(x))
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("x must be finite")
+    return arr
+
+
 def laguerre_eval(m: int, x):
-    """Evaluate L_m at x (scalar or array): row m of `laguerre_eval_all`.
+    """Evaluate L_m at x (scalar or array), keeping two rows of the recurrence.
 
     The float dtype of `x` is preserved, so extended-precision input yields
     extended-precision output; a scalar `x` gives a float.
     """
-    row = laguerre_eval_all(_check_index(m), x)[m]
+    for row in _laguerre_rows(_check_index(m), _finite_arg(x)):
+        pass
     return float(row[0]) if np.ndim(x) == 0 else row
 
 
@@ -53,13 +80,8 @@ def laguerre_eval_all(m_max: int, x) -> np.ndarray:
     Returns an array of shape (m_max + 1,) + shape(atleast_1d(x)).
     """
     m_max = _check_index(m_max, "m_max")
-    arr = np.atleast_1d(_as_float_array(x))
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("x must be finite")
+    arr = _finite_arg(x)
     out = np.empty((m_max + 1,) + arr.shape, dtype=arr.dtype)
-    out[0] = 1.0
-    if m_max >= 1:
-        out[1] = 1.0 - arr
-    for k in range(1, m_max):
-        out[k + 1] = ((2 * k + 1 - arr) * out[k] - k * out[k - 1]) / (k + 1)
+    for k, row in enumerate(_laguerre_rows(m_max, arr)):
+        out[k] = row
     return out

@@ -234,8 +234,9 @@ def test_approximate_unknown_tail_rejected(tmp_path, capsys):
 
 def test_approximate_usage_errors(tmp_path, capsys):
     target = delta0_target(tmp_path)
-    code, _, _ = run(capsys, ["approximate", target, "--epsilon", "-1"])
-    assert code == 1
+    for epsilon in ("-1", "inf"):
+        code, out, _ = run(capsys, ["approximate", target, "--epsilon", epsilon])
+        assert code == 1 and out == "", epsilon
     code, _, _ = run(capsys, ["approximate"])
     assert code == 1
 
@@ -358,7 +359,8 @@ def test_verify_failing_plan(tmp_path, capsys):
 
 
 def test_verify_rejects_non_integer_plan_fields(tmp_path, capsys):
-    # xi = 10.7 must not be certified as xi = 10, nor true or "5" read as integers
+    # xi = 10.7 must not be certified as xi = 10, nor true or "5" read as
+    # integers; epsilon must be a finite positive real
     target = delta0_target(tmp_path)
     plan = {
         "epsilon": 0.2,
@@ -374,7 +376,9 @@ def test_verify_rejects_non_integer_plan_fields(tmp_path, capsys):
     plan_path = write_json(tmp_path / "plan.json", plan)
     code, _, _ = run(capsys, ["verify", "--plan", plan_path, "--target", target])
     assert code == 0
-    for key, bad in itertools.product(("xi", "N", "verify_window"), (10.7, True, "5")):
+    bad_fields = [*itertools.product(("xi", "N", "verify_window"), (10.7, True, "5"))]
+    bad_fields += [("epsilon", bad) for bad in (True, "0.6", math.inf, 0, -1)]
+    for key, bad in bad_fields:
         plan_path = write_json(tmp_path / "plan.json", {**plan, key: bad})
         code, out, err = run(capsys, ["verify", "--plan", plan_path, "--target", target])
         assert code == 2, (key, bad)

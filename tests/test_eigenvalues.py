@@ -11,9 +11,6 @@ from hypothesis import strategies as st
 from exact import gamma_closed_form
 from fockradial import eigenvalues
 from fockradial.eigenvalues import (
-    _WG7,
-    _WGK,
-    _XGK,
     QuadConfig,
     _average,
     _averaging_rule,
@@ -198,7 +195,7 @@ def test_exact_zero_converges_in_float64(monkeypatch):
     def no_pass(*args):
         raise AssertionError("extended-precision pass")
 
-    monkeypatch.setattr(eigenvalues, "_refine_total", no_pass)
+    monkeypatch.setattr(eigenvalues, "_extended_passes", no_pass)
     res = gamma_quadrature(basic_symbol(1, 2), 0)
     assert res.converged
     assert abs(res.value) <= 1e-12
@@ -237,50 +234,71 @@ def test_weight_normalization():
 
 
 def test_gauss_kronrod_constants_are_exact():
-    # both rules have unit-interval mass 2 and integrate x^k exactly up to
-    # their degree: 22 for Kronrod-15, 13 for the embedded Gauss-7
-    ulps = 4 * np.spacing(2.0)
-    gauss_nodes = _XGK[1::2]
-    assert abs(_WGK.sum() - 2.0) <= ulps
-    assert abs(_WG7.sum() - 2.0) <= ulps
-    for nodes, weights, degree in ((_XGK, _WGK, 22), (gauss_nodes, _WG7, 13)):
-        for k in range(degree + 1):
-            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
-            assert abs(weights @ nodes**k - exact) <= ulps, (len(nodes), k)
-
-
-def _assert_gauss_legendre(rule, order, one, eps):
-    # unit-interval mass 2, and x^k integrated exactly up to degree 2 order - 1
-    _, nodes, weights = rule
-    assert len(nodes) == order
-    assert abs(weights.sum() - 2 * one) <= 4 * eps
-    for k in range(2 * order):
-        exact = 2 * one / (k + 1) if k % 2 == 0 else 0 * one
-        assert abs((weights * nodes**k).sum() - exact) <= 4 * eps, (order, k)
-
-
-def test_gauss_legendre_rule_in_float64():
-    # the ten-point rule of the averaging integral
-    rule = eigenvalues._gauss_legendre_rule(eigenvalues._to_float64, 10)
-    assert rule[1].dtype == np.float64 and rule[2].dtype == np.float64
-    _assert_gauss_legendre(rule, 10, 1.0, np.finfo(float).eps)
-
-
-def test_gauss_legendre_rule_in_longdouble():
-    one = np.longdouble(1)
-    for order in (2, 7, 16):
-        rule = eigenvalues._gauss_legendre_rule(eigenvalues._to_longdouble, order)
-        assert rule[1].dtype == np.longdouble and rule[2].dtype == np.longdouble
-        _assert_gauss_legendre(rule, order, one, np.finfo(np.longdouble).eps)
-
-
-def test_gauss_legendre_rule_in_mpmath():
+    # in each number type both rules have unit-interval mass 2 and integrate
+    # x^k exactly up to their degree: 22 for Kronrod-15, 13 for the embedded
+    # Gauss-7, to 4 eps of the type
     with mpmath.workdps(eigenvalues._MP_DPS):
-        eps = mpmath.mpf(2) ** -mpmath.mp.prec
-        for order in (3, 24):
-            rule = eigenvalues._gauss_legendre_rule(eigenvalues._to_mpf, order)
-            assert all(isinstance(x, mpmath.mpf) for x in rule[1])
-            _assert_gauss_legendre(rule, order, mpmath.mpf(1), eps)
+        types = (
+            (eigenvalues._to_float64, np.float64(1), np.finfo(float).eps),
+            (eigenvalues._to_longdouble, np.longdouble(1), np.finfo(np.longdouble).eps),
+            (eigenvalues._to_mpf, mpmath.mpf(1), mpmath.mpf(2) ** -mpmath.mp.prec),
+        )
+        for convert, one, eps in types:
+            xgk, wgk, wg7 = eigenvalues._gk15_rule(convert)
+            assert {type(v) for v in (*xgk, *wgk, *wg7)} == {type(one)}
+            for nodes, weights, degree in ((xgk, wgk, 22), (xgk[1::2], wg7, 13)):
+                for k in range(degree + 1):
+                    exact = 2 * one / (k + 1) if k % 2 == 0 else 0 * one
+                    assert abs((weights * nodes**k).sum() - exact) <= 4 * eps, (convert, k)
+
+
+def test_mpmath_pass_error_covers_its_truncation():
+    # one coarse panel, no splits: the error of r^3 e^-r / 3! on [0, 40] is
+    # GK15 truncation, far above the pass's roundoff floor, and the estimate
+    # has to cover it
+    integrand = eigenvalues._mp_integrand(LaguerreCombo(offset=1.0), 3)
+    cfg = QuadConfig(max_subdivisions=0)
+    floor = eigenvalues._MP_FLOOR
+    with mpmath.workdps(eigenvalues._MP_DPS):
+        value, err, *_ = eigenvalues._adaptive_gk(
+            integrand, eigenvalues._to_mpf, [0.0], [40.0], cfg, floor, floor
+        )
+        exact = mpmath.gammainc(4, 0, 40) / 6
+        miss = abs(value - exact)
+    assert floor < miss <= err
+
+
+def test_mpmath_rule_keeps_its_precision():
+    # a rule first built at mpmath's default 15 digits must still carry
+    # _MP_DPS digits, or the deepest cancellation cell is certified from a
+    # 15-digit rule
+    eigenvalues._gk15_rule.cache_clear()
+    try:
+        with mpmath.workdps(15):
+            eigenvalues._gk15_rule(eigenvalues._to_mpf)
+        res = gamma_quadrature(basic_symbol(12, 8), 0)
+        assert res.converged
+        assert abs(res.value) <= res.est_abs_err
+    finally:
+        eigenvalues._gk15_rule.cache_clear()
+
+
+def test_unreachable_cancellation_fails_fast(monkeypatch):
+    # 17 terms at xi = 40 cancel past 30 digits at n = 0: no pass can meet
+    # the tolerance, so the mpmath pass evaluates its panels once and stops
+    batches = []
+    mp_integrand = eigenvalues._mp_integrand
+
+    def counted(sym, n):
+        integrand = mp_integrand(sym, n)
+        return lambda r: batches.append(len(r)) or integrand(r)
+
+    monkeypatch.setattr(eigenvalues, "_mp_integrand", counted)
+    coeffs = np.random.default_rng(0).normal(size=17)
+    res = gamma_quadrature(combo_symbol(coeffs, 40), 0)
+    assert not res.converged
+    assert abs(res.value - coeffs[0]) <= res.est_abs_err
+    assert len(batches) == 1
 
 
 def test_mpmath_pass_holds_the_deepest_cancellation():

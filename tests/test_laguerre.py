@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -54,6 +55,20 @@ def test_eval_all_matches_single_evals():
     assert table.shape == (11, 7)
     for m in range(11):
         np.testing.assert_allclose(table[m], laguerre_eval(m, grid), rtol=1e-13)
+
+
+def test_single_degree_keeps_two_rows():
+    # L_200 on 10 000 points needs two rows of the recurrence (80 kB each),
+    # not the 201-row table of laguerre_eval_all (16 MB)
+    grid = np.linspace(0.0, 50.0, 10_000)
+    tracemalloc.start()
+    try:
+        row = laguerre_eval(200, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_000_000, peak
+    assert np.array_equal(row, laguerre_eval_all(200, grid)[200])
 
 
 def test_orthogonality_spot_check():
