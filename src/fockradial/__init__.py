@@ -11,7 +11,6 @@ from .approx import (
     ApproximationPlan,
     InsufficientDataError,
     VerifyReport,
-    delta_error,
     plan_c0,
     plan_convergent,
     plan_finite,
@@ -24,7 +23,6 @@ from .eigenvalues import (
     Eigenvalue,
     QuadConfig,
     closed_form_sequence,
-    gamma_combo_closed_form,
     gamma_quadrature,
     gamma_sequence,
     has_closed_form,
@@ -38,11 +36,8 @@ from .seqspace import (
     UnknownTail,
     ZeroTail,
     lipschitz_seminorm,
-    min_index_lower_bound,
     modulus_of_continuity,
     shift_difference_sup,
-    shift_left,
-    shift_right,
     sqrt_dist,
     target_from_json,
     target_to_json,
@@ -61,4 +56,4 @@ from .symbols import (
     with_limit_offset,
 )
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"

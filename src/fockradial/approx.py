@@ -21,14 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from itertools import accumulate
-from numbers import Real
 
 import numpy as np
 
 from .eigenvalues import closed_form_sequence
-from .laguerre import _check_index
+from .laguerre import _check_index, _check_positive
 from .seqspace import (
     LimitTail,
     SeqWindow,
@@ -46,7 +44,6 @@ __all__ = [
     "ApproximationPlan",
     "InsufficientDataError",
     "VerifyReport",
-    "delta_error",
     "plan_c0",
     "plan_convergent",
     "plan_finite",
@@ -62,19 +59,6 @@ _STRICT = 1.0 - 1e-12
 
 class InsufficientDataError(ValueError):
     """The window is too short to certify the required tail condition."""
-
-
-def delta_error(m: int, xi: int) -> Fraction:
-    """Exact sup distance between the basic term's eigenvalues and the basis sequence.
-
-    Equals (m + 1) / xi, provided xi >= (m + 2) / 2; below that threshold the
-    exact-sup formula is not established and the call is refused.
-    """
-    m = _check_index(m)
-    xi = _check_scale(xi)
-    if 2 * xi < m + 2:
-        raise ValueError(f"need xi >= (m + 2) / 2, got xi={xi} for m={m}")
-    return Fraction(m + 1, xi)
 
 
 @dataclass(frozen=True)
@@ -151,13 +135,6 @@ def _weighted_sum(coefficients) -> float:
     return sum(abs(c) * (k + 1) for k, c in enumerate(coefficients))
 
 
-def _check_epsilon(epsilon) -> float:
-    """epsilon as a float; it must be a finite, positive real and not a bool."""
-    if isinstance(epsilon, bool) or not isinstance(epsilon, Real) or not 0 < epsilon < math.inf:
-        raise ValueError(f"epsilon must be a finite positive real, got {epsilon!r}")
-    return float(epsilon)
-
-
 def _plan(target: SeqWindow, epsilon: float, coefficients: tuple[complex, ...]) -> ApproximationPlan:
     """The plan at the least admissible xi with sum |c_k| (k + 1) / xi <= epsilon / 2."""
     budget = 0.5 * epsilon
@@ -176,7 +153,7 @@ def plan_finite(target: SeqWindow, epsilon: float) -> ApproximationPlan:
     The scale is the smallest admissible one keeping the per-term error sum
     within epsilon / 2.
     """
-    epsilon = _check_epsilon(epsilon)
+    epsilon = _check_positive(epsilon, "epsilon")
     if not isinstance(target.tail, ZeroTail):
         raise ValueError("finite planning needs a zero-tail target")
     return _plan(target, epsilon, target.values)
@@ -189,7 +166,7 @@ def plan_c0(target: SeqWindow, epsilon: float) -> ApproximationPlan:
     values stay strictly below epsilon / 2 (window evidence plus the tail
     descriptor), and synthesis of the prefix within the other epsilon / 2.
     """
-    epsilon = _check_epsilon(epsilon)
+    epsilon = _check_positive(epsilon, "epsilon")
     zero_tail = isinstance(target.tail, ZeroTail)
     limit_zero = isinstance(target.tail, LimitTail) and target.tail.p == 0
     if not (zero_tail or limit_zero):
@@ -286,7 +263,7 @@ def plan_from_json(obj, target: SeqWindow) -> ApproximationPlan:
         window = obj.get("verify_window")
         plan = ApproximationPlan(
             target=target,
-            epsilon=_check_epsilon(obj["epsilon"]),
+            epsilon=_check_positive(obj["epsilon"], "epsilon"),
             xi=_check_scale(obj["xi"]),
             coefficients=coefficients,
             limit=scalar_from_json(obj["p"]),

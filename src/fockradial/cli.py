@@ -21,6 +21,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -293,8 +294,8 @@ def _cmd_verify(args) -> int:
 def _cmd_symbol_eval(args) -> int:
     if args.points < 1:
         raise UsageError("--points must be >= 1")
-    if args.x_max < 0:
-        raise UsageError("--x-max must be nonnegative")
+    if not 0 <= args.x_max < math.inf:
+        raise UsageError("--x-max must be finite and nonnegative")
     sym = _load_symbol(args.symbol)
     rows = []
     for i in range(args.points):

@@ -16,6 +16,9 @@ arguments.
 
 from __future__ import annotations
 
+import math
+from numbers import Real
+
 import numpy as np
 
 __all__ = ["laguerre_eval", "laguerre_eval_all"]
@@ -27,6 +30,13 @@ def _check_index(m, name: str = "m") -> int:
     if m < 0:
         raise ValueError(f"{name} must be nonnegative, got {m}")
     return int(m)
+
+
+def _check_positive(value, name: str) -> float:
+    """value as a float; it must be a finite, positive real and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not 0 < value < math.inf:
+        raise ValueError(f"{name} must be a finite positive real, got {value!r}")
+    return float(value)
 
 
 def _as_float_array(x) -> np.ndarray:

@@ -32,13 +32,10 @@ __all__ = [
     "UnknownTail",
     "ZeroTail",
     "lipschitz_seminorm",
-    "min_index_lower_bound",
     "modulus_of_continuity",
     "scalar_from_json",
     "scalar_to_json",
     "shift_difference_sup",
-    "shift_left",
-    "shift_right",
     "sqrt_dist",
     "target_from_json",
     "target_to_json",
@@ -59,6 +56,8 @@ class LimitTail:
 
     def __post_init__(self):
         object.__setattr__(self, "p", complex(self.p))
+        if not cmath.isfinite(self.p):
+            raise ValueError(f"limit tail p must be finite, got {self.p}")
 
 
 @dataclass(frozen=True)
@@ -174,24 +173,13 @@ def target_to_json(window: SeqWindow) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# The sqrt-distance and its elementary bounds
+# The sqrt-distance
 
 def sqrt_dist(j: int, k: int) -> float:
     """rho(j, k) = |sqrt(j) - sqrt(k)|."""
     if j < 0 or k < 0:
         raise ValueError("indices must be nonnegative")
     return abs(math.sqrt(j) - math.sqrt(k))
-
-
-def min_index_lower_bound(rho_val: float) -> float:
-    """Lower bound for min{j, k} given that distinct j, k satisfy rho(j, k) = rho_val.
-
-    Only meaningful for 0 < rho_val < 1/2: small nonzero sqrt-distances force
-    both indices to be large, at least 1 / (2 rho)^2 - 1.
-    """
-    if not 0.0 < rho_val < 0.5:
-        raise ValueError("rho_val must lie in (0, 1/2)")
-    return 1.0 / (2.0 * rho_val) ** 2 - 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -248,18 +236,6 @@ def lipschitz_seminorm(sigma: SeqWindow) -> float:
 
 # ---------------------------------------------------------------------------
 # Shifts
-
-def shift_left(sigma: SeqWindow) -> SeqWindow:
-    """Drop sigma(0); the window shrinks by one, the tail is preserved."""
-    if len(sigma) < 2:
-        raise ValueError("window too short to shift left")
-    return SeqWindow(sigma.values[1:], sigma.tail)
-
-
-def shift_right(sigma: SeqWindow) -> SeqWindow:
-    """Prepend a zero; the window grows by one, the tail is preserved."""
-    return SeqWindow((0j,) + sigma.values, sigma.tail)
-
 
 def shift_difference_sup(sigma: SeqWindow, k: int, n_from: int = 0) -> float:
     """Max of |sigma(n) - sigma(n + k)| over n in [n_from, len - k).

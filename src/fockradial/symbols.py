@@ -21,6 +21,7 @@ Gamma(j, 1)-distributed, which `fockradial.eigenvalues` evaluates through
 
 from __future__ import annotations
 
+import cmath
 import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Union
@@ -69,6 +70,8 @@ class LaguerreCombo:
         object.__setattr__(self, "xi", _check_scale(self.xi))
         object.__setattr__(self, "coefficients", tuple(complex(c) for c in self.coefficients))
         object.__setattr__(self, "offset", complex(self.offset))
+        if not all(map(cmath.isfinite, (*self.coefficients, self.offset))):
+            raise ValueError("symbol coefficients and offset must be finite")
 
 
 @dataclass(frozen=True)
@@ -223,8 +226,8 @@ def symbol_from_json(obj) -> Symbol:
         except KeyError as exc:
             raise ValueError(f"laguerre_basic symbol needs {exc}") from None
     if kind == "combo":
-        if "xi" not in obj or "coefficients" not in obj:
-            raise ValueError("combo symbol needs 'xi' and 'coefficients'")
+        if "xi" not in obj or not isinstance(obj.get("coefficients"), list):
+            raise ValueError("combo symbol needs 'xi' and a 'coefficients' list")
         coeffs = [scalar_from_json(c) for c in obj["coefficients"]]
         combo = combo_symbol(coeffs, obj["xi"])
         if "offset" in obj:

@@ -12,7 +12,6 @@ from exact import gamma_closed_form
 from fockradial.approx import (
     InsufficientDataError,
     _weighted_sum,
-    delta_error,
     plan_c0,
     plan_convergent,
     plan_finite,
@@ -30,19 +29,7 @@ def zero_window(values):
 
 
 # ---------------------------------------------------------------------------
-# delta_error
-
-def test_delta_error_examples():
-    assert delta_error(0, 10) == Fraction(1, 10)
-    assert delta_error(3, 3) == Fraction(4, 3)
-
-
-def test_delta_error_hypothesis_refused():
-    # needs xi >= (m + 2) / 2
-    with pytest.raises(ValueError):
-        delta_error(5, 3)
-    assert delta_error(4, 3) == Fraction(5, 3)
-
+# The basic term's sup error: (m + 1) / xi once xi >= (m + 2) / 2
 
 def brute_sup_vs_delta(m, xi, n_top):
     # exact rational sup of |gamma(n) - delta_m(n)| over the window
@@ -60,7 +47,7 @@ def test_delta_error_matches_brute_force_rationally():
     for m in range(7):
         xi_min = max(2, math.ceil((m + 2) / 2))
         for xi in range(xi_min, xi_min + 3):
-            assert brute_sup_vs_delta(m, xi, m + 200) == delta_error(m, xi)
+            assert brute_sup_vs_delta(m, xi, m + 200) == Fraction(m + 1, xi)
 
 
 def test_basic_gamma_prefix_property():

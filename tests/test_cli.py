@@ -118,6 +118,41 @@ def test_eigs_exit_codes(tmp_path, capsys):
     assert code == 3 and "numeric" in err
 
 
+def test_eigs_rejects_a_bad_quadrature_config(tmp_path, capsys):
+    # an infinite rel_tol would make every converged flag vacuously true
+    sym = write_json(tmp_path / "s.json", {"type": "laguerre_basic", "m": 0, "xi": 2})
+    for rel_tol in ("inf", "nan", "0"):
+        argv = ["eigs", sym, "--n-max", "2", "--engine", "quad", "--rel-tol", rel_tol]
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == "", rel_tol
+        assert err.startswith("usage error: rel_tol must be a finite positive real"), rel_tol
+    code, out, err = run(capsys, ["eigs", sym, "--n-max", "2", "--max-subdivisions", "-1"])
+    assert code == 1 and out == "" and "max_subdivisions" in err
+
+
+def test_eigs_rejects_combo_coefficients_that_are_not_a_list(tmp_path, capsys):
+    for coefficients in (5, None, "1,2"):
+        bad = {"type": "combo", "xi": 2, "coefficients": coefficients}
+        sym = write_json(tmp_path / "s.json", bad)
+        code, out, err = run(capsys, ["eigs", sym, "--n-max", "1"])
+        assert code == 2 and out == "", coefficients
+        assert "invalid symbol" in err and "'coefficients' list" in err, coefficients
+
+
+def test_eigs_rejects_non_finite_symbol_values(tmp_path, capsys):
+    # json reads NaN and Infinity; the closed form would print them with exit 0
+    for text in (
+        '{"type": "constant", "value": NaN}',
+        '{"type": "combo", "xi": 2, "coefficients": [1, Infinity]}',
+        '{"type": "combo", "xi": 2, "coefficients": [1], "offset": -Infinity}',
+    ):
+        path = tmp_path / "s.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, ["eigs", str(path), "--n-max", "1"])
+        assert code == 2 and out == "", text
+        assert err.startswith("error: invalid symbol") and "finite" in err, text
+
+
 def test_eigs_both_fails_on_uncertified_cancellation(tmp_path, capsys, monkeypatch):
     # 40 terms at xi = 40: the integrand cancels from ~1e64 past every
     # precision tier, so no quadrature value may claim convergence.  The
@@ -239,6 +274,19 @@ def test_approximate_usage_errors(tmp_path, capsys):
         assert code == 1 and out == "", epsilon
     code, _, _ = run(capsys, ["approximate"])
     assert code == 1
+
+
+def test_non_finite_limit_tail_is_an_invalid_target(tmp_path, capsys):
+    # json reads NaN and Infinity; every command must refuse them as the tail's limit
+    commands = (["smooth", "--delta", "0.5"], ["diagnose"], ["approximate", "--epsilon", "0.1"])
+    for p in ("NaN", "Infinity", "-Infinity"):
+        path = tmp_path / "t.json"
+        text = '{"values": [1, 0.5, 0.25, 0.2], "tail": {"kind": "limit", "p": %s}}' % p
+        path.write_text(text, encoding="utf-8")
+        for command, *flags in commands:
+            code, out, err = run(capsys, [command, str(path), *flags])
+            assert code == 2 and out == "", (p, command)
+            assert err.startswith("error: invalid target") and "finite" in err, (p, command)
 
 
 def test_approximate_window_shorter_than_the_plan_is_a_usage_error(capsys):
@@ -397,6 +445,14 @@ def test_symbol_eval_grid(tmp_path, capsys):
     _, data = read_csv(out)
     assert float(data[0][1]) == pytest.approx(2.0)
     assert float(data[1][1]) == pytest.approx(2 * math.exp(-1))
+
+
+def test_symbol_eval_rejects_a_non_finite_x_max(tmp_path, capsys):
+    sym = write_json(tmp_path / "s.json", {"type": "laguerre_basic", "m": 0, "xi": 2})
+    for x_max in ("nan", "inf", "-1"):
+        code, out, err = run(capsys, ["symbol-eval", sym, "--x-max", x_max])
+        assert code == 1 and out == "", x_max
+        assert err == "usage error: --x-max must be finite and nonnegative\n", x_max
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
 from exact import gamma_closed_form
 from fockradial import eigenvalues
@@ -15,7 +16,6 @@ from fockradial.eigenvalues import (
     _average,
     _averaging_rule,
     closed_form_sequence,
-    gamma_combo_closed_form,
     gamma_quadrature,
     gamma_sequence,
     has_closed_form,
@@ -42,18 +42,18 @@ def test_gamma_closed_form_examples():
 
 def test_gamma_closed_form_float_matches_exact():
     # a one-term combination is the float closed form of basic(m, xi)
-    for m in range(6):
-        for xi in (2, 4, 16):
-            for n in range(0, 40):
+    for m in range(15):
+        for xi in (2, 3, 4, 5, 7, 8, 10, 16):
+            values = closed_form_sequence([0.0] * m + [1.0], xi, 0.0, 39).values
+            for n, got in enumerate(values):
                 exact = gamma_closed_form(m, xi, n)
-                got = gamma_combo_closed_form([0.0] * m + [1.0], xi, 0.0, n)
                 assert got == pytest.approx(float(exact), rel=1e-15, abs=0.0)
 
 
 def test_gamma_combo_closed_form_examples():
-    assert gamma_combo_closed_form([1.0], 2, 0.0, 3) == pytest.approx(0.125)
-    assert gamma_combo_closed_form([], 2, 5.0, 17) == 5.0
-    assert gamma_combo_closed_form([1.0, -1.0], 2, 0.0, 1) == pytest.approx(-0.5)
+    assert closed_form_sequence([1.0], 2, 0.0, 3).values[3] == pytest.approx(0.125)
+    assert closed_form_sequence([], 2, 5.0, 17).values[17] == 5.0
+    assert closed_form_sequence([1.0, -1.0], 2, 0.0, 1).values[1] == pytest.approx(-0.5)
 
 
 _UNIT_ROUNDOFF = 2.0**-53
@@ -121,6 +121,31 @@ def test_closed_form_sequence_slow_decay_at_xi_two():
     for k, a in enumerate(next_terms):
         exact = gamma_closed_form(k, 2, n_max + 1)
         assert abs(Fraction(a) - exact) <= (2 * n_max + 4) * _UNIT_ROUNDOFF * exact
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    xi=st.integers(2, 60),
+    coeffs=st.one_of(
+        st.lists(_reals, min_size=1, max_size=11), st.lists(_complexes, min_size=1, max_size=11)
+    ),
+    p=st.one_of(st.just(0.0), _offsets),
+    n_max=st.integers(1, 2999),
+)
+def test_closed_form_sequence_is_sqrt_lipschitz(xi, coeffs, p, n_max):
+    # the paper's sqrt-Lipschitz bound: with R ~ Gamma(n + 1, 1) the weight step
+    # w_{n+1} - w_n = w_n (r / (n + 1) - 1) gives sqrt(n + 1) |gamma(n + 1) - gamma(n)|
+    # <= L_n sup|g|, where L_n = 2 (n + 1)^(n + 1) e^-(n + 1) / (n! sqrt(n + 1))
+    # is sqrt(n + 1) times the mean absolute deviation of R / (n + 1) and stays
+    # below sqrt(2 / pi); the engine's roundoff is allowed on top
+    sym = with_limit_offset(combo_symbol(coeffs, xi), p)
+    values = closed_form_sequence(coeffs, xi, p, n_max).values
+    n1 = np.arange(1.0, n_max + 1.0)  # n + 1 for n < n_max
+    lipschitz = np.exp(math.log(2.0) + n1 * np.log(n1) - n1 - gammaln(n1) - 0.5 * np.log(n1))
+    assert lipschitz.max() < math.sqrt(2.0 / math.pi)
+    roundoff = 2.0 * (2.0 * n1 + len(coeffs) + 2.0) * _UNIT_ROUNDOFF * np.sqrt(n1)
+    steps = np.sqrt(n1) * np.abs(np.diff(values))
+    assert np.all(steps <= (lipschitz + roundoff) * sup_estimate(sym))
 
 
 def test_monotone_tail_for_admissible_scales():
@@ -221,7 +246,7 @@ def test_gamma_quadrature_linearity():
             c * float(gamma_closed_form(k, 4, n)) for k, c in enumerate(coeffs)
         )
         # closed combo vs sum of closed parts
-        assert abs(gamma_combo_closed_form(coeffs, 4, 0.0, n) - parts) <= 1e-10
+        assert abs(closed_form_sequence(coeffs, 4, 0.0, n).values[n] - parts) <= 1e-10
         # quadrature of the combo vs the same sum
         assert abs(gamma_quadrature(combo, n).value - parts) <= 1e-9
 
@@ -407,10 +432,15 @@ def test_budget_exhaustion_is_not_converged():
 
 
 def test_quad_config_validation():
-    with pytest.raises(ValueError):
-        QuadConfig(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadConfig(max_subdivisions=-1)
+    # rel_tol is a finite positive real, max_subdivisions a nonnegative integer;
+    # neither may be a bool
+    for rel_tol in (0.0, -1e-10, math.inf, math.nan, True, "1e-10", 1e-10j):
+        with pytest.raises(ValueError, match="rel_tol"):
+            QuadConfig(rel_tol=rel_tol)
+    for budget in (-1, 2.5, True, "10", None):
+        with pytest.raises(ValueError, match="max_subdivisions"):
+            QuadConfig(max_subdivisions=budget)
+    assert QuadConfig(rel_tol=np.float64(1e-8), max_subdivisions=np.int64(0)).rel_tol == 1e-8
 
 
 def test_nonconvergence_is_flagged_not_raised():
@@ -463,13 +493,10 @@ def test_offset_combo_closed_form():
         [v.real for v in seq.values], [3.0, 2.5, 2.25, 2.125]
     )
     assert has_closed_form(sym)
-    # complex terms and offset, against the per-index closed form; both sit
-    # within (2n + N + 1) ulps of sums of magnitude <= 3
+    # complex terms and offset, against the exact oracle
     coeffs = [0.5, -1.0, 0.25j]
     seq = gamma_sequence(with_limit_offset(combo_symbol(coeffs, 3), 0.125 - 1j), 30)
-    for n in range(31):
-        want = gamma_combo_closed_form(coeffs, 3, 0.125 - 1j, n)
-        assert abs(seq.values[n] - want) <= 1e-13
+    assert_engine_matches_exact(coeffs, 3, 0.125 - 1j, seq.values, range(31))
 
 
 # ---------------------------------------------------------------------------

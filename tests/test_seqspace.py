@@ -12,11 +12,8 @@ from fockradial.seqspace import (
     UnknownTail,
     ZeroTail,
     lipschitz_seminorm,
-    min_index_lower_bound,
     modulus_of_continuity,
     shift_difference_sup,
-    shift_left,
-    shift_right,
     sqrt_dist,
     target_from_json,
     target_to_json,
@@ -45,16 +42,8 @@ def test_sqrt_dist_metric_axioms(i, j, k):
     assert sqrt_dist(i, k) <= sqrt_dist(i, j) + sqrt_dist(j, k) + 1e-12
 
 
-def test_min_index_lower_bound_examples():
-    assert min_index_lower_bound(0.25) == pytest.approx(3.0)
-    assert min_index_lower_bound(0.1) == pytest.approx(24.0)
-    with pytest.raises(ValueError):
-        min_index_lower_bound(0.5)
-    with pytest.raises(ValueError):
-        min_index_lower_bound(0.0)
-
-
 def test_min_index_lower_bound_on_sampled_pairs():
+    # distinct j, k at sqrt-distance rho < 1/2 both exceed 1 / (2 rho)^2 - 1
     rng = np.random.default_rng(7)
     for _ in range(500):
         j = int(rng.integers(1, 10_000))
@@ -63,7 +52,7 @@ def test_min_index_lower_bound_on_sampled_pairs():
             continue
         rho = sqrt_dist(j, k)
         if rho < 0.5:
-            assert min(j, k) >= min_index_lower_bound(rho) - 1e-9
+            assert min(j, k) >= 1.0 / (2.0 * rho) ** 2 - 1.0 - 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -74,6 +63,15 @@ def test_window_validation():
         SeqWindow(())
     with pytest.raises(ValueError):
         SeqWindow((float("nan"),))
+
+
+@pytest.mark.parametrize("p", [complex(math.nan), complex(math.inf), complex(0.0, -math.inf)])
+def test_limit_tail_must_be_finite(p):
+    with pytest.raises(ValueError, match="finite"):
+        LimitTail(p)
+    # json reads NaN and Infinity, so a target file can carry one
+    with pytest.raises(ValueError, match="finite"):
+        target_from_json({"values": [1.0, 0.5], "tail": {"kind": "limit", "p": [p.real, p.imag]}})
 
 
 def test_tail_completion():
@@ -173,12 +171,11 @@ def test_modulus_shift_sandwich_windowed():
         window(np.cumsum(rng.normal(size=300)) / 10.0),
     ]
     for w in windows:
-        shifted = shift_left(w)
         for delta in (0.2, 0.5, 0.9):
             left = modulus_of_continuity(
                 SeqWindow(w.values, UnknownTail()), delta / math.sqrt(6)
             )
-            mid = modulus_of_continuity(SeqWindow(shifted.values, UnknownTail()), delta)
+            mid = modulus_of_continuity(SeqWindow(w.values[1:], UnknownTail()), delta)
             right = modulus_of_continuity(SeqWindow(w.values, UnknownTail()), delta)
             assert left <= mid + 1e-12
             assert mid <= right + 1e-12
@@ -209,26 +206,6 @@ def test_seminorm_needs_two_values():
 
 # ---------------------------------------------------------------------------
 # shifts
-
-def test_shift_examples():
-    w = window([1.0, 2.0], ZeroTail())
-    r = shift_right(w)
-    assert r.values == (0j, 1.0, 2.0)
-    assert isinstance(r.tail, ZeroTail)
-    assert shift_left(window([5.0, 7.0, 9.0])).values == (7.0, 9.0)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.floats(-10, 10), min_size=1, max_size=20))
-def test_shift_roundtrip(values):
-    w = window(values, ZeroTail())
-    assert shift_left(shift_right(w)).values == w.values
-
-
-def test_shift_left_requires_length_two():
-    with pytest.raises(ValueError):
-        shift_left(window([1.0]))
-
 
 def test_shift_difference_sup():
     assert shift_difference_sup(window([4.0] * 30), 3) == 0.0

@@ -122,6 +122,17 @@ def test_constructor_validation():
         with_limit_offset(CallableSymbol(lambda x: x, 1.0), 1.0)
 
 
+def test_structured_symbol_values_must_be_finite():
+    # json reads NaN and Infinity, which would otherwise come out as nan eigenvalues
+    for bad in (math.nan, math.inf, complex(0.0, -math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            combo_symbol([1.0, bad], 2)
+        with pytest.raises(ValueError, match="finite"):
+            LaguerreCombo(offset=bad)
+        with pytest.raises(ValueError, match="finite"):
+            with_limit_offset(basic_symbol(1, 2), bad)
+
+
 def test_sup_estimate():
     assert sup_estimate(LaguerreCombo(offset=-3.0)) == 3.0
     assert sup_estimate(CallableSymbol(lambda x: x, sup_bound=7.0)) == 7.0
