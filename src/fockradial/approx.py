@@ -269,6 +269,7 @@ def plan_from_json(obj, target: SeqWindow) -> ApproximationPlan:
             limit=scalar_from_json(obj["p"]),
             verify_window=None if window is None else _check_index(window, "verify_window"),
         )
+        plan.symbol()  # the symbol's checks reject non-finite coefficients and p
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"invalid plan JSON: {exc}") from None
     if n_terms != len(coefficients):

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -390,6 +391,7 @@ def _add_format_flags(sub) -> None:
     sub.add_argument("-o", "--output", default=None, help="output path (default: stdout)")
 
 
+@functools.cache  # one parser per process: parsing never changes it
 def build_parser() -> _Parser:
     parser = _Parser(prog="fockradial", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)

@@ -544,7 +544,7 @@ def gamma_sequence(
 # ---------------------------------------------------------------------------
 # Exponential averaging and the shift identity
 
-def _averaging_rule(j: int, sup_g: float, rel_tol: float, xi: int = 1):
+def _averaging_rule(j: int, sup_g: float, rel_tol: float, xi: int):
     """Nodes and weights of E[f(G)], G ~ Gamma(j, 1), as a composite Gauss-Legendre rule.
 
     The horizon T leaves a Gamma(j, 1) tail mass below e^-2 * rel_tol /
@@ -566,8 +566,7 @@ def _averaging_rule(j: int, sup_g: float, rel_tol: float, xi: int = 1):
     half = 0.5 * np.diff(edges)
     nodes = (mid[:, None] + half[:, None] * base_x[None, :]).ravel()
     weights = (half[:, None] * base_w[None, :]).ravel()
-    density = np.exp((j - 1) * np.log(nodes) - nodes - lgamma(j))
-    return nodes, weights * density
+    return nodes, weights * _weight(j - 1, nodes)
 
 
 def _average(evaluate, r: np.ndarray, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:

@@ -207,16 +207,13 @@ def modulus_of_continuity(sigma: SeqWindow, delta: float) -> float:
     vals = sigma.as_array(k_hi + 1)
     sq = np.sqrt(np.arange(k_hi + 1, dtype=float))
     best = 0.0
-    for j in range(n):
-        top = sq[j] + delta
-        hi = min(k_hi, int(math.floor(top * top + 1e-12)))
-        if hi <= j:
-            continue
-        seg = sq[j + 1 : hi + 1] - sq[j]
-        mask = seg <= delta
-        if mask.any():
-            d = np.abs(vals[j + 1 : hi + 1][mask] - vals[j])
-            best = max(best, float(d.max()))
+    # band d holds the pairs (j, j + d); gaps grow with d, so an empty band ends the scan
+    for d in range(1, k_hi + 1):
+        m = min(n, k_hi + 1 - d)
+        keep = sq[d : d + m] - sq[:m] <= delta
+        if not keep.any():
+            break
+        best = max(best, float(np.abs(vals[d : d + m] - vals[:m])[keep].max()))
     return best
 
 

@@ -212,6 +212,19 @@ def test_eigs_output_file(tmp_path, capsys):
     assert len(data) == 3
 
 
+def test_one_process_runs_calls_independently(tmp_path, capsys):
+    # the parser is built once per process; no call may leak into the next
+    sym = write_json(tmp_path / "s.json", {"type": "laguerre_basic", "m": 0, "xi": 2})
+    code, out, _ = run(capsys, ["eigs", sym, "--n-max", "1", "--engine", "quad"])
+    assert code == 0 and {r[3] for r in read_csv(out)[1]} == {"quad"}
+    code, out, _ = run(capsys, ["eigs", sym, "--n-max", "1"])
+    assert code == 0 and {r[3] for r in read_csv(out)[1]} == {"closed"}
+    code, _, _ = run(capsys, ["eigs", sym, "--n-max", "x"])
+    assert code == 1
+    code, out, err = run(capsys, ["eigs", sym, "--n-max", "1"])
+    assert code == 0 and err == "" and len(read_csv(out)[1]) == 2
+
+
 # ---------------------------------------------------------------------------
 # approximate + verify
 
@@ -318,6 +331,18 @@ def test_approximate_xi_override_halves_error(tmp_path, capsys):
     assert code == 1
 
 
+def test_approximate_writes_the_plan_when_certification_fails(tmp_path, capsys):
+    # xi = 19 is admissible for N = 36 but far below the planned scale
+    plan_path = tmp_path / "plan.json"
+    argv = ["approximate", "generator:geometric?q=0.9&n=400", "--epsilon", "0.05", "--xi", "19"]
+    code, out, err = run(capsys, argv + ["--plan-out", str(plan_path)])
+    assert code == 2 and out == ""
+    assert err.startswith("certification failed: ")
+    plan = json.loads(plan_path.read_text())
+    assert plan["xi"] == 19 and plan["N"] == 36
+    assert plan["verified_error"] + plan["tail_certificate"] > 0.05
+
+
 def test_approximate_xi_override_keeps_truncation_term(tmp_path, capsys):
     # the plan truncates at N = 36 (0.9^36 < 0.025); overriding the scale
     # changes the synthesis part of the bound, not the truncated tail
@@ -406,9 +431,19 @@ def test_verify_failing_plan(tmp_path, capsys):
     assert json.loads(out)["passed"] is False
 
 
+def test_verify_rejects_a_scale_below_xi_min(tmp_path, capsys):
+    # N = 4 needs xi >= 3 for the tail certificate's monotone decay
+    target = write_json(tmp_path / "t.json", {"values": [1.0] * 4, "tail": {"kind": "zero"}})
+    plan = {"epsilon": 0.5, "N": 4, "xi": 2, "coefficients": [1.0] * 4, "p": 0.0}
+    plan_path = write_json(tmp_path / "plan.json", plan)
+    code, out, err = run(capsys, ["verify", "--plan", plan_path, "--target", target])
+    assert code == 2 and out == ""
+    assert err.startswith("error: plan scale 2 is below 3")
+
+
 def test_verify_rejects_non_integer_plan_fields(tmp_path, capsys):
     # xi = 10.7 must not be certified as xi = 10, nor true or "5" read as
-    # integers; epsilon must be a finite positive real
+    # integers; epsilon must be a finite positive real, the coefficients and p finite
     target = delta0_target(tmp_path)
     plan = {
         "epsilon": 0.2,
@@ -426,6 +461,7 @@ def test_verify_rejects_non_integer_plan_fields(tmp_path, capsys):
     assert code == 0
     bad_fields = [*itertools.product(("xi", "N", "verify_window"), (10.7, True, "5"))]
     bad_fields += [("epsilon", bad) for bad in (True, "0.6", math.inf, 0, -1)]
+    bad_fields += [("coefficients", [math.nan]), ("p", math.inf)]
     for key, bad in bad_fields:
         plan_path = write_json(tmp_path / "plan.json", {**plan, key: bad})
         code, out, err = run(capsys, ["verify", "--plan", plan_path, "--target", target])
@@ -445,6 +481,13 @@ def test_symbol_eval_grid(tmp_path, capsys):
     _, data = read_csv(out)
     assert float(data[0][1]) == pytest.approx(2.0)
     assert float(data[1][1]) == pytest.approx(2 * math.exp(-1))
+
+
+def test_symbol_eval_needs_a_point(tmp_path, capsys):
+    sym = write_json(tmp_path / "s.json", {"type": "laguerre_basic", "m": 0, "xi": 2})
+    code, out, err = run(capsys, ["symbol-eval", sym, "--points", "0"])
+    assert code == 1 and out == ""
+    assert err == "usage error: --points must be >= 1\n"
 
 
 def test_symbol_eval_rejects_a_non_finite_x_max(tmp_path, capsys):
@@ -533,6 +576,22 @@ def test_diagnose_constant_target_is_all_zero(tmp_path, capsys):
     assert all(r["value"] == 0.0 for r in rows)
 
 
+def test_diagnose_n_max_reads_a_prefix_with_an_unknown_tail(tmp_path, capsys):
+    source = "generator:geometric?q=0.9&n=100"
+    prefix = SeqGenerator(kind="geometric", q=0.9).window(21).values
+    known = {"values": [v.real for v in prefix], "tail": {"kind": "limit", "p": 0.0}}
+    unknown = {**known, "tail": {"kind": "unknown"}}
+    code, out, _ = run(capsys, ["diagnose", source, "--n-max", "20"])
+    assert code == 0
+    with_unknown = run(capsys, ["diagnose", write_json(tmp_path / "u.json", unknown)])[1]
+    with_limit = run(capsys, ["diagnose", write_json(tmp_path / "k.json", known)])[1]
+    # the limit tail would add pairs past index 20, so the two differ
+    assert out == with_unknown != with_limit
+    code, out, err = run(capsys, ["diagnose", source, "--n-max", "0"])
+    assert code == 1 and out == ""
+    assert err == "usage error: --n-max must be >= 1\n"
+
+
 def test_diagnose_one_value_target_is_a_validation_error(tmp_path, capsys):
     one = write_json(tmp_path / "t.json", {"values": [1.0], "tail": {"kind": "zero"}})
     for target in ("generator:cos_sqrt?n=1", one):
@@ -547,6 +606,17 @@ def test_generator_target_validation(capsys):
     assert code == 2
     code, _, _ = run(capsys, ["diagnose", "generator:geometric?q=2&n=10"])
     assert code == 2
+    code, out, err = run(capsys, ["diagnose", "generator:cos_sqrt?n=10&z=3"])
+    assert code == 2 and out == ""
+    assert "unknown generator parameters ['z']" in err
+
+
+def test_target_that_is_not_json_is_a_validation_error(tmp_path, capsys):
+    path = tmp_path / "t.json"
+    path.write_text("{not json", encoding="utf-8")
+    code, out, err = run(capsys, ["diagnose", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: target {str(path)!r} is not valid JSON")
 
 
 def test_csv_is_locale_free(tmp_path, capsys):

@@ -431,6 +431,17 @@ def test_budget_exhaustion_is_not_converged():
             assert abs(res.value - exact) <= cfg.tolerance(exact), n
 
 
+@pytest.mark.parametrize("budget", [1, 2, 3, 5, 8])
+def test_split_budget_cut_spends_the_whole_budget(budget):
+    # a(x) = cos(3x^2) gives gamma(n) = Re (1 - 3i)^-(n + 1); at n = 40 every
+    # budget here runs out with panels still marked for splitting, and the
+    # cut takes only as many of them as the budget has left
+    sym = CallableSymbol(lambda x: np.cos(3.0 * x * x))
+    res = gamma_quadrature(sym, 40, QuadConfig(max_subdivisions=budget))
+    assert res.subdivisions == budget and not res.converged
+    assert abs(res.value - ((1 - 3j) ** -41).real) <= res.est_abs_err
+
+
 def test_quad_config_validation():
     # rel_tol is a finite positive real, max_subdivisions a nonnegative integer;
     # neither may be a bool
@@ -504,7 +515,7 @@ def test_offset_combo_closed_form():
 
 def _averaged(g, j, sup_g, r):
     """E[g(sqrt(r + G))], G ~ Gamma(j, 1), by the rule the shift identity runs."""
-    nodes, weights = _averaging_rule(j, sup_g, QuadConfig().rel_tol)
+    nodes, weights = _averaging_rule(j, sup_g, QuadConfig().rel_tol, 1)
     return _average(g, np.array([r]), nodes, weights)[0]
 
 

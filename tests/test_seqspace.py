@@ -113,12 +113,19 @@ def test_target_json_rejects_garbage():
 # ---------------------------------------------------------------------------
 # modulus of continuity
 
-def brute_modulus(values, delta):
+def brute_modulus(values, delta, tail_value=None):
+    """Max |sigma(k) - sigma(j)| over j < len and k > j with sqrt(k) - sqrt(j) <= delta.
+
+    With a tail_value, k runs into the completed tail; without one it stops
+    at the window's end.
+    """
+    n = len(values)
     best = 0.0
-    for j in range(len(values)):
-        for k in range(len(values)):
-            if abs(math.sqrt(j) - math.sqrt(k)) <= delta:
-                best = max(best, abs(values[j] - values[k]))
+    for j in range(n):
+        k = j + 1
+        while math.sqrt(k) - math.sqrt(j) <= delta and (k < n or tail_value is not None):
+            best = max(best, abs((values[k] if k < n else tail_value) - values[j]))
+            k += 1
     return best
 
 
@@ -140,13 +147,15 @@ def test_modulus_cos_sqrt_is_lipschitz():
 
 
 def test_modulus_matches_brute_force():
+    # the known tails add the pairs that reach past the window into the completion;
+    # on the ramp, which ends at 3, those pairs decide every value
     rng = np.random.default_rng(11)
-    values = rng.normal(size=60)
-    w = window(values)
-    for delta in (0.1, 0.35, 0.8, 2.0):
-        assert modulus_of_continuity(w, delta) == pytest.approx(
-            brute_modulus(values, delta)
-        )
+    tails = ((UnknownTail(), None), (ZeroTail(), 0.0), (LimitTail(0.7), 0.7))
+    for values in (rng.normal(size=60), np.linspace(-1.0, 3.0, 60)):
+        for tail, tail_value in tails:
+            w = window(values, tail)
+            for delta in (0.1, 0.35, 0.8, 2.0):
+                assert modulus_of_continuity(w, delta) == brute_modulus(values, delta, tail_value)
 
 
 def test_modulus_monotone_in_delta():
