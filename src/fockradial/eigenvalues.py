@@ -59,7 +59,7 @@ import mpmath as _mp
 import numpy as np
 from scipy.special import gammainc, gammaincc, gammainccinv, gammaincinv
 
-from .laguerre import _as_float_array, _check_index, _check_positive, _laguerre_rows
+from .laguerre import _as_float_array, _check_index, _check_positive
 from .symbols import (
     CallableSymbol,
     LaguerreCombo,
@@ -343,30 +343,25 @@ def _mp_scalar(z: complex):
 
 
 def _mp_integrand(sym: LaguerreCombo, n: int):
-    """r -> g(sqrt(r)) r^n e^-r / n! on an object array of mpmath nodes.
+    """r -> g(sqrt(r)) r^n e^-r / n! on an object array of mpmath nodes, node by node.
 
     The term factors c_k (-1)^k xi^(k+1) are formed once, at the working
-    precision, and each call runs the Laguerre recurrence once over all nodes.
+    precision; each node runs the Laguerre recurrence in scalar mpmath, so no
+    operation mixes an mpmath number with an array.
     """
-    coeffs = sym.coefficients
-    last = max((k for k, c in enumerate(coeffs) if c), default=-1)
     mp_xi = _mp.mpf(sym.xi)
-    factors = [
-        _mp_scalar(c) * (-1 if k % 2 else 1) * mp_xi ** (k + 1) if c else None
-        for k, c in enumerate(coeffs[: last + 1])
-    ]
-    offset = _mp_scalar(sym.offset)
-    fact = _mp.factorial(n)
+    factors = [_mp_scalar(c) * (-1) ** k * mp_xi ** (k + 1) for k, c in enumerate(sym.coefficients)]
+    offset, fact = _mp_scalar(sym.offset), _mp.factorial(n)
 
-    def integrand(r):
-        total = _mp.mpf(0)
-        for factor, lag in zip(factors, _laguerre_rows(last, sym.xi * r)):
-            if factor is not None:
+    def at(r):
+        t, total, prev, lag = sym.xi * r, _mp.mpf(0), 0, _mp.mpf(1)
+        for k, factor in enumerate(factors):
+            if factor:
                 total = total + factor * lag
-        value = total * _mp.e ** (-(sym.xi - 1) * r) + offset
-        return value * r**n * _mp.e ** (-r) / fact
+            prev, lag = lag, ((2 * k + 1 - t) * lag - k * prev) / (k + 1)
+        return (total * _mp.e ** (-(sym.xi - 1) * r) + offset) * r**n * _mp.e ** (-r) / fact
 
-    return integrand
+    return np.frompyfunc(at, 1, 1)
 
 
 def _extended_passes(sym: Symbol, n: int, integrand):

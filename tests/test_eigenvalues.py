@@ -123,6 +123,18 @@ def test_closed_form_sequence_slow_decay_at_xi_two():
         assert abs(Fraction(a) - exact) <= (2 * n_max + 4) * _UNIT_ROUNDOFF * exact
 
 
+def _sqrt_lipschitz_constants(n_max: int) -> np.ndarray:
+    """L_n for n < n_max, the paper's sqrt-Lipschitz constants of gamma per unit sup|g|.
+
+    With R ~ Gamma(n + 1, 1) the weight step w_{n+1} - w_n = w_n (r / (n + 1) - 1)
+    gives sqrt(n + 1) |gamma(n + 1) - gamma(n)| <= L_n sup|g|, where
+    L_n = 2 (n + 1)^(n + 1) e^-(n + 1) / (n! sqrt(n + 1)) is sqrt(n + 1) times
+    the mean absolute deviation of R / (n + 1) and stays below sqrt(2 / pi).
+    """
+    n1 = np.arange(1.0, n_max + 1.0)  # n + 1
+    return np.exp(math.log(2.0) + n1 * np.log(n1) - n1 - gammaln(n1) - 0.5 * np.log(n1))
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     xi=st.integers(2, 60),
@@ -133,19 +145,40 @@ def test_closed_form_sequence_slow_decay_at_xi_two():
     n_max=st.integers(1, 2999),
 )
 def test_closed_form_sequence_is_sqrt_lipschitz(xi, coeffs, p, n_max):
-    # the paper's sqrt-Lipschitz bound: with R ~ Gamma(n + 1, 1) the weight step
-    # w_{n+1} - w_n = w_n (r / (n + 1) - 1) gives sqrt(n + 1) |gamma(n + 1) - gamma(n)|
-    # <= L_n sup|g|, where L_n = 2 (n + 1)^(n + 1) e^-(n + 1) / (n! sqrt(n + 1))
-    # is sqrt(n + 1) times the mean absolute deviation of R / (n + 1) and stays
-    # below sqrt(2 / pi); the engine's roundoff is allowed on top
+    # the paper's sqrt-Lipschitz bound, with the engine's roundoff on top
     sym = with_limit_offset(combo_symbol(coeffs, xi), p)
     values = closed_form_sequence(coeffs, xi, p, n_max).values
     n1 = np.arange(1.0, n_max + 1.0)  # n + 1 for n < n_max
-    lipschitz = np.exp(math.log(2.0) + n1 * np.log(n1) - n1 - gammaln(n1) - 0.5 * np.log(n1))
+    lipschitz = _sqrt_lipschitz_constants(n_max)
     assert lipschitz.max() < math.sqrt(2.0 / math.pi)
     roundoff = 2.0 * (2.0 * n1 + len(coeffs) + 2.0) * _UNIT_ROUNDOFF * np.sqrt(n1)
     steps = np.sqrt(n1) * np.abs(np.diff(values))
     assert np.all(steps <= (lipschitz + roundoff) * sup_estimate(sym))
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    shape=st.one_of(
+        st.tuples(st.just("cos"), st.floats(0.05, 2.0)),
+        st.tuples(st.just("gauss"), st.floats(0.05, 3.0)),
+    ),
+    n_max=st.integers(1, 80),
+)
+def test_quadrature_sequence_is_sqrt_lipschitz(shape, n_max):
+    # the same bound on quadrature sequences of black-box callables, each
+    # value allowed its own error estimate
+    kind, b = shape
+    if kind == "cos":
+        sym = CallableSymbol(lambda x: np.cos(b * x * x))
+    else:
+        sym = CallableSymbol(lambda x: np.exp(-b * x * x))
+    seq = gamma_sequence(sym, n_max)
+    values = np.array(seq.values)
+    errs = np.array([entry.est_abs_err for entry in seq.entries])
+    root = np.sqrt(np.arange(1.0, n_max + 1.0))  # sqrt(n + 1) for n < n_max
+    steps = root * np.abs(np.diff(values))
+    bound = _sqrt_lipschitz_constants(n_max) * sup_estimate(sym) + root * (errs[:-1] + errs[1:])
+    assert np.all(steps <= bound)
 
 
 def test_monotone_tail_for_admissible_scales():
@@ -333,47 +366,34 @@ def test_mpmath_pass_holds_the_deepest_cancellation():
         assert abs(gamma_quadrature(basic_symbol(m, xi), 0).value) <= 1e-9, (m, xi)
 
 
-def _mp_integrand_by_node(sym, n):
-    """The node-by-node reference of `eigenvalues._mp_integrand`."""
-
-    def scalar(z):
-        z = complex(z)
-        return mpmath.mpf(z.real) if z.imag == 0.0 else mpmath.mpc(z.real, z.imag)
-
-    def value(r):
-        coeffs = sym.coefficients
-        last = max((k for k, c in enumerate(coeffs) if c), default=-1)
-        t = sym.xi * r
-        total = mpmath.mpf(0)
-        lag_prev, lag = None, mpmath.mpf(1)
-        for k in range(last + 1):
-            if coeffs[k]:
-                sign = -1 if k % 2 else 1
-                total += scalar(coeffs[k]) * sign * mpmath.mpf(sym.xi) ** (k + 1) * lag
-            if k < last:
-                step = 1 - t if k == 0 else ((2 * k + 1 - t) * lag - k * lag_prev) / (k + 1)
-                lag_prev, lag = lag, step
-        out = total * mpmath.e ** (-(sym.xi - 1) * r)
-        return out + scalar(sym.offset) if sym.offset else out
-
-    fact = mpmath.factorial(n)
-    return lambda nodes: [value(x) * x**n * mpmath.e ** (-x) / fact for x in nodes]
-
-
-def test_mp_integrand_is_bit_identical_to_the_node_loop():
+def test_mp_integrand_matches_mpmath_laguerre():
+    # against mpmath's own hypergeometric L_k, which shares no code with the
+    # recurrence, at twice the digits; the terms may cancel, so the error
+    # allowed is relative to the same sum taken with absolute values
     symbols = [
         basic_symbol(10, 8),
         combo_symbol(np.random.default_rng(0).normal(size=6), 40),
         LaguerreCombo(offset=1.0),
         LaguerreCombo(xi=3, coefficients=(0.5, 0.0, -1.0 + 0.25j), offset=0.125 - 1j),
+        combo_symbol(np.random.default_rng(0).normal(size=17), 40),
     ]
-    with mpmath.workdps(eigenvalues._MP_DPS):
-        nodes = np.array([mpmath.mpf(0)] + [mpmath.mpf(k) / 7 for k in range(1, 40)], dtype=object)
-        for sym in symbols:
-            for n in (0, 1, 2, 5):
-                got = eigenvalues._mp_integrand(sym, n)(nodes)
-                want = _mp_integrand_by_node(sym, n)(nodes)
-                assert [(type(v), v) for v in got] == [(type(v), v) for v in want], (sym, n)
+    for sym in symbols:
+        for n in (0, 1, 2, 5):
+            with mpmath.workdps(eigenvalues._MP_DPS):
+                nodes = [mpmath.mpf(k) * 3 / 5 for k in range(1, 11)]
+                got = eigenvalues._mp_integrand(sym, n)(np.array(nodes, dtype=object))
+            with mpmath.workdps(2 * eigenvalues._MP_DPS):
+                for r, value in zip(nodes, got):
+                    weight = r**n * mpmath.exp(-r) / mpmath.factorial(n)
+                    terms = [
+                        mpmath.mpmathify(complex(c)) * (-sym.xi) ** k * sym.xi
+                        * mpmath.exp(-(sym.xi - 1) * r) * mpmath.laguerre(k, 0, sym.xi * r)
+                        for k, c in enumerate(sym.coefficients)
+                    ]
+                    offset = mpmath.mpmathify(complex(sym.offset))
+                    want = (mpmath.fsum(terms) + offset) * weight
+                    scale = (mpmath.fsum(abs(t) for t in terms) + abs(offset)) * weight
+                    assert abs(value - want) <= mpmath.mpf("1e-25") * scale, (sym, n, r)
 
 
 @settings(max_examples=25, deadline=None)
@@ -402,6 +422,18 @@ def test_error_estimate_covers_oscillating_callable():
             res = gamma_quadrature(sym, n)
             exact = ((1 - 1j * b) ** -(n + 1)).real
             assert abs(res.value - exact) <= res.est_abs_err, (b, n)
+
+
+def test_callables_get_no_extended_pass():
+    # a black-box callable has no higher-precision form: at a tolerance below
+    # float64 roundoff the float64 pass stops at once (fail-fast, no splits),
+    # no further pass runs, and the value still lies within its estimate
+    sym = CallableSymbol(lambda x: np.cos(0.8 * x * x))
+    assert list(eigenvalues._extended_passes(sym, 0, None)) == []
+    for n in (0, 5, 40):
+        res = gamma_quadrature(sym, n, QuadConfig(rel_tol=1e-15))
+        assert not res.converged and res.subdivisions == 0, n
+        assert abs(res.value - ((1 - 0.8j) ** -(n + 1)).real) <= res.est_abs_err, n
 
 
 def test_small_symbol_is_held_to_the_absolute_tolerance():
