@@ -26,7 +26,12 @@ tau(v) = rel_tol * max(1, |v|).  When float64 misses tau on a structured
 symbol, the same adaptive loop reruns from the settled panels in longdouble,
 then in mpmath, each pass to tau / 10 and with an error that is its own
 Gauss-Kronrod estimate, floored at 100 eps of its number type; the first pass
-that meets tau / 10 ends it.  Callables stay in float64.
+that meets tau / 10 ends it.  Callables stay in float64.  In x = sqrt(r)
+every weight w_n has nearly the same width, about 1/2 (the sqrt-distance
+of the paper), so the indices of a callable's sequence share one panel
+grid, uniform in x: one adaptive loop integrates a block of weights against
+one set of panels, each index counting only the panels that meet its own
+window, and the callable is evaluated once per node for the whole sequence.
 
 Each eigenvalue comes back as one `Eigenvalue` record: its value, the engine
 that produced it ("closed" or "quad") and, for quadrature, the error
@@ -44,7 +49,9 @@ which `_averaging_rule` discretizes by one composite Gauss-Legendre rule on
 panels that start at the symbol's own decay length 1/xi and widen
 geometrically, and `_average` applies.  Averaging j times realizes the j-fold
 left shift of gamma_g at the symbol level, which `shifted_gamma_residual`
-checks numerically.
+checks numerically.  The rule's own error, sup|g| times the Gamma(j, 1) mass
+past its horizon plus sup|g| times its weights' miss of unit mass, goes into
+the estimate of every averaged record.
 """
 
 from __future__ import annotations
@@ -262,76 +269,107 @@ def _gk15_rule(convert):
 
 
 _ERR_FLOOR = 1.1e-14  # ~50 ulp of the panel's absolute integral
+_EPS = float(np.finfo(float).eps)
 
 
-def _gk15_batch(f, rule, a: np.ndarray, b: np.ndarray, floor: float):
+def _gk15_batch(f, rule, a: np.ndarray, b: np.ndarray, floor):
     """Gauss-Kronrod 7/15 on a batch of panels, in the number type of the rule and the panels.
 
-    Returns (values, error estimates, absolute integrals), one entry per
-    panel; no estimate is below floor times the panel's absolute integral.
-    All panel nodes are evaluated in a single call to f.
+    f maps the (panels, 15) node array to the integrand of every index at
+    once, one leading row per index.  Returns (values, error estimates,
+    absolute integrals), each of shape (indices, panels); no estimate is below
+    the index's floor, a column, times the panel's absolute integral.  All
+    panel nodes are evaluated in a single call to f.
     """
     xgk, wgk, wg7 = rule
-    half = 0.5 * (b - a)
+    width = b - a
+    half = 0.5 * width
     center = 0.5 * (a + b)
     nodes = center[:, None] + half[:, None] * xgk[None, :]
-    fx = np.atleast_2d(f(nodes.ravel())).reshape(nodes.shape)
+    fx = f(nodes).reshape(-1, *nodes.shape)  # (indices, panels, nodes)
     resk = half * (fx @ wgk)
-    resg = half * (fx[:, 1::2] @ wg7)
-    mean = (resk / (b - a))[:, None]
+    resg = half * (fx[..., 1::2] @ wg7)
+    mean = (resk / width)[..., None]
     resabs = half * (np.abs(fx) @ wgk)
     resasc = half * (np.abs(fx - mean) @ wgk)
     diff = np.abs(resk - resg)
-    safe = np.where(resasc > 0.0, resasc, 1.0)
-    err = np.where(resasc > 0.0, resasc * np.minimum(1.0, (200.0 * diff / safe) ** 1.5), diff)
+    spread = resasc > 0.0
+    safe = np.where(spread, resasc, 1.0)
+    err = np.where(spread, resasc * np.minimum(1.0, (200.0 * diff / safe) ** 1.5), diff)
     return resk, np.maximum(err, floor * resabs), resabs
 
 
-def _adaptive_gk(f, convert, a, b, cfg: QuadConfig, floor: float, reach: float):
-    """Globally adaptive bisection of the panels [a, b], in the number type convert makes.
+def _adaptive_gk(f, convert, a, b, cfg: QuadConfig, floor, reach, windows=None):
+    """Globally adaptive bisection of the panels [a, b] for many indices at once.
 
-    Until the summed error is within tau(total), each round splits every panel
-    whose error exceeds its share of tau, skipping panels already at their
-    roundoff floor (splitting cannot improve those).  Splitting stops once
-    reach, the floor of the finest pass there is, times the absolute integral
-    exceeds tau: no pass can then meet it.  Rounds are batched, so the
-    integrand is called a handful of times per integral.  `settled` is False
-    if the budget ran out while a panel still needed a split.
+    The arithmetic is in the number type convert makes.  f gives the
+    integrand of every index at once (`_gk15_batch`); floor is a float or a
+    column with one row per index, reach a float or one per index.  With
+    windows = (lo, hi), an index counts only the panels that meet its own
+    [lo, hi]; without, it counts them all.  Until an index's summed error is
+    within tau(its total), each round splits every panel whose error exceeds
+    that index's share of tau, skipping panels already at the index's
+    roundoff floor (splitting cannot improve those); a panel one index flags
+    is split for all.  An index flags nothing once reach, the floor of the
+    finest pass there is, times its absolute integral exceeds tau: no pass
+    can then meet it.  Each index counts the splits it flags against the
+    budget, and is not `settled`, and flags nothing more, if the budget ran
+    out while a panel still needed a split.  The loop ends when no index
+    flags a panel.  Rounds are batched, so the integrand is called a handful
+    of times per loop.  Returns (values, errors, settled, splits), one entry
+    per index, and the final panels.
     """
     rule = _gk15_rule(convert)
     a, b = convert(a), convert(b)
-    vals, errs, resabs = _gk15_batch(f, rule, a, b, floor)
-    splits, settled = 0, True
+
+    def meets(a, b):
+        lo, hi = windows
+        return (a < hi[:, None]) & (b > lo[:, None])
+
+    def batch(a, b):
+        sums = _gk15_batch(f, rule, a, b, floor)
+        if windows is not None:
+            outside = ~meets(a, b)
+            for part in sums:
+                part[outside] = 0.0
+        return sums
+
+    vals, errs, resabs = batch(a, b)
+    splits = np.zeros(len(vals), dtype=int)
+    settled = np.ones(len(vals), dtype=bool)
     while True:
-        total = vals.sum()
-        total_err = float(errs.sum())
-        tol = cfg.tolerance(total)
-        if total_err <= tol or reach * float(resabs.sum()) > tol:
+        totals = vals.sum(axis=1)
+        total_errs = errs.sum(axis=1).astype(float)
+        tols = np.array([cfg.tolerance(totals[i]) for i in range(len(totals))])
+        missing = settled & (total_errs > tols) & (reach * resabs.sum(axis=1).astype(float) <= tols)
+        if not missing.any():
             break
-        share = tol / (2.0 * len(a))
+        panels = len(a) if windows is None else meets(a, b).sum(axis=1)
+        share = tols / (2.0 * panels)
         width_ok = (b - a) > 1e-15 * np.maximum(np.abs(b), 1.0)
-        mask = (errs > share) & (errs > 4.0 * floor * resabs) & width_ok
-        if not mask.any():
+        flags = (errs > share[:, None]) & (errs > 4.0 * floor * resabs) & width_ok & missing[:, None]
+        wanted = flags.sum(axis=1)
+        settled &= (wanted == 0) | (splits < cfg.max_subdivisions)
+        flags[~settled] = False
+        if not flags.any():
             break
-        if splits >= cfg.max_subdivisions:
-            settled = False
-            break
-        idx = np.nonzero(mask)[0]
-        if splits + len(idx) > cfg.max_subdivisions:
-            idx = idx[np.lexsort((a[idx], -errs[idx]))][: cfg.max_subdivisions - splits]
-        splits += len(idx)
+        for i in np.flatnonzero(settled & (splits + wanted > cfg.max_subdivisions)):
+            idx = np.flatnonzero(flags[i])
+            flags[i, idx[np.lexsort((a[idx], -errs[i, idx]))][cfg.max_subdivisions - splits[i] :]] = False
+        splits += flags.sum(axis=1)
+        idx = np.flatnonzero(flags.any(axis=0))
         mid = 0.5 * (a[idx] + b[idx])
         child_a = np.concatenate([a[idx], mid])
         child_b = np.concatenate([mid, b[idx]])
-        child_vals, child_errs, child_abs = _gk15_batch(f, rule, child_a, child_b, floor)
         keep = np.ones(len(a), dtype=bool)
         keep[idx] = False
         a = np.concatenate([a[keep], child_a])
         b = np.concatenate([b[keep], child_b])
-        vals = np.concatenate([vals[keep], child_vals])
-        errs = np.concatenate([errs[keep], child_errs])
-        resabs = np.concatenate([resabs[keep], child_abs])
-    return total, total_err, settled, splits, a, b
+        vals, errs, resabs = (
+            np.concatenate([old[:, keep], new], axis=1)
+            for old, new in zip((vals, errs, resabs), batch(child_a, child_b))
+        )
+    return totals, total_errs, settled, splits, a, b
 
 
 # ---------------------------------------------------------------------------
@@ -378,24 +416,42 @@ def _extended_passes(sym: Symbol, n: int, integrand):
 
 
 # ---------------------------------------------------------------------------
-# The normalized weight and the quadrature driver
+# The normalized weight, the windows, the panels and the quadrature entry points
 
 _PEAK_WINDOW_SIGMAS = 14.0  # smallest half-width of the window, in units of sqrt(n + 1)
+_GRID_STEP = 0.5  # panel width, in x = sqrt(r), of the grid a callable's indices share
+_INDEX_BLOCK = 32  # indices per shared loop; bounds the (indices x nodes) weight array
 
 
-def _weight(n: int, r: np.ndarray) -> np.ndarray:
-    """w_n(r) = exp(n ln r - r - lgamma(n + 1)); integrates to 1 on [0, oo).
+def _weight(ns, r: np.ndarray) -> np.ndarray:
+    """w_n(r) = exp(n ln r - r - lgamma(n + 1)) at the points r > 0, one row per index n of ns.
 
-    The float dtype of r is preserved so the extended-precision pass keeps
-    its accuracy through the weight factor.
+    Each row integrates to 1 on [0, oo); every rule here has interior nodes,
+    so r = 0 never comes up.  The float dtype of r is preserved so the
+    extended-precision pass keeps its accuracy through the weight factor.
     """
     r = _as_float_array(r)
-    out = np.zeros_like(r)
-    pos = r > 0.0
-    out[pos] = np.exp(n * np.log(r[pos]) - r[pos] - lgamma(n + 1))
-    if n == 0:
-        out[~pos] = 1.0
-    return out
+    log_norm = np.array([[lgamma(n + 1)] for n in ns])
+    return np.exp(np.reshape(ns, (-1, 1)) * np.log(r) - r - log_norm)
+
+
+def _times_sup(sup_g: float, mass: float) -> float:
+    """sup|g| times a weight mass, 0 for no mass even when sup|g| is inf."""
+    return sup_g * mass if mass else 0.0
+
+
+def _window(n: int, sup_g: float, rel_tol: float) -> tuple[float, float, float]:
+    """Index n's window [lo, hi] and the weight mass w_n leaves outside it.
+
+    The window is centered on the peak r = n, at least 14 sqrt(n + 1) to each
+    side, and leaves weight mass 0.05 * rel_tol / max(1, sup|g|) or less on
+    each side; the floor of that mass keeps the window finite when sup|g| is inf.
+    """
+    sigma = math.sqrt(n + 1.0)
+    mass_target = max(0.05 * rel_tol / max(1.0, sup_g), np.finfo(float).tiny)
+    lo = max(0.0, min(n - _PEAK_WINDOW_SIGMAS * sigma, float(gammaincinv(n + 1, mass_target))))
+    hi = max(n + _PEAK_WINDOW_SIGMAS * sigma, float(gammainccinv(n + 1, mass_target)))
+    return lo, hi, float(gammainc(n + 1, lo) + gammaincc(n + 1, hi))
 
 
 def _symbol_scale(sym: Symbol) -> int | None:
@@ -461,7 +517,112 @@ def _panel_edges(sym: Symbol, n: int, lo: float, hi: float) -> tuple[np.ndarray,
     return np.array(refined[:-1]), np.array(refined[1:])
 
 
-def gamma_quadrature(sym: Symbol, n: int, cfg: QuadConfig | None = None) -> Eigenvalue:
+def _grid_panels(lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """The panels of the shared grid that cover [lo, hi].
+
+    The edges are (k * _GRID_STEP)^2: uniform in x = sqrt(r), so a panel is
+    about sqrt(r) wide in r, as wide as the weight of every index it meets.
+    """
+    first = math.floor(math.sqrt(lo) / _GRID_STEP)
+    last = math.ceil(math.sqrt(hi) / _GRID_STEP)
+    # sqrt rounds: step out where an edge misses lo or hi
+    first -= (first * _GRID_STEP) ** 2 > lo
+    last += (last * _GRID_STEP) ** 2 < hi
+    edges = (np.arange(first, last + 1) * _GRID_STEP) ** 2
+    return edges[:-1], edges[1:]
+
+
+def _node_values(sym: CallableSymbol):
+    """r -> g(sqrt(r)) on a (panels, nodes) array, each panel's nodes evaluated once.
+
+    A panel of the shared grid recurs in every index block whose windows it
+    meets, and bisection makes the same children in each, so the rows are
+    kept by the bytes of their nodes.
+    """
+    rows: dict[bytes, np.ndarray] = {}
+
+    def values(r: np.ndarray) -> np.ndarray:
+        keys = [row.tobytes() for row in r]
+        new = [i for i, key in enumerate(keys) if key not in rows]
+        if new:
+            fresh = eval_symbol(sym, np.sqrt(r[new]).ravel()).reshape(len(new), -1)
+            rows.update(zip([keys[i] for i in new], fresh))
+        return np.array([rows[key] for key in keys])
+
+    return values
+
+
+class _Integral(NamedTuple):
+    """One index's quadrature, from which `gamma_quadrature` builds its record."""
+
+    value: complex
+    # the last pass's estimate, plus the window's tail, the subnormal roundoff and the symbol's own error
+    est_abs_err: float
+    converged: bool  # the last pass's estimate is within tau(value)
+    splits: int
+
+
+def _integrals(sym: Symbol, ns, cfg: QuadConfig, symbol_err: float = 0.0) -> list[_Integral]:
+    """Adaptive quadrature of gamma(n) at each index of ns.
+
+    A callable's indices share one panel grid (`_grid_panels`), and the
+    callable is evaluated once per node of it (`_node_values`): each block of
+    _INDEX_BLOCK indices runs one `_adaptive_gk` loop over the panels that
+    meet its windows.  A structured symbol's index runs the loop alone, on
+    panels seeded at its own peaks (`_panel_edges`).  An index that misses
+    tau with its panels settled within the budget reruns the loop from them
+    in each of `_extended_passes` in turn, to tau / 10 and with the rest of
+    the budget, up to the first pass that meets it; `splits` counts the
+    splits of every pass.  symbol_err bounds the error of the symbol's own
+    values; w_n has unit mass, so each estimate carries it whole.
+    """
+    ns = list(ns)
+    sup_g = sup_estimate(sym)
+    shared = isinstance(sym, CallableSymbol)
+    values_at = _node_values(sym) if shared else None
+    step = _INDEX_BLOCK if shared else 1
+    out = []
+    for start in range(0, len(ns), step):
+        block = ns[start : start + step]
+        windows = [_window(n, sup_g, cfg.rel_tol) for n in block]
+        # the weight's exponent rounds at the scale of lgamma(n + 2)
+        floors = [_ERR_FLOOR + _EPS * lgamma(n + 2) for n in block]
+        if shared:
+            def integrand(r, block=block):
+                return values_at(r).ravel() * _weight(block, r.ravel())
+
+            lo, hi, _ = np.array(windows).T
+            floor = np.array(floors)
+            panels = _grid_panels(lo.min(), hi.max())
+            loop = _adaptive_gk(integrand, _to_float64, *panels, cfg, floor[:, None], floor, (lo, hi))
+        else:
+            def integrand(r, n=block[0]):
+                r = r.ravel()
+                return eval_symbol(sym, np.sqrt(r)) * _weight([n], r)
+
+            panels = _panel_edges(sym, block[0], *windows[0][:2])
+            loop = _adaptive_gk(integrand, _to_float64, *panels, cfg, floors[0], _MP_FLOOR)
+        values, errs, settled, splits, fin_a, fin_b = loop
+        # splits keep the outer edges of the sorted initial panels
+        underflow = _underflow_bound(sym, sup_g, panels[1][-1] - panels[0][0], len(fin_a))
+        for i, n in enumerate(block):
+            value, err, more = values[i], errs[i], int(splits[i])
+            if settled[i] and err > cfg.tolerance(value):
+                with _mp.workdps(_MP_DPS):
+                    for convert, pass_integrand, pass_floor in _extended_passes(sym, n, integrand):
+                        pass_cfg = QuadConfig(cfg.rel_tol / 10.0, cfg.max_subdivisions - more)
+                        (value,), (err,), _, (extra,), _, _ = _adaptive_gk(
+                            pass_integrand, convert, fin_a, fin_b, pass_cfg, pass_floor, _MP_FLOOR
+                        )
+                        more += int(extra)
+                        if err <= pass_cfg.tolerance(value):
+                            break
+            est_abs_err = err + _times_sup(sup_g, windows[i][2]) + underflow + symbol_err
+            out.append(_Integral(value, est_abs_err, bool(err <= cfg.tolerance(value)), more))
+    return out
+
+
+def gamma_quadrature(sym: Symbol, n: int, cfg: QuadConfig | None = None, *, shared=None) -> Eigenvalue:
     """gamma(n) for an arbitrary bounded symbol, by adaptive quadrature.
 
     Every decision tests tau(v) = rel_tol * max(1, |v|) (`QuadConfig.tolerance`),
@@ -476,39 +637,22 @@ def gamma_quadrature(sym: Symbol, n: int, cfg: QuadConfig | None = None) -> Eige
     rel_tol / 10 for a finite sup|g|.  The record's `converged` is
     err <= tau(value); its `est_abs_err` is err plus that bound plus the
     subnormal roundoff, which no relative floor covers (`_underflow_bound`).
+    `shared` is this index's entry of a batch that `gamma_sequence` and
+    `shifted_gamma_residual` integrate over a callable's whole sequence at
+    once; without it a callable runs that batch for n alone.
     """
     cfg = cfg or QuadConfig()
     n = _check_index(n, "n")
-    sigma = math.sqrt(n + 1.0)
-    sup_g = sup_estimate(sym)
-    # the floor keeps the window finite when sup|g| is inf
-    mass_target = max(0.05 * cfg.rel_tol / max(1.0, sup_g), np.finfo(float).tiny)
-    lo = max(0.0, min(n - _PEAK_WINDOW_SIGMAS * sigma, float(gammaincinv(n + 1, mass_target))))
-    hi = max(n + _PEAK_WINDOW_SIGMAS * sigma, float(gammainccinv(n + 1, mass_target)))
-    tail_bound = sup_g * float(gammainc(n + 1, lo) + gammaincc(n + 1, hi))
+    res = shared or _integrals(sym, [n], cfg)[0]
+    return Eigenvalue(complex(res.value), "quad", float(res.est_abs_err), res.converged, res.splits)
 
-    def integrand(r):
-        return eval_symbol(sym, np.sqrt(r)) * _weight(n, r)
 
-    # the weight's exponent rounds at the scale of lgamma(n + 2)
-    floor = _ERR_FLOOR + float(np.finfo(float).eps) * lgamma(n + 2)
-    reach = floor if isinstance(sym, CallableSymbol) else _MP_FLOOR
-    value, err, settled, splits, fin_a, fin_b = _adaptive_gk(
-        integrand, _to_float64, *_panel_edges(sym, n, lo, hi), cfg, floor, reach
-    )
-    if settled and err > cfg.tolerance(value):
-        with _mp.workdps(_MP_DPS):
-            for convert, pass_integrand, pass_floor in _extended_passes(sym, n, integrand):
-                pass_cfg = QuadConfig(cfg.rel_tol / 10.0, cfg.max_subdivisions - splits)
-                value, err, _, more, _, _ = _adaptive_gk(
-                    pass_integrand, convert, fin_a, fin_b, pass_cfg, pass_floor, reach
-                )
-                splits += more
-                if err <= pass_cfg.tolerance(value):
-                    break
-    est_abs_err = err + tail_bound + _underflow_bound(sym, sup_g, hi - lo, len(fin_a))
-    converged = err <= cfg.tolerance(value)
-    return Eigenvalue(complex(value), "quad", float(est_abs_err), converged, splits)
+def _quadrature_records(sym: Symbol, ns, cfg: QuadConfig, symbol_err: float = 0.0) -> list[Eigenvalue]:
+    """One `gamma_quadrature` record per index of ns; a callable's indices share one batch."""
+    if isinstance(sym, CallableSymbol):
+        batch = _integrals(sym, ns, cfg, symbol_err)
+        return [gamma_quadrature(sym, n, cfg, shared=res) for n, res in zip(ns, batch)]
+    return [gamma_quadrature(sym, n, cfg) for n in ns]
 
 
 def gamma_sequence(
@@ -520,7 +664,8 @@ def gamma_sequence(
     """gamma(0..n_max) as `Eigenvalue` records.
 
     engine="auto" uses the closed form whenever the symbol admits one,
-    "closed" insists on it, "quad" forces quadrature, one integral per n.
+    "closed" insists on it, "quad" forces quadrature: one integral per n for
+    a structured symbol, one shared batch for a callable.
     """
     n_max = _check_index(n_max, "n_max")
     if engine not in ("auto", "closed", "quad"):
@@ -532,23 +677,25 @@ def gamma_sequence(
     if use_closed:
         values = closed_form_sequence(*_closed_form_params(sym), n_max).values.tolist()
         return EigenSeq([Eigenvalue(value, "closed") for value in values])
-    cfg = cfg or QuadConfig()
-    return EigenSeq([gamma_quadrature(sym, n, cfg) for n in range(n_max + 1)])
+    return EigenSeq(_quadrature_records(sym, range(n_max + 1), cfg or QuadConfig()))
 
 
 # ---------------------------------------------------------------------------
 # Exponential averaging and the shift identity
 
 def _averaging_rule(j: int, sup_g: float, rel_tol: float, xi: int):
-    """Nodes and weights of E[f(G)], G ~ Gamma(j, 1), as a composite Gauss-Legendre rule.
+    """Nodes, weights and error of E[f(G)], G ~ Gamma(j, 1), as a composite Gauss-Legendre rule.
 
     The horizon T leaves a Gamma(j, 1) tail mass below e^-2 * rel_tol /
-    sup|g|, at least 15.  The first panel is 2.5 / xi wide, the decay length
-    of a scale-xi symbol's Gaussian factor, and each panel is 1.5 times wider
-    than the last, up to 2.5.  Ten nodes per panel keep the panel error of
-    these smooth integrands near machine precision.
+    sup|g|, at least 15, and below the smallest normal float when sup|g| is
+    inf.  The first panel is 2.5 / xi wide, the decay length of a scale-xi
+    symbol's Gaussian factor, and each panel is 1.5 times wider than the
+    last, up to 2.5.  Ten nodes per panel keep the panel error of these
+    smooth integrands near machine precision.  The error, sup|g| times the
+    tail mass plus sup|g| times the weights' miss of unit mass, is the same
+    at every point the rule averages over.
     """
-    tail = min(1.0, rel_tol / max(sup_g, 1e-12)) * math.exp(-2.0)
+    tail = max(min(1.0, rel_tol / max(sup_g, 1e-12)) * math.exp(-2.0), np.finfo(float).tiny)
     horizon = max(15.0, float(gammainccinv(j, tail)))
     edges = [0.0]
     width = 2.5 / xi
@@ -560,14 +707,21 @@ def _averaging_rule(j: int, sup_g: float, rel_tol: float, xi: int):
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * np.diff(edges)
     nodes = (mid[:, None] + half[:, None] * base_x[None, :]).ravel()
-    weights = (half[:, None] * base_w[None, :]).ravel()
-    return nodes, weights * _weight(j - 1, nodes)
+    weights = (half[:, None] * base_w[None, :]).ravel() * _weight([j - 1], nodes)[0]
+    miss = float(gammaincc(j, edges[-1])) + abs(float(weights.sum()) - 1.0)
+    return nodes, weights, _times_sup(sup_g, miss)
+
+
+_AVERAGE_ROWS = 128  # points r averaged per call of the symbol; bounds the (points x nodes) array
 
 
 def _average(evaluate, r: np.ndarray, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """E[g(sqrt(r + G))] at each r, where evaluate(x) = g(x) on an array."""
-    x = np.sqrt(r[:, None] + nodes[None, :])
-    return evaluate(x.ravel()).reshape(x.shape) @ weights
+    out = []
+    for start in range(0, len(r), _AVERAGE_ROWS):
+        x = np.sqrt(r[start : start + _AVERAGE_ROWS, None] + nodes[None, :])
+        out.append(evaluate(x.ravel()).reshape(x.shape) @ weights)
+    return np.concatenate(out)
 
 
 def shifted_gamma_residual(sym: Symbol, j: int, n_max: int, cfg: QuadConfig | None = None) -> float:
@@ -576,6 +730,8 @@ def shifted_gamma_residual(sym: Symbol, j: int, n_max: int, cfg: QuadConfig | No
     The left side uses the closed form when available (quadrature otherwise);
     the right side evaluates the Gamma(j, 1) averaging integral inside the
     quadrature, so the identity is checked across genuinely different paths.
+    Each side is one batch over its indices, and each record of the right
+    side carries the averaging rule's own error in its estimate.
     """
     cfg = cfg or QuadConfig()
     j = _check_index(j, "j")
@@ -583,7 +739,7 @@ def shifted_gamma_residual(sym: Symbol, j: int, n_max: int, cfg: QuadConfig | No
         raise ValueError("shift order j must be >= 1")
     n_max = _check_index(n_max, "n_max")
     sup_g = sup_estimate(sym)
-    nodes, weights = _averaging_rule(j, sup_g, cfg.rel_tol, _symbol_scale(sym) or 1)
+    nodes, weights, rule_err = _averaging_rule(j, sup_g, cfg.rel_tol, _symbol_scale(sym) or 1)
 
     def base(x):
         return eval_symbol(sym, x)
@@ -595,9 +751,6 @@ def shifted_gamma_residual(sym: Symbol, j: int, n_max: int, cfg: QuadConfig | No
     if has_closed_form(sym):
         lefts = closed_form_sequence(*_closed_form_params(sym), n_max + j).values[j:].tolist()
     else:
-        lefts = [gamma_quadrature(sym, n + j, cfg).value for n in range(n_max + 1)]
-    worst = 0.0
-    for n, left in enumerate(lefts):
-        right = gamma_quadrature(averaged, n, cfg).value
-        worst = max(worst, abs(left - right))
-    return worst
+        lefts = [res.value for res in _quadrature_records(sym, range(j, n_max + j + 1), cfg)]
+    rights = _quadrature_records(averaged, range(n_max + 1), cfg, rule_err)
+    return max(abs(left - right.value) for left, right in zip(lefts, rights))

@@ -22,6 +22,7 @@ Gamma(j, 1)-distributed, which `fockradial.eigenvalues` evaluates through
 from __future__ import annotations
 
 import cmath
+import functools
 import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Union
@@ -73,6 +74,25 @@ class LaguerreCombo:
         if not all(map(cmath.isfinite, (*self.coefficients, self.offset))):
             raise ValueError("symbol coefficients and offset must be finite")
 
+    @functools.cached_property
+    def _terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """(k, (-1)^k c_k) for the nonzero coefficients, real when all are; evaluation reuses them."""
+        coeffs = np.asarray(self.coefficients, dtype=complex)
+        rows = np.flatnonzero(coeffs)
+        weights = coeffs[rows]
+        if not weights.imag.any():
+            weights = weights.real
+        return rows, weights * np.where(rows % 2, -1.0, 1.0)
+
+    @functools.cached_property
+    def _sup_bound(self) -> float:
+        """`sup_estimate` of this symbol, computed once: the quadrature asks for it at every index."""
+        magnitudes = np.abs(np.asarray(self.coefficients, dtype=complex))
+        rows = np.flatnonzero(magnitudes)
+        with np.errstate(over="ignore"):
+            terms = np.exp(np.log(magnitudes[rows]) + (rows + 1) * np.log(np.float64(self.xi)))
+        return float(terms.sum()) + abs(self.offset)
+
 
 @dataclass(frozen=True)
 class CallableSymbol:
@@ -122,14 +142,9 @@ def _eval_terms(sym: LaguerreCombo, x: np.ndarray) -> np.ndarray:
     representable for any admissible k.  Real coefficients keep the
     arithmetic real.
     """
-    coeffs = np.asarray(sym.coefficients, dtype=complex)
-    rows = np.flatnonzero(coeffs)
+    rows, weights = sym._terms
     if not rows.size:
         return np.zeros_like(x)
-    weights = coeffs[rows]
-    if not weights.imag.any():
-        weights = weights.real
-    weights = weights * np.where(rows % 2, -1.0, 1.0)  # the (-1)^k of each term
     xi = sym.xi
     lag = laguerre_eval_all(int(rows[-1]), xi * x * x)[rows]
     log_xi = np.log(x.dtype.type(xi))
@@ -167,9 +182,9 @@ def eval_symbol(sym: Symbol, x):
     integrals.
     """
     arr = _as_float_array(x)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("x must be finite")
-    if np.any(arr < 0.0):
+    if (arr < 0.0).any():
         raise ValueError("x must be nonnegative")
     pts = np.atleast_1d(arr)
     if isinstance(sym, LaguerreCombo):
@@ -196,11 +211,7 @@ def sup_estimate(sym: Symbol) -> float:
     """
     if isinstance(sym, CallableSymbol):
         return float(sym.sup_bound)
-    magnitudes = np.abs(np.asarray(sym.coefficients, dtype=complex))
-    rows = np.flatnonzero(magnitudes)
-    with np.errstate(over="ignore"):
-        terms = np.exp(np.log(magnitudes[rows]) + (rows + 1) * np.log(np.float64(sym.xi)))
-    return float(terms.sum()) + abs(sym.offset)
+    return sym._sup_bound
 
 
 def describe_symbol(sym: Symbol) -> str:

@@ -162,7 +162,7 @@ def test_closed_form_sequence_is_sqrt_lipschitz(xi, coeffs, p, n_max):
         st.tuples(st.just("cos"), st.floats(0.05, 2.0)),
         st.tuples(st.just("gauss"), st.floats(0.05, 3.0)),
     ),
-    n_max=st.integers(1, 80),
+    n_max=st.integers(1, 400),
 )
 def test_quadrature_sequence_is_sqrt_lipschitz(shape, n_max):
     # the same bound on quadrature sequences of black-box callables, each
@@ -415,13 +415,56 @@ def test_converged_quadrature_lies_within_its_estimate(coeffs, xi, n_max):
 
 def test_error_estimate_covers_oscillating_callable():
     # g(x) = cos(b x^2) has gamma(n) = Re (1 - ib)^-(n+1); the rounding of
-    # the weight grows with n, and the estimate has to grow with it
+    # the weight grows with n, and the estimate has to grow with it, both for
+    # single indices and for every index of a sequence on its shared grid
     for b, indices in ((0.8, range(260)), (0.3, (600, 900, 1188)), (1.5, range(0, 260, 3))):
         sym = CallableSymbol(lambda x, b=b: np.cos(b * x**2), sup_bound=1.0)
         for n in indices:
             res = gamma_quadrature(sym, n)
             exact = ((1 - 1j * b) ** -(n + 1)).real
             assert abs(res.value - exact) <= res.est_abs_err, (b, n)
+        for n, res in enumerate(gamma_sequence(sym, max(indices)).entries):
+            exact = ((1 - 1j * b) ** -(n + 1)).real
+            assert abs(res.value - exact) <= res.est_abs_err, (b, n)
+
+
+def _counting(f, c, points):
+    """x -> f(c x^2), adding the points it evaluates to points[0].
+
+    With the `math` functions it raises on arrays, so the library falls back
+    to one call per point; a failed array call counts nothing.
+    """
+
+    def g(x):
+        out = f(c * x * x)
+        points[0] += np.size(x)
+        return out
+
+    return g
+
+
+@pytest.mark.parametrize("lib", [np, math], ids=["numpy", "math"])
+def test_sequence_evaluates_the_callable_once_per_shared_node(lib):
+    # the indices of a sequence share one panel grid, so the callable sees
+    # each node once: 600, 1920 and 2910 points here, where one adaptive
+    # loop per index took 40170, 139410 and 247050
+    for f, c, exact in (
+        (lib.exp, -1.0, lambda n: 2.0 ** -(n + 1)),
+        (lib.cos, 0.8, lambda n: ((1 - 0.8j) ** -(n + 1)).real),
+        (lib.cos, 1.5, lambda n: ((1 - 1.5j) ** -(n + 1)).real),
+    ):
+        points = [0]
+        seq = gamma_sequence(CallableSymbol(_counting(f, c, points)), 200)
+        assert points[0] < 10_000, (f, c, points[0])
+        assert seq.converged, (f, c)
+        for n, res in enumerate(seq.entries):
+            assert abs(res.value - exact(n)) <= res.est_abs_err, (f, c, n)
+    # an infinite declared bound still gives every index a finite window,
+    # a finite value and an estimate that is not NaN
+    sym = CallableSymbol(_counting(lib.exp, -1.0, [0]), sup_bound=math.inf)
+    for n, res in enumerate(gamma_sequence(sym, 200).entries):
+        assert abs(res.value - 2.0 ** -(n + 1)) <= 1e-10, n
+        assert not math.isnan(res.est_abs_err), n
 
 
 def test_callables_get_no_extended_pass():
@@ -547,7 +590,7 @@ def test_offset_combo_closed_form():
 
 def _averaged(g, j, sup_g, r):
     """E[g(sqrt(r + G))], G ~ Gamma(j, 1), by the rule the shift identity runs."""
-    nodes, weights = _averaging_rule(j, sup_g, QuadConfig().rel_tol, 1)
+    nodes, weights, _ = _averaging_rule(j, sup_g, QuadConfig().rel_tol, 1)
     return _average(g, np.array([r]), nodes, weights)[0]
 
 
@@ -584,6 +627,29 @@ def test_shift_identity_basic_symbol():
 def test_shift_identity_gaussian_level_two():
     sym = CallableSymbol(lambda x: np.exp(-(x**2)), sup_bound=1.0)
     assert shifted_gamma_residual(sym, 2, 10) < 1e-6
+    # an infinite declared bound still gives the averaging rule a finite horizon
+    sym = CallableSymbol(lambda x: np.exp(-(x**2)), sup_bound=math.inf)
+    assert shifted_gamma_residual(sym, 2, 10) < 1e-6
+
+
+def test_averaged_records_carry_the_averaging_error(monkeypatch):
+    # the averaged constant 1.3 has gamma = 1.3 at every index; the rule's
+    # weights miss unit mass by about 5e-12, which the quadrature of the
+    # averaged symbol cannot see, so each record's estimate has to carry it
+    records = []
+    quadrature = eigenvalues.gamma_quadrature
+
+    def spy(sym, n, cfg=None, **kwargs):
+        records.append(quadrature(sym, n, cfg, **kwargs))
+        return records[-1]
+
+    monkeypatch.setattr(eigenvalues, "gamma_quadrature", spy)
+    for j in (1, 2):
+        records.clear()
+        assert shifted_gamma_residual(LaguerreCombo(offset=1.3), j, 17) < 1e-9
+        assert len(records) == 18
+        for n, res in enumerate(records):
+            assert abs(res.value - 1.3) <= res.est_abs_err, (j, n)
 
 
 def test_shift_identity_validation():
