@@ -16,22 +16,25 @@ That is O(N) float work per index, O(N * n_max) for the sequence, with every
 term nonnegative, so nothing cancels and each a_k(n) carries a relative
 error of at most about 2n roundings.
 Everything else goes through quadrature against the normalized weight
-w_n(r) = exp(n ln r - r - lgamma(n + 1)), a probability density peaked at
+w_n(r) = exp(n ln r - r - ln n!), a probability density peaked at
 r = n with width sqrt(n + 1).  The quadrature window is centered on the
 peak and reaches, by the inverse incomplete gamma function, to where the
 weight mass outside it times the symbol bound sup|g| is below rel_tol / 10;
 that product is folded into the reported error estimate.  The window is
 refined adaptively with a Gauss-Kronrod 7/15 rule.  Every decision tests
-tau(v) = rel_tol * max(1, |v|).  When float64 misses tau on a structured
-symbol, the same adaptive loop reruns from the settled panels in longdouble,
-then in mpmath, each pass to tau / 10 and with an error that is its own
-Gauss-Kronrod estimate, floored at 100 eps of its number type; the first pass
-that meets tau / 10 ends it.  Callables stay in float64.  In x = sqrt(r)
-every weight w_n has nearly the same width, about 1/2 (the sqrt-distance
-of the paper), so the indices of a callable's sequence share one panel
-grid, uniform in x: one adaptive loop integrates a block of weights against
-one set of panels, each index counting only the panels that meet its own
-window, and the callable is evaluated once per node for the whole sequence.
+tau(v) = rel_tol * max(1, |v|).  In x = sqrt(r) every weight w_n has nearly
+the same width, about 1/2 (the sqrt-distance of the paper), and a structured
+symbol's Gaussian factor exp(-(xi - 1) r) makes each of its terms a weight of
+the same shape in y = sqrt(xi r).  So the indices of any sequence share one
+panel grid, uniform in x and, where the terms carry mass, in y: one adaptive
+loop integrates a block of weights against one set of panels, each index
+counting only the panels that meet its own window, and the symbol is
+evaluated once per node for the whole sequence.  When float64 misses tau on
+a structured symbol, the same adaptive loop reruns that index from its
+settled panels in longdouble, then in mpmath, each pass to tau / 10 and with
+an error that is its own Gauss-Kronrod estimate, floored at 100 eps of its
+number type; the first pass that meets tau / 10 ends it.  Callables stay in
+float64.
 
 Each eigenvalue comes back as one `Eigenvalue` record: its value, the engine
 that produced it ("closed" or "quad") and, for quadrature, the error
@@ -383,27 +386,31 @@ def _mp_scalar(z: complex):
 def _mp_integrand(sym: LaguerreCombo, n: int):
     """r -> g(sqrt(r)) r^n e^-r / n! on an object array of mpmath nodes, node by node.
 
-    The term factors c_k (-1)^k xi^(k+1) are formed once, at the working
-    precision; each node runs the Laguerre recurrence in scalar mpmath, so no
-    operation mixes an mpmath number with an array.
+    The term factors c_k (-1)^k xi^(k+1) are formed once per call, at the
+    working precision; each node runs the Laguerre recurrence in scalar
+    mpmath, so no operation mixes an mpmath number with an array.
     """
-    mp_xi = _mp.mpf(sym.xi)
-    factors = [_mp_scalar(c) * (-1) ** k * mp_xi ** (k + 1) for k, c in enumerate(sym.coefficients)]
-    offset, fact = _mp_scalar(sym.offset), _mp.factorial(n)
 
-    def at(r):
-        t, total, prev, lag = sym.xi * r, _mp.mpf(0), 0, _mp.mpf(1)
-        for k, factor in enumerate(factors):
-            if factor:
-                total = total + factor * lag
-            prev, lag = lag, ((2 * k + 1 - t) * lag - k * prev) / (k + 1)
-        return (total * _mp.e ** (-(sym.xi - 1) * r) + offset) * r**n * _mp.e ** (-r) / fact
+    def integrand(nodes):
+        mp_xi = _mp.mpf(sym.xi)
+        factors = [_mp_scalar(c) * (-1) ** k * mp_xi ** (k + 1) for k, c in enumerate(sym.coefficients)]
+        offset, fact = _mp_scalar(sym.offset), _mp.factorial(n)
 
-    return np.frompyfunc(at, 1, 1)
+        def at(r):
+            t, total, prev, lag = sym.xi * r, _mp.mpf(0), 0, _mp.mpf(1)
+            for k, factor in enumerate(factors):
+                if factor:
+                    total = total + factor * lag
+                prev, lag = lag, ((2 * k + 1 - t) * lag - k * prev) / (k + 1)
+            return (total * _mp.e ** (-(sym.xi - 1) * r) + offset) * r**n * _mp.e ** (-r) / fact
+
+        return np.frompyfunc(at, 1, 1)(nodes)
+
+    return integrand
 
 
-def _extended_passes(sym: Symbol, n: int, integrand):
-    """The passes past float64, in order: (convert, integrand, floor of its GK estimates).
+def _extended_passes(sym: Symbol, n: int):
+    """The passes past float64 for index n, in order: (convert, integrand, floor of its GK estimates).
 
     longdouble (the platform's type), then mpmath at _MP_DPS digits.  The floor,
     100 eps of the type per unit of absolute integral, is the pass's roundoff at
@@ -411,6 +418,11 @@ def _extended_passes(sym: Symbol, n: int, integrand):
     """
     if isinstance(sym, CallableSymbol):
         return
+
+    def integrand(r):
+        r = r.ravel()
+        return eval_symbol(sym, np.sqrt(r)) * _weight([n], r)
+
     yield _to_longdouble, integrand, 100.0 * float(np.finfo(_to_longdouble(0.0).dtype).eps)
     yield _to_mpf, _mp_integrand(sym, n), _MP_FLOOR
 
@@ -419,19 +431,27 @@ def _extended_passes(sym: Symbol, n: int, integrand):
 # The normalized weight, the windows, the panels and the quadrature entry points
 
 _PEAK_WINDOW_SIGMAS = 14.0  # smallest half-width of the window, in units of sqrt(n + 1)
-_GRID_STEP = 0.5  # panel width, in x = sqrt(r), of the grid a callable's indices share
+_GRID_STEP = 0.5  # panel width of the shared grid, in x = sqrt(r) and in y = sqrt(xi r)
+_BAND_MARGIN = 8.0  # reach of the y band past the term peaks, in y; each peak is about 1/2 wide
 _INDEX_BLOCK = 32  # indices per shared loop; bounds the (indices x nodes) weight array
 
 
+@functools.cache
+def _log_factorial(n: int) -> float:
+    """ln n!, correctly rounded; math.lgamma is 3.2 ulp off at n = 2 and 1.5 ulp at n = 91."""
+    with _mp.workdps(_MP_DPS):
+        return float(_mp.loggamma(n + 1))
+
+
 def _weight(ns, r: np.ndarray) -> np.ndarray:
-    """w_n(r) = exp(n ln r - r - lgamma(n + 1)) at the points r > 0, one row per index n of ns.
+    """w_n(r) = exp(n ln r - r - ln n!) at the points r > 0, one row per index n of ns.
 
     Each row integrates to 1 on [0, oo); every rule here has interior nodes,
     so r = 0 never comes up.  The float dtype of r is preserved so the
     extended-precision pass keeps its accuracy through the weight factor.
     """
     r = _as_float_array(r)
-    log_norm = np.array([[lgamma(n + 1)] for n in ns])
+    log_norm = np.array([[_log_factorial(n)] for n in ns])
     return np.exp(np.reshape(ns, (-1, 1)) * np.log(r) - r - log_norm)
 
 
@@ -484,55 +504,40 @@ def _underflow_bound(sym: Symbol, sup_g: float, width: float, panels: int) -> fl
     return width * scaled + _SUBNORMAL * (width * (sup_g + 11.0) + panels)
 
 
-def _panel_edges(sym: Symbol, n: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """Initial panels (left ends, right ends), clustered around every plausible mass peak.
+def _grid_edges(lo: float, hi: float, scale: int = 1) -> np.ndarray:
+    """The edges (k * _GRID_STEP)^2 / scale that cover [lo, hi]: uniform in sqrt(scale * r)."""
+    first = math.floor(math.sqrt(scale * lo) / _GRID_STEP)
+    last = math.ceil(math.sqrt(scale * hi) / _GRID_STEP)
+    # sqrt rounds: step out where an edge misses lo or hi
+    first -= (first * _GRID_STEP) ** 2 / scale > lo
+    last += (last * _GRID_STEP) ** 2 / scale < hi
+    return (np.arange(first, last + 1) * _GRID_STEP) ** 2 / scale
 
-    The bare weight peaks at r = n; a symbol carrying the Gaussian factor
-    exp(-(xi-1) x^2) shifts the effective peak of the integrand to r = n/xi.
-    Seeding boundaries around both keeps the adaptive refinement from ever
-    missing a narrow peak inside a wide panel.
+
+def _grid_panels(sym: Symbol, ns, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """The panels (left ends, right ends) of the grid the indices ns share over [lo, hi].
+
+    The edges are uniform in sqrt(s * r) for each Gaussian scale s of the
+    integrand, so each panel is as wide as the peaks it meets.  s = 1 is the
+    weight: in x = sqrt(r) every w_n is about 1/2 wide.  A structured symbol
+    with terms adds s = xi: its factor exp(-(xi - 1) r) makes each term, times
+    w_n, a weight peaked at xi r = n + j (j below the number of terms) and
+    about 1/2 wide in y = sqrt(xi r); those edges cover only the band of y
+    where the peaks of ns carry mass, _BAND_MARGIN to either side.
     """
-    sigma = math.sqrt(n + 1.0)
-    centers = [(float(n), sigma)]
+    edges = _grid_edges(lo, hi)
     xi = _symbol_scale(sym)
     if xi is not None:
-        centers.append((n / xi, sigma / xi))
-    pts = {lo, hi}
-    for center, width in centers:
-        for k in (0.0, 1.0, 2.0, 4.0, 8.0, 16.0):
-            for p in (center - k * width, center + k * width):
-                if lo < p < hi:
-                    pts.add(p)
-    edges = sorted(pts)
-    # cap panel width so the window starts with a reasonable resolution
-    max_width = (hi - lo) / 8.0
-    refined = [edges[0]]
-    for right in edges[1:]:
-        left = refined[-1]
-        gap = right - left
-        if gap > max_width:
-            pieces = int(math.ceil(gap / max_width))
-            refined.extend(left + gap * i / pieces for i in range(1, pieces))
-        refined.append(right)
-    return np.array(refined[:-1]), np.array(refined[1:])
-
-
-def _grid_panels(lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """The panels of the shared grid that cover [lo, hi].
-
-    The edges are (k * _GRID_STEP)^2: uniform in x = sqrt(r), so a panel is
-    about sqrt(r) wide in r, as wide as the weight of every index it meets.
-    """
-    first = math.floor(math.sqrt(lo) / _GRID_STEP)
-    last = math.ceil(math.sqrt(hi) / _GRID_STEP)
-    # sqrt rounds: step out where an edge misses lo or hi
-    first -= (first * _GRID_STEP) ** 2 > lo
-    last += (last * _GRID_STEP) ** 2 < hi
-    edges = (np.arange(first, last + 1) * _GRID_STEP) ** 2
+        y_lo = max(0.0, math.sqrt(min(ns)) - _BAND_MARGIN)
+        y_hi = math.sqrt(max(ns) + len(sym.coefficients)) + _BAND_MARGIN
+        band_lo, band_hi = max(lo, y_lo**2 / xi), min(hi, y_hi**2 / xi)
+        if band_lo < band_hi:
+            band = _grid_edges(band_lo, band_hi, xi)
+            edges = np.union1d(edges, band[(band > edges[0]) & (band < edges[-1])])
     return edges[:-1], edges[1:]
 
 
-def _node_values(sym: CallableSymbol):
+def _node_values(sym: Symbol):
     """r -> g(sqrt(r)) on a (panels, nodes) array, each panel's nodes evaluated once.
 
     A panel of the shared grid recurs in every index block whose windows it
@@ -563,56 +568,49 @@ class _Integral(NamedTuple):
 
 
 def _integrals(sym: Symbol, ns, cfg: QuadConfig, symbol_err: float = 0.0) -> list[_Integral]:
-    """Adaptive quadrature of gamma(n) at each index of ns.
+    """Adaptive quadrature of gamma(n) at each index of ns, on one shared panel grid.
 
-    A callable's indices share one panel grid (`_grid_panels`), and the
-    callable is evaluated once per node of it (`_node_values`): each block of
-    _INDEX_BLOCK indices runs one `_adaptive_gk` loop over the panels that
-    meet its windows.  A structured symbol's index runs the loop alone, on
-    panels seeded at its own peaks (`_panel_edges`).  An index that misses
-    tau with its panels settled within the budget reruns the loop from them
-    in each of `_extended_passes` in turn, to tau / 10 and with the rest of
-    the budget, up to the first pass that meets it; `splits` counts the
-    splits of every pass.  symbol_err bounds the error of the symbol's own
-    values; w_n has unit mass, so each estimate carries it whole.
+    Each block of _INDEX_BLOCK indices runs one float64 `_adaptive_gk` loop
+    over the panels of `_grid_panels` that meet its windows, and the symbol
+    is evaluated once per node of them (`_node_values`).  An index that
+    misses tau with its panels settled within the budget reruns the loop on
+    the block's final panels that meet its own window, in each of
+    `_extended_passes` in turn, to tau / 10 and with the rest of the budget,
+    up to the first pass that meets it; `splits` counts the splits of every
+    pass.  Splitting fails fast at the floor of the finest pass there is, the
+    float64 floor when there is none.  symbol_err bounds the error of the
+    symbol's own values; w_n has unit mass, so each estimate carries it whole.
     """
     ns = list(ns)
     sup_g = sup_estimate(sym)
-    shared = isinstance(sym, CallableSymbol)
-    values_at = _node_values(sym) if shared else None
-    step = _INDEX_BLOCK if shared else 1
+    values_at = _node_values(sym)
     out = []
-    for start in range(0, len(ns), step):
-        block = ns[start : start + step]
+    for start in range(0, len(ns), _INDEX_BLOCK):
+        block = ns[start : start + _INDEX_BLOCK]
         windows = [_window(n, sup_g, cfg.rel_tol) for n in block]
+        lo, hi, _ = np.array(windows).T
         # the weight's exponent rounds at the scale of lgamma(n + 2)
-        floors = [_ERR_FLOOR + _EPS * lgamma(n + 2) for n in block]
-        if shared:
-            def integrand(r, block=block):
-                return values_at(r).ravel() * _weight(block, r.ravel())
+        floor = np.array([_ERR_FLOOR + _EPS * lgamma(n + 2) for n in block])
+        reach = min((pass_floor for *_, pass_floor in _extended_passes(sym, block[0])), default=floor)
 
-            lo, hi, _ = np.array(windows).T
-            floor = np.array(floors)
-            panels = _grid_panels(lo.min(), hi.max())
-            loop = _adaptive_gk(integrand, _to_float64, *panels, cfg, floor[:, None], floor, (lo, hi))
-        else:
-            def integrand(r, n=block[0]):
-                r = r.ravel()
-                return eval_symbol(sym, np.sqrt(r)) * _weight([n], r)
+        def integrand(r, block=block):
+            return values_at(r).ravel() * _weight(block, r.ravel())
 
-            panels = _panel_edges(sym, block[0], *windows[0][:2])
-            loop = _adaptive_gk(integrand, _to_float64, *panels, cfg, floors[0], _MP_FLOOR)
-        values, errs, settled, splits, fin_a, fin_b = loop
+        panels = _grid_panels(sym, block, lo.min(), hi.max())
+        values, errs, settled, splits, fin_a, fin_b = _adaptive_gk(
+            integrand, _to_float64, *panels, cfg, floor[:, None], reach, (lo, hi)
+        )
         # splits keep the outer edges of the sorted initial panels
         underflow = _underflow_bound(sym, sup_g, panels[1][-1] - panels[0][0], len(fin_a))
         for i, n in enumerate(block):
             value, err, more = values[i], errs[i], int(splits[i])
             if settled[i] and err > cfg.tolerance(value):
+                mine = (fin_a < hi[i]) & (fin_b > lo[i])
                 with _mp.workdps(_MP_DPS):
-                    for convert, pass_integrand, pass_floor in _extended_passes(sym, n, integrand):
+                    for convert, pass_integrand, pass_floor in _extended_passes(sym, n):
                         pass_cfg = QuadConfig(cfg.rel_tol / 10.0, cfg.max_subdivisions - more)
                         (value,), (err,), _, (extra,), _, _ = _adaptive_gk(
-                            pass_integrand, convert, fin_a, fin_b, pass_cfg, pass_floor, _MP_FLOOR
+                            pass_integrand, convert, fin_a[mine], fin_b[mine], pass_cfg, pass_floor, reach
                         )
                         more += int(extra)
                         if err <= pass_cfg.tolerance(value):
@@ -629,17 +627,18 @@ def gamma_quadrature(sym: Symbol, n: int, cfg: QuadConfig | None = None, *, shar
     absolute below unit size.  The float64 panel estimates, each at least its
     panel's roundoff floor, sum to the error err.  If err > tau(value) on a
     structured symbol whose panels all settled within the subdivision budget,
-    each extended pass reruns `_adaptive_gk` from them in its number type, to
-    tau / 10 and with the rest of the budget, up to the first pass that meets
-    it; `subdivisions` counts the splits of every pass.
+    each extended pass reruns `_adaptive_gk` from the panels that meet the
+    window in its number type, to tau / 10 and with the rest of the budget,
+    up to the first pass that meets it; `subdivisions` counts the splits of
+    every pass.
     The window leaves weight mass 0.05 * rel_tol / max(1, sup|g|) or less on
     each side, so the out-of-window bound sup|g| * (mass outside) is at most
     rel_tol / 10 for a finite sup|g|.  The record's `converged` is
     err <= tau(value); its `est_abs_err` is err plus that bound plus the
     subnormal roundoff, which no relative floor covers (`_underflow_bound`).
-    `shared` is this index's entry of a batch that `gamma_sequence` and
-    `shifted_gamma_residual` integrate over a callable's whole sequence at
-    once; without it a callable runs that batch for n alone.
+    `shared` is this index's entry of the batch that `gamma_sequence` and
+    `shifted_gamma_residual` integrate over a whole sequence at once on one
+    panel grid (`_integrals`); without it the batch runs for n alone.
     """
     cfg = cfg or QuadConfig()
     n = _check_index(n, "n")
@@ -648,11 +647,9 @@ def gamma_quadrature(sym: Symbol, n: int, cfg: QuadConfig | None = None, *, shar
 
 
 def _quadrature_records(sym: Symbol, ns, cfg: QuadConfig, symbol_err: float = 0.0) -> list[Eigenvalue]:
-    """One `gamma_quadrature` record per index of ns; a callable's indices share one batch."""
-    if isinstance(sym, CallableSymbol):
-        batch = _integrals(sym, ns, cfg, symbol_err)
-        return [gamma_quadrature(sym, n, cfg, shared=res) for n, res in zip(ns, batch)]
-    return [gamma_quadrature(sym, n, cfg) for n in ns]
+    """One `gamma_quadrature` record per index of ns, all from one shared batch."""
+    batch = _integrals(sym, ns, cfg, symbol_err)
+    return [gamma_quadrature(sym, n, cfg, shared=res) for n, res in zip(ns, batch)]
 
 
 def gamma_sequence(
@@ -664,8 +661,8 @@ def gamma_sequence(
     """gamma(0..n_max) as `Eigenvalue` records.
 
     engine="auto" uses the closed form whenever the symbol admits one,
-    "closed" insists on it, "quad" forces quadrature: one integral per n for
-    a structured symbol, one shared batch for a callable.
+    "closed" insists on it, "quad" forces quadrature: one batch over the
+    whole sequence on a shared panel grid, whatever the symbol.
     """
     n_max = _check_index(n_max, "n_max")
     if engine not in ("auto", "closed", "quad"):

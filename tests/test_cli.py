@@ -166,8 +166,8 @@ def test_eigs_both_fails_on_uncertified_cancellation(tmp_path, capsys, monkeypat
     results = []
     quadrature = eigenvalues.gamma_quadrature
 
-    def spy(*args):
-        results.append(quadrature(*args))
+    def spy(*args, **kwargs):
+        results.append(quadrature(*args, **kwargs))
         return results[-1]
 
     monkeypatch.setattr(eigenvalues, "gamma_quadrature", spy)
@@ -178,8 +178,8 @@ def test_eigs_both_fails_on_uncertified_cancellation(tmp_path, capsys, monkeypat
 
 def test_eigs_both_fails_when_the_budget_runs_out(tmp_path, capsys):
     # at the default tolerance, but with no splits allowed, the float64 panels
-    # of basic(4, 8) never settle, so no precision tier may certify them
-    sym = write_json(tmp_path / "s.json", {"type": "laguerre_basic", "m": 4, "xi": 8})
+    # of basic(8, 8) never settle, so no precision tier may certify them
+    sym = write_json(tmp_path / "s.json", {"type": "laguerre_basic", "m": 8, "xi": 8})
     argv = ["eigs", sym, "--n-max", "3", "--engine", "both", "--max-subdivisions", "0"]
     code, _, err = run(capsys, argv)
     assert code == 3 and "certify" in err
@@ -191,8 +191,8 @@ def test_eigs_both_fails_when_the_closed_form_is_outside_the_estimate(tmp_path, 
     sym = write_json(tmp_path / "s.json", {"type": "laguerre_basic", "m": 1, "xi": 4})
     quadrature = eigenvalues.gamma_quadrature
 
-    def spy(sym, n, cfg):
-        res = quadrature(sym, n, cfg)
+    def spy(sym, n, cfg, **kwargs):
+        res = quadrature(sym, n, cfg, **kwargs)
         return dataclasses.replace(res, est_abs_err=0.0) if n == 3 else res
 
     monkeypatch.setattr(eigenvalues, "gamma_quadrature", spy)

@@ -250,13 +250,18 @@ def test_gamma_quadrature_cancellation_cells():
 def test_exact_zero_converges_in_float64(monkeypatch):
     # gamma = 0 at n < m; float64 already holds it far inside the absolute
     # tolerance, so no extended-precision pass may be needed to certify it
-    def no_pass(*args):
-        raise AssertionError("extended-precision pass")
+    converts = []
+    adaptive = eigenvalues._adaptive_gk
 
-    monkeypatch.setattr(eigenvalues, "_extended_passes", no_pass)
+    def spy(f, convert, *args):
+        converts.append(convert)
+        return adaptive(f, convert, *args)
+
+    monkeypatch.setattr(eigenvalues, "_adaptive_gk", spy)
     res = gamma_quadrature(basic_symbol(1, 2), 0)
     assert res.converged
     assert abs(res.value) <= 1e-12
+    assert converts == [eigenvalues._to_float64]
 
 
 def test_cancellation_cells_with_float64_longdouble(monkeypatch):
@@ -467,12 +472,52 @@ def test_sequence_evaluates_the_callable_once_per_shared_node(lib):
         assert not math.isnan(res.est_abs_err), n
 
 
+def test_structured_sequence_evaluates_the_symbol_once_per_shared_node(monkeypatch):
+    # a structured sequence shares the grid too: 1440 float64 points for
+    # basic(4, 8) to n = 200, where one adaptive loop per index took 67620
+    points = [0]
+    evaluate = eigenvalues.eval_symbol
+
+    def spy(sym, x):
+        if np.asarray(x).dtype == np.float64:
+            points[0] += np.size(x)
+        return evaluate(sym, x)
+
+    monkeypatch.setattr(eigenvalues, "eval_symbol", spy)
+    seq = gamma_sequence(basic_symbol(4, 8), 200, engine="quad")
+    assert points[0] < 5000, points[0]
+    assert seq.converged
+    for n, res in enumerate(seq.entries):
+        exact = float(gamma_closed_form(4, 8, n))
+        assert abs(res.value - exact) <= res.est_abs_err, n
+
+
+def test_no_false_certificates_at_large_scale():
+    # at large xi the integrand's mass sits at r ~ n / xi, far inside the
+    # first panel of the sqrt(r) grid; the grid in sqrt(xi r) has to resolve
+    # it, or a coarse panel certifies a wrong value (basic(1, 10^6) at n = 0
+    # gave -1.8 with an estimate of 1e-11)
+    for m in (0, 1, 3):
+        for xi in (10**4, 10**6, 10**7):
+            exact = closed_form_sequence([0.0] * m + [1.0], xi, 0.0, 40).values
+            for n, res in enumerate(gamma_sequence(basic_symbol(m, xi), 40, engine="quad").entries):
+                assert not res.converged or abs(res.value - exact[n]) <= res.est_abs_err, (m, xi, n, res)
+
+
+def test_log_factorial_is_correctly_rounded():
+    # the weight's normalizer ln n!; math.lgamma(92) is 1.5 ulp off, a bias
+    # every w_91 would carry
+    with mpmath.workdps(50):
+        for n in range(1001):
+            assert eigenvalues._log_factorial(n) == float(mpmath.loggamma(n + 1)), n
+
+
 def test_callables_get_no_extended_pass():
     # a black-box callable has no higher-precision form: at a tolerance below
     # float64 roundoff the float64 pass stops at once (fail-fast, no splits),
     # no further pass runs, and the value still lies within its estimate
     sym = CallableSymbol(lambda x: np.cos(0.8 * x * x))
-    assert list(eigenvalues._extended_passes(sym, 0, None)) == []
+    assert list(eigenvalues._extended_passes(sym, 0)) == []
     for n in (0, 5, 40):
         res = gamma_quadrature(sym, n, QuadConfig(rel_tol=1e-15))
         assert not res.converged and res.subdivisions == 0, n
@@ -493,14 +538,14 @@ def test_small_symbol_is_held_to_the_absolute_tolerance():
 
 
 def test_budget_exhaustion_is_not_converged():
-    # with no splits allowed basic(4, 8) cannot settle its panels at small n;
+    # with no splits allowed basic(8, 8) cannot settle its panels at small n;
     # no extended pass may then certify a value whose panels still carry
     # float64 truncation error
     cfg = QuadConfig(max_subdivisions=0)
-    results = [gamma_quadrature(basic_symbol(4, 8), n, cfg) for n in range(10)]
+    results = [gamma_quadrature(basic_symbol(8, 8), n, cfg) for n in range(10)]
     assert not any(res.converged for res in results[:4])
     for n, res in enumerate(results):
-        exact = float(gamma_closed_form(4, 8, n))
+        exact = float(gamma_closed_form(8, 8, n))
         assert abs(res.value - exact) <= res.est_abs_err, n
         if res.converged:
             assert abs(res.value - exact) <= cfg.tolerance(exact), n
