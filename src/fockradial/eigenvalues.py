@@ -29,12 +29,14 @@ the same shape in y = sqrt(xi r).  So the indices of any sequence share one
 panel grid, uniform in x and, where the terms carry mass, in y: one adaptive
 loop integrates a block of weights against one set of panels, each index
 counting only the panels that meet its own window, and the symbol is
-evaluated once per node for the whole sequence.  When float64 misses tau on
-a structured symbol, the same adaptive loop reruns that index from its
-settled panels in longdouble, then in mpmath, each pass to tau / 10 and with
-an error that is its own Gauss-Kronrod estimate, floored at 100 eps of its
-number type; the first pass that meets tau / 10 ends it.  Callables stay in
-float64.
+evaluated once per node for the whole sequence.  Each block of indices runs
+one loop over an ordered list of precision passes: float64, then, for a
+structured symbol, longdouble and mpmath.  A pass is one run of the adaptive
+loop over the block's indices that missed the last pass's target with their
+panels settled, from that pass's panels that meet their windows.  The passes
+past float64 aim at tau / 10, each with an error that is its own
+Gauss-Kronrod estimate, floored at 100 eps of its number type; an index
+leaves at the first pass that meets its target.  Callables stay in float64.
 
 Each eigenvalue comes back as one `Eigenvalue` record: its value, the engine
 that produced it ("closed" or "quad") and, for quadrature, the error
@@ -178,9 +180,9 @@ class QuadConfig:
         _check_positive(self.rel_tol, "rel_tol")
         _check_index(self.max_subdivisions, "max_subdivisions")
 
-    def tolerance(self, value) -> float:
-        """tau(value) = rel_tol * max(1, |value|), the one tolerance of the quadrature."""
-        return self.rel_tol * max(1.0, float(abs(value)))
+    def tolerance(self, value):
+        """tau(value) = rel_tol * max(1, |value|), the one tolerance of the quadrature; elementwise on arrays."""
+        return self.rel_tol * np.maximum(1.0, np.abs(value).astype(float))
 
 
 @dataclass(frozen=True)
@@ -255,8 +257,10 @@ _to_float64 = functools.partial(np.asarray, dtype=float)
 
 
 def _to_mpf(values) -> np.ndarray:
+    """An object array of mpmath numbers; decimal strings round to _MP_DPS digits, floats of any width are exact."""
     with _mp.workdps(_MP_DPS):
-        return np.array([_mp.mpf(v) for v in values], dtype=object)
+        exact = [_mp.mpf(v) if isinstance(v, str) else _mp.fdiv(*v.as_integer_ratio()) for v in values]
+        return np.array(exact, dtype=object)
 
 
 @functools.cache
@@ -302,53 +306,51 @@ def _gk15_batch(f, rule, a: np.ndarray, b: np.ndarray, floor):
     return resk, np.maximum(err, floor * resabs), resabs
 
 
-def _adaptive_gk(f, convert, a, b, cfg: QuadConfig, floor, reach, windows=None):
+def _adaptive_gk(f, convert, a, b, cfg: QuadConfig, floor, reach, windows, splits):
     """Globally adaptive bisection of the panels [a, b] for many indices at once.
 
     The arithmetic is in the number type convert makes.  f gives the
-    integrand of every index at once (`_gk15_batch`); floor is a float or a
-    column with one row per index, reach a float or one per index.  With
-    windows = (lo, hi), an index counts only the panels that meet its own
-    [lo, hi]; without, it counts them all.  Until an index's summed error is
-    within tau(its total), each round splits every panel whose error exceeds
-    that index's share of tau, skipping panels already at the index's
-    roundoff floor (splitting cannot improve those); a panel one index flags
-    is split for all.  An index flags nothing once reach, the floor of the
-    finest pass there is, times its absolute integral exceeds tau: no pass
-    can then meet it.  Each index counts the splits it flags against the
-    budget, and is not `settled`, and flags nothing more, if the budget ran
-    out while a panel still needed a split.  The loop ends when no index
-    flags a panel.  Rounds are batched, so the integrand is called a handful
-    of times per loop.  Returns (values, errors, settled, splits), one entry
-    per index, and the final panels.
+    integrand of every index at once (`_gk15_batch`); floor (a column), reach,
+    the windows = (lo, hi) and splits have one entry per index.  An index
+    counts only the panels that meet its own [lo, hi].  Until an index's
+    summed error is within tau(its total), each round splits every panel
+    whose error exceeds that index's share of tau, skipping panels already at
+    the index's roundoff floor (splitting cannot improve those); a panel one
+    index flags is split for all.  An index flags nothing once reach, the
+    floor of the finest pass there is, times its absolute integral exceeds
+    tau: no pass can then meet it.  Each index adds the splits it flags to
+    its splits of earlier passes, against the one budget, and is not
+    `settled`, and flags nothing more, if the budget ran out while a panel
+    still needed a split.  The loop ends when no index flags a panel.  Rounds
+    are batched, so the integrand is called a handful of times per loop.
+    Returns (values, errors, settled, splits), one entry per index, and the
+    final panels.
     """
     rule = _gk15_rule(convert)
     a, b = convert(a), convert(b)
+    lo, hi = windows
 
     def meets(a, b):
-        lo, hi = windows
         return (a < hi[:, None]) & (b > lo[:, None])
 
     def batch(a, b):
         sums = _gk15_batch(f, rule, a, b, floor)
-        if windows is not None:
-            outside = ~meets(a, b)
-            for part in sums:
-                part[outside] = 0.0
+        outside = ~meets(a, b)
+        for part in sums:
+            part[outside] = 0.0
         return sums
 
     vals, errs, resabs = batch(a, b)
-    splits = np.zeros(len(vals), dtype=int)
+    splits = np.array(splits, dtype=int)
     settled = np.ones(len(vals), dtype=bool)
     while True:
         totals = vals.sum(axis=1)
         total_errs = errs.sum(axis=1).astype(float)
-        tols = np.array([cfg.tolerance(totals[i]) for i in range(len(totals))])
+        tols = cfg.tolerance(totals)
         missing = settled & (total_errs > tols) & (reach * resabs.sum(axis=1).astype(float) <= tols)
         if not missing.any():
             break
-        panels = len(a) if windows is None else meets(a, b).sum(axis=1)
-        share = tols / (2.0 * panels)
+        share = tols / (2.0 * meets(a, b).sum(axis=1))
         width_ok = (b - a) > 1e-15 * np.maximum(np.abs(b), 1.0)
         flags = (errs > share[:, None]) & (errs > 4.0 * floor * resabs) & width_ok & missing[:, None]
         wanted = flags.sum(axis=1)
@@ -376,25 +378,26 @@ def _adaptive_gk(f, convert, a, b, cfg: QuadConfig, floor, reach, windows=None):
 
 
 # ---------------------------------------------------------------------------
-# Extended-precision passes
+# The precision passes
 
 def _mp_scalar(z: complex):
     z = complex(z)
     return _mp.mpf(z.real) if z.imag == 0.0 else _mp.mpc(z.real, z.imag)
 
 
-def _mp_integrand(sym: LaguerreCombo, n: int):
-    """r -> g(sqrt(r)) r^n e^-r / n! on an object array of mpmath nodes, node by node.
+def _mp_integrand(sym: LaguerreCombo, ns):
+    """r -> g(sqrt(r)) r^n e^-r / n! for each n of ns on an object array of mpmath nodes, node by node.
 
-    The term factors c_k (-1)^k xi^(k+1) are formed once per call, at the
-    working precision; each node runs the Laguerre recurrence in scalar
-    mpmath, so no operation mixes an mpmath number with an array.
+    One row per index, one column per node.  The term factors c_k (-1)^k
+    xi^(k+1) and the factorials are formed once per call, at the working
+    precision; each node runs the Laguerre recurrence once for all of ns, in
+    scalar mpmath, so no operation mixes an mpmath number with an array.
     """
 
     def integrand(nodes):
         mp_xi = _mp.mpf(sym.xi)
         factors = [_mp_scalar(c) * (-1) ** k * mp_xi ** (k + 1) for k, c in enumerate(sym.coefficients)]
-        offset, fact = _mp_scalar(sym.offset), _mp.factorial(n)
+        offset, facts = _mp_scalar(sym.offset), [_mp.factorial(n) for n in ns]
 
         def at(r):
             t, total, prev, lag = sym.xi * r, _mp.mpf(0), 0, _mp.mpf(1)
@@ -402,29 +405,35 @@ def _mp_integrand(sym: LaguerreCombo, n: int):
                 if factor:
                     total = total + factor * lag
                 prev, lag = lag, ((2 * k + 1 - t) * lag - k * prev) / (k + 1)
-            return (total * _mp.e ** (-(sym.xi - 1) * r) + offset) * r**n * _mp.e ** (-r) / fact
+            g, decay = total * _mp.e ** (-(sym.xi - 1) * r) + offset, _mp.e ** (-r)
+            return [g * r**n * decay / fact for n, fact in zip(ns, facts)]
 
-        return np.frompyfunc(at, 1, 1)(nodes)
+        return np.array([at(r) for r in nodes.ravel()], dtype=object).T
 
     return integrand
 
 
-def _extended_passes(sym: Symbol, n: int):
-    """The passes past float64 for index n, in order: (convert, integrand, floor of its GK estimates).
+def _passes(sym: Symbol, ns, values_at):
+    """The precision passes for the indices ns, in order: (convert, integrand of some of ns, floors).
 
-    longdouble (the platform's type), then mpmath at _MP_DPS digits.  The floor,
-    100 eps of the type per unit of absolute integral, is the pass's roundoff at
-    the integrand's typical log-scale magnitude.  Callables get none (float64).
+    float64 and longdouble (the platform's type) share one numpy integrand,
+    g at the nodes (values_at) times the weights; mpmath at _MP_DPS digits
+    has its own.  The floors, one per index, bound each Gauss-Kronrod
+    estimate below per unit of absolute integral: in float64 the rounding of
+    the weight's exponent at the scale of lgamma(n + 2), past it 100 eps of
+    the type, the roundoff at the integrand's typical log-scale magnitude.
+    Callables have no higher-precision form and get float64 alone.
     """
-    if isinstance(sym, CallableSymbol):
-        return
 
-    def integrand(r):
-        r = r.ravel()
-        return eval_symbol(sym, np.sqrt(r)) * _weight([n], r)
+    def numpy_integrand(ns):
+        return lambda r: values_at(r).ravel() * _weight(ns, r.ravel())
 
-    yield _to_longdouble, integrand, 100.0 * float(np.finfo(_to_longdouble(0.0).dtype).eps)
-    yield _to_mpf, _mp_integrand(sym, n), _MP_FLOOR
+    passes = [(_to_float64, numpy_integrand, np.array([_ERR_FLOOR + _EPS * lgamma(n + 2) for n in ns]))]
+    if isinstance(sym, LaguerreCombo):
+        ld_eps = float(np.finfo(_to_longdouble(0.0).dtype).eps)
+        passes.append((_to_longdouble, numpy_integrand, np.full(len(ns), 100.0 * ld_eps)))
+        passes.append((_to_mpf, functools.partial(_mp_integrand, sym), np.full(len(ns), _MP_FLOOR)))
+    return passes
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +551,9 @@ def _node_values(sym: Symbol):
 
     A panel of the shared grid recurs in every index block whose windows it
     meets, and bisection makes the same children in each, so the rows are
-    kept by the bytes of their nodes.
+    kept by the bytes of their nodes.  Rows of longdouble nodes have other
+    bytes, so they get their own entries; their padding bytes can only make
+    equal nodes miss, never make different nodes meet.
     """
     rows: dict[bytes, np.ndarray] = {}
 
@@ -557,66 +568,54 @@ def _node_values(sym: Symbol):
     return values
 
 
-class _Integral(NamedTuple):
-    """One index's quadrature, from which `gamma_quadrature` builds its record."""
+def _integrals(sym: Symbol, ns, cfg: QuadConfig, symbol_err: float = 0.0) -> list[Eigenvalue]:
+    """The "quad" record of gamma(n) at each index of ns, by adaptive quadrature on one shared panel grid.
 
-    value: complex
-    # the last pass's estimate, plus the window's tail, the subnormal roundoff and the symbol's own error
-    est_abs_err: float
-    converged: bool  # the last pass's estimate is within tau(value)
-    splits: int
-
-
-def _integrals(sym: Symbol, ns, cfg: QuadConfig, symbol_err: float = 0.0) -> list[_Integral]:
-    """Adaptive quadrature of gamma(n) at each index of ns, on one shared panel grid.
-
-    Each block of _INDEX_BLOCK indices runs one float64 `_adaptive_gk` loop
-    over the panels of `_grid_panels` that meet its windows, and the symbol
-    is evaluated once per node of them (`_node_values`).  An index that
-    misses tau with its panels settled within the budget reruns the loop on
-    the block's final panels that meet its own window, in each of
-    `_extended_passes` in turn, to tau / 10 and with the rest of the budget,
-    up to the first pass that meets it; `splits` counts the splits of every
-    pass.  Splitting fails fast at the floor of the finest pass there is, the
-    float64 floor when there is none.  symbol_err bounds the error of the
-    symbol's own values; w_n has unit mass, so each estimate carries it whole.
+    Each block of _INDEX_BLOCK indices runs one loop over the ordered
+    precision passes of `_passes`, each pass one `_adaptive_gk` call.  The
+    float64 pass takes the whole block on the panels of `_grid_panels` that
+    meet its windows, to tau.  Each later pass takes the indices that missed
+    the last pass's target with their panels settled within the budget, on
+    that pass's final panels that meet at least one of their windows, to
+    tau / 10.  The budget is per index over all passes, and `subdivisions`
+    counts the splits of every pass.  Splitting fails fast at the floor of
+    the finest pass there is.  Each estimate is the last pass's, plus the
+    window's tail, the subnormal roundoff and symbol_err, which bounds the
+    error of the symbol's own values; w_n has unit mass, so each estimate
+    carries it whole.
     """
     ns = list(ns)
     sup_g = sup_estimate(sym)
-    values_at = _node_values(sym)
+    passes = _passes(sym, ns, _node_values(sym))
+    reach = np.min([floors for *_, floors in passes], axis=0)
     out = []
     for start in range(0, len(ns), _INDEX_BLOCK):
         block = ns[start : start + _INDEX_BLOCK]
-        windows = [_window(n, sup_g, cfg.rel_tol) for n in block]
-        lo, hi, _ = np.array(windows).T
-        # the weight's exponent rounds at the scale of lgamma(n + 2)
-        floor = np.array([_ERR_FLOOR + _EPS * lgamma(n + 2) for n in block])
-        reach = min((pass_floor for *_, pass_floor in _extended_passes(sym, block[0])), default=floor)
-
-        def integrand(r, block=block):
-            return values_at(r).ravel() * _weight(block, r.ravel())
-
-        panels = _grid_panels(sym, block, lo.min(), hi.max())
-        values, errs, settled, splits, fin_a, fin_b = _adaptive_gk(
-            integrand, _to_float64, *panels, cfg, floor[:, None], reach, (lo, hi)
-        )
-        # splits keep the outer edges of the sorted initial panels
-        underflow = _underflow_bound(sym, sup_g, panels[1][-1] - panels[0][0], len(fin_a))
-        for i, n in enumerate(block):
-            value, err, more = values[i], errs[i], int(splits[i])
-            if settled[i] and err > cfg.tolerance(value):
-                mine = (fin_a < hi[i]) & (fin_b > lo[i])
-                with _mp.workdps(_MP_DPS):
-                    for convert, pass_integrand, pass_floor in _extended_passes(sym, n):
-                        pass_cfg = QuadConfig(cfg.rel_tol / 10.0, cfg.max_subdivisions - more)
-                        (value,), (err,), _, (extra,), _, _ = _adaptive_gk(
-                            pass_integrand, convert, fin_a[mine], fin_b[mine], pass_cfg, pass_floor, reach
-                        )
-                        more += int(extra)
-                        if err <= pass_cfg.tolerance(value):
-                            break
-            est_abs_err = err + _times_sup(sup_g, windows[i][2]) + underflow + symbol_err
-            out.append(_Integral(value, est_abs_err, bool(err <= cfg.tolerance(value)), more))
+        lo, hi, mass = np.array([_window(n, sup_g, cfg.rel_tol) for n in block]).T
+        a, b = _grid_panels(sym, block, lo.min(), hi.max())
+        values, errs = np.zeros(len(block), dtype=complex), np.zeros(len(block))
+        settled, splits = np.ones(len(block), dtype=bool), np.zeros(len(block), dtype=int)
+        rows, pass_cfg = np.arange(len(block)), cfg
+        for p, (convert, integrand, floors) in enumerate(passes):
+            if p:
+                rows = rows[settled[rows] & (errs[rows] > pass_cfg.tolerance(values[rows]))]
+                if not len(rows):
+                    break
+                mine = ((a < hi[rows, None]) & (b > lo[rows, None])).any(axis=0)
+                a, b = a[mine], b[mine]
+                pass_cfg = QuadConfig(cfg.rel_tol / 10.0, cfg.max_subdivisions)
+            # only structured symbols reach the later passes; a callable runs at the caller's mpmath precision
+            with _mp.workdps(_MP_DPS if p else _mp.mp.dps):
+                values[rows], errs[rows], settled[rows], splits[rows], a, b = _adaptive_gk(
+                    integrand([block[i] for i in rows]), convert, a, b, pass_cfg,
+                    floors[start + rows, None], reach[start + rows], (lo[rows], hi[rows]), splits[rows],
+                )
+            if not p:  # splits keep the outer edges of the grid
+                underflow = _underflow_bound(sym, sup_g, b.max() - a.min(), len(a))
+        converged = errs <= cfg.tolerance(values)
+        for i in range(len(block)):
+            est_abs_err = errs[i] + _times_sup(sup_g, mass[i]) + underflow + symbol_err
+            out.append(Eigenvalue(complex(values[i]), "quad", float(est_abs_err), bool(converged[i]), int(splits[i])))
     return out
 
 
@@ -627,23 +626,21 @@ def gamma_quadrature(sym: Symbol, n: int, cfg: QuadConfig | None = None, *, shar
     absolute below unit size.  The float64 panel estimates, each at least its
     panel's roundoff floor, sum to the error err.  If err > tau(value) on a
     structured symbol whose panels all settled within the subdivision budget,
-    each extended pass reruns `_adaptive_gk` from the panels that meet the
-    window in its number type, to tau / 10 and with the rest of the budget,
-    up to the first pass that meets it; `subdivisions` counts the splits of
-    every pass.
+    longdouble and then mpmath rerun `_adaptive_gk` from the last pass's
+    panels that meet the window, to tau / 10 and with the rest of the budget,
+    up to the first pass that meets it; `subdivisions` counts every split.
     The window leaves weight mass 0.05 * rel_tol / max(1, sup|g|) or less on
     each side, so the out-of-window bound sup|g| * (mass outside) is at most
     rel_tol / 10 for a finite sup|g|.  The record's `converged` is
     err <= tau(value); its `est_abs_err` is err plus that bound plus the
     subnormal roundoff, which no relative floor covers (`_underflow_bound`).
-    `shared` is this index's entry of the batch that `gamma_sequence` and
-    `shifted_gamma_residual` integrate over a whole sequence at once on one
-    panel grid (`_integrals`); without it the batch runs for n alone.
+    `shared` is this index's record, returned as it is, from the batch that
+    `gamma_sequence` and `shifted_gamma_residual` run over a whole sequence
+    on one panel grid (`_integrals`); without it the batch runs for n alone.
     """
     cfg = cfg or QuadConfig()
     n = _check_index(n, "n")
-    res = shared or _integrals(sym, [n], cfg)[0]
-    return Eigenvalue(complex(res.value), "quad", float(res.est_abs_err), res.converged, res.splits)
+    return shared if shared is not None else _integrals(sym, [n], cfg)[0]
 
 
 def _quadrature_records(sym: Symbol, ns, cfg: QuadConfig, symbol_err: float = 0.0) -> list[Eigenvalue]:

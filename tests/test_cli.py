@@ -157,10 +157,8 @@ def test_eigs_both_fails_on_uncertified_cancellation(tmp_path, capsys, monkeypat
     # 40 terms at xi = 40: the integrand cancels from ~1e64 past every
     # precision tier, so no quadrature value may claim convergence.  The
     # mpmath tier misses too, at 2.5 s per index, so the test stops after longdouble
-    passes = eigenvalues._extended_passes
-    monkeypatch.setattr(
-        eigenvalues, "_extended_passes", lambda *args: itertools.islice(passes(*args), 1)
-    )
+    passes = eigenvalues._passes
+    monkeypatch.setattr(eigenvalues, "_passes", lambda *args: passes(*args)[:2])
     coeffs = np.random.default_rng(0).normal(size=40)
     sym = write_json(tmp_path / "s.json", symbol_to_json(combo_symbol(coeffs, 40)))
     results = []

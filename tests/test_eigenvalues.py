@@ -319,12 +319,13 @@ def test_mpmath_pass_error_covers_its_truncation():
     # one coarse panel, no splits: the error of r^3 e^-r / 3! on [0, 40] is
     # GK15 truncation, far above the pass's roundoff floor, and the estimate
     # has to cover it
-    integrand = eigenvalues._mp_integrand(LaguerreCombo(offset=1.0), 3)
+    integrand = eigenvalues._mp_integrand(LaguerreCombo(offset=1.0), [3])
     cfg = QuadConfig(max_subdivisions=0)
     floor = eigenvalues._MP_FLOOR
+    window = (np.array([0.0]), np.array([40.0]))
     with mpmath.workdps(eigenvalues._MP_DPS):
-        value, err, *_ = eigenvalues._adaptive_gk(
-            integrand, eigenvalues._to_mpf, [0.0], [40.0], cfg, floor, floor
+        (value,), (err,), *_ = eigenvalues._adaptive_gk(
+            integrand, eigenvalues._to_mpf, [0.0], [40.0], cfg, floor, floor, window, [0]
         )
         exact = mpmath.gammainc(4, 0, 40) / 6
         miss = abs(value - exact)
@@ -382,11 +383,13 @@ def test_mp_integrand_matches_mpmath_laguerre():
         LaguerreCombo(xi=3, coefficients=(0.5, 0.0, -1.0 + 0.25j), offset=0.125 - 1j),
         combo_symbol(np.random.default_rng(0).normal(size=17), 40),
     ]
+    ns = (0, 1, 2, 5)
     for sym in symbols:
-        for n in (0, 1, 2, 5):
-            with mpmath.workdps(eigenvalues._MP_DPS):
-                nodes = [mpmath.mpf(k) * 3 / 5 for k in range(1, 11)]
-                got = eigenvalues._mp_integrand(sym, n)(np.array(nodes, dtype=object))
+        with mpmath.workdps(eigenvalues._MP_DPS):
+            nodes = [mpmath.mpf(k) * 3 / 5 for k in range(1, 11)]
+            rows = eigenvalues._mp_integrand(sym, ns)(np.array(nodes, dtype=object))
+        assert rows.shape == (len(ns), len(nodes))
+        for n, got in zip(ns, rows):
             with mpmath.workdps(2 * eigenvalues._MP_DPS):
                 for r, value in zip(nodes, got):
                     weight = r**n * mpmath.exp(-r) / mpmath.factorial(n)
@@ -504,6 +507,27 @@ def test_no_false_certificates_at_large_scale():
                 assert not res.converged or abs(res.value - exact[n]) <= res.est_abs_err, (m, xi, n, res)
 
 
+def test_each_precision_tier_runs_once_per_block(monkeypatch):
+    # the zero eigenvalues of basic(8, 8) at n < 8 need longdouble and mpmath;
+    # the indices of a block that miss tau share each tier's one adaptive loop
+    converts = []
+    adaptive = eigenvalues._adaptive_gk
+
+    def spy(f, convert, *args):
+        converts.append(convert)
+        return adaptive(f, convert, *args)
+
+    monkeypatch.setattr(eigenvalues, "_adaptive_gk", spy)
+    gamma_sequence(basic_symbol(8, 8), 31, engine="quad")
+    assert converts == [eigenvalues._to_float64, eigenvalues._to_longdouble, eigenvalues._to_mpf]
+    # and every record the shared passes certify lies within its estimate
+    combo = combo_symbol(np.random.default_rng(2).normal(size=6), 40)
+    for sym, n_max in ((basic_symbol(8, 8), 155), (combo, 45)):
+        exact = closed_form_sequence(sym.coefficients, sym.xi, sym.offset, n_max).values
+        for n, res in enumerate(gamma_sequence(sym, n_max, engine="quad").entries):
+            assert not res.converged or abs(res.value - exact[n]) <= res.est_abs_err, (sym, n, res)
+
+
 def test_log_factorial_is_correctly_rounded():
     # the weight's normalizer ln n!; math.lgamma(92) is 1.5 ulp off, a bias
     # every w_91 would carry
@@ -517,7 +541,7 @@ def test_callables_get_no_extended_pass():
     # float64 roundoff the float64 pass stops at once (fail-fast, no splits),
     # no further pass runs, and the value still lies within its estimate
     sym = CallableSymbol(lambda x: np.cos(0.8 * x * x))
-    assert list(eigenvalues._extended_passes(sym, 0)) == []
+    assert [convert for convert, *_ in eigenvalues._passes(sym, [0], None)] == [eigenvalues._to_float64]
     for n in (0, 5, 40):
         res = gamma_quadrature(sym, n, QuadConfig(rel_tol=1e-15))
         assert not res.converged and res.subdivisions == 0, n
