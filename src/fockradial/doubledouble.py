@@ -1,0 +1,236 @@
+"""Double-double arithmetic on numpy arrays: each number is an unevaluated sum hi + lo of two float64s.
+
+The error-free transformations are Dekker's (Numer. Math. 18, 1971):
+`two_sum` gives a + b exactly as a rounded sum and its rounding error, and
+`two_prod` does the same for a * b by splitting each factor into two 26-bit
+halves, since numpy has no fused multiply-add.  On them rest the
+double-word sum, product and quotient in the forms analysed by Joldes,
+Muller and Popescu (ACM TOMS 44, 2017), each to a few units of
+u = 2^-106 while nothing leaves the normal range.  A value may be complex:
+addition and subtraction are componentwise, and a product is error-free
+componentwise when one factor is real, so `DD` refuses complex times complex.
+
+`DD` is an array type for the adaptive quadrature: numpy's operators and
+`abs` dispatch to it, `abs` gives float64 magnitudes, which is all an error
+estimate needs, and `np.concatenate` and `np.lexsort` accept it.  Any other
+ufunc or array function raises rather than rounding silently.  `exp` and
+`log` are vectorized double-double elementary functions.
+"""
+
+from __future__ import annotations
+
+import functools
+import math
+
+import mpmath
+import numpy as np
+
+__all__ = ["DD", "DIGITS", "UNIT", "exp", "from_mpf", "log", "to_dd", "two_prod", "two_sum"]
+
+UNIT = 2.0**-106  # the unit roundoff u of double-double
+_SPLITTER = 134217729.0  # 2^27 + 1: splits a float64 into two halves of 26 bits
+DIGITS = 40  # decimal digits that constants are read and computed at, past the 32 that double-double holds
+
+
+def two_sum(a, b):
+    """(s, e) with s = fl(a + b) and s + e = a + b exactly (Knuth's branch-free form)."""
+    s = a + b
+    v = s - a
+    return s, (a - (s - v)) + (b - v)
+
+
+def _fast_two_sum(a, b):
+    """two_sum for |a| >= |b| or a = 0, componentwise."""
+    s = a + b
+    return s, b - (s - a)
+
+
+def _split(a):
+    t = _SPLITTER * a
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+def two_prod(a, b):
+    """(p, e) with p = fl(a * b) and p + e = a * b exactly, for |a|, |b| below 2^996 and one factor real."""
+    p = a * b
+    ah, al = _split(a)
+    bh, bl = _split(b)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _as_dd(x) -> DD:
+    return x if isinstance(x, DD) else DD(np.asarray(x, dtype=np.result_type(x, float)))
+
+
+def _add(x, y) -> DD:
+    x, y = _as_dd(x), _as_dd(y)
+    s, e = two_sum(x.hi, y.hi)
+    t, f = two_sum(x.lo, y.lo)
+    s, e = _fast_two_sum(s, e + t)
+    return DD(*_fast_two_sum(s, e + f))
+
+
+def _mul(x, y) -> DD:
+    x, y = _as_dd(x), _as_dd(y)
+    if x.hi.dtype.kind == "c" and y.hi.dtype.kind == "c":
+        raise TypeError("a complex times complex product is not error-free")
+    p, e = two_prod(x.hi, y.hi)
+    return DD(*_fast_two_sum(p, e + (x.hi * y.lo + x.lo * y.hi)))
+
+
+def _div(x, y) -> DD:
+    x, y = _as_dd(x), _as_dd(y)
+    q = x.hi / y.hi
+    r = _add(x, -_mul(y, q))
+    return DD(*_fast_two_sum(q, (r.hi + r.lo) / y.hi))
+
+
+def _sign(x, y) -> np.ndarray:
+    """A float array with the exact sign of x - y."""
+    return _add(x, -_as_dd(y)).hi
+
+
+def _matmul(x, y) -> DD:
+    """(..., m) @ (m,): a product per term, then a pairwise sum."""
+    return _mul(x, y).sum(axis=-1)
+
+
+_UFUNCS = {
+    np.add: _add,
+    np.subtract: lambda x, y: _add(x, -_as_dd(y)),
+    np.multiply: _mul,
+    np.true_divide: _div,
+    np.matmul: _matmul,
+    np.negative: lambda x: DD(-x.hi, -x.lo),
+    np.absolute: lambda x: np.abs(x.hi + x.lo),
+    np.less: lambda x, y: _sign(x, y) < 0.0,
+    np.greater: lambda x, y: _sign(x, y) > 0.0,
+}
+
+
+class DD(np.lib.mixins.NDArrayOperatorsMixin):
+    """An array of double-double numbers hi + lo, |lo| <= ulp(hi) / 2; complex when hi is."""
+
+    def __init__(self, hi, lo=None):
+        self.hi = np.asarray(hi)
+        self.lo = np.zeros_like(self.hi) if lo is None else np.asarray(lo)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if method != "__call__" or kwargs or ufunc not in _UFUNCS:
+            return NotImplemented
+        return _UFUNCS[ufunc](*inputs)
+
+    def __array_function__(self, func, types, args, kwargs):
+        if func is np.concatenate:
+            parts = [_as_dd(part) for part in args[0]]
+            hi, lo = ([getattr(p, half) for p in parts] for half in ("hi", "lo"))
+            return DD(np.concatenate(hi, *args[1:], **kwargs), np.concatenate(lo, *args[1:], **kwargs))
+        if func is np.lexsort:  # a double-double key sorts by hi, then lo
+            keys = [part for key in args[0] for part in ((key.lo, key.hi) if isinstance(key, DD) else (key,))]
+            return np.lexsort(keys, *args[1:], **kwargs)
+        return NotImplemented
+
+    def __array__(self, dtype=None, copy=None):
+        """The values rounded to float64 (complex128 when complex)."""
+        out = self.hi + self.lo
+        return out if dtype is None else out.astype(dtype)
+
+    def __getitem__(self, key) -> DD:
+        return DD(self.hi[key], self.lo[key])
+
+    def __setitem__(self, key, value) -> None:
+        value = _as_dd(value)
+        self.hi[key] = value.hi
+        self.lo[key] = value.lo
+
+    def __len__(self) -> int:
+        return len(self.hi)
+
+    @property
+    def shape(self) -> tuple:
+        return self.hi.shape
+
+    def reshape(self, *shape) -> DD:
+        return DD(self.hi.reshape(*shape), self.lo.reshape(*shape))
+
+    def sum(self, axis: int) -> DD:
+        """The sum along axis, pairwise: an error of at most about log2(length) * 3u of the absolute sum."""
+        x = DD(np.moveaxis(self.hi, axis, -1), np.moveaxis(self.lo, axis, -1))
+        while x.shape[-1] > 1:
+            half = x.shape[-1] // 2
+            pairs = x[..., :half] + x[..., half : 2 * half]
+            x = np.concatenate([pairs, x[..., 2 * half :]], axis=-1)
+        return x[..., 0]
+
+
+def from_mpf(values) -> DD:
+    """Real mpmath numbers as DD, each rounded twice: hi = float(v), lo = float(v - hi)."""
+    with mpmath.workdps(DIGITS):
+        hi = [float(v) for v in values]
+        return DD(np.array(hi), np.array([float(v - h) for v, h in zip(values, hi)]))
+
+
+def to_dd(values) -> DD:
+    """values as DD: a tuple of decimal strings read at 40 digits, or floats of any width.
+
+    A float x becomes hi = float(x), lo = float(x - hi), which is exact for
+    longdouble and float64.
+    """
+    if isinstance(values, tuple) and isinstance(values[0], str):
+        with mpmath.workdps(DIGITS):
+            return from_mpf([mpmath.mpf(v) for v in values])
+    x = np.asarray(values)
+    hi = x.astype(float)
+    return DD(hi, (x - hi).astype(float))
+
+
+@functools.cache
+def _exp_constants() -> DD:
+    """ln 2, 1/3! and 1/4! as double-doubles, built once."""
+    with mpmath.workdps(DIGITS):
+        return from_mpf([mpmath.log(2), 1 / mpmath.mpf(6), 1 / mpmath.mpf(24)])
+
+
+_EXP_HALVINGS = 10  # the reduced argument is divided by 2^10 and the result squared back 10 times
+_EXP_FLOAT_TERMS = tuple(1.0 / math.factorial(k) for k in range(5, 10))  # terms below u of the sum
+
+
+def exp(x) -> DD:
+    """e^x of a real DD array, to a few units of u relative error plus |x| u from x's own rounding.
+
+    x = k ln 2 + s with |s| <= ln 2 / 2; e^(s / 2^10) - 1 is a 9-term Taylor
+    sum, whose terms past the fourth lie below u of it and are summed in
+    float64; 10 squarings in the form p -> 2p + p^2 of p = e^s - 1 keep its
+    relative error from doubling at each step; then e^x = (1 + p) 2^k.
+    Arguments below about -745 give 0, above about 709.8 inf, and results
+    below 2^-969 lose relative precision in lo as subnormal roundoff.
+    """
+    x = _as_dd(x)
+    ln2, c3, c4 = _exp_constants()
+    # past +-760 the result is 0 or inf whatever the argument; clipping keeps the reduction small
+    clipped = np.abs(x.hi) > 760.0
+    x = DD(np.clip(x.hi, -760.0, 760.0), np.where(clipped, 0.0, x.lo))
+    k = np.round(x.hi / ln2.hi)
+    s = (x - k * ln2) * 2.0**-_EXP_HALVINGS
+    tail = s.hi * 0.0
+    for c in reversed(_EXP_FLOAT_TERMS):
+        tail = (tail + c) * s.hi
+    p = s * (1.0 + s * (0.5 + s * (c3 + s * (c4 + tail))))
+    for _ in range(_EXP_HALVINGS):
+        p = p * (p + 2.0)
+    out, k = p + 1.0, k.astype(int)
+    return DD(np.ldexp(out.hi, k), np.ldexp(out.lo, k))
+
+
+def log(x) -> DD:
+    """ln x of a positive real DD array, to a few units of u absolute error.
+
+    One Newton step from y = np.log(hi): ln x = y + ln(1 + d) with
+    d = x e^-y - 1, about 1e-16 or less; the step's d^2 / 2 term, taken in
+    float64, keeps its error d^3 / 3 far below u where |y| is large.
+    """
+    x = _as_dd(x)
+    y = np.log(x.hi)
+    d = x * exp(-y) - 1.0
+    return (d - 0.5 * d.hi * d.hi) + y

@@ -31,17 +31,20 @@ loop integrates a block of weights against one set of panels, each index
 counting only the panels that meet its own window, and the symbol is
 evaluated once per node for the whole sequence.  Each block of indices runs
 one loop over an ordered list of precision passes: float64, then, for a
-structured symbol, longdouble and mpmath.  A pass is one run of the adaptive
-loop over the block's indices that missed the last pass's target with their
-panels settled, from that pass's panels that meet their windows.  The passes
-past float64 aim at tau / 10, each with an error that is its own
-Gauss-Kronrod estimate, floored at 100 eps of its number type; an index
-leaves at the first pass that meets its target.  Callables stay in float64.
+structured symbol, longdouble and double-double (numpy pairs hi + lo of
+float64s, `fockradial.doubledouble`, about 32 digits on every platform).  A
+pass is one run of the adaptive loop over the block's indices that missed
+the last pass's target with their panels settled, from that pass's panels
+that meet their windows.  The passes past float64 aim at tau / 10, each with
+an error that is its own Gauss-Kronrod estimate, floored at the roundoff of
+its number type (`_passes`); an index leaves at the first pass that meets
+its target.  Callables stay in float64.
 
 Each eigenvalue comes back as one `Eigenvalue` record: its value, the engine
-that produced it ("closed" or "quad") and, for quadrature, the error
-estimate, the `converged` flag and the number of subdivisions.  `EigenSeq`
-holds one record per index.
+that produced it ("closed" or "quad"), the tier, the closed form or the last
+precision pass it ran, and, for quadrature, the error estimate, the
+`converged` flag and the number of subdivisions.  `EigenSeq` holds one
+record per index.
 
 The module ends with the shift identity.  One exponential average
 integrates g(sqrt(u)) against the unit-mass kernel e^{r-u} on [r, oo).  A sum
@@ -65,12 +68,13 @@ import functools
 import math
 from dataclasses import dataclass
 from math import lgamma
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import mpmath as _mp
 import numpy as np
 from scipy.special import gammainc, gammaincc, gammainccinv, gammaincinv
 
+from . import doubledouble as _dd
 from .laguerre import _as_float_array, _check_index, _check_positive
 from .symbols import (
     CallableSymbol,
@@ -191,7 +195,10 @@ class Eigenvalue:
 
     engine is "closed" (the float closed form: est_abs_err None, converged
     True, no subdivisions) or "quad" (`gamma_quadrature`: est_abs_err bounds
-    |value - gamma(n)|, converged says the value met its tolerance).
+    |value - gamma(n)|, converged says the value met its tolerance).  tier
+    names the arithmetic that produced the value: "closed" for the closed
+    form, else the last precision pass the index ran, "float64",
+    "longdouble" or "double-double".
     """
 
     value: complex
@@ -199,6 +206,7 @@ class Eigenvalue:
     est_abs_err: float | None = None
     converged: bool = True
     subdivisions: int = 0
+    tier: str = "closed"
 
 
 @dataclass(frozen=True)
@@ -248,27 +256,18 @@ _WG_POS = (
     "0.417959183673469387755102040816327",
 )
 
-# mpmath passes run at _MP_DPS digits, eps 10^-_MP_DPS; the constants carry
-# 33 digits, so _MP_DPS must stay <= 32
-_MP_DPS = 30
-_MP_FLOOR = 100.0 * 10.0**-_MP_DPS
 _to_longdouble = functools.partial(np.asarray, dtype=np.longdouble)
 _to_float64 = functools.partial(np.asarray, dtype=float)
-
-
-def _to_mpf(values) -> np.ndarray:
-    """An object array of mpmath numbers; decimal strings round to _MP_DPS digits, floats of any width are exact."""
-    with _mp.workdps(_MP_DPS):
-        exact = [_mp.mpf(v) if isinstance(v, str) else _mp.fdiv(*v.as_integer_ratio()) for v in values]
-        return np.array(exact, dtype=object)
+_to_double_double = _dd.to_dd
 
 
 @functools.cache
 def _gk15_rule(convert):
     """(Kronrod nodes, Kronrod weights, Gauss-7 weights) on [-1, 1], in convert's number type.
 
-    Each number is converted straight from its string, so an mpmath rule has
-    _MP_DPS digits at any working precision.  Gauss-7 uses the odd Kronrod nodes.
+    Each number is converted straight from its string, so a double-double
+    rule splits the 33 digits into hi + lo, read at 40 digits whatever
+    mpmath's working precision.  Gauss-7 uses the odd Kronrod nodes.
     """
     nodes = tuple("-" + x for x in _XGK_POS) + ("0",) + _XGK_POS[::-1]
     wgk, wg7 = _WGK_POS + _WGK_POS[-2::-1], _WG_POS + _WG_POS[-2::-1]
@@ -284,8 +283,10 @@ def _gk15_batch(f, rule, a: np.ndarray, b: np.ndarray, floor):
 
     f maps the (panels, 15) node array to the integrand of every index at
     once, one leading row per index.  Returns (values, error estimates,
-    absolute integrals), each of shape (indices, panels); no estimate is below
-    the index's floor, a column, times the panel's absolute integral.  All
+    absolute integrals), each of shape (indices, panels): the values in the
+    pass's number type, the estimates built from magnitudes, which are float64
+    in a double-double pass.  No estimate is below the index's floor, a
+    column, times the panel's absolute integral.  All
     panel nodes are evaluated in a single call to f.
     """
     xgk, wgk, wg7 = rule
@@ -297,8 +298,10 @@ def _gk15_batch(f, rule, a: np.ndarray, b: np.ndarray, floor):
     resk = half * (fx @ wgk)
     resg = half * (fx[..., 1::2] @ wg7)
     mean = (resk / width)[..., None]
-    resabs = half * (np.abs(fx) @ wgk)
-    resasc = half * (np.abs(fx - mean) @ wgk)
+    # the rest of the estimate is built from magnitudes, which abs gives in float64 for a double-double pass
+    abs_half, abs_wgk = np.abs(half), np.abs(wgk)
+    resabs = abs_half * (np.abs(fx) @ abs_wgk)
+    resasc = abs_half * (np.abs(fx - mean) @ abs_wgk)
     diff = np.abs(resk - resg)
     spread = resasc > 0.0
     safe = np.where(spread, resasc, 1.0)
@@ -380,59 +383,97 @@ def _adaptive_gk(f, convert, a, b, cfg: QuadConfig, floor, reach, windows, split
 # ---------------------------------------------------------------------------
 # The precision passes
 
-def _mp_scalar(z: complex):
-    z = complex(z)
-    return _mp.mpf(z.real) if z.imag == 0.0 else _mp.mpc(z.real, z.imag)
+_DD_LAG_START = 600.0  # the largest exponent the recurrence starts from: e^-600 and its lo half stay normal
 
 
-def _mp_integrand(sym: LaguerreCombo, ns):
-    """r -> g(sqrt(r)) r^n e^-r / n! for each n of ns on an object array of mpmath nodes, node by node.
+def _dd_factors(sym: LaguerreCombo, scale: int) -> _dd.DD:
+    """c_k (-1)^k xi^(k+1) 2^-scale for every k, rounded to double-double from 40-digit mpmath values."""
+    with _mp.workdps(_dd.DIGITS):
+        unit = _mp.ldexp(1, -scale)
+        powers = [(-1) ** k * _mp.mpf(sym.xi) ** (k + 1) * unit for k in range(len(sym.coefficients))]
+        re = _dd.from_mpf([c.real * power for c, power in zip(sym.coefficients, powers)])
+        if not any(c.imag for c in sym.coefficients):
+            return re
+        im = _dd.from_mpf([c.imag * power for c, power in zip(sym.coefficients, powers)])
+    return _dd.DD(re.hi + 1j * im.hi, re.lo + 1j * im.lo)
 
-    One row per index, one column per node.  The term factors c_k (-1)^k
-    xi^(k+1) and the factorials are formed once per call, at the working
-    precision; each node runs the Laguerre recurrence once for all of ns, in
-    scalar mpmath, so no operation mixes an mpmath number with an array.
+
+def _dd_integrand(sym: LaguerreCombo, ns):
+    """r -> g(sqrt(r)) r^n e^-r / n! for each n of ns on a double-double array of nodes, vectorized.
+
+    One row per index, one column per node.  The symbol runs the Laguerre
+    recurrence on l_k = L_k(xi r) e^-c with c = min((xi - 1) r, 600), so
+    l_0 stays normal, and takes the rest of its Gaussian factor,
+    e^(c - (xi - 1) r), after the sum; |L_k(t)| <= e^(t/2) and xi >= 2 keep
+    the product within 1.  The step (2k + 1 - xi r) and the factors
+    c_k (-1)^k xi^(k+1) are double-doubles, scaled by 2^-scale so that g
+    stays within 2 and no split overflows where sup|g| is finite.  Every
+    product is complex times real.  The weight is exp(n ln r - r - ln n!),
+    with ln n! from `_log_factorial`.
     """
+    scale = max(0, math.frexp(sup_estimate(sym))[1] - 1)
+    factors = _dd_factors(sym, scale)
+    offset = sym.offset * 2.0**-scale
+    offset = offset.real if offset.imag == 0.0 else offset
+    log_facts = _dd.DD(*np.array([_log_factorial(n) for n in ns]).T.reshape(2, -1, 1))
+    n_col = np.reshape(np.asarray(ns, dtype=float), (-1, 1))
 
     def integrand(nodes):
-        mp_xi = _mp.mpf(sym.xi)
-        factors = [_mp_scalar(c) * (-1) ** k * mp_xi ** (k + 1) for k, c in enumerate(sym.coefficients)]
-        offset, facts = _mp_scalar(sym.offset), [_mp.factorial(n) for n in ns]
-
-        def at(r):
-            t, total, prev, lag = sym.xi * r, _mp.mpf(0), 0, _mp.mpf(1)
-            for k, factor in enumerate(factors):
-                if factor:
-                    total = total + factor * lag
-                prev, lag = lag, ((2 * k + 1 - t) * lag - k * prev) / (k + 1)
-            g, decay = total * _mp.e ** (-(sym.xi - 1) * r) + offset, _mp.e ** (-r)
-            return [g * r**n * decay / fact for n, fact in zip(ns, facts)]
-
-        return np.array([at(r) for r in nodes.ravel()], dtype=object).T
+        r = nodes.reshape(-1)
+        g = _dd.DD(np.full(r.shape, offset))
+        if len(factors):
+            decay = r * (sym.xi - 1.0)
+            c = _dd.DD(np.minimum(decay.hi, _DD_LAG_START), np.where(decay.hi < _DD_LAG_START, decay.lo, 0.0))
+            t, prev, lag, terms = r * float(sym.xi), 0.0, _dd.exp(-c), 0.0
+            for k in range(len(factors)):
+                if factors.hi[k]:
+                    terms = factors[k] * lag + terms
+                prev, lag = lag, ((2 * k + 1 - t) * lag - k * prev) / (k + 1.0)
+            g = g + terms * _dd.exp(c - decay)
+        weight = _dd.exp(n_col * _dd.log(r) - r - log_facts)
+        return g * weight * 2.0**scale
 
     return integrand
 
 
-def _passes(sym: Symbol, ns, values_at):
-    """The precision passes for the indices ns, in order: (convert, integrand of some of ns, floors).
+class _Pass(NamedTuple):
+    """One precision pass: its number type (convert), its integrand of some indices, their floors, its name."""
+
+    convert: Callable
+    integrand: Callable
+    floors: np.ndarray
+    tier: str
+
+
+def _passes(sym: Symbol, ns, values_at) -> list[_Pass]:
+    """The precision passes for the indices ns, in order: float64, then longdouble and double-double.
 
     float64 and longdouble (the platform's type) share one numpy integrand,
-    g at the nodes (values_at) times the weights; mpmath at _MP_DPS digits
-    has its own.  The floors, one per index, bound each Gauss-Kronrod
-    estimate below per unit of absolute integral: in float64 the rounding of
-    the weight's exponent at the scale of lgamma(n + 2), past it 100 eps of
-    the type, the roundoff at the integrand's typical log-scale magnitude.
-    Callables have no higher-precision form and get float64 alone.
+    g at the nodes (values_at) times the weights; double-double has its own,
+    `_dd_integrand`.  The floors, one per index, bound each Gauss-Kronrod
+    estimate below per unit of absolute integral.  In float64 that is the
+    rounding of the weight's exponent at the scale of lgamma(n + 2), in
+    longdouble 100 eps of the type.  In double-double it is
+    u (2^9 + 8 (lgamma(n + 2) + n + 1)), u = 2^-106: the weight
+    exp(n ln r - r - ln n!) errs by a few u plus about u times the partial
+    sums of its exponent, n |ln r|, r and ln n!, which near the weight's mass
+    are about 2 lgamma(n + 2) + n; `exp` adds a few u and about |x| u more,
+    and the recurrence and the Gauss-Kronrod sums a few hundred u at most
+    (so about 6e-30 at n = 0 and 1.1e-28 at n = 100).  Callables have no
+    higher-precision form and get float64 alone, and so does a structured
+    symbol whose sup|g| overflows float64.
     """
 
     def numpy_integrand(ns):
         return lambda r: values_at(r).ravel() * _weight(ns, r.ravel())
 
-    passes = [(_to_float64, numpy_integrand, np.array([_ERR_FLOOR + _EPS * lgamma(n + 2) for n in ns]))]
-    if isinstance(sym, LaguerreCombo):
+    lgammas = np.array([lgamma(n + 2) for n in ns])
+    passes = [_Pass(_to_float64, numpy_integrand, _ERR_FLOOR + _EPS * lgammas, "float64")]
+    if isinstance(sym, LaguerreCombo) and math.isfinite(sup_estimate(sym)):
         ld_eps = float(np.finfo(_to_longdouble(0.0).dtype).eps)
-        passes.append((_to_longdouble, numpy_integrand, np.full(len(ns), 100.0 * ld_eps)))
-        passes.append((_to_mpf, functools.partial(_mp_integrand, sym), np.full(len(ns), _MP_FLOOR)))
+        dd_floors = _dd.UNIT * (2.0**9 + 8.0 * (lgammas + np.asarray(ns) + 1.0))
+        passes.append(_Pass(_to_longdouble, numpy_integrand, np.full(len(ns), 100.0 * ld_eps), "longdouble"))
+        passes.append(_Pass(_to_double_double, functools.partial(_dd_integrand, sym), dd_floors, "double-double"))
     return passes
 
 
@@ -446,10 +487,14 @@ _INDEX_BLOCK = 32  # indices per shared loop; bounds the (indices x nodes) weigh
 
 
 @functools.cache
-def _log_factorial(n: int) -> float:
-    """ln n!, correctly rounded; math.lgamma is 3.2 ulp off at n = 2 and 1.5 ulp at n = 91."""
-    with _mp.workdps(_MP_DPS):
-        return float(_mp.loggamma(n + 1))
+def _log_factorial(n: int) -> tuple[float, float]:
+    """ln n! as a double-double (hi, lo) from 40 digits; hi alone is correctly rounded.
+
+    math.lgamma is 3.2 ulp off at n = 2 and 1.5 ulp at n = 91.
+    """
+    with _mp.workdps(_dd.DIGITS):
+        value = _mp.loggamma(n + 1)
+        return float(value), float(value - float(value))
 
 
 def _weight(ns, r: np.ndarray) -> np.ndarray:
@@ -460,7 +505,7 @@ def _weight(ns, r: np.ndarray) -> np.ndarray:
     extended-precision pass keeps its accuracy through the weight factor.
     """
     r = _as_float_array(r)
-    log_norm = np.array([[_log_factorial(n)] for n in ns])
+    log_norm = np.array([[_log_factorial(n)[0]] for n in ns])
     return np.exp(np.reshape(ns, (-1, 1)) * np.log(r) - r - log_norm)
 
 
@@ -491,6 +536,7 @@ def _symbol_scale(sym: Symbol) -> int | None:
 
 
 _SUBNORMAL = math.ldexp(1.0, -1074)  # the smallest float64 subnormal
+_DD_ROUNDINGS = 32.0  # float64 roundings per double-double operation that can land below the normal range
 
 
 def _underflow_bound(sym: Symbol, sup_g: float, width: float, panels: int) -> float:
@@ -503,6 +549,10 @@ def _underflow_bound(sym: Symbol, sup_g: float, width: float, panels: int) -> fl
     with the weight take three more, and the weight's own rounding is scaled
     by |g| <= sup|g|.  The Gauss-Kronrod sums take eight more per unit width
     and one per panel.  Each count is doubled for the two parts of a complex value.
+    A structured symbol's double-double pass rounds the same quantities, and
+    a double-double below 2^-969 has a subnormal lo half; each of its
+    operations takes at most _DD_ROUNDINGS such roundings where float64 takes
+    one, so for a structured symbol every count is multiplied by that.
     """
     coeffs = sym.coefficients if isinstance(sym, LaguerreCombo) else ()
     rows = [k for k, c in enumerate(coeffs) if c]
@@ -510,7 +560,8 @@ def _underflow_bound(sym: Symbol, sup_g: float, width: float, panels: int) -> fl
     if rows:
         log_scale = (rows[-1] + 1) * math.log(sym.xi) + math.log(_SUBNORMAL)
         scaled = len(rows) * (math.exp(log_scale) if log_scale < 709.0 else math.inf)
-    return width * scaled + _SUBNORMAL * (width * (sup_g + 11.0) + panels)
+    bound = width * scaled + _SUBNORMAL * (width * (sup_g + 11.0) + panels)
+    return bound * _DD_ROUNDINGS if isinstance(sym, LaguerreCombo) else bound
 
 
 def _grid_edges(lo: float, hi: float, scale: int = 1) -> np.ndarray:
@@ -578,16 +629,19 @@ def _integrals(sym: Symbol, ns, cfg: QuadConfig, symbol_err: float = 0.0) -> lis
     the last pass's target with their panels settled within the budget, on
     that pass's final panels that meet at least one of their windows, to
     tau / 10.  The budget is per index over all passes, and `subdivisions`
-    counts the splits of every pass.  Splitting fails fast at the floor of
-    the finest pass there is.  Each estimate is the last pass's, plus the
-    window's tail, the subnormal roundoff and symbol_err, which bounds the
-    error of the symbol's own values; w_n has unit mass, so each estimate
-    carries it whole.
+    counts the splits of every pass.  A pass converts the last pass's panel
+    edges to its own number type exactly (double-double keeps a longdouble
+    edge as hi + lo), so the panels still tile.  Splitting fails fast at the
+    floor of the finest pass there is.  Each value, and the record's tier,
+    is the last pass's; each estimate is that pass's, plus the window's
+    tail, the subnormal roundoff and symbol_err, which bounds the error of
+    the symbol's own values; w_n has unit mass, so each estimate carries it
+    whole.
     """
     ns = list(ns)
     sup_g = sup_estimate(sym)
     passes = _passes(sym, ns, _node_values(sym))
-    reach = np.min([floors for *_, floors in passes], axis=0)
+    reach = np.min([pass_.floors for pass_ in passes], axis=0)
     out = []
     for start in range(0, len(ns), _INDEX_BLOCK):
         block = ns[start : start + _INDEX_BLOCK]
@@ -595,8 +649,9 @@ def _integrals(sym: Symbol, ns, cfg: QuadConfig, symbol_err: float = 0.0) -> lis
         a, b = _grid_panels(sym, block, lo.min(), hi.max())
         values, errs = np.zeros(len(block), dtype=complex), np.zeros(len(block))
         settled, splits = np.ones(len(block), dtype=bool), np.zeros(len(block), dtype=int)
+        tiers = np.full(len(block), passes[0].tier, dtype=object)
         rows, pass_cfg = np.arange(len(block)), cfg
-        for p, (convert, integrand, floors) in enumerate(passes):
+        for p, (convert, integrand, floors, tier) in enumerate(passes):
             if p:
                 rows = rows[settled[rows] & (errs[rows] > pass_cfg.tolerance(values[rows]))]
                 if not len(rows):
@@ -604,18 +659,19 @@ def _integrals(sym: Symbol, ns, cfg: QuadConfig, symbol_err: float = 0.0) -> lis
                 mine = ((a < hi[rows, None]) & (b > lo[rows, None])).any(axis=0)
                 a, b = a[mine], b[mine]
                 pass_cfg = QuadConfig(cfg.rel_tol / 10.0, cfg.max_subdivisions)
-            # only structured symbols reach the later passes; a callable runs at the caller's mpmath precision
-            with _mp.workdps(_MP_DPS if p else _mp.mp.dps):
-                values[rows], errs[rows], settled[rows], splits[rows], a, b = _adaptive_gk(
-                    integrand([block[i] for i in rows]), convert, a, b, pass_cfg,
-                    floors[start + rows, None], reach[start + rows], (lo[rows], hi[rows]), splits[rows],
-                )
+            values[rows], errs[rows], settled[rows], splits[rows], a, b = _adaptive_gk(
+                integrand([block[i] for i in rows]), convert, a, b, pass_cfg,
+                floors[start + rows, None], reach[start + rows], (lo[rows], hi[rows]), splits[rows],
+            )
+            tiers[rows] = tier
             if not p:  # splits keep the outer edges of the grid
                 underflow = _underflow_bound(sym, sup_g, b.max() - a.min(), len(a))
         converged = errs <= cfg.tolerance(values)
         for i in range(len(block)):
             est_abs_err = errs[i] + _times_sup(sup_g, mass[i]) + underflow + symbol_err
-            out.append(Eigenvalue(complex(values[i]), "quad", float(est_abs_err), bool(converged[i]), int(splits[i])))
+            out.append(Eigenvalue(
+                complex(values[i]), "quad", float(est_abs_err), bool(converged[i]), int(splits[i]), tiers[i]
+            ))
     return out
 
 
@@ -626,9 +682,10 @@ def gamma_quadrature(sym: Symbol, n: int, cfg: QuadConfig | None = None, *, shar
     absolute below unit size.  The float64 panel estimates, each at least its
     panel's roundoff floor, sum to the error err.  If err > tau(value) on a
     structured symbol whose panels all settled within the subdivision budget,
-    longdouble and then mpmath rerun `_adaptive_gk` from the last pass's
-    panels that meet the window, to tau / 10 and with the rest of the budget,
-    up to the first pass that meets it; `subdivisions` counts every split.
+    longdouble and then double-double rerun `_adaptive_gk` from the last
+    pass's panels that meet the window, to tau / 10 and with the rest of the
+    budget, up to the first pass that meets it; `subdivisions` counts every
+    split, and `tier` names the last pass.
     The window leaves weight mass 0.05 * rel_tol / max(1, sup|g|) or less on
     each side, so the out-of-window bound sup|g| * (mass outside) is at most
     rel_tol / 10 for a finite sup|g|.  The record's `converged` is

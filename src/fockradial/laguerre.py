@@ -50,9 +50,10 @@ def _as_float_array(x) -> np.ndarray:
 def _laguerre_rows(m: int, t):
     """Yield L_0(t), ..., L_m(t) by the recurrence in t's number type, keeping two rows alive.
 
-    It serves numpy float types only; the mpmath pass runs its own scalar
-    recurrence node by node.  Steps work in place (a temporary row per step
-    page-faults large rows anew), so a yielded row is overwritten two steps later.
+    It serves numpy float types only; the double-double pass runs its own
+    recurrence on (hi, lo) pairs, in `fockradial.eigenvalues._dd_integrand`.
+    Steps work in place (a temporary row per step page-faults large rows
+    anew), so a yielded row is overwritten two steps later.
     """
     prev, row = None, np.ones_like(t)
     yield row

@@ -153,12 +153,36 @@ def test_eigs_rejects_non_finite_symbol_values(tmp_path, capsys):
         assert err.startswith("error: invalid symbol") and "finite" in err, text
 
 
+def test_eigs_output_bytes_are_pinned(tmp_path, capsys):
+    # the records carry a tier, but the table is built by column name, so
+    # CSV and JSON keep their bytes: pinned for the closed form, and the
+    # same columns, with no tier, for quadrature
+    sym = write_json(tmp_path / "s.json", {"type": "laguerre_basic", "m": 1, "xi": 4})
+    code, out, _ = run(capsys, ["eigs", sym, "--n-max", "2"])
+    assert code == 0
+    assert out == (
+        "n,gamma_re,gamma_im,engine,est_abs_err\r\n0,0,0,closed,\r\n1,1,0,closed,\r\n2,0.5,0,closed,\r\n"
+    )
+    code, out, _ = run(capsys, ["eigs", sym, "--n-max", "1", "--format", "json"])
+    assert code == 0
+    rows = [
+        f'    {{\n      "n": {n},\n      "gamma_re": {v},\n      "gamma_im": 0.0,\n'
+        f'      "engine": "closed",\n      "est_abs_err": null\n    }}'
+        for n, v in ((0, "0.0"), (1, "1.0"))
+    ]
+    assert out == '{\n  "rows": [\n' + ",\n".join(rows) + "\n  ]\n}\n"
+    code, out, _ = run(capsys, ["eigs", sym, "--n-max", "2", "--engine", "both"])
+    assert code == 0 and read_csv(out)[0] == ["n", "gamma_re", "gamma_im", "engine", "est_abs_err", "abs_diff"]
+    code, out, _ = run(capsys, ["eigs", sym, "--n-max", "2", "--engine", "quad", "--format", "json"])
+    assert code == 0
+    columns = ["n", "gamma_re", "gamma_im", "engine", "est_abs_err"]
+    assert [list(row) for row in json.loads(out)["rows"]] == [columns] * 3
+    assert "tier" not in out
+
+
 def test_eigs_both_fails_on_uncertified_cancellation(tmp_path, capsys, monkeypatch):
     # 40 terms at xi = 40: the integrand cancels from ~1e64 past every
-    # precision tier, so no quadrature value may claim convergence.  The
-    # mpmath tier misses too, at 2.5 s per index, so the test stops after longdouble
-    passes = eigenvalues._passes
-    monkeypatch.setattr(eigenvalues, "_passes", lambda *args: passes(*args)[:2])
+    # precision tier, so no quadrature value may claim convergence
     coeffs = np.random.default_rng(0).normal(size=40)
     sym = write_json(tmp_path / "s.json", symbol_to_json(combo_symbol(coeffs, 40)))
     results = []

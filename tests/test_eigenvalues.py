@@ -11,6 +11,9 @@ from scipy.special import gammaln
 
 from exact import gamma_closed_form
 from fockradial import eigenvalues
+from fockradial.doubledouble import DD, from_mpf, two_sum
+from fockradial.doubledouble import exp as dd_exp
+from fockradial.doubledouble import log as dd_log
 from fockradial.eigenvalues import (
     QuadConfig,
     _average,
@@ -266,7 +269,7 @@ def test_exact_zero_converges_in_float64(monkeypatch):
 
 def test_cancellation_cells_with_float64_longdouble(monkeypatch):
     # where longdouble is float64 the escalation must take its roundoff from
-    # the type and move on to mpmath instead of trusting float64 nodes
+    # the type and move on to double-double instead of trusting float64 nodes
     monkeypatch.setattr(eigenvalues, "_to_longdouble", functools.partial(np.asarray, dtype=float))
     for m, xi, indices in ((10, 4, range(3)), (8, 8, (2,)), (6, 16, (2,))):
         for n in indices:
@@ -296,68 +299,94 @@ def test_weight_normalization():
         assert abs(gamma_quadrature(one, n).value - 1.0) <= 1e-10
 
 
+_DD_UNIT = mpmath.mpf(2) ** -106
+
+
+def _mpf_sum(hi, lo):
+    """The exact value hi + lo of a double-double, as an mpmath number (exact at 50 digits)."""
+    with mpmath.workdps(50):
+        return mpmath.mpmathify(complex(hi)) + mpmath.mpmathify(complex(lo))
+
+
 def test_gauss_kronrod_constants_are_exact():
     # in each number type both rules have unit-interval mass 2 and integrate
     # x^k exactly up to their degree: 22 for Kronrod-15, 13 for the embedded
-    # Gauss-7, to 4 eps of the type
-    with mpmath.workdps(eigenvalues._MP_DPS):
-        types = (
-            (eigenvalues._to_float64, np.float64(1), np.finfo(float).eps),
-            (eigenvalues._to_longdouble, np.longdouble(1), np.finfo(np.longdouble).eps),
-            (eigenvalues._to_mpf, mpmath.mpf(1), mpmath.mpf(2) ** -mpmath.mp.prec),
-        )
-        for convert, one, eps in types:
-            xgk, wgk, wg7 = eigenvalues._gk15_rule(convert)
-            assert {type(v) for v in (*xgk, *wgk, *wg7)} == {type(one)}
-            for nodes, weights, degree in ((xgk, wgk, 22), (xgk[1::2], wg7, 13)):
-                for k in range(degree + 1):
-                    exact = 2 * one / (k + 1) if k % 2 == 0 else 0 * one
-                    assert abs((weights * nodes**k).sum() - exact) <= 4 * eps, (convert, k)
+    # Gauss-7, to 4 eps of the type; the double-double rule's hi + lo, summed
+    # exactly in 50-digit mpmath, to 4 * 2^-106
+    types = (
+        (eigenvalues._to_float64, np.float64(1), np.finfo(float).eps),
+        (eigenvalues._to_longdouble, np.longdouble(1), np.finfo(np.longdouble).eps),
+    )
+    for convert, one, eps in types:
+        xgk, wgk, wg7 = eigenvalues._gk15_rule(convert)
+        assert {type(v) for v in (*xgk, *wgk, *wg7)} == {type(one)}
+        for nodes, weights, degree in ((xgk, wgk, 22), (xgk[1::2], wg7, 13)):
+            for k in range(degree + 1):
+                exact = 2 * one / (k + 1) if k % 2 == 0 else 0 * one
+                assert abs((weights * nodes**k).sum() - exact) <= 4 * eps, (convert, k)
+    rule = eigenvalues._gk15_rule(eigenvalues._to_double_double)
+    assert all(isinstance(part, DD) and part.hi.dtype == part.lo.dtype == np.float64 for part in rule)
+    xgk, wgk, wg7 = ([_mpf_sum(h, l).real for h, l in zip(part.hi, part.lo)] for part in rule)
+    with mpmath.workdps(50):
+        for nodes, weights, degree in ((xgk, wgk, 22), (xgk[1::2], wg7, 13)):
+            for k in range(degree + 1):
+                exact = mpmath.mpf(2) / (k + 1) if k % 2 == 0 else 0
+                got = mpmath.fsum(w * x**k for w, x in zip(weights, nodes))
+                assert abs(got - exact) <= 4 * _DD_UNIT, k
 
 
-def test_mpmath_pass_error_covers_its_truncation():
+def test_double_double_pass_error_covers_its_truncation():
     # one coarse panel, no splits: the error of r^3 e^-r / 3! on [0, 40] is
     # GK15 truncation, far above the pass's roundoff floor, and the estimate
     # has to cover it
-    integrand = eigenvalues._mp_integrand(LaguerreCombo(offset=1.0), [3])
+    sym = LaguerreCombo(offset=1.0)
+    integrand = eigenvalues._dd_integrand(sym, [3])
     cfg = QuadConfig(max_subdivisions=0)
-    floor = eigenvalues._MP_FLOOR
+    floor = eigenvalues._passes(sym, [3], None)[-1].floors
     window = (np.array([0.0]), np.array([40.0]))
-    with mpmath.workdps(eigenvalues._MP_DPS):
-        (value,), (err,), *_ = eigenvalues._adaptive_gk(
-            integrand, eigenvalues._to_mpf, [0.0], [40.0], cfg, floor, floor, window, [0]
-        )
-        exact = mpmath.gammainc(4, 0, 40) / 6
-        miss = abs(value - exact)
-    assert floor < miss <= err
+    (value,), (err,), *_ = eigenvalues._adaptive_gk(
+        integrand, eigenvalues._to_double_double, [0.0], [40.0], cfg, floor[:, None], floor, window, [0]
+    )
+    with mpmath.workdps(50):
+        miss = abs(_mpf_sum(value.hi, value.lo).real - mpmath.gammainc(4, 0, 40) / 6)
+    assert floor[0] < miss <= err
 
 
-def test_mpmath_rule_keeps_its_precision():
-    # a rule first built at mpmath's default 15 digits must still carry
-    # _MP_DPS digits, or the deepest cancellation cell is certified from a
-    # 15-digit rule
-    eigenvalues._gk15_rule.cache_clear()
-    try:
-        with mpmath.workdps(15):
-            eigenvalues._gk15_rule(eigenvalues._to_mpf)
-        res = gamma_quadrature(basic_symbol(12, 8), 0)
-        assert res.converged
-        assert abs(res.value) <= res.est_abs_err
-    finally:
+def test_double_double_rule_keeps_its_precision():
+    # the double-double rule and ln n! read their constants at 40 digits
+    # whatever mpmath's working precision when they are first built, or the
+    # deepest cancellation cell is certified from a 15-digit rule
+    built = []
+    for dps in (15, 60):
         eigenvalues._gk15_rule.cache_clear()
+        eigenvalues._log_factorial.cache_clear()
+        try:
+            with mpmath.workdps(dps):
+                rule = eigenvalues._gk15_rule(eigenvalues._to_double_double)
+                built.append(([(part.hi, part.lo) for part in rule], eigenvalues._log_factorial(7)))
+                res = gamma_quadrature(basic_symbol(12, 8), 0)
+            assert res.converged and res.tier == "double-double", dps
+            assert abs(res.value) <= res.est_abs_err, dps
+        finally:
+            eigenvalues._gk15_rule.cache_clear()
+            eigenvalues._log_factorial.cache_clear()
+    (rule_15, log_15), (rule_60, log_60) = built
+    assert log_15 == log_60
+    for (hi_15, lo_15), (hi_60, lo_60) in zip(rule_15, rule_60):
+        assert np.array_equal(hi_15, hi_60) and np.array_equal(lo_15, lo_60)
 
 
 def test_unreachable_cancellation_fails_fast(monkeypatch):
-    # 17 terms at xi = 40 cancel past 30 digits at n = 0: no pass can meet
-    # the tolerance, so the mpmath pass evaluates its panels once and stops
+    # 17 terms at xi = 40 cancel past 32 digits at n = 0: no pass can meet
+    # the tolerance, so the double-double pass evaluates its panels once and stops
     batches = []
-    mp_integrand = eigenvalues._mp_integrand
+    dd_integrand = eigenvalues._dd_integrand
 
     def counted(sym, n):
-        integrand = mp_integrand(sym, n)
+        integrand = dd_integrand(sym, n)
         return lambda r: batches.append(len(r)) or integrand(r)
 
-    monkeypatch.setattr(eigenvalues, "_mp_integrand", counted)
+    monkeypatch.setattr(eigenvalues, "_dd_integrand", counted)
     coeffs = np.random.default_rng(0).normal(size=17)
     res = gamma_quadrature(combo_symbol(coeffs, 40), 0)
     assert not res.converged
@@ -365,17 +394,20 @@ def test_unreachable_cancellation_fails_fast(monkeypatch):
     assert len(batches) == 1
 
 
-def test_mpmath_pass_holds_the_deepest_cancellation():
+def test_double_double_pass_holds_the_deepest_cancellation():
     # at n = 0 these integrands cancel past the longdouble floor; only the
-    # mpmath pass brings them within the tolerance
+    # double-double pass brings them within the tolerance
     for m, xi in ((12, 8), (9, 16)):
-        assert abs(gamma_quadrature(basic_symbol(m, xi), 0).value) <= 1e-9, (m, xi)
+        res = gamma_quadrature(basic_symbol(m, xi), 0)
+        assert res.tier == "double-double", (m, xi)
+        assert res.converged and abs(res.value) <= 1e-9, (m, xi)
 
 
-def test_mp_integrand_matches_mpmath_laguerre():
-    # against mpmath's own hypergeometric L_k, which shares no code with the
-    # recurrence, at twice the digits; the terms may cancel, so the error
-    # allowed is relative to the same sum taken with absolute values
+def test_dd_integrand_matches_mpmath_laguerre():
+    # against mpmath's own hypergeometric L_k at 60 digits, which shares no
+    # code with the recurrence, on nodes with a lo half; the terms may
+    # cancel, so the error allowed is the pass's floor relative to the same
+    # sum taken with absolute values
     symbols = [
         basic_symbol(10, 8),
         combo_symbol(np.random.default_rng(0).normal(size=6), 40),
@@ -384,14 +416,16 @@ def test_mp_integrand_matches_mpmath_laguerre():
         combo_symbol(np.random.default_rng(0).normal(size=17), 40),
     ]
     ns = (0, 1, 2, 5)
+    with mpmath.workdps(40):
+        nodes = from_mpf([mpmath.mpf(k) * 3 / 5 for k in range(1, 11)])
     for sym in symbols:
-        with mpmath.workdps(eigenvalues._MP_DPS):
-            nodes = [mpmath.mpf(k) * 3 / 5 for k in range(1, 11)]
-            rows = eigenvalues._mp_integrand(sym, ns)(np.array(nodes, dtype=object))
+        rows = eigenvalues._dd_integrand(sym, ns)(nodes)
         assert rows.shape == (len(ns), len(nodes))
-        for n, got in zip(ns, rows):
-            with mpmath.workdps(2 * eigenvalues._MP_DPS):
-                for r, value in zip(nodes, got):
+        floors = eigenvalues._passes(sym, ns, None)[-1].floors
+        for n, floor, hi, lo in zip(ns, floors, rows.hi, rows.lo):
+            with mpmath.workdps(60):
+                for j in range(len(nodes)):
+                    r = _mpf_sum(nodes.hi[j], nodes.lo[j]).real
                     weight = r**n * mpmath.exp(-r) / mpmath.factorial(n)
                     terms = [
                         mpmath.mpmathify(complex(c)) * (-sym.xi) ** k * sym.xi
@@ -401,7 +435,28 @@ def test_mp_integrand_matches_mpmath_laguerre():
                     offset = mpmath.mpmathify(complex(sym.offset))
                     want = (mpmath.fsum(terms) + offset) * weight
                     scale = (mpmath.fsum(abs(t) for t in terms) + abs(offset)) * weight
-                    assert abs(value - want) <= mpmath.mpf("1e-25") * scale, (sym, n, r)
+                    assert abs(_mpf_sum(hi[j], lo[j]) - want) <= floor * scale, (sym, n, r)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    x=st.floats(-670.0, 5.0),
+    r=st.floats(1e-12, 1e5),
+    spin=st.floats(-1.0, 1.0),
+)
+def test_double_double_exp_and_log_meet_their_bounds(x, r, spin):
+    # over the arguments the weight exp(n ln r - r - ln n!) meets, with a lo
+    # half: exp within (2|x| + 8) u relative, log within (2 |ln r| + 2) u absolute
+    u = 2.0**-106
+    arg = DD(*two_sum(x, spin * abs(x) * 2.0**-54))
+    pos = DD(*two_sum(r, spin * r * 2.0**-54))
+    got_exp, got_log = dd_exp(arg), dd_log(pos)
+    with mpmath.workdps(50):
+        exact_x, exact_r = _mpf_sum(arg.hi, arg.lo).real, _mpf_sum(pos.hi, pos.lo).real
+        exp_err = abs(_mpf_sum(got_exp.hi, got_exp.lo).real / mpmath.exp(exact_x) - 1)
+        log_err = abs(_mpf_sum(got_log.hi, got_log.lo).real - mpmath.log(exact_r))
+    assert exp_err <= (2 * abs(x) + 8) * u, x
+    assert log_err <= (2 * abs(math.log(r)) + 2) * u, r
 
 
 @settings(max_examples=25, deadline=None)
@@ -508,7 +563,7 @@ def test_no_false_certificates_at_large_scale():
 
 
 def test_each_precision_tier_runs_once_per_block(monkeypatch):
-    # the zero eigenvalues of basic(8, 8) at n < 8 need longdouble and mpmath;
+    # the zero eigenvalues of basic(8, 8) at n < 8 need longdouble and double-double;
     # the indices of a block that miss tau share each tier's one adaptive loop
     converts = []
     adaptive = eigenvalues._adaptive_gk
@@ -518,8 +573,16 @@ def test_each_precision_tier_runs_once_per_block(monkeypatch):
         return adaptive(f, convert, *args)
 
     monkeypatch.setattr(eigenvalues, "_adaptive_gk", spy)
-    gamma_sequence(basic_symbol(8, 8), 31, engine="quad")
-    assert converts == [eigenvalues._to_float64, eigenvalues._to_longdouble, eigenvalues._to_mpf]
+    seq = gamma_sequence(basic_symbol(8, 8), 31, engine="quad")
+    assert converts == [eigenvalues._to_float64, eigenvalues._to_longdouble, eigenvalues._to_double_double]
+    # each record names the pass that produced it: the exact zeros at n < 5
+    # cancel past float64 (those at n = 5, 6, 7 do not), and every zero is
+    # certified within tau
+    tiers = [res.tier for res in seq.entries]
+    assert "double-double" in tiers[:5]
+    assert all(tier in ("longdouble", "double-double") for tier in tiers[:5]), tiers
+    assert set(tiers) <= {"float64", "longdouble", "double-double"}
+    assert all(res.converged and abs(res.value) <= QuadConfig().tolerance(0.0) for res in seq.entries[:8])
     # and every record the shared passes certify lies within its estimate
     combo = combo_symbol(np.random.default_rng(2).normal(size=6), 40)
     for sym, n_max in ((basic_symbol(8, 8), 155), (combo, 45)):
@@ -528,12 +591,35 @@ def test_each_precision_tier_runs_once_per_block(monkeypatch):
             assert not res.converged or abs(res.value - exact[n]) <= res.est_abs_err, (sym, n, res)
 
 
+def test_records_do_not_depend_on_the_longdouble_width(monkeypatch):
+    # where longdouble is float64 (aarch64 Linux, macOS on ARM) the
+    # double-double pass alone carries the cancellation cells; every record
+    # of the heavy sequences keeps its converged flag, lies within tau of the
+    # native record, and, if converged, within its estimate of the closed form
+    combo = combo_symbol(np.random.default_rng(2).normal(size=6), 40)
+    cases = ((basic_symbol(8, 8), 155), (basic_symbol(6, 16), 105), (combo, 45))
+    native = [gamma_sequence(sym, n_max, engine="quad").entries for sym, n_max in cases]
+    monkeypatch.setattr(eigenvalues, "_to_longdouble", functools.partial(np.asarray, dtype=float))
+    cfg = QuadConfig()
+    for (sym, n_max), records in zip(cases, native):
+        exact = closed_form_sequence(sym.coefficients, sym.xi, sym.offset, n_max).values
+        narrow = gamma_sequence(sym, n_max, engine="quad").entries
+        for n, (res, ref) in enumerate(zip(narrow, records)):
+            assert res.converged == ref.converged, (sym, n, res, ref)
+            assert abs(res.value - ref.value) <= cfg.tolerance(ref.value), (sym, n, res, ref)
+            assert not res.converged or abs(res.value - exact[n]) <= res.est_abs_err, (sym, n, res)
+
+
 def test_log_factorial_is_correctly_rounded():
     # the weight's normalizer ln n!; math.lgamma(92) is 1.5 ulp off, a bias
     # every w_91 would carry
+    # its lo half makes hi + lo ln n! to the double-double unit
     with mpmath.workdps(50):
         for n in range(1001):
-            assert eigenvalues._log_factorial(n) == float(mpmath.loggamma(n + 1)), n
+            hi, lo = eigenvalues._log_factorial(n)
+            exact = mpmath.loggamma(n + 1)
+            assert hi == float(exact), n
+            assert abs(_mpf_sum(hi, lo).real - exact) <= _DD_UNIT * exact, n
 
 
 def test_callables_get_no_extended_pass():
