@@ -384,6 +384,8 @@ def _adaptive_gk(f, convert, a, b, cfg: QuadConfig, floor, reach, windows, split
 # The precision passes
 
 _DD_LAG_START = 600.0  # the largest exponent the recurrence starts from: e^-600 and its lo half stay normal
+# sup|g| below 2^995 keeps |g w| < 2^995 and a panel's Kronrod sum of it below 2^996, the reach of `two_prod`
+_DD_SUP_LIMIT = 2.0**995
 
 
 def _dd_factors(sym: LaguerreCombo, scale: int) -> _dd.DD:
@@ -407,7 +409,7 @@ def _dd_integrand(sym: LaguerreCombo, ns):
     e^(c - (xi - 1) r), after the sum; |L_k(t)| <= e^(t/2) and xi >= 2 keep
     the product within 1.  The step (2k + 1 - xi r) and the factors
     c_k (-1)^k xi^(k+1) are double-doubles, scaled by 2^-scale so that g
-    stays within 2 and no split overflows where sup|g| is finite.  Every
+    stays within 2 and no split overflows below _DD_SUP_LIMIT.  Every
     product is complex times real.  The weight is exp(n ln r - r - ln n!),
     with ln n! from `_log_factorial`.
     """
@@ -460,8 +462,9 @@ def _passes(sym: Symbol, ns, values_at) -> list[_Pass]:
     are about 2 lgamma(n + 2) + n; `exp` adds a few u and about |x| u more,
     and the recurrence and the Gauss-Kronrod sums a few hundred u at most
     (so about 6e-30 at n = 0 and 1.1e-28 at n = 100).  Callables have no
-    higher-precision form and get float64 alone, and so does a structured
-    symbol whose sup|g| overflows float64.
+    higher-precision form and get float64 alone.  A structured symbol with
+    sup|g| at or past _DD_SUP_LIMIT stops at longdouble: its integrand values
+    and their panel sums reach 2^996, where Dekker's split overflows.
     """
 
     def numpy_integrand(ns):
@@ -469,11 +472,12 @@ def _passes(sym: Symbol, ns, values_at) -> list[_Pass]:
 
     lgammas = np.array([lgamma(n + 2) for n in ns])
     passes = [_Pass(_to_float64, numpy_integrand, _ERR_FLOOR + _EPS * lgammas, "float64")]
-    if isinstance(sym, LaguerreCombo) and math.isfinite(sup_estimate(sym)):
+    if isinstance(sym, LaguerreCombo):
         ld_eps = float(np.finfo(_to_longdouble(0.0).dtype).eps)
-        dd_floors = _dd.UNIT * (2.0**9 + 8.0 * (lgammas + np.asarray(ns) + 1.0))
         passes.append(_Pass(_to_longdouble, numpy_integrand, np.full(len(ns), 100.0 * ld_eps), "longdouble"))
-        passes.append(_Pass(_to_double_double, functools.partial(_dd_integrand, sym), dd_floors, "double-double"))
+        if sup_estimate(sym) < _DD_SUP_LIMIT:
+            dd_floors = _dd.UNIT * (2.0**9 + 8.0 * (lgammas + np.asarray(ns) + 1.0))
+            passes.append(_Pass(_to_double_double, functools.partial(_dd_integrand, sym), dd_floors, "double-double"))
     return passes
 
 

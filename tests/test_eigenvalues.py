@@ -403,6 +403,26 @@ def test_double_double_pass_holds_the_deepest_cancellation():
         assert res.converged and abs(res.value) <= 1e-9, (m, xi)
 
 
+def test_huge_symbols_stop_at_longdouble_before_the_split_overflows():
+    # past sup|g| = 2^995 the double-double integrand's values reach 2^996,
+    # where Dekker's split overflows to inf - inf = nan; such a symbol keeps
+    # float64 and longdouble and gets a finite record, just below the limit
+    # the double-double pass still runs and stays finite; the float64 Laguerre
+    # recurrence overflows far out in the window at these degrees, which
+    # `_eval_terms` maps to 0, so its warnings are silenced here and a nan of
+    # any pass shows in the record instead
+    for (m, xi), tier in (((187, 40), "longdouble"), ((997, 2), "longdouble"), ((994, 2), "double-double")):
+        sym = basic_symbol(m, xi)
+        assert (sup_estimate(sym) < eigenvalues._DD_SUP_LIMIT) == (tier == "double-double"), (m, xi)
+        tiers = [pass_.tier for pass_ in eigenvalues._passes(sym, [0], None)]
+        assert tiers == ["float64", "longdouble", "double-double"][: 2 + (tier == "double-double")], (m, xi)
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = gamma_quadrature(sym, 0)
+        assert res.tier == tier, (m, xi, res)
+        assert np.isfinite(res.value) and np.isfinite(res.est_abs_err), (m, xi, res)
+        assert abs(res.value) <= res.est_abs_err, (m, xi, res)  # gamma_m(0) = 0 for m > 0
+
+
 def test_dd_integrand_matches_mpmath_laguerre():
     # against mpmath's own hypergeometric L_k at 60 digits, which shares no
     # code with the recurrence, on nodes with a lo half; the terms may
@@ -563,7 +583,7 @@ def test_no_false_certificates_at_large_scale():
 
 
 def test_each_precision_tier_runs_once_per_block(monkeypatch):
-    # the zero eigenvalues of basic(8, 8) at n < 8 need longdouble and double-double;
+    # the zero eigenvalues of basic(8, 8) at n < 5 need longdouble and double-double;
     # the indices of a block that miss tau share each tier's one adaptive loop
     converts = []
     adaptive = eigenvalues._adaptive_gk
