@@ -304,6 +304,8 @@ def _cmd_symbol_eval(args) -> int:
         value = complex(eval_symbol(sym, x))
         rows.append({"x": x, "value_re": value.real, "value_im": value.imag})
     _emit(args, ["x", "value_re", "value_im"], rows)
+    if not all(math.isfinite(row[key]) for row in rows for key in ("value_re", "value_im")):
+        raise NumericError("a symbol value is not finite: its float evaluation overflowed")
     return EXIT_OK
 
 

@@ -10,11 +10,11 @@ u = 2^-106 while nothing leaves the normal range.  A value may be complex:
 addition and subtraction are componentwise, and a product is error-free
 componentwise when one factor is real, so `DD` refuses complex times complex.
 
-`DD` is an array type for the adaptive quadrature: numpy's operators and
-`abs` dispatch to it, `abs` gives float64 magnitudes, which is all an error
-estimate needs, and `np.concatenate` and `np.lexsort` accept it.  Any other
-ufunc or array function raises rather than rounding silently.  `exp` and
-`log` are vectorized double-double elementary functions.
+`DD` is an array type for the adaptive quadrature: numpy's operators, `abs`
+(in float64 magnitudes, all an error estimate needs), `np.ldexp`, and
+`np.exp` and `np.log` (the vectorized double-double `exp` and `log`)
+dispatch to it, and `np.concatenate` and `np.lexsort` accept it.  Any
+other ufunc or array function raises rather than rounding silently.
 """
 
 from __future__ import annotations
@@ -106,6 +106,9 @@ _UFUNCS = {
     np.absolute: lambda x: np.abs(x.hi + x.lo),
     np.less: lambda x, y: _sign(x, y) < 0.0,
     np.greater: lambda x, y: _sign(x, y) > 0.0,
+    np.ldexp: lambda x, k: DD(np.ldexp(x.hi, k), np.ldexp(x.lo, k)),
+    np.exp: lambda x: exp(x),  # defined below
+    np.log: lambda x: log(x),
 }
 
 

@@ -28,17 +28,15 @@ symbol's Gaussian factor exp(-(xi - 1) r) makes each of its terms a weight of
 the same shape in y = sqrt(xi r).  So the indices of any sequence share one
 panel grid, uniform in x and, where the terms carry mass, in y: one adaptive
 loop integrates a block of weights against one set of panels, each index
-counting only the panels that meet its own window, and the symbol is
-evaluated once per node for the whole sequence.  Each block of indices runs
-one loop over an ordered list of precision passes: float64, then, for a
-structured symbol, longdouble and double-double (numpy pairs hi + lo of
-float64s, `fockradial.doubledouble`, about 32 digits on every platform).  A
-pass is one run of the adaptive loop over the block's indices that missed
-the last pass's target with their panels settled, from that pass's panels
-that meet their windows.  The passes past float64 aim at tau / 10, each with
-an error that is its own Gauss-Kronrod estimate, floored at the roundoff of
-its number type (`_passes`); an index leaves at the first pass that meets
-its target.  Callables stay in float64.
+counting only the panels that meet its own window.  Each block runs one
+loop over an ordered list of precision passes (`_passes`): float64, then,
+for a structured symbol, longdouble and double-double (numpy pairs hi + lo
+of float64s, `fockradial.doubledouble`, about 32 digits on every platform),
+all running one integrand, a scaled Laguerre recurrence written once in
+numpy operators (`_combo_integrand`).  A pass reruns the adaptive loop for
+the indices that missed the last pass's target with their panels settled,
+to tau / 10, with an error floored at the roundoff of its number type; an
+index leaves at the first pass that meets it.  Callables stay in float64.
 
 Each eigenvalue comes back as one `Eigenvalue` record: its value, the engine
 that produced it ("closed" or "quad"), the tier, the closed form or the last
@@ -75,7 +73,7 @@ import numpy as np
 from scipy.special import gammainc, gammaincc, gammainccinv, gammaincinv
 
 from . import doubledouble as _dd
-from .laguerre import _as_float_array, _check_index, _check_positive
+from .laguerre import _check_index, _check_positive
 from .symbols import (
     CallableSymbol,
     LaguerreCombo,
@@ -383,57 +381,62 @@ def _adaptive_gk(f, convert, a, b, cfg: QuadConfig, floor, reach, windows, split
 # ---------------------------------------------------------------------------
 # The precision passes
 
-_DD_LAG_START = 600.0  # the largest exponent the recurrence starts from: e^-600 and its lo half stay normal
+_LAG_START = 600.0  # the largest exponent the recurrence starts from: e^-600 and its lo half stay normal
 # sup|g| below 2^995 keeps |g w| < 2^995 and a panel's Kronrod sum of it below 2^996, the reach of `two_prod`
 _DD_SUP_LIMIT = 2.0**995
 
 
-def _dd_factors(sym: LaguerreCombo, scale: int) -> _dd.DD:
-    """c_k (-1)^k xi^(k+1) 2^-scale for every k, rounded to double-double from 40-digit mpmath values."""
-    with _mp.workdps(_dd.DIGITS):
-        unit = _mp.ldexp(1, -scale)
-        powers = [(-1) ** k * _mp.mpf(sym.xi) ** (k + 1) * unit for k in range(len(sym.coefficients))]
-        re = _dd.from_mpf([c.real * power for c, power in zip(sym.coefficients, powers)])
-        if not any(c.imag for c in sym.coefficients):
-            return re
-        im = _dd.from_mpf([c.imag * power for c, power in zip(sym.coefficients, powers)])
-    return _dd.DD(re.hi + 1j * im.hi, re.lo + 1j * im.lo)
+@functools.lru_cache(maxsize=64)
+def _scaled_factors(sym: LaguerreCombo) -> tuple[int, _dd.DD, _dd.DD]:
+    """(scale, real and imaginary parts of c_k (-1)^k xi^(k+1) 2^-scale for every k, as double-doubles).
 
-
-def _dd_integrand(sym: LaguerreCombo, ns):
-    """r -> g(sqrt(r)) r^n e^-r / n! for each n of ns on a double-double array of nodes, vectorized.
-
-    One row per index, one column per node.  The symbol runs the Laguerre
-    recurrence on l_k = L_k(xi r) e^-c with c = min((xi - 1) r, 600), so
-    l_0 stays normal, and takes the rest of its Gaussian factor,
-    e^(c - (xi - 1) r), after the sum; |L_k(t)| <= e^(t/2) and xi >= 2 keep
-    the product within 1.  The step (2k + 1 - xi r) and the factors
-    c_k (-1)^k xi^(k+1) are double-doubles, scaled by 2^-scale so that g
-    stays within 2 and no split overflows below _DD_SUP_LIMIT.  Every
-    product is complex times real.  The weight is exp(n ln r - r - ln n!),
-    with ln n! from `_log_factorial`.
+    From 40-digit mpmath values; scale, the exponent of sum_k |c_k| xi^(k+1) + |offset| or 0
+    if less, is finite where `sup_estimate` overflows.  Cached: every pass of every block asks.
     """
-    scale = max(0, math.frexp(sup_estimate(sym))[1] - 1)
-    factors = _dd_factors(sym, scale)
-    offset = sym.offset * 2.0**-scale
+    with _mp.workdps(_dd.DIGITS):
+        terms = [_mp.mpmathify(c) * (-sym.xi) ** k * sym.xi for k, c in enumerate(sym.coefficients)]
+        total = _mp.fsum(abs(term) for term in terms) + abs(sym.offset)
+        scale = max(0, int(_mp.frexp(total)[1]) - 1) if total else 0
+        return scale, *(_dd.from_mpf([_mp.ldexp(part(term), -scale) for term in terms]) for part in (_mp.re, _mp.im))
+
+
+def _in_type(pair: _dd.DD, convert):
+    """A real double-double in convert's number type as hi + lo, each half converted, so longdouble keeps lo."""
+    return convert(pair.hi) + convert(pair.lo)
+
+
+def _combo_integrand(sym: LaguerreCombo, ns, convert):
+    """r -> g(sqrt(r)) r^n e^-r / n! for each n of ns, on an array of nodes in convert's number type.
+
+    One row per index, one column per node: one numpy expression for every
+    pass.  It runs the Laguerre recurrence on l_k = L_k(xi r) e^-c with
+    c = min((xi - 1) r, 600), a float64 array, exact in every number type,
+    so l_0 stays normal, and applies e^(c - (xi - 1) r) to the sum;
+    |L_k(t)| <= e^(t/2) and xi >= 2 keep the product within 1.  The factors
+    (`_scaled_factors`) and the offset carry 2^-scale, which keeps the sum
+    within 2, and `np.ldexp` puts 2^scale into the weight.  A double-double
+    product is complex times real.  An overflow gives a value that is not
+    finite, and so is the record it reaches.
+    """
+    scale, re, im = _scaled_factors(sym)
+    factors = _in_type(re, convert) + 1j * _in_type(im, convert) if im.hi.any() else _in_type(re, convert)
+    offset = complex(math.ldexp(sym.offset.real, -scale), math.ldexp(sym.offset.imag, -scale))
     offset = offset.real if offset.imag == 0.0 else offset
-    log_facts = _dd.DD(*np.array([_log_factorial(n) for n in ns]).T.reshape(2, -1, 1))
-    n_col = np.reshape(np.asarray(ns, dtype=float), (-1, 1))
+    live, weight = [k for k, c in enumerate(sym.coefficients) if c], _weight(ns, convert)
 
     def integrand(nodes):
-        r = nodes.reshape(-1)
-        g = _dd.DD(np.full(r.shape, offset))
-        if len(factors):
+        r, g = nodes.reshape(-1), offset
+        if live:
             decay = r * (sym.xi - 1.0)
-            c = _dd.DD(np.minimum(decay.hi, _DD_LAG_START), np.where(decay.hi < _DD_LAG_START, decay.lo, 0.0))
-            t, prev, lag, terms = r * float(sym.xi), 0.0, _dd.exp(-c), 0.0
-            for k in range(len(factors)):
-                if factors.hi[k]:
+            c = np.minimum(np.asarray(decay, dtype=float), _LAG_START)
+            t, prev, lag, terms = r * float(sym.xi), 0.0, np.exp(-convert(c)), 0.0
+            for k in range(live[-1] + 1):
+                if k:
+                    prev, lag = lag, ((2 * k - 1 - t) * lag - (k - 1) * prev) / k
+                if sym.coefficients[k]:
                     terms = factors[k] * lag + terms
-                prev, lag = lag, ((2 * k + 1 - t) * lag - k * prev) / (k + 1.0)
-            g = g + terms * _dd.exp(c - decay)
-        weight = _dd.exp(n_col * _dd.log(r) - r - log_facts)
-        return g * weight * 2.0**scale
+            g = g + terms * np.exp(c - decay)
+        return g * np.ldexp(weight(r), scale)
 
     return integrand
 
@@ -447,38 +450,35 @@ class _Pass(NamedTuple):
     tier: str
 
 
-def _passes(sym: Symbol, ns, values_at) -> list[_Pass]:
+def _passes(sym: Symbol, ns, callable_integrand) -> list[_Pass]:
     """The precision passes for the indices ns, in order: float64, then longdouble and double-double.
 
-    float64 and longdouble (the platform's type) share one numpy integrand,
-    g at the nodes (values_at) times the weights; double-double has its own,
-    `_dd_integrand`.  The floors, one per index, bound each Gauss-Kronrod
-    estimate below per unit of absolute integral.  In float64 that is the
-    rounding of the weight's exponent at the scale of lgamma(n + 2), in
-    longdouble 100 eps of the type.  In double-double it is
+    A callable has no higher-precision form and gets float64 alone, running
+    callable_integrand (`_callable_integrand`).  A structured symbol gets all
+    three, each running `_combo_integrand` in its own number type, so they
+    differ only in convert, floors and tier.  The floors, one per index,
+    bound each Gauss-Kronrod estimate below per unit of absolute integral.
+    In float64 that is the rounding of the weight's exponent at the scale of
+    lgamma(n + 2), in longdouble 100 eps of the type.  In double-double it is
     u (2^9 + 8 (lgamma(n + 2) + n + 1)), u = 2^-106: the weight
     exp(n ln r - r - ln n!) errs by a few u plus about u times the partial
     sums of its exponent, n |ln r|, r and ln n!, which near the weight's mass
     are about 2 lgamma(n + 2) + n; `exp` adds a few u and about |x| u more,
     and the recurrence and the Gauss-Kronrod sums a few hundred u at most
-    (so about 6e-30 at n = 0 and 1.1e-28 at n = 100).  Callables have no
-    higher-precision form and get float64 alone.  A structured symbol with
-    sup|g| at or past _DD_SUP_LIMIT stops at longdouble: its integrand values
-    and their panel sums reach 2^996, where Dekker's split overflows.
+    (so about 6e-30 at n = 0 and 1.1e-28 at n = 100).  A structured symbol
+    with sup|g| at or past _DD_SUP_LIMIT stops at longdouble: its integrand
+    values and their panel sums reach 2^996, where Dekker's split overflows.
     """
-
-    def numpy_integrand(ns):
-        return lambda r: values_at(r).ravel() * _weight(ns, r.ravel())
-
     lgammas = np.array([lgamma(n + 2) for n in ns])
-    passes = [_Pass(_to_float64, numpy_integrand, _ERR_FLOOR + _EPS * lgammas, "float64")]
-    if isinstance(sym, LaguerreCombo):
-        ld_eps = float(np.finfo(_to_longdouble(0.0).dtype).eps)
-        passes.append(_Pass(_to_longdouble, numpy_integrand, np.full(len(ns), 100.0 * ld_eps), "longdouble"))
-        if sup_estimate(sym) < _DD_SUP_LIMIT:
-            dd_floors = _dd.UNIT * (2.0**9 + 8.0 * (lgammas + np.asarray(ns) + 1.0))
-            passes.append(_Pass(_to_double_double, functools.partial(_dd_integrand, sym), dd_floors, "double-double"))
-    return passes
+    f64_floors = _ERR_FLOOR + _EPS * lgammas
+    if not isinstance(sym, LaguerreCombo):
+        return [_Pass(_to_float64, callable_integrand, f64_floors, "float64")]
+    ld_eps = float(np.finfo(_to_longdouble(0.0).dtype).eps)
+    passes = [(_to_float64, f64_floors, "float64"), (_to_longdouble, np.full(len(ns), 100 * ld_eps), "longdouble")]
+    if sup_estimate(sym) < _DD_SUP_LIMIT:
+        dd_floors = _dd.UNIT * (2.0**9 + 8.0 * (lgammas + np.asarray(ns) + 1.0))
+        passes.append((_to_double_double, dd_floors, "double-double"))
+    return [_Pass(to, functools.partial(_combo_integrand, sym, convert=to), *rest) for to, *rest in passes]
 
 
 # ---------------------------------------------------------------------------
@@ -501,16 +501,14 @@ def _log_factorial(n: int) -> tuple[float, float]:
         return float(value), float(value - float(value))
 
 
-def _weight(ns, r: np.ndarray) -> np.ndarray:
-    """w_n(r) = exp(n ln r - r - ln n!) at the points r > 0, one row per index n of ns.
+def _weight(ns, convert=_to_float64):
+    """r -> w_n(r) = exp(n ln r - r - ln n!) at points r > 0 in convert's number type, one row per index n of ns.
 
     Each row integrates to 1 on [0, oo); every rule here has interior nodes,
-    so r = 0 never comes up.  The float dtype of r is preserved so the
-    extended-precision pass keeps its accuracy through the weight factor.
+    so r = 0 never comes up.  ln n! is rounded from its double-double, once.
     """
-    r = _as_float_array(r)
-    log_norm = np.array([[_log_factorial(n)[0]] for n in ns])
-    return np.exp(np.reshape(ns, (-1, 1)) * np.log(r) - r - log_norm)
+    log_norm = _in_type(_dd.DD(*np.array([_log_factorial(n) for n in ns]).T), convert).reshape(-1, 1)
+    return lambda r: np.exp(np.reshape(ns, (-1, 1)) * np.log(r) - r - log_norm)
 
 
 def _times_sup(sup_g: float, mass: float) -> float:
@@ -544,28 +542,26 @@ _DD_ROUNDINGS = 32.0  # float64 roundings per double-double operation that can l
 
 
 def _underflow_bound(sym: Symbol, sup_g: float, width: float, panels: int) -> float:
-    """A bound of the subnormal roundoff in the float64 integral over a window of this width.
+    """A bound of the subnormal roundoff in the integral over a window of this width.
 
     A rounding that lands below the normal range errs by up to 2^-1075 in
-    absolute terms, however small the result.  At a node, the K nonzero terms
-    of a structured symbol take K such roundings before `_eval_terms` scales
-    them by at most xi^(k_max + 1); the offset, that scaling and the product
-    with the weight take three more, and the weight's own rounding is scaled
-    by |g| <= sup|g|.  The Gauss-Kronrod sums take eight more per unit width
-    and one per panel.  Each count is doubled for the two parts of a complex value.
-    A structured symbol's double-double pass rounds the same quantities, and
-    a double-double below 2^-969 has a subnormal lo half; each of its
-    operations takes at most _DD_ROUNDINGS such roundings where float64 takes
-    one, so for a structured symbol every count is multiplied by that.
+    absolute terms, however small the result; each counts 2^-1074 here, for
+    the two parts of a complex value.  The Gauss-Kronrod sums take eight per
+    unit width and one per panel.  At a node, a callable's product with the
+    weight takes three, and the weight's own rounding is scaled by sup|g|.
+    A structured symbol's integrand (`_combo_integrand`) takes four in each
+    of its K - 1 recurrence steps (K coefficients), two per term, three for
+    the Gaussian, offset and weight, and the weight's own: at most 6 K + 4,
+    each scaled by 2^scale times a factor or |g| 2^-scale of at most 2.  A
+    double-double below 2^-969 has a subnormal lo half and takes at most
+    _DD_ROUNDINGS such roundings per operation where float64 takes one; all
+    passes of a structured symbol run that integrand, so that factor multiplies its counts.
     """
-    coeffs = sym.coefficients if isinstance(sym, LaguerreCombo) else ()
-    rows = [k for k, c in enumerate(coeffs) if c]
-    scaled = 0.0  # K * xi^(k_max + 1) * 2^-1074, formed in log space
-    if rows:
-        log_scale = (rows[-1] + 1) * math.log(sym.xi) + math.log(_SUBNORMAL)
-        scaled = len(rows) * (math.exp(log_scale) if log_scale < 709.0 else math.inf)
-    bound = width * scaled + _SUBNORMAL * (width * (sup_g + 11.0) + panels)
-    return bound * _DD_ROUNDINGS if isinstance(sym, LaguerreCombo) else bound
+    if not isinstance(sym, LaguerreCombo):
+        return _SUBNORMAL * (width * (sup_g + 11.0) + panels)
+    exponent = _scaled_factors(sym)[0] + 1 - 1074
+    per_node = math.ldexp(6.0 * len(sym.coefficients) + 4.0, exponent) if exponent < 900 else math.inf
+    return (width * (per_node + 8.0 * _SUBNORMAL) + _SUBNORMAL * panels) * _DD_ROUNDINGS
 
 
 def _grid_edges(lo: float, hi: float, scale: int = 1) -> np.ndarray:
@@ -601,14 +597,11 @@ def _grid_panels(sym: Symbol, ns, lo: float, hi: float) -> tuple[np.ndarray, np.
     return edges[:-1], edges[1:]
 
 
-def _node_values(sym: Symbol):
-    """r -> g(sqrt(r)) on a (panels, nodes) array, each panel's nodes evaluated once.
+def _callable_integrand(sym: Symbol):
+    """ns -> (r -> g(sqrt(r)) w_n(r) for each n of ns) in float64, each panel's nodes evaluated once.
 
-    A panel of the shared grid recurs in every index block whose windows it
-    meets, and bisection makes the same children in each, so the rows are
-    kept by the bytes of their nodes.  Rows of longdouble nodes have other
-    bytes, so they get their own entries; their padding bytes can only make
-    equal nodes miss, never make different nodes meet.
+    A panel recurs in every block whose windows it meets, and bisection makes
+    the same children in each, so g is kept by the bytes of a panel's nodes.
     """
     rows: dict[bytes, np.ndarray] = {}
 
@@ -618,9 +611,13 @@ def _node_values(sym: Symbol):
         if new:
             fresh = eval_symbol(sym, np.sqrt(r[new]).ravel()).reshape(len(new), -1)
             rows.update(zip([keys[i] for i in new], fresh))
-        return np.array([rows[key] for key in keys])
+        return np.array([rows[key] for key in keys]).ravel()
 
-    return values
+    def integrand(ns):
+        weight = _weight(ns)
+        return lambda r: values(r) * weight(r.ravel())
+
+    return integrand
 
 
 def _integrals(sym: Symbol, ns, cfg: QuadConfig, symbol_err: float = 0.0) -> list[Eigenvalue]:
@@ -635,16 +632,17 @@ def _integrals(sym: Symbol, ns, cfg: QuadConfig, symbol_err: float = 0.0) -> lis
     tau / 10.  The budget is per index over all passes, and `subdivisions`
     counts the splits of every pass.  A pass converts the last pass's panel
     edges to its own number type exactly (double-double keeps a longdouble
-    edge as hi + lo), so the panels still tile.  Splitting fails fast at the
-    floor of the finest pass there is.  Each value, and the record's tier,
-    is the last pass's; each estimate is that pass's, plus the window's
-    tail, the subnormal roundoff and symbol_err, which bounds the error of
-    the symbol's own values; w_n has unit mass, so each estimate carries it
-    whole.
+    edge as hi + lo), so the panels still tile.  An index whose value
+    overflowed has a nan error, so it neither escalates nor converges.
+    Splitting fails fast at the floor of the finest pass there is.  Each
+    value, and the record's tier, is the last pass's; each estimate is that
+    pass's, plus the window's tail, the subnormal roundoff and symbol_err,
+    which bounds the error of the symbol's own values; w_n has unit mass, so
+    each estimate carries it whole.
     """
     ns = list(ns)
     sup_g = sup_estimate(sym)
-    passes = _passes(sym, ns, _node_values(sym))
+    passes = _passes(sym, ns, _callable_integrand(sym))
     reach = np.min([pass_.floors for pass_ in passes], axis=0)
     out = []
     for start in range(0, len(ns), _INDEX_BLOCK):
@@ -686,10 +684,8 @@ def gamma_quadrature(sym: Symbol, n: int, cfg: QuadConfig | None = None, *, shar
     absolute below unit size.  The float64 panel estimates, each at least its
     panel's roundoff floor, sum to the error err.  If err > tau(value) on a
     structured symbol whose panels all settled within the subdivision budget,
-    longdouble and then double-double rerun `_adaptive_gk` from the last
-    pass's panels that meet the window, to tau / 10 and with the rest of the
-    budget, up to the first pass that meets it; `subdivisions` counts every
-    split, and `tier` names the last pass.
+    the later passes of `_passes` take over as `_integrals` describes;
+    `subdivisions` counts every split, and `tier` names the last pass.
     The window leaves weight mass 0.05 * rel_tol / max(1, sup|g|) or less on
     each side, so the out-of-window bound sup|g| * (mass outside) is at most
     rel_tol / 10 for a finite sup|g|.  The record's `converged` is
@@ -762,7 +758,7 @@ def _averaging_rule(j: int, sup_g: float, rel_tol: float, xi: int):
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * np.diff(edges)
     nodes = (mid[:, None] + half[:, None] * base_x[None, :]).ravel()
-    weights = (half[:, None] * base_w[None, :]).ravel() * _weight([j - 1], nodes)[0]
+    weights = (half[:, None] * base_w[None, :]).ravel() * _weight([j - 1])(nodes)[0]
     miss = float(gammaincc(j, edges[-1])) + abs(float(weights.sum()) - 1.0)
     return nodes, weights, _times_sup(sup_g, miss)
 

@@ -50,8 +50,8 @@ def _as_float_array(x) -> np.ndarray:
 def _laguerre_rows(m: int, t):
     """Yield L_0(t), ..., L_m(t) by the recurrence in t's number type, keeping two rows alive.
 
-    It serves numpy float types only; the double-double pass runs its own
-    recurrence on (hi, lo) pairs, in `fockradial.eigenvalues._dd_integrand`.
+    It serves `laguerre_eval` and `eval_symbol`; the quadrature runs its own
+    scaled recurrence in `fockradial.eigenvalues._combo_integrand`.
     Steps work in place (a temporary row per step page-faults large rows
     anew), so a yielded row is overwritten two steps later.
     """

@@ -140,23 +140,22 @@ def _eval_terms(sym: LaguerreCombo, x: np.ndarray) -> np.ndarray:
     (k + 1) ln xi + ln |L_k(xi x^2)|.  The largest one is factored out per
     point before the shared Gaussian is applied, which keeps xi^(k+1)
     representable for any admissible k.  Real coefficients keep the
-    arithmetic real.
+    arithmetic real.  A point where the recurrence overflowed (a peak of inf
+    or nan) gives nan, without a warning; one where every term is 0 gives 0.
     """
     rows, weights = sym._terms
     if not rows.size:
         return np.zeros_like(x)
     xi = sym.xi
-    lag = laguerre_eval_all(int(rows[-1]), xi * x * x)[rows]
-    log_xi = np.log(x.dtype.type(xi))
-    with np.errstate(divide="ignore"):
-        log_terms = (rows + 1)[:, None] * log_xi + np.log(np.abs(lag))
-    peak = np.max(log_terms, axis=0)
-    peak_ok = np.isfinite(peak)
-    safe_peak = np.where(peak_ok, peak, 0.0)
-    mix = weights @ np.copysign(np.exp(log_terms - safe_peak), lag)
-    with np.errstate(over="ignore"):
-        envelope = np.exp(safe_peak - (xi - 1) * x * x)
-    return np.where(peak_ok, mix * envelope, 0.0)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        lag = laguerre_eval_all(int(rows[-1]), xi * x * x)[rows]
+        log_terms = (rows + 1)[:, None] * np.log(x.dtype.type(xi)) + np.log(np.abs(lag))
+        peak = np.max(log_terms, axis=0)
+        peak_ok = np.isfinite(peak)
+        safe_peak = np.where(peak_ok, peak, 0.0)
+        mix = weights @ np.copysign(np.exp(log_terms - safe_peak), lag)
+        value = mix * np.exp(safe_peak - (xi - 1) * x * x)
+    return np.where(peak_ok, value, np.where(peak == -np.inf, 0.0, np.nan))
 
 
 def _eval_callable(fn: Callable, x: np.ndarray) -> np.ndarray:
@@ -175,11 +174,11 @@ def _eval_callable(fn: Callable, x: np.ndarray) -> np.ndarray:
 
 
 def eval_symbol(sym: Symbol, x):
-    """Pointwise value of the symbol at x >= 0 (scalar or array).
+    """Pointwise value of the symbol at x >= 0 (scalar or array), in x's float type.
 
-    Extended-precision float input is honored throughout structured
-    symbols, which the quadrature engine uses for cancellation-critical
-    integrals.
+    A structured symbol's value is nan where its float Laguerre recurrence
+    overflows; the quadrature integrates structured symbols by its own
+    scaled recurrence instead.
     """
     arr = _as_float_array(x)
     if not np.isfinite(arr).all():

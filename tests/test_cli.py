@@ -209,13 +209,14 @@ def test_eigs_both_fails_when_the_budget_runs_out(tmp_path, capsys):
 
 def test_eigs_both_fails_when_the_closed_form_is_outside_the_estimate(tmp_path, capsys, monkeypatch):
     # every quadrature value claims convergence, but one estimate no longer
-    # covers its distance from the closed form
+    # covers its distance from the closed form; the quadrature may hit the
+    # closed form exactly, so that value is also moved by 1e-12
     sym = write_json(tmp_path / "s.json", {"type": "laguerre_basic", "m": 1, "xi": 4})
     quadrature = eigenvalues.gamma_quadrature
 
     def spy(sym, n, cfg, **kwargs):
         res = quadrature(sym, n, cfg, **kwargs)
-        return dataclasses.replace(res, est_abs_err=0.0) if n == 3 else res
+        return dataclasses.replace(res, value=res.value + 1e-12, est_abs_err=0.0) if n == 3 else res
 
     monkeypatch.setattr(eigenvalues, "gamma_quadrature", spy)
     code, out, err = run(capsys, ["eigs", sym, "--n-max", "6", "--engine", "both"])
@@ -518,6 +519,16 @@ def test_symbol_eval_rejects_a_non_finite_x_max(tmp_path, capsys):
         code, out, err = run(capsys, ["symbol-eval", sym, "--x-max", x_max])
         assert code == 1 and out == "", x_max
         assert err == "usage error: --x-max must be finite and nonnegative\n", x_max
+
+
+def test_symbol_eval_fails_on_a_value_that_overflows(tmp_path, capsys):
+    # basic(997, 2) is finite at x = 0, but its float Laguerre recurrence
+    # overflows at x^2 = 1600: the table shows nan there and the run exits 3
+    sym = write_json(tmp_path / "s.json", {"type": "laguerre_basic", "m": 997, "xi": 2})
+    code, out, err = run(capsys, ["symbol-eval", sym, "--x-max", "40", "--points", "2"])
+    assert code == 3 and "not finite" in err
+    _, data = read_csv(out)
+    assert math.isfinite(float(data[0][1])) and math.isnan(float(data[1][1]))
 
 
 # ---------------------------------------------------------------------------

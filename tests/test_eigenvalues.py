@@ -11,7 +11,7 @@ from scipy.special import gammaln
 
 from exact import gamma_closed_form
 from fockradial import eigenvalues
-from fockradial.doubledouble import DD, from_mpf, two_sum
+from fockradial.doubledouble import DD, from_mpf, to_dd, two_sum
 from fockradial.doubledouble import exp as dd_exp
 from fockradial.doubledouble import log as dd_log
 from fockradial.eigenvalues import (
@@ -340,9 +340,10 @@ def test_double_double_pass_error_covers_its_truncation():
     # GK15 truncation, far above the pass's roundoff floor, and the estimate
     # has to cover it
     sym = LaguerreCombo(offset=1.0)
-    integrand = eigenvalues._dd_integrand(sym, [3])
+    dd_pass = eigenvalues._passes(sym, [3], None)[-1]
+    integrand = dd_pass.integrand([3])
     cfg = QuadConfig(max_subdivisions=0)
-    floor = eigenvalues._passes(sym, [3], None)[-1].floors
+    floor = dd_pass.floors
     window = (np.array([0.0]), np.array([40.0]))
     (value,), (err,), *_ = eigenvalues._adaptive_gk(
         integrand, eigenvalues._to_double_double, [0.0], [40.0], cfg, floor[:, None], floor, window, [0]
@@ -380,13 +381,15 @@ def test_unreachable_cancellation_fails_fast(monkeypatch):
     # 17 terms at xi = 40 cancel past 32 digits at n = 0: no pass can meet
     # the tolerance, so the double-double pass evaluates its panels once and stops
     batches = []
-    dd_integrand = eigenvalues._dd_integrand
+    combo_integrand = eigenvalues._combo_integrand
 
-    def counted(sym, n):
-        integrand = dd_integrand(sym, n)
+    def counted(sym, ns, convert):
+        integrand = combo_integrand(sym, ns, convert)
+        if convert is not eigenvalues._to_double_double:
+            return integrand
         return lambda r: batches.append(len(r)) or integrand(r)
 
-    monkeypatch.setattr(eigenvalues, "_dd_integrand", counted)
+    monkeypatch.setattr(eigenvalues, "_combo_integrand", counted)
     coeffs = np.random.default_rng(0).normal(size=17)
     res = gamma_quadrature(combo_symbol(coeffs, 40), 0)
     assert not res.converged
@@ -401,6 +404,19 @@ def test_double_double_pass_holds_the_deepest_cancellation():
         res = gamma_quadrature(basic_symbol(m, xi), 0)
         assert res.tier == "double-double", (m, xi)
         assert res.converged and abs(res.value) <= 1e-9, (m, xi)
+
+
+def test_an_overflowing_integrand_is_no_certificate():
+    # the float64 Laguerre recurrence of basic(997, 2) overflows inside the
+    # window of n = 1000; that value came back as -4.56e272 with
+    # converged=True when overflowed terms read 0, where gamma(1000) is
+    # 20770875; an overflow has to show as an unconverged record
+    sym = basic_symbol(997, 2)
+    exact = closed_form_sequence(sym.coefficients, sym.xi, sym.offset, 1000).values[1000]
+    assert exact == 20770875.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = gamma_quadrature(sym, 1000)
+    assert not res.converged or abs(res.value - exact) <= res.est_abs_err, res
 
 
 def test_huge_symbols_stop_at_longdouble_before_the_split_overflows():
@@ -423,11 +439,20 @@ def test_huge_symbols_stop_at_longdouble_before_the_split_overflows():
         assert abs(res.value) <= res.est_abs_err, (m, xi, res)  # gamma_m(0) = 0 for m > 0
 
 
+def _exact_values(values):
+    """The exact values of an array in any pass's number type, as mpmath numbers (exact at 50 digits)."""
+    if isinstance(values, DD):
+        return [_mpf_sum(hi, lo) for hi, lo in zip(values.hi, values.lo)]
+    re, im = to_dd(np.real(values)), to_dd(np.imag(values))
+    return [_mpf_sum(a, b) + 1j * _mpf_sum(c, d) for a, b, c, d in zip(re.hi, re.lo, im.hi, im.lo)]
+
+
 def test_dd_integrand_matches_mpmath_laguerre():
-    # against mpmath's own hypergeometric L_k at 60 digits, which shares no
-    # code with the recurrence, on nodes with a lo half; the terms may
-    # cancel, so the error allowed is the pass's floor relative to the same
-    # sum taken with absolute values
+    # the one integrand of a structured symbol, run in each pass's number
+    # type, against mpmath's own hypergeometric L_k at 60 digits, which
+    # shares no code with the recurrence, on nodes with a lo half rounded
+    # into that type; the terms may cancel, so the error allowed is the
+    # pass's floor relative to the same sum taken with absolute values
     symbols = [
         basic_symbol(10, 8),
         combo_symbol(np.random.default_rng(0).normal(size=6), 40),
@@ -437,25 +462,30 @@ def test_dd_integrand_matches_mpmath_laguerre():
     ]
     ns = (0, 1, 2, 5)
     with mpmath.workdps(40):
-        nodes = from_mpf([mpmath.mpf(k) * 3 / 5 for k in range(1, 11)])
+        dd_nodes = from_mpf([mpmath.mpf(k) * 3 / 5 for k in range(1, 11)])
     for sym in symbols:
-        rows = eigenvalues._dd_integrand(sym, ns)(nodes)
-        assert rows.shape == (len(ns), len(nodes))
-        floors = eigenvalues._passes(sym, ns, None)[-1].floors
-        for n, floor, hi, lo in zip(ns, floors, rows.hi, rows.lo):
-            with mpmath.workdps(60):
-                for j in range(len(nodes)):
-                    r = _mpf_sum(nodes.hi[j], nodes.lo[j]).real
-                    weight = r**n * mpmath.exp(-r) / mpmath.factorial(n)
-                    terms = [
-                        mpmath.mpmathify(complex(c)) * (-sym.xi) ** k * sym.xi
-                        * mpmath.exp(-(sym.xi - 1) * r) * mpmath.laguerre(k, 0, sym.xi * r)
-                        for k, c in enumerate(sym.coefficients)
-                    ]
-                    offset = mpmath.mpmathify(complex(sym.offset))
-                    want = (mpmath.fsum(terms) + offset) * weight
-                    scale = (mpmath.fsum(abs(t) for t in terms) + abs(offset)) * weight
-                    assert abs(_mpf_sum(hi[j], lo[j]) - want) <= floor * scale, (sym, n, r)
+        passes = eigenvalues._passes(sym, ns, None)
+        assert [pass_.tier for pass_ in passes] == ["float64", "longdouble", "double-double"]
+        for convert, integrand, floors, tier in passes:
+            nodes = eigenvalues._in_type(dd_nodes, convert)
+            rows = integrand(ns)(nodes)
+            assert rows.shape == (len(ns), len(nodes)), tier
+            if tier != "double-double":
+                assert rows.dtype.kind == "c" or rows.dtype == np.asarray(nodes).dtype, tier
+            for n, floor, row in zip(ns, floors, rows):
+                with mpmath.workdps(60):
+                    for r, got in zip(_exact_values(nodes), _exact_values(row)):
+                        r = r.real
+                        weight = r**n * mpmath.exp(-r) / mpmath.factorial(n)
+                        terms = [
+                            mpmath.mpmathify(complex(c)) * (-sym.xi) ** k * sym.xi
+                            * mpmath.exp(-(sym.xi - 1) * r) * mpmath.laguerre(k, 0, sym.xi * r)
+                            for k, c in enumerate(sym.coefficients)
+                        ]
+                        offset = mpmath.mpmathify(complex(sym.offset))
+                        want = (mpmath.fsum(terms) + offset) * weight
+                        scale = (mpmath.fsum(abs(t) for t in terms) + abs(offset)) * weight
+                        assert abs(got - want) <= floor * scale, (sym, tier, n, r)
 
 
 @settings(max_examples=60, deadline=None)
@@ -551,19 +581,28 @@ def test_sequence_evaluates_the_callable_once_per_shared_node(lib):
 
 
 def test_structured_sequence_evaluates_the_symbol_once_per_shared_node(monkeypatch):
-    # a structured sequence shares the grid too: 1440 float64 points for
-    # basic(4, 8) to n = 200, where one adaptive loop per index took 67620
-    points = [0]
-    evaluate = eigenvalues.eval_symbol
+    # a structured sequence shares the grid too, and its one integrand never
+    # goes through `eval_symbol`: 7080 float64 nodes for basic(4, 8) to
+    # n = 200, one evaluation per node of each block, where one adaptive
+    # loop per index took 67620
+    calls, points = [], [0]
+    combo_integrand = eigenvalues._combo_integrand
 
-    def spy(sym, x):
-        if np.asarray(x).dtype == np.float64:
-            points[0] += np.size(x)
-        return evaluate(sym, x)
+    def spy(sym, ns, convert):
+        integrand = combo_integrand(sym, ns, convert)
 
-    monkeypatch.setattr(eigenvalues, "eval_symbol", spy)
+        def counted(r):
+            if convert is eigenvalues._to_float64:
+                points[0] += np.size(r)
+            return integrand(r)
+
+        return counted
+
+    monkeypatch.setattr(eigenvalues, "eval_symbol", lambda *args: calls.append(args))
+    monkeypatch.setattr(eigenvalues, "_combo_integrand", spy)
     seq = gamma_sequence(basic_symbol(4, 8), 200, engine="quad")
-    assert points[0] < 5000, points[0]
+    assert not calls
+    assert 0 < points[0] < 10_000, points[0]
     assert seq.converged
     for n, res in enumerate(seq.entries):
         exact = float(gamma_closed_form(4, 8, n))

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -54,6 +55,22 @@ def test_basic_symbol_brute_force_grid():
             )
             got = eval_symbol(sym, grid)
             np.testing.assert_allclose(got, naive, rtol=1e-12, atol=1e-300)
+
+
+def test_overflowing_terms_give_nan_not_zero():
+    # L_997(2 x^2) overflows float64 from x^2 of about 710 on; there the
+    # value is nan, where it used to be 0 (mpmath at 60 digits: 3.95e298 at
+    # x^2 = 1000 and -1.39e298 at 1500), and below it the value is right
+    sym = basic_symbol(997, 2)
+    for x2 in (1000, 1500):
+        assert math.isnan(eval_symbol(sym, math.sqrt(x2))), x2
+    x = math.sqrt(400)
+    with mpmath.workdps(60):
+        t = 2 * mpmath.mpf(x) ** 2
+        exact = -mpmath.mpf(2) ** 998 * mpmath.exp(-t / 2) * mpmath.laguerre(997, 0, t)
+    assert eval_symbol(sym, x) == pytest.approx(float(exact), rel=1e-9)
+    # a point where every term is exactly 0 still gives 0
+    assert eval_symbol(basic_symbol(1, 4), 0.5) == 0.0
 
 
 def test_combo_matches_sum_of_basics():
