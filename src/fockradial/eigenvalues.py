@@ -32,8 +32,8 @@ counting only the panels that meet its own window.  Each block runs one
 loop over an ordered list of precision passes (`_passes`): float64, then,
 for a structured symbol, longdouble and double-double (numpy pairs hi + lo
 of float64s, `fockradial.doubledouble`, about 32 digits on every platform),
-all running one integrand, a scaled Laguerre recurrence written once in
-numpy operators (`_combo_integrand`).  A pass reruns the adaptive loop for
+all running one integrand (`_combo_integrand`), the symbol's one scaled
+form, `fockradial.symbols._scaled_combo`.  A pass reruns the adaptive loop for
 the indices that missed the last pass's target with their panels settled,
 to tau / 10, with an error floored at the roundoff of its number type; an
 index leaves at the first pass that meets it.  Callables stay in float64.
@@ -79,6 +79,9 @@ from .symbols import (
     LaguerreCombo,
     Symbol,
     _check_scale,
+    _in_type,
+    _scaled_combo,
+    _scaled_factors,
     describe_symbol,
     eval_symbol,
     sup_estimate,
@@ -381,62 +384,21 @@ def _adaptive_gk(f, convert, a, b, cfg: QuadConfig, floor, reach, windows, split
 # ---------------------------------------------------------------------------
 # The precision passes
 
-_LAG_START = 600.0  # the largest exponent the recurrence starts from: e^-600 and its lo half stay normal
 # sup|g| below 2^995 keeps |g w| < 2^995 and a panel's Kronrod sum of it below 2^996, the reach of `two_prod`
 _DD_SUP_LIMIT = 2.0**995
-
-
-@functools.lru_cache(maxsize=64)
-def _scaled_factors(sym: LaguerreCombo) -> tuple[int, _dd.DD, _dd.DD]:
-    """(scale, real and imaginary parts of c_k (-1)^k xi^(k+1) 2^-scale for every k, as double-doubles).
-
-    From 40-digit mpmath values; scale, the exponent of sum_k |c_k| xi^(k+1) + |offset| or 0
-    if less, is finite where `sup_estimate` overflows.  Cached: every pass of every block asks.
-    """
-    with _mp.workdps(_dd.DIGITS):
-        terms = [_mp.mpmathify(c) * (-sym.xi) ** k * sym.xi for k, c in enumerate(sym.coefficients)]
-        total = _mp.fsum(abs(term) for term in terms) + abs(sym.offset)
-        scale = max(0, int(_mp.frexp(total)[1]) - 1) if total else 0
-        return scale, *(_dd.from_mpf([_mp.ldexp(part(term), -scale) for term in terms]) for part in (_mp.re, _mp.im))
-
-
-def _in_type(pair: _dd.DD, convert):
-    """A real double-double in convert's number type as hi + lo, each half converted, so longdouble keeps lo."""
-    return convert(pair.hi) + convert(pair.lo)
 
 
 def _combo_integrand(sym: LaguerreCombo, ns, convert):
     """r -> g(sqrt(r)) r^n e^-r / n! for each n of ns, on an array of nodes in convert's number type.
 
-    One row per index, one column per node: one numpy expression for every
-    pass.  It runs the Laguerre recurrence on l_k = L_k(xi r) e^-c with
-    c = min((xi - 1) r, 600), a float64 array, exact in every number type,
-    so l_0 stays normal, and applies e^(c - (xi - 1) r) to the sum;
-    |L_k(t)| <= e^(t/2) and xi >= 2 keep the product within 1.  The factors
-    (`_scaled_factors`) and the offset carry 2^-scale, which keeps the sum
-    within 2, and `np.ldexp` puts 2^scale into the weight.  A double-double
-    product is complex times real.  An overflow gives a value that is not
-    finite, and so is the record it reaches.
+    One row per index: the scaled form 2^-scale g (`_scaled_combo`) times the
+    weight, into which `np.ldexp` puts 2^scale.  An overflow is not finite.
     """
-    scale, re, im = _scaled_factors(sym)
-    factors = _in_type(re, convert) + 1j * _in_type(im, convert) if im.hi.any() else _in_type(re, convert)
-    offset = complex(math.ldexp(sym.offset.real, -scale), math.ldexp(sym.offset.imag, -scale))
-    offset = offset.real if offset.imag == 0.0 else offset
-    live, weight = [k for k, c in enumerate(sym.coefficients) if c], _weight(ns, convert)
+    (scale, values), weight = _scaled_combo(sym, convert), _weight(ns, convert)
 
     def integrand(nodes):
-        r, g = nodes.reshape(-1), offset
-        if live:
-            decay = r * (sym.xi - 1.0)
-            c = np.minimum(np.asarray(decay, dtype=float), _LAG_START)
-            t, prev, lag, terms = r * float(sym.xi), 0.0, np.exp(-convert(c)), 0.0
-            for k in range(live[-1] + 1):
-                if k:
-                    prev, lag = lag, ((2 * k - 1 - t) * lag - (k - 1) * prev) / k
-                if sym.coefficients[k]:
-                    terms = factors[k] * lag + terms
-            g = g + terms * np.exp(c - decay)
-        return g * np.ldexp(weight(r), scale)
+        r = nodes.reshape(-1)
+        return values(r) * np.ldexp(weight(r), scale)
 
     return integrand
 
@@ -633,7 +595,8 @@ def _integrals(sym: Symbol, ns, cfg: QuadConfig, symbol_err: float = 0.0) -> lis
     counts the splits of every pass.  A pass converts the last pass's panel
     edges to its own number type exactly (double-double keeps a longdouble
     edge as hi + lo), so the panels still tile.  An index whose value
-    overflowed has a nan error, so it neither escalates nor converges.
+    overflowed has a nan error, so it goes on to the next pass, whose number
+    type may hold it, and converges only there.
     Splitting fails fast at the floor of the finest pass there is.  Each
     value, and the record's tier, is the last pass's; each estimate is that
     pass's, plus the window's tail, the subnormal roundoff and symbol_err,
@@ -655,7 +618,7 @@ def _integrals(sym: Symbol, ns, cfg: QuadConfig, symbol_err: float = 0.0) -> lis
         rows, pass_cfg = np.arange(len(block)), cfg
         for p, (convert, integrand, floors, tier) in enumerate(passes):
             if p:
-                rows = rows[settled[rows] & (errs[rows] > pass_cfg.tolerance(values[rows]))]
+                rows = rows[settled[rows] & ~(errs[rows] <= pass_cfg.tolerance(values[rows]))]
                 if not len(rows):
                     break
                 mine = ((a < hi[rows, None]) & (b > lo[rows, None])).any(axis=0)
@@ -682,10 +645,10 @@ def gamma_quadrature(sym: Symbol, n: int, cfg: QuadConfig | None = None, *, shar
 
     Every decision tests tau(v) = rel_tol * max(1, |v|) (`QuadConfig.tolerance`),
     absolute below unit size.  The float64 panel estimates, each at least its
-    panel's roundoff floor, sum to the error err.  If err > tau(value) on a
-    structured symbol whose panels all settled within the subdivision budget,
-    the later passes of `_passes` take over as `_integrals` describes;
-    `subdivisions` counts every split, and `tier` names the last pass.
+    panel's roundoff floor, sum to the error err.  If err is not within
+    tau(value), nan included, for a structured symbol with its panels settled
+    in the budget, the later passes of `_passes` take over as `_integrals`
+    describes; `subdivisions` counts every split, and `tier` the last pass.
     The window leaves weight mass 0.05 * rel_tol / max(1, sup|g|) or less on
     each side, so the out-of-window bound sup|g| * (mass outside) is at most
     rel_tol / 10 for a finite sup|g|.  The record's `converged` is

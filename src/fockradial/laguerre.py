@@ -50,8 +50,8 @@ def _as_float_array(x) -> np.ndarray:
 def _laguerre_rows(m: int, t):
     """Yield L_0(t), ..., L_m(t) by the recurrence in t's number type, keeping two rows alive.
 
-    It serves `laguerre_eval` and `eval_symbol`; the quadrature runs its own
-    scaled recurrence in `fockradial.eigenvalues._combo_integrand`.
+    It serves `laguerre_eval` and `laguerre_eval_all`; structured symbols
+    run their own scaled recurrence, `fockradial.symbols._scaled_combo`.
     Steps work in place (a temporary row per step page-faults large rows
     anew), so a yielded row is overwritten two steps later.
     """

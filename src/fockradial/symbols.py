@@ -8,10 +8,11 @@ scale xi >= 2,
 Every structured symbol is one `LaguerreCombo`: a finite combination
 sum_k c_k basic(k, xi) sharing one scale, plus a constant offset p.  A
 constant has no terms, and basic(m, xi) has one-hot coefficients.  Black-box
-functions are `CallableSymbol`s.  Evaluation combines the scale power, the
-Gaussian factor and the polynomial magnitude in log space with explicit sign
-tracking, so large m and xi neither overflow the power nor lose the
-underflowing Gaussian prematurely.
+functions are `CallableSymbol`s.  A structured symbol has one scaled form,
+`_scaled_combo`, read by `eval_symbol`, `sup_estimate` and the quadrature:
+40-digit factors c_k (-1)^k xi^(k+1) 2^-scale and a Laguerre recurrence that
+carries the Gaussian factor, so large m and xi neither overflow the power nor
+lose the underflowing Gaussian prematurely.
 
 Averaging a symbol j times shifts its eigenvalue sequence left by j; the j
 exponential averages compose into one expectation E[g(sqrt(r + G))] with G
@@ -23,13 +24,16 @@ from __future__ import annotations
 
 import cmath
 import functools
+import math
 import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Union
 
+import mpmath as _mp
 import numpy as np
 
-from .laguerre import _as_float_array, _check_index, laguerre_eval_all
+from . import doubledouble as _dd
+from .laguerre import _as_float_array, _check_index
 from .seqspace import scalar_from_json, scalar_to_json
 
 __all__ = [
@@ -74,25 +78,6 @@ class LaguerreCombo:
         if not all(map(cmath.isfinite, (*self.coefficients, self.offset))):
             raise ValueError("symbol coefficients and offset must be finite")
 
-    @functools.cached_property
-    def _terms(self) -> tuple[np.ndarray, np.ndarray]:
-        """(k, (-1)^k c_k) for the nonzero coefficients, real when all are; evaluation reuses them."""
-        coeffs = np.asarray(self.coefficients, dtype=complex)
-        rows = np.flatnonzero(coeffs)
-        weights = coeffs[rows]
-        if not weights.imag.any():
-            weights = weights.real
-        return rows, weights * np.where(rows % 2, -1.0, 1.0)
-
-    @functools.cached_property
-    def _sup_bound(self) -> float:
-        """`sup_estimate` of this symbol, computed once: the quadrature asks for it at every index."""
-        magnitudes = np.abs(np.asarray(self.coefficients, dtype=complex))
-        rows = np.flatnonzero(magnitudes)
-        with np.errstate(over="ignore"):
-            terms = np.exp(np.log(magnitudes[rows]) + (rows + 1) * np.log(np.float64(self.xi)))
-        return float(terms.sum()) + abs(self.offset)
-
 
 @dataclass(frozen=True)
 class CallableSymbol:
@@ -133,29 +118,62 @@ def with_limit_offset(u: LaguerreCombo, p) -> LaguerreCombo:
 # ---------------------------------------------------------------------------
 # Evaluation
 
-def _eval_terms(sym: LaguerreCombo, x: np.ndarray) -> np.ndarray:
-    """sum_k c_k basic(k, xi) at the points x, without the offset.
+_LAG_START = 600.0  # the largest exponent the recurrence starts from: e^-600 and its lo half stay normal
 
-    Only the terms with a nonzero coefficient get a log magnitude
-    (k + 1) ln xi + ln |L_k(xi x^2)|.  The largest one is factored out per
-    point before the shared Gaussian is applied, which keeps xi^(k+1)
-    representable for any admissible k.  Real coefficients keep the
-    arithmetic real.  A point where the recurrence overflowed (a peak of inf
-    or nan) gives nan, without a warning; one where every term is 0 gives 0.
+
+@functools.lru_cache(maxsize=64)
+def _scaled_factors(sym: LaguerreCombo) -> tuple[int, _dd.DD, _dd.DD, float]:
+    """(scale, real and imaginary parts of c_k (-1)^k xi^(k+1) 2^-scale as double-doubles, sup), from 40 digits.
+
+    sup is sum_k |c_k| xi^(k+1) + |offset| rounded up to float, inf past its
+    range; scale, that sum's exponent or 0 if less, stays finite there.
+    Cached: every evaluation and every pass of every block asks.
     """
-    rows, weights = sym._terms
-    if not rows.size:
-        return np.zeros_like(x)
-    xi = sym.xi
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        lag = laguerre_eval_all(int(rows[-1]), xi * x * x)[rows]
-        log_terms = (rows + 1)[:, None] * np.log(x.dtype.type(xi)) + np.log(np.abs(lag))
-        peak = np.max(log_terms, axis=0)
-        peak_ok = np.isfinite(peak)
-        safe_peak = np.where(peak_ok, peak, 0.0)
-        mix = weights @ np.copysign(np.exp(log_terms - safe_peak), lag)
-        value = mix * np.exp(safe_peak - (xi - 1) * x * x)
-    return np.where(peak_ok, value, np.where(peak == -np.inf, 0.0, np.nan))
+    with _mp.workdps(_dd.DIGITS):
+        terms = [_mp.mpmathify(c) * (-sym.xi) ** k * sym.xi for k, c in enumerate(sym.coefficients)]
+        total = _mp.fsum(abs(term) for term in terms) + abs(_mp.mpmathify(sym.offset))
+        sup = float(total)
+        sup = math.nextafter(sup, math.inf) if sup < total else sup
+        scale = max(0, int(_mp.frexp(total)[1]) - 1) if total else 0
+        re, im = (_dd.from_mpf([_mp.ldexp(part(term), -scale) for term in terms]) for part in (_mp.re, _mp.im))
+        return scale, re, im, sup
+
+
+def _in_type(pair: _dd.DD, convert):
+    """A real double-double in convert's number type as hi + lo, each half converted, so longdouble keeps lo."""
+    return convert(pair.hi) + convert(pair.lo)
+
+
+def _scaled_combo(sym: LaguerreCombo, convert):
+    """(scale, r -> 2^-scale g(sqrt(r))) for arrays r >= 0 in convert's number type; a constant gives a scalar.
+
+    The one evaluation of a structured symbol: the Laguerre recurrence on
+    l_k = L_k(xi r) e^-c, with c = min((xi - 1) r, 600) a float64 array
+    (exact in every type, and l_0 stays normal), times e^(c - (xi - 1) r);
+    |L_k(t)| <= e^(t/2) and xi >= 2 keep each term within 1, and the factors
+    (`_scaled_factors`) and offset, which carry 2^-scale, the sum within 2.
+    A double-double product is complex times real.  An overflow is not finite.
+    """
+    scale, re, im, _ = _scaled_factors(sym)
+    factors = _in_type(re, convert) + 1j * _in_type(im, convert) if im.hi.any() else _in_type(re, convert)
+    offset = complex(math.ldexp(sym.offset.real, -scale), math.ldexp(sym.offset.imag, -scale))
+    offset = offset.real if offset.imag == 0.0 else offset
+    live = [k for k, c in enumerate(sym.coefficients) if c]
+
+    def values(r):
+        if not live:
+            return offset
+        decay = r * (sym.xi - 1.0)
+        c = np.minimum(np.asarray(decay, dtype=float), _LAG_START)
+        t, prev, lag, terms = r * float(sym.xi), 0.0, np.exp(-convert(c)), 0.0
+        for k in range(live[-1] + 1):
+            if k:
+                prev, lag = lag, ((2 * k - 1 - t) * lag - (k - 1) * prev) / k
+            if sym.coefficients[k]:
+                terms = factors[k] * lag + terms
+        return offset + terms * np.exp(c - decay)
+
+    return scale, values
 
 
 def _eval_callable(fn: Callable, x: np.ndarray) -> np.ndarray:
@@ -176,9 +194,9 @@ def _eval_callable(fn: Callable, x: np.ndarray) -> np.ndarray:
 def eval_symbol(sym: Symbol, x):
     """Pointwise value of the symbol at x >= 0 (scalar or array), in x's float type.
 
-    A structured symbol's value is nan where its float Laguerre recurrence
-    overflows; the quadrature integrates structured symbols by its own
-    scaled recurrence instead.
+    A structured symbol runs its scaled form (`_scaled_combo`) in x's type
+    and then ldexp, part by part since numpy has no complex ldexp.  The value
+    is not finite, without a warning, where the recurrence or the value overflows.
     """
     arr = _as_float_array(x)
     if not np.isfinite(arr).all():
@@ -187,15 +205,17 @@ def eval_symbol(sym: Symbol, x):
         raise ValueError("x must be nonnegative")
     pts = np.atleast_1d(arr)
     if isinstance(sym, LaguerreCombo):
-        p = sym.offset
-        out = _eval_terms(sym, pts) + (p.real if p.imag == 0.0 else p)
+        scale, values = _scaled_combo(sym, functools.partial(np.asarray, dtype=pts.dtype))
+        with np.errstate(over="ignore", invalid="ignore"):
+            scaled = values(pts * pts) + np.zeros_like(pts)
+            out = np.ldexp(scaled.real, scale).astype(scaled.dtype)
+            if out.dtype.kind == "c":
+                out.imag = np.ldexp(scaled.imag, scale)
     elif isinstance(sym, CallableSymbol):
         out = _eval_callable(sym.evaluator, pts)
     else:
         raise TypeError(f"not a symbol: {sym!r}")
-    if arr.ndim == 0:
-        return out[()] if out.ndim == 0 else out[0]
-    return out
+    return out[0] if arr.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -206,11 +226,12 @@ def sup_estimate(sym: Symbol) -> float:
 
     A structured symbol gets sum_k |c_k| xi^(k+1) + |offset|: |L_k(t)| <= e^(t/2) and
     xi >= 2 give |basic(k, xi)(x)| <= xi^(k+1) e^(-(xi/2 - 1) x^2), exact at x = 0.
-    Past the float range the bound is inf.  Callables report their declared bound.
+    Summed at 40 digits and rounded up; inf past the float range.  Callables
+    report their declared bound.
     """
     if isinstance(sym, CallableSymbol):
         return float(sym.sup_bound)
-    return sym._sup_bound
+    return _scaled_factors(sym)[3]
 
 
 def describe_symbol(sym: Symbol) -> str:

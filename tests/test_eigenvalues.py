@@ -410,24 +410,30 @@ def test_an_overflowing_integrand_is_no_certificate():
     # the float64 Laguerre recurrence of basic(997, 2) overflows inside the
     # window of n = 1000; that value came back as -4.56e272 with
     # converged=True when overflowed terms read 0, where gamma(1000) is
-    # 20770875; an overflow has to show as an unconverged record
+    # 20770875; an overflow has to show as an unconverged record, and its
+    # nan error has to escalate to longdouble, whose range holds the
+    # recurrence (sup|g| = 2^998 keeps it from double-double), not stop at a
+    # float64 nan
     sym = basic_symbol(997, 2)
     exact = closed_form_sequence(sym.coefficients, sym.xi, sym.offset, 1000).values[1000]
     assert exact == 20770875.0
     with np.errstate(over="ignore", invalid="ignore"):
         res = gamma_quadrature(sym, 1000)
     assert not res.converged or abs(res.value - exact) <= res.est_abs_err, res
+    assert res.tier == "longdouble", res
+    assert np.isfinite(res.value) and np.isfinite(res.est_abs_err), res
 
 
 def test_huge_symbols_stop_at_longdouble_before_the_split_overflows():
-    # past sup|g| = 2^995 the double-double integrand's values reach 2^996,
+    # from sup|g| = 2^995 on the double-double integrand's values reach 2^996,
     # where Dekker's split overflows to inf - inf = nan; such a symbol keeps
-    # float64 and longdouble and gets a finite record, just below the limit
-    # the double-double pass still runs and stays finite; the float64 Laguerre
-    # recurrence overflows far out in the window at these degrees, which
-    # `_eval_terms` maps to 0, so its warnings are silenced here and a nan of
-    # any pass shows in the record instead
-    for (m, xi), tier in (((187, 40), "longdouble"), ((997, 2), "longdouble"), ((994, 2), "double-double")):
+    # float64 and longdouble and gets a finite record.  basic(994, 2) has sup
+    # exactly 2^995 and stops there too; just below the limit, basic(993, 2)
+    # still runs double-double and stays finite.  The float64 recurrence may
+    # overflow far out in the window at these degrees, so its warnings are
+    # silenced here and a nan of any pass shows in the record instead
+    cases = (((187, 40), "longdouble"), ((997, 2), "longdouble"), ((994, 2), "longdouble"), ((993, 2), "double-double"))
+    for (m, xi), tier in cases:
         sym = basic_symbol(m, xi)
         assert (sup_estimate(sym) < eigenvalues._DD_SUP_LIMIT) == (tier == "double-double"), (m, xi)
         tiers = [pass_.tier for pass_ in eigenvalues._passes(sym, [0], None)]

@@ -3,6 +3,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fockradial.symbols import (
     CallableSymbol,
@@ -40,7 +42,7 @@ def test_basic_symbol_decays_to_zero():
 
 
 def test_basic_symbol_brute_force_grid():
-    # log-space evaluation against the naive formula where it cannot overflow
+    # the scaled form against the naive formula where it cannot overflow
     grid = np.linspace(0.0, 3.0, 31)
     for m in (0, 1, 4):
         for xi in (2, 3):
@@ -57,18 +59,26 @@ def test_basic_symbol_brute_force_grid():
             np.testing.assert_allclose(got, naive, rtol=1e-12, atol=1e-300)
 
 
+def _basic_exact(m, xi, x):
+    """basic(m, xi)(x) from mpmath's hypergeometric L_m at 60 digits."""
+    with mpmath.workdps(60):
+        t = xi * mpmath.mpf(x) ** 2
+        return (-1) ** m * mpmath.mpf(xi) ** (m + 1) * mpmath.exp(-t * (xi - 1) / xi) * mpmath.laguerre(m, 0, t)
+
+
 def test_overflowing_terms_give_nan_not_zero():
-    # L_997(2 x^2) overflows float64 from x^2 of about 710 on; there the
-    # value is nan, where it used to be 0 (mpmath at 60 digits: 3.95e298 at
-    # x^2 = 1000 and -1.39e298 at 1500), and below it the value is right
+    # the scaled recurrence of L_997(2 x^2) e^-c starts from e^-600 and
+    # overflows float64 between x^2 = 1300 and 1500; there the value is nan,
+    # not 0 (mpmath at 60 digits: -1.39e298 at x^2 = 1500), and below it the
+    # value is right
     sym = basic_symbol(997, 2)
-    for x2 in (1000, 1500):
+    for x2 in (1500, 1600):
         assert math.isnan(eval_symbol(sym, math.sqrt(x2))), x2
     x = math.sqrt(400)
-    with mpmath.workdps(60):
-        t = 2 * mpmath.mpf(x) ** 2
-        exact = -mpmath.mpf(2) ** 998 * mpmath.exp(-t / 2) * mpmath.laguerre(997, 0, t)
-    assert eval_symbol(sym, x) == pytest.approx(float(exact), rel=1e-9)
+    assert eval_symbol(sym, x) == pytest.approx(float(_basic_exact(997, 2, x)), rel=1e-9)
+    for x2 in (1000, 1300):
+        x = math.sqrt(x2)
+        assert eval_symbol(sym, x) == pytest.approx(float(_basic_exact(997, 2, x)), rel=1e-12), x2
     # a point where every term is exactly 0 still gives 0
     assert eval_symbol(basic_symbol(1, 4), 0.5) == 0.0
 
@@ -154,7 +164,7 @@ def test_sup_estimate():
     assert sup_estimate(LaguerreCombo(offset=-3.0)) == 3.0
     assert sup_estimate(CallableSymbol(lambda x: x, sup_bound=7.0)) == 7.0
     # a_{0,xi} peaks at 0 with value xi
-    assert sup_estimate(basic_symbol(0, 5)) == pytest.approx(5.0)
+    assert sup_estimate(basic_symbol(0, 5)) == 5.0
     combo = combo_symbol([1.0], 2)
     assert sup_estimate(with_limit_offset(combo, 1.0)) == pytest.approx(
         sup_estimate(combo) + 1.0
@@ -177,12 +187,61 @@ def test_sup_estimate_is_an_upper_bound():
         sym = with_limit_offset(combo_symbol(coeffs, int(rng.integers(2, 9))), rng.normal())
         assert np.max(np.abs(eval_symbol(sym, grid))) <= slack * sup_estimate(sym), coeffs
     # a basic symbol peaks at 0, where it is xi^(m+1)
-    for m, xi in ((0, 5), (3, 2), (12, 8), (40, 16)):
+    for m, xi in ((0, 5), (3, 2)):
         assert sup_estimate(basic_symbol(m, xi)) == pytest.approx(float(xi) ** (m + 1), rel=1e-13)
         assert sup_estimate(basic_symbol(m, xi)) == pytest.approx(abs(eval_symbol(basic_symbol(m, xi), 0.0)))
+    # where xi^(m+1) is a power of two both sides are exact, and the bound
+    # is the peak itself, not a rounding below it
+    for m, xi in ((12, 8), (40, 16), (994, 2)):
+        sym = basic_symbol(m, xi)
+        assert sup_estimate(sym) == float(xi) ** (m + 1) == abs(eval_symbol(sym, 0.0)), (m, xi)
+    # otherwise the 40-digit sum is rounded up, never below the peak
+    assert sup_estimate(basic_symbol(187, 40)) >= abs(eval_symbol(basic_symbol(187, 40), 0.0))
     # past the float range the bound is inf, not an error
     assert sup_estimate(combo_symbol(np.ones(528), 1_900_000)) == math.inf
     assert sup_estimate(basic_symbol(600, 10**6)) == math.inf
+
+
+_coefficients = st.lists(
+    st.builds(complex, st.floats(-1.0, 1.0), st.one_of(st.just(0.0), st.floats(-1.0, 1.0))),
+    min_size=1,
+    max_size=30,
+)
+
+
+def _combo_exact(sym, x):
+    """sym at the float x from mpmath's hypergeometric L_k, at 60 digits."""
+    with mpmath.workdps(60):
+        terms = (mpmath.mpmathify(c) * _basic_exact(k, sym.xi, x) for k, c in enumerate(sym.coefficients) if c)
+        return mpmath.mpmathify(sym.offset) + mpmath.fsum(terms)
+
+
+def _exact_longdouble(v):
+    """A longdouble (or float64) value as an exact mpmath number: hi + lo, each a float64."""
+    hi = float(v)
+    return mpmath.mpf(hi) + mpmath.mpf(float(v - np.longdouble(hi)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(coeffs=_coefficients, xi=st.integers(2, 40), p=st.floats(-1.0, 1.0), x=st.floats(0.0, 8.0))
+def test_eval_symbol_matches_mpmath_within_the_sup(coeffs, xi, p, x):
+    # the scaled form against 60-digit mpmath, to 1e-13 of the sup bound
+    sym = with_limit_offset(combo_symbol(coeffs, xi), p)
+    sup = sup_estimate(sym)
+    assert abs(eval_symbol(sym, x) - complex(_combo_exact(sym, x))) <= 1e-13 * sup
+
+
+@settings(max_examples=20, deadline=None)
+@given(coeffs=_coefficients, xi=st.integers(2, 40), x=st.floats(0.0, 8.0))
+def test_eval_symbol_keeps_longdouble(coeffs, xi, x):
+    # longdouble input runs the scaled form in longdouble, to 100 of its eps times the sup
+    sym = combo_symbol(coeffs, xi)
+    got = eval_symbol(sym, np.array([x], dtype=np.longdouble))
+    assert got.dtype in (np.longdouble, np.clongdouble)
+    exact = _combo_exact(sym, x)
+    with mpmath.workdps(60):
+        error = abs(_exact_longdouble(got[0].real) + 1j * _exact_longdouble(got[0].imag) - exact)
+    assert error <= 100 * float(np.finfo(np.longdouble).eps) * sup_estimate(sym)
 
 
 def test_symbol_json_roundtrip():
