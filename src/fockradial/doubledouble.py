@@ -13,8 +13,9 @@ componentwise when one factor is real, so `DD` refuses complex times complex.
 `DD` is an array type for the adaptive quadrature: numpy's operators, `abs`
 (in float64 magnitudes, all an error estimate needs), `np.ldexp`, and
 `np.exp` and `np.log` (the vectorized double-double `exp` and `log`)
-dispatch to it, and `np.concatenate` and `np.lexsort` accept it.  Any
-other ufunc or array function raises rather than rounding silently.
+dispatch to it, and `np.concatenate` accepts it.  Any other ufunc or
+array function raises rather than rounding silently, comparisons included:
+the quadrature keeps its panel edges in float64.
 """
 
 from __future__ import annotations
@@ -86,11 +87,6 @@ def _div(x, y) -> DD:
     return DD(*_fast_two_sum(q, (r.hi + r.lo) / y.hi))
 
 
-def _sign(x, y) -> np.ndarray:
-    """A float array with the exact sign of x - y."""
-    return _add(x, -_as_dd(y)).hi
-
-
 def _matmul(x, y) -> DD:
     """(..., m) @ (m,): a product per term, then a pairwise sum."""
     return _mul(x, y).sum(axis=-1)
@@ -104,8 +100,6 @@ _UFUNCS = {
     np.matmul: _matmul,
     np.negative: lambda x: DD(-x.hi, -x.lo),
     np.absolute: lambda x: np.abs(x.hi + x.lo),
-    np.less: lambda x, y: _sign(x, y) < 0.0,
-    np.greater: lambda x, y: _sign(x, y) > 0.0,
     np.ldexp: lambda x, k: DD(np.ldexp(x.hi, k), np.ldexp(x.lo, k)),
     np.exp: lambda x: exp(x),  # defined below
     np.log: lambda x: log(x),
@@ -129,9 +123,6 @@ class DD(np.lib.mixins.NDArrayOperatorsMixin):
             parts = [_as_dd(part) for part in args[0]]
             hi, lo = ([getattr(p, half) for p in parts] for half in ("hi", "lo"))
             return DD(np.concatenate(hi, *args[1:], **kwargs), np.concatenate(lo, *args[1:], **kwargs))
-        if func is np.lexsort:  # a double-double key sorts by hi, then lo
-            keys = [part for key in args[0] for part in ((key.lo, key.hi) if isinstance(key, DD) else (key,))]
-            return np.lexsort(keys, *args[1:], **kwargs)
         return NotImplemented
 
     def __array__(self, dtype=None, copy=None):

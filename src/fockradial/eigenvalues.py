@@ -279,18 +279,18 @@ _ERR_FLOOR = 1.1e-14  # ~50 ulp of the panel's absolute integral
 _EPS = float(np.finfo(float).eps)
 
 
-def _gk15_batch(f, rule, a: np.ndarray, b: np.ndarray, floor):
-    """Gauss-Kronrod 7/15 on a batch of panels, in the number type of the rule and the panels.
+def _gk15_batch(f, convert, a: np.ndarray, b: np.ndarray, floor):
+    """Gauss-Kronrod 7/15 on a batch of float64 panels [a, b], exactly converted into convert's number type.
 
     f maps the (panels, 15) node array to the integrand of every index at
-    once, one leading row per index.  Returns (values, error estimates,
-    absolute integrals), each of shape (indices, panels): the values in the
-    pass's number type, the estimates built from magnitudes, which are float64
-    in a double-double pass.  No estimate is below the index's floor, a
-    column, times the panel's absolute integral.  All
-    panel nodes are evaluated in a single call to f.
+    once, one leading row per index, in a single call.  Returns (values,
+    error estimates, absolute integrals), each of shape (indices, panels):
+    the values in the pass's number type, the estimates built from
+    magnitudes, which are float64 in a double-double pass.  No estimate is
+    below the index's floor, a column, times the panel's absolute integral.
     """
-    xgk, wgk, wg7 = rule
+    xgk, wgk, wg7 = _gk15_rule(convert)
+    a, b = convert(a), convert(b)
     width = b - a
     half = 0.5 * width
     center = 0.5 * (a + b)
@@ -313,32 +313,32 @@ def _gk15_batch(f, rule, a: np.ndarray, b: np.ndarray, floor):
 def _adaptive_gk(f, convert, a, b, cfg: QuadConfig, floor, reach, windows, splits):
     """Globally adaptive bisection of the panels [a, b] for many indices at once.
 
-    The arithmetic is in the number type convert makes.  f gives the
-    integrand of every index at once (`_gk15_batch`); floor (a column), reach,
-    the windows = (lo, hi) and splits have one entry per index.  An index
-    counts only the panels that meet its own [lo, hi].  Until an index's
-    summed error is within tau(its total), each round splits every panel
-    whose error exceeds that index's share of tau, skipping panels already at
-    the index's roundoff floor (splitting cannot improve those); a panel one
-    index flags is split for all.  An index flags nothing once reach, the
-    floor of the finest pass there is, times its absolute integral exceeds
-    tau: no pass can then meet it.  Each index adds the splits it flags to
-    its splits of earlier passes, against the one budget, and is not
-    `settled`, and flags nothing more, if the budget ran out while a panel
-    still needed a split.  The loop ends when no index flags a panel.  Rounds
-    are batched, so the integrand is called a handful of times per loop.
-    Returns (values, errors, settled, splits), one entry per index, and the
-    final panels.
+    The panels are float64 whatever the pass; only `_gk15_batch` works in
+    convert's number type.  f gives the integrand of every index at once; floor
+    (a column), reach, the windows = (lo, hi) and splits have one entry per
+    index.  An index counts only the panels that meet its own [lo, hi].  Until
+    an index's summed error is within tau(its total), each round splits every
+    panel whose error exceeds that index's share of tau, skipping panels
+    already at the index's roundoff floor (splitting cannot improve those); a
+    panel one index flags is split for all.  An index flags nothing once reach,
+    the floor of the finest pass there is, times its absolute integral exceeds
+    tau: no pass can then meet it.  Each index adds the splits it flags to its
+    splits of earlier passes, against the one budget, and is not `settled`,
+    and flags nothing more, if the budget ran out while a panel still needed a
+    split.  The loop ends when no index flags a panel.  Rounds are batched, so
+    the integrand is called a handful of times per loop.  Returns (values,
+    errors, settled, splits), one entry per index, and the final panels, which
+    tile the first: a panel is split at its float64 midpoint, and only while
+    it is wider than 1e-15 max(|b|, 1), about 4.5 ulp.
     """
-    rule = _gk15_rule(convert)
-    a, b = convert(a), convert(b)
+    a, b = _to_float64(a), _to_float64(b)
     lo, hi = windows
 
     def meets(a, b):
         return (a < hi[:, None]) & (b > lo[:, None])
 
     def batch(a, b):
-        sums = _gk15_batch(f, rule, a, b, floor)
+        sums = _gk15_batch(f, convert, a, b, floor)
         outside = ~meets(a, b)
         for part in sums:
             part[outside] = 0.0
@@ -366,16 +366,12 @@ def _adaptive_gk(f, convert, a, b, cfg: QuadConfig, floor, reach, windows, split
             idx = np.flatnonzero(flags[i])
             flags[i, idx[np.lexsort((a[idx], -errs[i, idx]))][cfg.max_subdivisions - splits[i] :]] = False
         splits += flags.sum(axis=1)
-        idx = np.flatnonzero(flags.any(axis=0))
-        mid = 0.5 * (a[idx] + b[idx])
-        child_a = np.concatenate([a[idx], mid])
-        child_b = np.concatenate([mid, b[idx]])
-        keep = np.ones(len(a), dtype=bool)
-        keep[idx] = False
-        a = np.concatenate([a[keep], child_a])
-        b = np.concatenate([b[keep], child_b])
+        split = flags.any(axis=0)
+        mid = 0.5 * (a[split] + b[split])
+        child_a, child_b = np.concatenate([a[split], mid]), np.concatenate([mid, b[split]])
+        a, b = np.concatenate([a[~split], child_a]), np.concatenate([b[~split], child_b])
         vals, errs, resabs = (
-            np.concatenate([old[:, keep], new], axis=1)
+            np.concatenate([old[:, ~split], new], axis=1)
             for old, new in zip((vals, errs, resabs), batch(child_a, child_b))
         )
     return totals, total_errs, settled, splits, a, b
@@ -478,18 +474,19 @@ def _times_sup(sup_g: float, mass: float) -> float:
     return sup_g * mass if mass else 0.0
 
 
-def _window(n: int, sup_g: float, rel_tol: float) -> tuple[float, float, float]:
-    """Index n's window [lo, hi] and the weight mass w_n leaves outside it.
+def _windows(ns, sup_g: float, rel_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The window [lo, hi] of each index n of ns, and the weight mass w_n leaves outside it; elementwise.
 
-    The window is centered on the peak r = n, at least 14 sqrt(n + 1) to each
+    Each window is centered on the peak r = n, at least 14 sqrt(n + 1) to each
     side, and leaves weight mass 0.05 * rel_tol / max(1, sup|g|) or less on
     each side; the floor of that mass keeps the window finite when sup|g| is inf.
     """
-    sigma = math.sqrt(n + 1.0)
+    ns = np.asarray(ns, dtype=float)
+    sigma = np.sqrt(ns + 1.0)
     mass_target = max(0.05 * rel_tol / max(1.0, sup_g), np.finfo(float).tiny)
-    lo = max(0.0, min(n - _PEAK_WINDOW_SIGMAS * sigma, float(gammaincinv(n + 1, mass_target))))
-    hi = max(n + _PEAK_WINDOW_SIGMAS * sigma, float(gammainccinv(n + 1, mass_target)))
-    return lo, hi, float(gammainc(n + 1, lo) + gammaincc(n + 1, hi))
+    lo = np.maximum(0.0, np.minimum(ns - _PEAK_WINDOW_SIGMAS * sigma, gammaincinv(ns + 1, mass_target)))
+    hi = np.maximum(ns + _PEAK_WINDOW_SIGMAS * sigma, gammainccinv(ns + 1, mass_target))
+    return lo, hi, gammainc(ns + 1, lo) + gammaincc(ns + 1, hi)
 
 
 def _symbol_scale(sym: Symbol) -> int | None:
@@ -592,11 +589,10 @@ def _integrals(sym: Symbol, ns, cfg: QuadConfig, symbol_err: float = 0.0) -> lis
     the last pass's target with their panels settled within the budget, on
     that pass's final panels that meet at least one of their windows, to
     tau / 10.  The budget is per index over all passes, and `subdivisions`
-    counts the splits of every pass.  A pass converts the last pass's panel
-    edges to its own number type exactly (double-double keeps a longdouble
-    edge as hi + lo), so the panels still tile.  An index whose value
-    overflowed has a nan error, so it goes on to the next pass, whose number
-    type may hold it, and converges only there.
+    counts the splits of every pass.  The windows of the whole sequence come
+    from one `_windows` call.  An index whose value overflowed has a nan
+    error, so it goes on to the next pass, whose number type may hold it, and
+    converges only there.
     Splitting fails fast at the floor of the finest pass there is.  Each
     value, and the record's tier, is the last pass's; each estimate is that
     pass's, plus the window's tail, the subnormal roundoff and symbol_err,
@@ -607,10 +603,11 @@ def _integrals(sym: Symbol, ns, cfg: QuadConfig, symbol_err: float = 0.0) -> lis
     sup_g = sup_estimate(sym)
     passes = _passes(sym, ns, _callable_integrand(sym))
     reach = np.min([pass_.floors for pass_ in passes], axis=0)
+    windows = np.array(_windows(ns, sup_g, cfg.rel_tol))
     out = []
     for start in range(0, len(ns), _INDEX_BLOCK):
         block = ns[start : start + _INDEX_BLOCK]
-        lo, hi, mass = np.array([_window(n, sup_g, cfg.rel_tol) for n in block]).T
+        lo, hi, mass = windows[:, start : start + _INDEX_BLOCK]
         a, b = _grid_panels(sym, block, lo.min(), hi.max())
         values, errs = np.zeros(len(block), dtype=complex), np.zeros(len(block))
         settled, splits = np.ones(len(block), dtype=bool), np.zeros(len(block), dtype=int)

@@ -27,6 +27,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
+from numbers import Real
 from typing import Callable, Union
 
 import mpmath as _mp
@@ -84,11 +85,17 @@ class CallableSymbol:
     """A user-supplied bounded evaluator x -> value.
 
     `sup_bound` is declared by the caller and used only for diagnostics and
-    integration tail budgets; it is not verified.
+    integration tail budgets.  It is checked for form (a real >= 0, inf
+    allowed, not a bool), not for truth: nothing checks the evaluator's values.
     """
 
     evaluator: Callable
     sup_bound: float = 1.0
+
+    def __post_init__(self):
+        if isinstance(self.sup_bound, bool) or not isinstance(self.sup_bound, Real) or not self.sup_bound >= 0:
+            raise ValueError(f"sup_bound must be a real >= 0, got {self.sup_bound!r}")
+        object.__setattr__(self, "sup_bound", float(self.sup_bound))
 
 
 Symbol = Union[LaguerreCombo, CallableSymbol]
@@ -230,7 +237,7 @@ def sup_estimate(sym: Symbol) -> float:
     report their declared bound.
     """
     if isinstance(sym, CallableSymbol):
-        return float(sym.sup_bound)
+        return sym.sup_bound
     return _scaled_factors(sym)[3]
 
 

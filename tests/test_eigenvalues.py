@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import gammaln
+from scipy.special import gammainc, gammaincc, gammaln
 
 from exact import gamma_closed_form
 from fockradial import eigenvalues
@@ -299,6 +299,24 @@ def test_weight_normalization():
         assert abs(gamma_quadrature(one, n).value - 1.0) <= 1e-10
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    ns=st.lists(st.integers(0, 3000), min_size=1, max_size=16),
+    sup_g=st.one_of(st.floats(0.0, 1e300), st.just(math.inf)),
+    rel_tol=st.floats(1e-14, 1e-2),
+)
+def test_windows_cover_the_peak_and_report_their_mass(ns, sup_g, rel_tol):
+    # one call gives the windows of a whole sequence; each reaches at least
+    # 14 sqrt(n + 1) to either side of the peak, reports the weight mass it
+    # leaves out, and is the window the index gets alone, bit for bit
+    lo, hi, mass = eigenvalues._windows(ns, sup_g, rel_tol)
+    for i, n in enumerate(ns):
+        assert lo[i] <= max(0.0, n - 14 * math.sqrt(n + 1)) and hi[i] >= n + 14 * math.sqrt(n + 1), n
+        assert mass[i] == gammainc(n + 1, lo[i]) + gammaincc(n + 1, hi[i]), n
+        alone = eigenvalues._windows([n], sup_g, rel_tol)
+        assert [part[0] for part in alone] == [lo[i], hi[i], mass[i]], n
+
+
 _DD_UNIT = mpmath.mpf(2) ** -106
 
 
@@ -404,6 +422,34 @@ def test_double_double_pass_holds_the_deepest_cancellation():
         res = gamma_quadrature(basic_symbol(m, xi), 0)
         assert res.tier == "double-double", (m, xi)
         assert res.converged and abs(res.value) <= 1e-9, (m, xi)
+
+
+def test_double_double_defines_no_comparison():
+    # panel edges are float64 in every pass, so a double-double is never
+    # compared or sorted; those calls raise like any other unlisted ufunc
+    x = DD(np.array([1.0]))
+    for compare in (lambda: x < 2.0, lambda: x > 2.0, lambda: np.lexsort((x,))):
+        with pytest.raises(TypeError):
+            compare()
+
+
+def test_extended_passes_split_float64_panels():
+    # the longdouble and double-double passes bisect float64 edges; the
+    # children of every split tile the span the pass started from
+    sym, cfg = basic_symbol(12, 8), QuadConfig()
+    lo, hi, _ = eigenvalues._windows([0], sup_estimate(sym), cfg.rel_tol)
+    start_a, start_b = eigenvalues._grid_panels(sym, [0], lo[0], hi[0])
+    passes = eigenvalues._passes(sym, [0], None)
+    for convert, integrand, floors, tier in passes[1:]:
+        *_, splits, a, b = eigenvalues._adaptive_gk(
+            integrand([0]), convert, start_a, start_b, cfg, floors[:, None], passes[-1].floors, (lo, hi), [0]
+        )
+        assert splits[0] > 0, tier
+        assert a.dtype == b.dtype == np.float64, tier
+        order = np.argsort(a)
+        a, b = a[order], b[order]
+        assert a[0] == start_a[0] and b[-1] == start_b[-1], tier
+        assert np.array_equal(a[1:], b[:-1]), tier
 
 
 def test_an_overflowing_integrand_is_no_certificate():

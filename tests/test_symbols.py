@@ -3,7 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fockradial.symbols import (
@@ -60,10 +60,15 @@ def test_basic_symbol_brute_force_grid():
 
 
 def _basic_exact(m, xi, x):
-    """basic(m, xi)(x) from mpmath's hypergeometric L_m at 60 digits."""
+    """basic(m, xi)(x) from mpmath's hypergeometric L_m at 60 digits.
+
+    zeroprec lets the series return an exact zero, such as L_1(1), which it
+    cannot reach to 60 digits relative and would raise at.
+    """
     with mpmath.workdps(60):
         t = xi * mpmath.mpf(x) ** 2
-        return (-1) ** m * mpmath.mpf(xi) ** (m + 1) * mpmath.exp(-t * (xi - 1) / xi) * mpmath.laguerre(m, 0, t)
+        laguerre = mpmath.laguerre(m, 0, t, zeroprec=400)
+        return (-1) ** m * mpmath.mpf(xi) ** (m + 1) * mpmath.exp(-t * (xi - 1) / xi) * laguerre
 
 
 def test_overflowing_terms_give_nan_not_zero():
@@ -149,6 +154,17 @@ def test_constructor_validation():
         with_limit_offset(CallableSymbol(lambda x: x, 1.0), 1.0)
 
 
+def test_callable_sup_bound_is_checked_for_form():
+    # a negative or nan bound made an impossible certificate: est_abs_err
+    # -5e-12 or nan, with converged=True
+    for bad in (math.nan, -1.0, True):
+        with pytest.raises(ValueError, match="sup_bound"):
+            CallableSymbol(lambda x: np.exp(-x * x), sup_bound=bad)
+    for good in (0, 1.0, math.inf):
+        sym = CallableSymbol(lambda x: np.exp(-x * x), sup_bound=good)
+        assert sym.sup_bound == good and type(sym.sup_bound) is float
+
+
 def test_structured_symbol_values_must_be_finite():
     # json reads NaN and Infinity, which would otherwise come out as nan eigenvalues
     for bad in (math.nan, math.inf, complex(0.0, -math.inf)):
@@ -224,6 +240,7 @@ def _exact_longdouble(v):
 
 @settings(max_examples=40, deadline=None)
 @given(coeffs=_coefficients, xi=st.integers(2, 40), p=st.floats(-1.0, 1.0), x=st.floats(0.0, 8.0))
+@example(coeffs=[0j, 1 + 0j], xi=4, p=0.0, x=0.5)  # basic(1, 4) at L_1(1) = 0
 def test_eval_symbol_matches_mpmath_within_the_sup(coeffs, xi, p, x):
     # the scaled form against 60-digit mpmath, to 1e-13 of the sup bound
     sym = with_limit_offset(combo_symbol(coeffs, xi), p)
