@@ -23,7 +23,6 @@ from __future__ import annotations
 import functools
 import math
 
-import mpmath
 import numpy as np
 
 __all__ = ["DD", "DIGITS", "UNIT", "exp", "from_mpf", "log", "to_dd", "two_prod", "two_sum"]
@@ -160,6 +159,8 @@ class DD(np.lib.mixins.NDArrayOperatorsMixin):
 
 def from_mpf(values) -> DD:
     """Real mpmath numbers as DD, each rounded twice: hi = float(v), lo = float(v - hi)."""
+    import mpmath
+
     with mpmath.workdps(DIGITS):
         hi = [float(v) for v in values]
         return DD(np.array(hi), np.array([float(v - h) for v, h in zip(values, hi)]))
@@ -172,6 +173,8 @@ def to_dd(values) -> DD:
     longdouble and float64.
     """
     if isinstance(values, tuple) and isinstance(values[0], str):
+        import mpmath
+
         with mpmath.workdps(DIGITS):
             return from_mpf([mpmath.mpf(v) for v in values])
     x = np.asarray(values)
@@ -182,6 +185,8 @@ def to_dd(values) -> DD:
 @functools.cache
 def _exp_constants() -> DD:
     """ln 2, 1/3! and 1/4! as double-doubles, built once."""
+    import mpmath
+
     with mpmath.workdps(DIGITS):
         return from_mpf([mpmath.log(2), 1 / mpmath.mpf(6), 1 / mpmath.mpf(24)])
 

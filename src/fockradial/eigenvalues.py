@@ -68,9 +68,7 @@ from dataclasses import dataclass
 from math import lgamma
 from typing import Callable, NamedTuple
 
-import mpmath as _mp
 import numpy as np
-from scipy.special import gammainc, gammaincc, gammainccinv, gammaincinv
 
 from . import doubledouble as _dd
 from .laguerre import _check_index, _check_positive
@@ -454,6 +452,8 @@ def _log_factorial(n: int) -> tuple[float, float]:
 
     math.lgamma is 3.2 ulp off at n = 2 and 1.5 ulp at n = 91.
     """
+    import mpmath as _mp
+
     with _mp.workdps(_dd.DIGITS):
         value = _mp.loggamma(n + 1)
         return float(value), float(value - float(value))
@@ -481,6 +481,8 @@ def _windows(ns, sup_g: float, rel_tol: float) -> tuple[np.ndarray, np.ndarray, 
     side, and leaves weight mass 0.05 * rel_tol / max(1, sup|g|) or less on
     each side; the floor of that mass keeps the window finite when sup|g| is inf.
     """
+    from scipy.special import gammainc, gammaincc, gammainccinv, gammaincinv
+
     ns = np.asarray(ns, dtype=float)
     sigma = np.sqrt(ns + 1.0)
     mass_target = max(0.05 * rel_tol / max(1.0, sup_g), np.finfo(float).tiny)
@@ -706,6 +708,8 @@ def _averaging_rule(j: int, sup_g: float, rel_tol: float, xi: int):
     tail mass plus sup|g| times the weights' miss of unit mass, is the same
     at every point the rule averages over.
     """
+    from scipy.special import gammaincc, gammainccinv
+
     tail = max(min(1.0, rel_tol / max(sup_g, 1e-12)) * math.exp(-2.0), np.finfo(float).tiny)
     horizon = max(15.0, float(gammainccinv(j, tail)))
     edges = [0.0]

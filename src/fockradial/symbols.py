@@ -30,7 +30,6 @@ from dataclasses import dataclass, replace
 from numbers import Real
 from typing import Callable, Union
 
-import mpmath as _mp
 import numpy as np
 
 from . import doubledouble as _dd
@@ -136,6 +135,8 @@ def _scaled_factors(sym: LaguerreCombo) -> tuple[int, _dd.DD, _dd.DD, float]:
     range; scale, that sum's exponent or 0 if less, stays finite there.
     Cached: every evaluation and every pass of every block asks.
     """
+    import mpmath as _mp
+
     with _mp.workdps(_dd.DIGITS):
         terms = [_mp.mpmathify(c) * (-sym.xi) ** k * sym.xi for k, c in enumerate(sym.coefficients)]
         total = _mp.fsum(abs(term) for term in terms) + abs(_mp.mpmathify(sym.offset))

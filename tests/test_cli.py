@@ -4,6 +4,10 @@ import io
 import itertools
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -178,6 +182,59 @@ def test_eigs_output_bytes_are_pinned(tmp_path, capsys):
     columns = ["n", "gamma_re", "gamma_im", "engine", "est_abs_err"]
     assert [list(row) for row in json.loads(out)["rows"]] == [columns] * 3
     assert "tier" not in out
+
+
+_COLD_START = """
+import contextlib, io, json, sys
+import fockradial
+from fockradial import cli
+report = [["import", 0, "", "scipy" in sys.modules, "mpmath" in sys.modules]]
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    report.append([argv[0], code, out.getvalue(), "scipy" in sys.modules, "mpmath" in sys.modules])
+print(json.dumps(report))
+"""
+
+
+def test_cold_start_loads_scipy_and_mpmath_only_where_used(tmp_path, capsys):
+    # one fresh interpreter runs the commands in turn and reports after each
+    # which of scipy and mpmath it has loaded; its quadrature is its first, so
+    # the lazily built Gauss-Kronrod and double-double constants meet their
+    # first use there, and its bytes must equal the same command run here
+    sym = write_json(tmp_path / "s.json", {"type": "laguerre_basic", "m": 1, "xi": 4})
+    plan = str(tmp_path / "plan.json")
+    target = "generator:geometric?q=0.5&n=80"
+    quad = ["eigs", sym, "--n-max", "2", "--engine", "quad", "--format", "json"]
+    commands = [
+        ["diagnose", target],
+        ["approximate", target, "--epsilon", "0.05", "--plan-out", plan],
+        ["verify", "--plan", plan, "--target", target],
+        ["smooth", target, "--delta", "0.5"],
+        ["eigs", sym, "--n-max", "2", "--engine", "closed"],
+        ["symbol-eval", sym, "--x-max", "1", "--points", "2"],
+        quad,
+    ]
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", _COLD_START, json.dumps(commands)],
+        env={**os.environ, "PYTHONPATH": str(src)}, cwd=tmp_path, capture_output=True, text=True, check=True,
+    )
+    report = json.loads(done.stdout)
+    assert [row[1] for row in report] == [0] * len(report), done.stderr
+    assert [(name, scipy, mpmath) for name, _, _, scipy, mpmath in report] == [
+        ("import", False, False),
+        ("diagnose", False, False),
+        ("approximate", False, False),
+        ("verify", False, False),
+        ("smooth", False, False),
+        ("eigs", False, False),
+        ("symbol-eval", False, True),
+        ("eigs", True, True),
+    ]
+    code, out, _ = run(capsys, quad)
+    assert code == 0 and report[-1][2] == out
 
 
 def test_eigs_both_fails_on_uncertified_cancellation(tmp_path, capsys, monkeypatch):
