@@ -16,7 +16,7 @@ from fockradial import eigenvalues
 from fockradial.approx import plan_from_json
 from fockradial.cli import main
 from fockradial.seqspace import SeqGenerator
-from fockradial.symbols import combo_symbol, symbol_to_json
+from fockradial.symbols import CallableSymbol, combo_symbol, symbol_to_json
 
 
 def write_json(path, payload):
@@ -200,7 +200,8 @@ print(json.dumps(report))
 
 def test_cold_start_loads_scipy_and_mpmath_only_where_used(tmp_path, capsys):
     # one fresh interpreter runs the commands in turn and reports after each
-    # which of scipy and mpmath it has loaded; its quadrature is its first, so
+    # which of scipy and mpmath it has loaded (scipy: never, since the package
+    # computes its incomplete-gamma windows itself); its quadrature is its first, so
     # the lazily built Gauss-Kronrod and double-double constants meet their
     # first use there, and its bytes must equal the same command run here
     sym = write_json(tmp_path / "s.json", {"type": "laguerre_basic", "m": 1, "xi": 4})
@@ -231,10 +232,41 @@ def test_cold_start_loads_scipy_and_mpmath_only_where_used(tmp_path, capsys):
         ("smooth", False, False),
         ("eigs", False, False),
         ("symbol-eval", False, True),
-        ("eigs", True, True),
+        ("eigs", False, True),
     ]
     code, out, _ = run(capsys, quad)
     assert code == 0 and report[-1][2] == out
+
+
+_WITHOUT_SCIPY = """
+import contextlib, io, json, sys
+sys.modules["scipy"] = None  # every import of scipy now raises ImportError
+import numpy as np
+from fockradial import cli, eigenvalues, symbols
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = cli.main(json.loads(sys.argv[1]))
+gauss = symbols.CallableSymbol(lambda x: np.exp(-x * x), sup_bound=1.0)
+print(json.dumps([code, out.getvalue(), repr(eigenvalues.shifted_gamma_residual(gauss, 2, 2))]))
+"""
+
+
+def test_quadrature_runs_with_scipy_blocked(tmp_path, capsys):
+    # a fresh interpreter in which importing scipy raises runs eigs --engine
+    # both and the level-2 shift identity of a callable, and prints what the
+    # same calls give here
+    sym = write_json(tmp_path / "s.json", {"type": "laguerre_basic", "m": 1, "xi": 4})
+    argv = ["eigs", sym, "--n-max", "4", "--engine", "both"]
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SCIPY, json.dumps(argv)],
+        env={**os.environ, "PYTHONPATH": str(src)}, cwd=tmp_path, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    code, out, residual = json.loads(done.stdout)
+    assert [code, out] == list(run(capsys, argv)[:2])
+    gauss = CallableSymbol(lambda x: np.exp(-x * x), sup_bound=1.0)
+    assert residual == repr(eigenvalues.shifted_gamma_residual(gauss, 2, 2))
 
 
 def test_eigs_both_fails_on_uncertified_cancellation(tmp_path, capsys, monkeypatch):

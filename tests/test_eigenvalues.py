@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import gammainc, gammaincc, gammaln
+from scipy.special import gammaln
 
 from exact import gamma_closed_form
 from fockradial import eigenvalues
@@ -299,12 +299,32 @@ def test_weight_normalization():
         assert abs(gamma_quadrature(one, n).value - 1.0) <= 1e-10
 
 
+_TINY = float(np.finfo(float).tiny)
+
+
+def _mp_tail(a, x, upper: bool):
+    """Q(a, x) (upper) or P(a, x) at 50 digits."""
+    with mpmath.workdps(50):
+        if upper:
+            return mpmath.gammainc(a, x, mpmath.inf, regularized=True)
+        return mpmath.gammainc(a, 0, x, regularized=True) if x else mpmath.mpf(0)
+
+
+def _mp_mass(a, lo, hi):
+    """P(a, lo) + Q(a, hi) at 50 digits, leaving out P where its bound pi_a(lo) (a + 1) / (a + 1 - lo) is below 1e-20 Q."""
+    upper = _mp_tail(a, hi, True)
+    with mpmath.workdps(50):
+        bound = mpmath.exp(a * mpmath.log(lo) - lo - mpmath.loggamma(a + 1)) * (a + 1) / (a + 1 - lo) if lo else 0
+    return upper + (_mp_tail(a, lo, False) if bound > 1e-20 * upper else 0)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     ns=st.lists(st.integers(0, 3000), min_size=1, max_size=16),
     sup_g=st.one_of(st.floats(0.0, 1e300), st.just(math.inf)),
     rel_tol=st.floats(1e-14, 1e-2),
 )
+@example(ns=[201], sup_g=math.inf, rel_tol=0.0078125)  # a lower tail of 2.6e-319 in a mass of 2.2e-308
 def test_windows_cover_the_peak_and_report_their_mass(ns, sup_g, rel_tol):
     # one call gives the windows of a whole sequence; each reaches at least
     # 14 sqrt(n + 1) to either side of the peak, reports the weight mass it
@@ -312,9 +332,55 @@ def test_windows_cover_the_peak_and_report_their_mass(ns, sup_g, rel_tol):
     lo, hi, mass = eigenvalues._windows(ns, sup_g, rel_tol)
     for i, n in enumerate(ns):
         assert lo[i] <= max(0.0, n - 14 * math.sqrt(n + 1)) and hi[i] >= n + 14 * math.sqrt(n + 1), n
-        assert mass[i] == gammainc(n + 1, lo[i]) + gammaincc(n + 1, hi[i]), n
+        # 50 digits, not scipy's incomplete gamma, which gave these masses
+        # before: scipy errs by up to 6.7e-12 here, and by 1.2e-11 at n = 201
+        # with sup|g| = inf, where its lower tail of 2.6e-319 reads 0
+        exact = _mp_mass(n + 1, lo[i], hi[i])
+        assert abs(mass[i] - exact) <= 1e-13 * exact, n
         alone = eigenvalues._windows([n], sup_g, rel_tol)
         assert [part[0] for part in alone] == [lo[i], hi[i], mass[i]], n
+
+
+_SHAPES = st.floats(0.0, 5.0).map(lambda e: round(10.0**e))  # integer shapes 1 to 10^5, log-uniform
+
+
+@settings(max_examples=30, deadline=None)
+@given(a=_SHAPES, depth=st.floats(2.0**-20, 1.0), upper=st.booleans())
+@example(a=1, depth=1.0, upper=False)  # P(1, x) = x near the smallest normal float
+@example(a=1, depth=2.0**-20, upper=True)  # Q(1, x) = e^-x just past x = 0
+@example(a=10**5, depth=1.0, upper=True)  # the double-double exponent at the largest shape
+@example(a=10**5, depth=1.0, upper=False)
+@example(a=10**5, depth=2.0**-20, upper=False)  # the longest Poisson sum, next to the peak
+@example(a=197, depth=0.01, upper=True)  # near the 13 sqrt(a) switch to the continued fraction
+def test_gamma_tails_match_mpmath(a, depth, upper):
+    # x runs over the tail from its boundary (a for P, a - 1 for Q) out to
+    # where the tail is the smallest normal float; every tail there is
+    # within 1e-13 of 50 digits
+    edge = float(eigenvalues._gamma_tail_inverse(a, _TINY, upper)[0])
+    boundary = a - 1.0 if upper else float(a)
+    x = edge + (1.0 - depth) * (boundary - edge)
+    exact = _mp_tail(a, x, upper)
+    assert abs(float(eigenvalues._gamma_tail(a, x, upper)) - exact) <= 1e-13 * exact, x
+
+
+@settings(max_examples=30, deadline=None)
+@given(a=_SHAPES, log_target=st.floats(math.log(_TINY), math.log(0.4)), upper=st.booleans())
+@example(a=1, log_target=math.log(_TINY), upper=False)
+@example(a=1, log_target=math.log(_TINY), upper=True)
+@example(a=10**5, log_target=math.log(_TINY), upper=False)  # so steep that one ulp of x moves P by 1e-12
+@example(a=10**5, log_target=math.log(_TINY), upper=True)
+@example(a=2, log_target=math.log(0.4), upper=True)  # the quantile falls just past a, inside the peak
+def test_gamma_tail_inverses_match_mpmath(a, log_target, upper):
+    # each inverse has a tail of at most target (1 + 1e-13) and lies within
+    # 1e-13 of the quantile
+    target = max(math.exp(log_target), _TINY)
+    x = float(eigenvalues._gamma_tail_inverse(a, target, upper)[0])
+    tail = _mp_tail(a, x, upper)
+    assert tail <= target * (1 + 1e-13), x
+    # the quantile lies between x and x moved 1e-13 relative toward it: the
+    # tail crosses the target there (it falls as x moves out of the peak)
+    toward = x * (1 - 1e-13) if (tail <= target) == upper else x * (1 + 1e-13)
+    assert (_mp_tail(a, toward, upper) >= target) == (tail <= target), x
 
 
 _DD_UNIT = mpmath.mpf(2) ** -106
