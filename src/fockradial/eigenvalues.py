@@ -78,6 +78,7 @@ from .symbols import (
     Symbol,
     _check_scale,
     _in_type,
+    _into,
     _scaled_combo,
     _scaled_factors,
     describe_symbol,
@@ -286,6 +287,10 @@ def _gk15_batch(f, convert, a: np.ndarray, b: np.ndarray, floor):
     the values in the pass's number type, the estimates built from
     magnitudes, which are float64 in a double-double pass.  No estimate is
     below the index's floor, a column, times the panel's absolute integral.
+    In float64 and longdouble the only array of f's shape made here is one
+    magnitude buffer: |f| goes into it, then f - mean into f's own array,
+    which f must not keep, and |f - mean| into the buffer.  A double-double
+    pass computes f - mean and its magnitude out of place.
     """
     xgk, wgk, wg7 = _gk15_rule(convert)
     a, b = convert(a), convert(b)
@@ -299,8 +304,13 @@ def _gk15_batch(f, convert, a: np.ndarray, b: np.ndarray, floor):
     mean = (resk / width)[..., None]
     # the rest of the estimate is built from magnitudes, which abs gives in float64 for a double-double pass
     abs_half, abs_wgk = np.abs(half), np.abs(wgk)
-    resabs = abs_half * (np.abs(fx) @ abs_wgk)
-    resasc = abs_half * (np.abs(fx - mean) @ abs_wgk)
+    magnitude = np.abs(fx)
+    resabs = abs_half * (magnitude @ abs_wgk)
+    if isinstance(fx, np.ndarray):
+        np.absolute(np.subtract(fx, mean, out=fx), out=magnitude)
+    else:
+        magnitude = np.abs(fx - mean)
+    resasc = abs_half * (magnitude @ abs_wgk)
     diff = np.abs(resk - resg)
     spread = resasc > 0.0
     safe = np.where(spread, resasc, 1.0)
@@ -387,12 +397,17 @@ def _combo_integrand(sym: LaguerreCombo, ns, convert):
 
     One row per index: the scaled form 2^-scale g (`_scaled_combo`) times the
     weight, into which `np.ldexp` puts 2^scale.  An overflow is not finite.
+    In float64 and longdouble the weight's array (`_weight`) takes the ldexp
+    and, when g is real, the product in place (`symbols._into`), so the
+    integrand is that one array; a complex g gives a new complex array, and a
+    double-double pass computes out of place.
     """
     (scale, values), weight = _scaled_combo(sym, convert), _weight(ns, convert)
 
     def integrand(nodes):
         r = nodes.reshape(-1)
-        return values(r) * np.ldexp(weight(r), scale)
+        g, w = values(r), weight(r)
+        return _into(w, np.multiply, g, _into(w, np.ldexp, w, scale))
 
     return integrand
 
@@ -464,9 +479,20 @@ def _weight(ns, convert=_to_float64):
 
     Each row integrates to 1 on [0, oo); every rule here has interior nodes,
     so r = 0 never comes up.  ln n! is rounded from its double-double, once.
+    Each call makes one (indices x points) array, n ln r, and takes the
+    subtractions and exp in place (`symbols._into`); a double-double computes
+    out of place.  Nothing is kept between calls, so the array is the caller's.
     """
     log_norm = _in_type(_dd.DD(*np.array([_log_factorial(n) for n in ns]).T), convert).reshape(-1, 1)
-    return lambda r: np.exp(np.reshape(ns, (-1, 1)) * np.log(r) - r - log_norm)
+    column = np.reshape(ns, (-1, 1))
+
+    def weight(r):
+        w = column * np.log(r)
+        w = _into(w, np.subtract, w, r)
+        w = _into(w, np.subtract, w, log_norm)
+        return _into(w, np.exp, w)
+
+    return weight
 
 
 def _times_sup(sup_g: float, mass: float) -> float:
@@ -859,6 +885,7 @@ def _callable_integrand(sym: Symbol):
 
     A panel recurs in every block whose windows it meets, and bisection makes
     the same children in each, so g is kept by the bytes of a panel's nodes.
+    A real g is multiplied into the weight's array in place (`symbols._into`).
     """
     rows: dict[bytes, np.ndarray] = {}
 
@@ -872,7 +899,12 @@ def _callable_integrand(sym: Symbol):
 
     def integrand(ns):
         weight = _weight(ns)
-        return lambda r: values(r) * weight(r.ravel())
+
+        def product(r):
+            g, w = values(r), weight(r.ravel())
+            return _into(w, np.multiply, g, w)
+
+        return product
 
     return integrand
 
@@ -1038,7 +1070,8 @@ def _average(evaluate, r: np.ndarray, nodes: np.ndarray, weights: np.ndarray) ->
     """E[g(sqrt(r + G))] at each r, where evaluate(x) = g(x) on an array."""
     out = []
     for start in range(0, len(r), _AVERAGE_ROWS):
-        x = np.sqrt(r[start : start + _AVERAGE_ROWS, None] + nodes[None, :])
+        x = r[start : start + _AVERAGE_ROWS, None] + nodes[None, :]
+        np.sqrt(x, out=x)
         out.append(evaluate(x.ravel()).reshape(x.shape) @ weights)
     return np.concatenate(out)
 

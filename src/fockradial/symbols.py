@@ -152,6 +152,20 @@ def _in_type(pair: _dd.DD, convert):
     return convert(pair.hi) + convert(pair.lo)
 
 
+def _into(out, ufunc, *args):
+    """ufunc(*args), written into out when out is a numpy array of the result's type, else a new result.
+
+    Each large array of the quadrature is made once and updated this way, by
+    the same operations in the same order, so the bits do not change.  A
+    double-double (`fockradial.doubledouble.DD`) is no numpy array, so it is
+    computed out of place, and so is a result of a wider type than out, such
+    as a complex product.
+    """
+    if isinstance(out, np.ndarray) and np.result_type(*args) == out.dtype:
+        return ufunc(*args, out=out)
+    return ufunc(*args)
+
+
 def _scaled_combo(sym: LaguerreCombo, convert):
     """(scale, r -> 2^-scale g(sqrt(r))) for arrays r >= 0 in convert's number type; a constant gives a scalar.
 
@@ -161,6 +175,9 @@ def _scaled_combo(sym: LaguerreCombo, convert):
     |L_k(t)| <= e^(t/2) and xi >= 2 keep each term within 1, and the factors
     (`_scaled_factors`) and offset, which carry 2^-scale, the sum within 2.
     A double-double product is complex times real.  An overflow is not finite.
+    In float64 and longdouble the recurrence cycles through three arrays of
+    r's shape and the sum through two, each updated in place (`_into`); a
+    double-double computes out of place.
     """
     scale, re, im, _ = _scaled_factors(sym)
     factors = _in_type(re, convert) + 1j * _in_type(im, convert) if im.hi.any() else _in_type(re, convert)
@@ -174,12 +191,20 @@ def _scaled_combo(sym: LaguerreCombo, convert):
         decay = r * (sym.xi - 1.0)
         c = np.minimum(np.asarray(decay, dtype=float), _LAG_START)
         t, prev, lag, terms = r * float(sym.xi), 0.0, np.exp(-convert(c)), 0.0
+        spare = spare_terms = None
         for k in range(live[-1] + 1):
             if k:
-                prev, lag = lag, ((2 * k - 1 - t) * lag - (k - 1) * prev) / k
+                # l_k = ((2k - 1 - t) l_(k-1) - (k - 1) l_(k-2)) / k, written over l_(k-3)
+                step = _into(spare, np.subtract, 2 * k - 1, t)
+                step = _into(step, np.multiply, step, lag)
+                step = _into(step, np.subtract, step, _into(prev, np.multiply, k - 1, prev))
+                prev, lag, spare = lag, _into(step, np.true_divide, step, k), prev
             if sym.coefficients[k]:
-                terms = factors[k] * lag + terms
-        return offset + terms * np.exp(c - decay)
+                product = _into(spare_terms, np.multiply, factors[k], lag)
+                terms, spare_terms = _into(product, np.add, product, terms), terms
+        gauss = _into(decay, np.subtract, c, decay)
+        terms = _into(terms, np.multiply, terms, _into(gauss, np.exp, gauss))
+        return _into(terms, np.add, offset, terms)
 
     return scale, values
 
@@ -203,7 +228,7 @@ def eval_symbol(sym: Symbol, x):
     """Pointwise value of the symbol at x >= 0 (scalar or array), in x's float type.
 
     A structured symbol runs its scaled form (`_scaled_combo`) in x's type
-    and then ldexp, part by part since numpy has no complex ldexp.  The value
+    and then ldexp in place, part by part since numpy has no complex ldexp.  The value
     is not finite, without a warning, where the recurrence or the value overflows.
     """
     arr = _as_float_array(x)
@@ -215,10 +240,9 @@ def eval_symbol(sym: Symbol, x):
     if isinstance(sym, LaguerreCombo):
         scale, values = _scaled_combo(sym, functools.partial(np.asarray, dtype=pts.dtype))
         with np.errstate(over="ignore", invalid="ignore"):
-            scaled = values(pts * pts) + np.zeros_like(pts)
-            out = np.ldexp(scaled.real, scale).astype(scaled.dtype)
-            if out.dtype.kind == "c":
-                out.imag = np.ldexp(scaled.imag, scale)
+            out = values(pts * pts) + np.zeros_like(pts)
+            for part in (out.real, out.imag) if out.dtype.kind == "c" else (out,):
+                np.ldexp(part, scale, out=part)
     elif isinstance(sym, CallableSymbol):
         out = _eval_callable(sym.evaluator, pts)
     else:

@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from exact import gamma_closed_form
-from fockradial import eigenvalues
+from fockradial import eigenvalues, symbols
 from fockradial.doubledouble import DD, from_mpf, to_dd, two_sum
 from fockradial.doubledouble import exp as dd_exp
 from fockradial.doubledouble import log as dd_log
@@ -29,6 +30,7 @@ from fockradial.symbols import (
     LaguerreCombo,
     basic_symbol,
     combo_symbol,
+    eval_symbol,
     sup_estimate,
     with_limit_offset,
 )
@@ -867,6 +869,201 @@ def test_nonconvergence_is_flagged_not_raised():
     assert not res.converged
     assert abs(res.value - 1.0) <= 1e-9  # value still sane
     assert res.est_abs_err > 1e-30  # and the estimate stays honest
+
+
+# ---------------------------------------------------------------------------
+# in-place kernels: the out-of-place formulas of 0.10.5 are the reference
+
+def _reference_weight(ns, convert):
+    log_norm = eigenvalues._in_type(
+        DD(*np.array([eigenvalues._log_factorial(n) for n in ns]).T), convert
+    ).reshape(-1, 1)
+    return lambda r: np.exp(np.reshape(ns, (-1, 1)) * np.log(r) - r - log_norm)
+
+
+def _reference_scaled_combo(sym, convert):
+    scale, re, im, _ = symbols._scaled_factors(sym)
+    in_type = eigenvalues._in_type
+    factors = in_type(re, convert) + 1j * in_type(im, convert) if im.hi.any() else in_type(re, convert)
+    offset = complex(math.ldexp(sym.offset.real, -scale), math.ldexp(sym.offset.imag, -scale))
+    offset = offset.real if offset.imag == 0.0 else offset
+    live = [k for k, c in enumerate(sym.coefficients) if c]
+
+    def values(r):
+        if not live:
+            return offset
+        decay = r * (sym.xi - 1.0)
+        c = np.minimum(np.asarray(decay, dtype=float), symbols._LAG_START)
+        t, prev, lag, terms = r * float(sym.xi), 0.0, np.exp(-convert(c)), 0.0
+        for k in range(live[-1] + 1):
+            if k:
+                prev, lag = lag, ((2 * k - 1 - t) * lag - (k - 1) * prev) / k
+            if sym.coefficients[k]:
+                terms = factors[k] * lag + terms
+        return offset + terms * np.exp(c - decay)
+
+    return scale, values
+
+
+def _reference_combo_integrand(sym, ns, convert):
+    (scale, values), weight = _reference_scaled_combo(sym, convert), _reference_weight(ns, convert)
+    return lambda nodes: values(nodes.reshape(-1)) * np.ldexp(weight(nodes.reshape(-1)), scale)
+
+
+def _reference_callable_integrand(sym, ns):
+    weight = _reference_weight(ns, eigenvalues._to_float64)
+    return lambda r: eval_symbol(sym, np.sqrt(r).ravel()) * weight(r.ravel())
+
+
+def _reference_gk15_batch(f, convert, a, b, floor):
+    xgk, wgk, wg7 = eigenvalues._gk15_rule(convert)
+    a, b = convert(a), convert(b)
+    width = b - a
+    half = 0.5 * width
+    center = 0.5 * (a + b)
+    nodes = center[:, None] + half[:, None] * xgk[None, :]
+    fx = f(nodes).reshape(-1, *nodes.shape)
+    resk = half * (fx @ wgk)
+    resg = half * (fx[..., 1::2] @ wg7)
+    mean = (resk / width)[..., None]
+    abs_half, abs_wgk = np.abs(half), np.abs(wgk)
+    resabs = abs_half * (np.abs(fx) @ abs_wgk)
+    resasc = abs_half * (np.abs(fx - mean) @ abs_wgk)
+    diff = np.abs(resk - resg)
+    spread = resasc > 0.0
+    safe = np.where(spread, resasc, 1.0)
+    err = np.where(spread, resasc * np.minimum(1.0, (200.0 * diff / safe) ** 1.5), diff)
+    return resk, np.maximum(err, floor * resabs), resabs
+
+
+def _bits(x) -> bytes:
+    """Every entry's exact value as bytes: a double-double as hi and lo, a longdouble as two float64s.
+
+    A longdouble's own bytes include padding that no arithmetic writes, so it is
+    split into hi = float64(x) and lo = float64(x - hi), which is exact.
+    """
+    if isinstance(x, DD):
+        return _bits(x.hi) + _bits(x.lo)
+    x = np.asarray(x)
+    if x.dtype.kind == "c":
+        return _bits(x.real) + _bits(x.imag)
+    if x.dtype != np.float64:
+        hi = x.astype(np.float64)
+        with np.errstate(invalid="ignore"):
+            return hi.tobytes() + (x - hi).astype(np.float64).tobytes()
+    return x.tobytes()
+
+
+_PASSES = {
+    "float64": eigenvalues._to_float64,
+    "longdouble": eigenvalues._to_longdouble,
+    "double-double": eigenvalues._to_double_double,
+}
+
+
+def _block_panels(sym, ns):
+    """The panels and Gauss-Kronrod nodes (float64) of the block ns, as `_integrals` builds them."""
+    lo, hi, _ = eigenvalues._windows(ns, sup_estimate(sym), QuadConfig().rel_tol)
+    a, b = eigenvalues._grid_panels(sym, ns, lo.min(), hi.max())
+    xgk = eigenvalues._gk15_rule(eigenvalues._to_float64)[0]
+    return a, b, 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * xgk[None, :]
+
+
+def _assert_same_bits(got, want, convert, a, b, nodes, rows):
+    """The integrand got, and the Gauss-Kronrod sums over it, have the bits of the reference want."""
+    assert _bits(got(nodes)) == _bits(want(nodes))
+    floor = np.full((rows, 1), 1e-14)
+    for new, old in zip(
+        eigenvalues._gk15_batch(got, convert, a, b, floor), _reference_gk15_batch(want, convert, a, b, floor)
+    ):
+        assert _bits(new) == _bits(old)
+
+
+@pytest.mark.parametrize("tier", list(_PASSES))
+@pytest.mark.parametrize(
+    "sym",
+    [
+        with_limit_offset(combo_symbol([0.7, -1.3, 0.0, 0.4], 4), 0.25),
+        with_limit_offset(combo_symbol([1.0, 0.5j, -0.25 + 0.125j], 3), -0.5j),
+        LaguerreCombo(offset=1.5),
+    ],
+    ids=["real", "complex", "constant"],
+)
+def test_in_place_combo_kernels_keep_every_bit(sym, tier):
+    # the integrand, and the Gauss-Kronrod sums over it, equal the
+    # out-of-place formulas bit for bit in every pass's number type
+    convert, ns = _PASSES[tier], list(range(40, 56))
+    a, b, nodes = _block_panels(sym, ns)
+    got = eigenvalues._combo_integrand(sym, ns, convert)
+    want = _reference_combo_integrand(sym, ns, convert)
+    _assert_same_bits(got, want, convert, a, b, eigenvalues._in_type(to_dd(nodes), convert), len(ns))
+
+
+@pytest.mark.parametrize(
+    "evaluator",
+    [
+        lambda x: np.exp(-x * x),
+        lambda x: np.exp(-x * x) * (np.cos(x) + 1j * np.sin(x)),
+        lambda x: math.exp(-x * x),
+    ],
+    ids=["float", "complex", "scalar-only"],
+)
+def test_in_place_callable_kernels_keep_every_bit(evaluator):
+    sym, ns = CallableSymbol(evaluator), list(range(10, 26))
+    a, b, nodes = _block_panels(sym, ns)
+    got = eigenvalues._callable_integrand(sym)(ns)
+    want = _reference_callable_integrand(sym, ns)
+    _assert_same_bits(got, want, eigenvalues._to_float64, a, b, nodes, len(ns))
+
+
+def test_an_evaluator_may_run_the_quadrature_itself():
+    # nothing is shared between calls: a callable whose evaluator runs
+    # gamma_sequence gets the records of the two calls made separately
+    inner = basic_symbol(2, 4)
+
+    def records(seq):
+        return [repr(entry) for entry in seq.entries]
+
+    inner_alone = records(gamma_sequence(inner, 40, engine="quad"))
+    seen = []
+
+    def nested(x):
+        seen.append(records(gamma_sequence(inner, 40, engine="quad")))
+        return np.exp(-x * x)
+
+    outer = records(gamma_sequence(CallableSymbol(nested), 40, engine="quad"))
+    assert outer == records(gamma_sequence(CallableSymbol(lambda x: np.exp(-x * x)), 40, engine="quad"))
+    assert seen and all(inner_seen == inner_alone for inner_seen in seen)
+
+
+def _peak_bytes(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_quadrature_kernels_allocate_each_array_once():
+    # a block of 32 indices, basic(8, 8) at n = 120..151, on its 74 panels:
+    # one (indices x nodes) float64 array is 277 KB.  The integrand makes that
+    # one array; _gk15_batch adds one magnitude buffer.  Besides them numpy's
+    # buffered ufunc loops take up to one chunk per broadcast operand
+    # (np.getbufsize() elements), and a few arrays have one entry per node or
+    # per (index, panel).  The out-of-place formulas of 0.10.5 peaked at 2.26
+    # and 3.31 times the array.
+    sym, ns = basic_symbol(8, 8), list(range(120, 152))
+    a, b, nodes = _block_panels(sym, ns)
+    assert len(a) == 74
+    array = len(ns) * nodes.size * 8
+    chunk, per_node, per_panel = np.getbufsize() * 8, nodes.size * 8, len(ns) * len(a) * 8
+    integrand = eigenvalues._combo_integrand(sym, ns, eigenvalues._to_float64)
+    floor = np.full((len(ns), 1), 1e-14)
+    batch = functools.partial(eigenvalues._gk15_batch, integrand, eigenvalues._to_float64, a, b, floor)
+    batch()  # builds the cached rule and factors
+    assert _peak_bytes(lambda: integrand(nodes)) <= array + 2 * chunk + 8 * per_node
+    assert _peak_bytes(batch) <= 2 * array + chunk + 8 * per_panel + 8 * per_node
 
 
 # ---------------------------------------------------------------------------

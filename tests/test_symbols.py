@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from fockradial.symbols import (
     CallableSymbol,
     LaguerreCombo,
+    _scaled_factors,
     basic_symbol,
     combo_symbol,
     eval_symbol,
@@ -250,15 +251,22 @@ def test_eval_symbol_matches_mpmath_within_the_sup(coeffs, xi, p, x):
 
 @settings(max_examples=20, deadline=None)
 @given(coeffs=_coefficients, xi=st.integers(2, 40), x=st.floats(0.0, 8.0))
+@example(coeffs=[2.225073858507e-311 + 0j], xi=2, x=1.0)  # a subnormal sup: the relative bound alone is 4.8e-328
+@example(coeffs=[1.1125369292536007e-308 + 0j], xi=2, x=1.0)
 def test_eval_symbol_keeps_longdouble(coeffs, xi, x):
-    # longdouble input runs the scaled form in longdouble, to 100 of its eps times the sup
+    # longdouble input runs the scaled form in longdouble, to 100 of its eps
+    # times the sup, plus the subnormal roundoff no relative bound covers:
+    # the float64 halves of each factor of _scaled_factors, and the test's
+    # float64 reading of the value, each round by up to 2^-1074 per part
+    # once they are subnormal, times the 2^scale the value is scaled back by
     sym = combo_symbol(coeffs, xi)
     got = eval_symbol(sym, np.array([x], dtype=np.longdouble))
     assert got.dtype in (np.longdouble, np.clongdouble)
     exact = _combo_exact(sym, x)
     with mpmath.workdps(60):
         error = abs(_exact_longdouble(got[0].real) + 1j * _exact_longdouble(got[0].imag) - exact)
-    assert error <= 100 * float(np.finfo(np.longdouble).eps) * sup_estimate(sym)
+    subnormal = 2 * (len(coeffs) + 1) * math.ldexp(1.0, _scaled_factors(sym)[0] - 1074)
+    assert error <= 100 * float(np.finfo(np.longdouble).eps) * sup_estimate(sym) + subnormal
 
 
 def test_symbol_json_roundtrip():
