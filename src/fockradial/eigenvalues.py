@@ -18,9 +18,11 @@ error of at most about 2n roundings.
 Everything else goes through quadrature against the normalized weight
 w_n(r) = exp(n ln r - r - ln n!), a probability density peaked at
 r = n with width sqrt(n + 1).  The quadrature window is centered on the
-peak and reaches, by the inverse incomplete gamma function (`_windows`), to where the
-weight mass outside it times the symbol bound sup|g| is below rel_tol / 10;
-that product is folded into the reported error estimate.  The window is
+peak and reaches (`_windows`) to where a proven upper bound of the weight
+mass outside it (`_tail_bound`: Robbins' bound of n! times a geometric
+majorant of the Poisson sum) times the symbol bound sup|g| is below
+rel_tol / 10; that product, a bound and not an estimate, is folded into the
+reported error estimate.  The window is
 refined adaptively with a Gauss-Kronrod 7/15 rule.  Every decision tests
 tau(v) = rel_tol * max(1, |v|).  In x = sqrt(r) every weight w_n has nearly
 the same width, about 1/2 (the sqrt-distance of the paper), and a structured
@@ -501,316 +503,98 @@ def _times_sup(sup_g: float, mass: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# The tails of Gamma(a, 1) at integer shapes a >= 1: the weight mass outside a window
+# Bounds of the tails of Gamma(a, 1) at integer shapes a >= 1: the weight mass outside a window
 #
-# With the Poisson terms pi_k(x) = e^-x x^k / k!, the lower tail is
-# P(a, x) = sum_{k >= a} pi_k(x) and the upper tail Q(a, x) = sum_{k < a} pi_k(x);
-# each is pi_a(x) times a sum of ratios that shrink geometrically on its side of
-# the peak (`_poisson_sum`).  ln pi_a(x) comes in Stirling's form, which does not
-# cancel at large a: in float64 (`_log_poisson`) while its size keeps the
-# rounding below 1e-13 of the tail, else in double-double (`_log_poisson_dd`).
+# With the Poisson terms pi_k(x) = e^-x x^k / k!, the upper tail is
+# Q(a, x) = sum_{k < a} pi_k(x) = pi_a(x) (a / x + a (a - 1) / x^2 + ...) and the
+# lower tail P(a, x) = sum_{k >= a} pi_k(x) = pi_a(x) (1 + x / (a + 1) + ...).
+# Each ratio of successive terms is at most the first, (a - 1) / x or x / (a + 1),
+# so Q <= pi_a(x) a / (x - a + 1) for x > a - 1 and P <= pi_a(x) (a + 1) / (a + 1 - x)
+# for x < a + 1, and Robbins' a! >= sqrt(2 pi a) (a / e)^a e^(1 / (12 a + 1))
+# (Amer. Math. Monthly 62, 1955) bounds pi_a(x) by elementary functions.
 
-_STIRLING_TABLE = 30  # below this k, ln k! - (k ln k - k) comes from 40 digits; at and past it, from Stirling's series
-_ATANH_TERMS = 1.0 / (2.0 * np.arange(17.0) + 3.0)  # sum_i w^i / (2i + 3), below 2^-56 relative at w <= 1/9
-_EXACT_EXPONENT = 100.0  # |ln pi_a(x)| past which the double-double form is used: float64 errs by up to ~5.2 u of it
-_SUM_EXPONENT = 60.0 * math.log(2.0)  # the Poisson sums stop where a term bound falls below 2^-60 of the first term
-_SUM_ENTRIES = 2**18  # ratios formed at once by `_poisson_sum`; bounds its (terms x indices) arrays
-_FRACTION_REACH = 13.0  # an upper tail this many sqrt(a) past the mean takes the continued fraction
-_FRACTION_LEVELS = np.arange(9.0, -1.0, -1.0)[:, None]  # its levels i = 9..0: depth 9 is within 1.2e-16 there
-_NEWTON_STEPS = 60  # cap of `_tail_quantile`; it needs a handful
+_ROUNDING = 2.0**-46  # allowance of `_tail_bound` per unit of the magnitudes it sums
+_EDGE_GAP = 2.0**-20  # `_tail_edge` stops where the log-bound lies this close below the target
+_EDGE_STEPS = 60  # cap of `_tail_edge`'s Newton steps; it takes a handful
 
 
-@functools.cache
-def _stirling_table() -> np.ndarray:
-    import mpmath as _mp
+def _tail_bound(a, x, upper: bool) -> tuple[np.ndarray, np.ndarray]:
+    """ln B and B, B >= Q(a, x) for x > a - 1 (upper) or B >= P(a, x) for 0 < x < a + 1; elementwise in float64.
 
-    with _mp.workdps(_dd.DIGITS):
-        return np.array([0.0] + [float(_mp.loggamma(k + 1) - k * _mp.log(k) + k) for k in range(1, _STIRLING_TABLE)])
-
-
-@functools.cache
-def _ln2() -> _dd.DD:
-    return _dd.to_dd(("0.6931471805599453094172321214581765680755",))[0]
-
-
-def _stirling_remainder(k: np.ndarray) -> np.ndarray:
-    """ln k! - (k ln k - k) for integers k >= 1 held in floats, elementwise; within about 1e-15."""
-    big = np.maximum(k, _STIRLING_TABLE)
-    w = 1.0 / (big * big)
-    series = 0.5 * np.log(2.0 * np.pi * big) + (1 / 12 + w * (-1 / 360 + w * (1 / 1260 - w / 1680))) / big
-    return np.where(k < _STIRLING_TABLE, _stirling_table()[np.minimum(k, _STIRLING_TABLE - 1).astype(int)], series)
-
-
-def _atanh_rest(w: np.ndarray) -> np.ndarray:
-    """sum_i w^i / (2i + 3), which is (atanh(v) - v) / v^3 at w = v^2, for 0 <= w <= 1/9; summed in order."""
-    powers = np.cumprod(np.broadcast_to(w, (len(_ATANH_TERMS) - 1, len(w))), axis=0)
-    return _ATANH_TERMS[0] + np.cumsum(_ATANH_TERMS[1:, None] * powers, axis=0)[-1]
-
-
-def _log_poisson(k: np.ndarray, x: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """ln pi_k(x) in float64, for k >= 1 and x > 0, with c = `_stirling_remainder(k)`.
-
-    ln pi_k(x) = -D - c with D = x - k - k ln(x / k).  For x / k in [1/2, 2],
-    D = (x - k) v - 2 k v^3 R(v^2) with v = (x - k) / (x + k), |v| <= 1/3, and R
-    of `_atanh_rest`, which has no cancellation; farther out D is formed
-    directly, which cancels by a factor of 5 at most.  The error, measured
-    against 50 digits, is at most about 5.2 u |ln pi_k(x)|, u = 2^-53.
+    ln B = a ln(x / a) + a - x - ln sqrt(2 pi a) - 1 / (12 a + 1) plus
+    ln(a / (x - a + 1)) for Q or ln((a + 1) / (a + 1 - x)) for P, the bounds
+    above, plus an allowance _ROUNDING * size for its own rounding.
+    size = |a ln(x / a)| + |the last log| + 3 a + x + 3 is at least a, which
+    the rounding of x / a carries into a ln(x / a), plus the five terms'
+    magnitudes plus 1.  An arithmetic rounding errs by at most u = 2^-53 of
+    its result and np.log or np.exp by at most 4 ulp (0.5 and 0.62 measured
+    with numpy's AVX-512 loops), so the roundings of ln B and of its exp stay
+    below 16 u size, an eighth of the allowance; the rest covers the rounding
+    of a sum of two bounds.  B is exp(ln B) plus 2^-1074, one unit of the
+    subnormal range, where exp rounds to that grid; from 2^-1020 up the
+    addition changes nothing.
     """
-    d, log_ratio = x - k, np.log(x / k)
-    out = k * log_ratio - d - c
-    near = np.abs(log_ratio) <= math.log(2.0)
-    if near.any():
-        d, k = d[near], k[near]
-        v = d / (x[near] + k)
-        w = v * v
-        out[near] = 2.0 * k * v * w * _atanh_rest(w) - d * v - c[near]
-    return out
+    base = x - (a - 1.0) if upper else (a + 1.0) - x
+    power, scale = a * np.log(x / a), np.log((a if upper else a + 1.0) / base)
+    log_bound = power + (a - x) + scale - (0.5 * np.log(2.0 * np.pi * a) + 1.0 / (12.0 * a + 1.0))
+    log_bound += _ROUNDING * (np.abs(power) + np.abs(scale) + (3.0 * a + x + 3.0))
+    return log_bound, np.exp(log_bound) + 2.0**-1074
 
 
-def _log_poisson_dd(k: np.ndarray, x: np.ndarray, c: np.ndarray) -> _dd.DD:
-    """ln pi_k(x) as a double-double, for k >= 1 and x > 0 normal, within about 1e-14 absolute.
+def _tail_edge(a: np.ndarray, x: np.ndarray, ln_target: float, upper: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Each point of x moved out along its tail until `_tail_bound` there is at most e^ln_target, and B there.
 
-    k ln(x / k) = j k ln 2 + k ln(x / K) with K = k 2^j and x / K in
-    [1/sqrt 2, sqrt 2], so v = (x - K) / (x + K) is at most 3 - 2 sqrt 2 and
-    k ln(x / K) = 2 k (x - K) / (x + K), exact in double-double, plus
-    2 k v^3 R(v^2), which is small enough for float64.
+    The float arrays a and x have one shape, with x > a - 1 for Q (upper) or
+    0 < x < a + 1 for P.  A point whose bound is at most the target stays.
+    The others take Newton steps on ln B, which falls as x moves out of the
+    peak, in x for Q and in ln x for P, aimed _EDGE_GAP / 2 below ln_target;
+    each stops at the first point whose ln B lies in
+    [ln_target - _EDGE_GAP, ln_target].  Where ln B is concave, past about
+    one sqrt(a) from the peak, a step from the inside lands outside the
+    target's point and the steps after it come back without crossing it;
+    nearer the peak they approach from the inside.  Each index stops by its
+    own test, so it gets the same bits in any batch.  The B returned is the
+    bound at the point returned, also for an index still above the target
+    after _EDGE_STEPS steps.
     """
-    m, e = np.frexp(x / k)
-    j = e - (m < math.sqrt(0.5))
-    scaled = np.ldexp(k, j)
-    d = x - scaled  # exact: x / scaled lies in [1/2, 2]
-    v = d / (x + scaled)
-    w = v * v
-    log_ratio = _dd.DD(2.0 * k) * d / (_dd.DD(scaled) + x) + 2.0 * k * v * w * _atanh_rest(w) + j * k * _ln2()
-    return log_ratio - (_dd.DD(x) - k) - c
-
-
-def _poisson_sum(a: np.ndarray, x: np.ndarray, upper: bool) -> np.ndarray:
-    """S with the tail = pi_a(x) S, elementwise: Q(a, x) for x > a - 1 (upper), else P(a, x) for x < a.
-
-    Upper: S = sum_{m >= 1} prod_{i < m} (a - i) / x, which ends at m = a;
-    lower: S = 1 + sum_{m >= 1} prod_{i = 1..m} x / (a + i).  An upper tail
-    13 sqrt(a) or more past the mean takes Legendre's continued fraction
-    instead (`_upper_fraction`).  The m-th term is at most
-    r^m e^(-m (m - 1) / (2 (a + m))), r the first ratio, so a power of two of
-    terms that takes that bound below 2^-60 suffices.  The terms are summed
-    by halving: adjacent runs combine their products and their sums of
-    prefix products.  An index's own terms then form one aligned run, and
-    what a larger batch adds beyond it is far below its last bit, so the
-    index gets the same bits in any batch.
-    """
-    if upper:
-        base = x + 1.0 - a
-        far = base >= _FRACTION_REACH * np.sqrt(a)
-        if far.all():
-            return _upper_fraction(a, base)
-        if far.any():
-            out = np.empty(len(a))
-            out[far], out[~far] = _upper_fraction(a[far], base[far]), _poisson_sum(a[~far], x[~far], upper)
-            return out
-    with np.errstate(divide="ignore"):  # a first ratio of 1 or more leaves the quadratic bound alone
-        counts = 1.0 + _SUM_EXPONENT / np.log(np.maximum(x / a if upper else (a + 1.0) / x, 1.0))
-    bound = 2.0 * _SUM_EXPONENT + 1.0
-    counts = np.minimum(counts, 0.5 * (bound + np.sqrt(bound * bound + 8.0 * _SUM_EXPONENT * a)) + 2.0)
-    longest = np.max(np.minimum(counts, a) if upper else counts, initial=1.0)
-    terms = 1 << math.ceil(math.log2(longest))
-    out = np.empty(len(a))
-    step = max(1, _SUM_ENTRIES // terms)
-    i = np.arange(float(terms))[:, None]
-    for start in range(0, len(a), step):
-        part, at = a[start : start + step], x[start : start + step]
-        products = sums = np.maximum(part - i, 0.0) / at if upper else at / (part + 1.0 + i)
-        while len(sums) > 1:
-            sums = sums[0::2] + products[0::2] * sums[1::2]
-            products = products[0::2] * products[1::2]
-        out[start : start + step] = sums[0]
-    return out if upper else 1.0 + out
-
-
-def _upper_fraction(a: np.ndarray, base: np.ndarray) -> np.ndarray:
-    """S of Q(a, x) = pi_a(x) S by Legendre's continued fraction, for base = x + 1 - a >= 13 sqrt(a).
-
-    S = a / (base + t_1), t_i = i (a - i) / (base + 2i + t_(i+1)), summed from
-    depth 9 down; every part is positive, and the fraction ends at i = a, so
-    a batch whose largest a is below 10 starts at depth max(a) - 1, with the
-    same bits.
-    At base = 13 sqrt(a) depth 9 is within 1.2e-16 of S for every a (against
-    60 digits, a from 12 to 10^7), and deeper past it.
-    """
-    levels = _FRACTION_LEVELS[max(0, len(_FRACTION_LEVELS) - int(a.max())) :]  # for a <= 9 it ends sooner
-    numerators = np.maximum(levels[:-1] * (a - levels[:-1]), 0.0)
-    bases, t = base + 2.0 * levels, 0.0
-    for numerator, level_base in zip(numerators, bases[:-1]):
-        t = numerator / (level_base + t)
-    return a / (bases[-1] + t)
-
-
-def _log_tail(a, x, c, upper: bool, floor: float = -math.inf):
-    """ln of the tail Q(a, x) (upper, x > a - 1) or P(a, x) (x < a) as hi + lo, and the sum S of `_poisson_sum`.
-
-    Elementwise over the arrays a, x and c = `_stirling_remainder(a)`.  The
-    log is within about 1e-14 absolute wherever it exceeds floor; below floor
-    the float64 exponent of `_log_poisson` may stand, within 5.2 u of its size.
-    Tails below e^-750 are 0 in float64 and get no more than that: where every
-    ln pi_a(x) is below -760, S is not formed and reads 1.
-    """
-    exponent, zeros = _log_poisson(a, x, c), np.zeros(len(a))
-    if not (exponent > -760.0).any():
-        return exponent, zeros, zeros + 1.0
-    sums = _poisson_sum(a, x, upper)
-    hi = exponent + np.log(sums)
-    exact = exponent < -_EXACT_EXPONENT
-    if not exact.any() or not (exact := exact & (hi > max(floor, -750.0))).any():
-        return hi, zeros, sums
-    fine = _log_poisson_dd(a[exact], x[exact], c[exact])
-    hi[exact], zeros[exact] = _dd.two_sum(fine.hi, np.log(sums[exact]))
-    zeros[exact] += fine.lo
-    return hi, zeros, sums
-
-
-def _log_pair(value: float) -> tuple[float, float]:
-    """ln value as hi + lo, for a normal value > 0: lo is hi's rounding, to about 1e-16."""
-    hi = math.log(value)
-    return hi, math.log(value / math.exp(hi))
-
-
-def _tail_quantile(a, c, ln_target, x, tail, upper: bool, far: bool = False):
-    """Each x moved to where its tail is e^ln_target (hi, lo), by Halley's method from x, whose `_log_tail` is tail.
-
-    The iteration runs in x for Q and in ln x for P, where ln Q and ln P are
-    concave, with f = ln(tail / target) and its derivatives from the sum S:
-    for Q, f' = -(a / x) / S and f'' = f' ((a - 1) / x - 1) - f'^2; for P,
-    f' = a / S and f'' = f' (a - x) - f'^2.  A step of Newton's length divided
-    by 1 - f f'' / (2 f'^2), at least half of it, is Halley's, whose error is
-    cubic in the step.  From the second step on, an index with
-    |f| <= 2^-16 takes one more step, moved one ulp outward, and stops there,
-    with f read from its Taylor expansion to second order,
-    f + f' d + f'' d^2 / 2 for the step d as rounded; the third-order rest is
-    far below 1e-14.  The rounding of the step to float64 moves f by at most
-    |f'| ulp(x) / 2 and the ulp outward by about twice that, so the tail there
-    is at most the target however steep it is.  The rule looks at
-    each index alone, so an index stops at the same bits in any batch.  P's
-    iterates stay above a e^((ln target + c) / a - 1) (1 - 2^-40), where P is
-    below the target.  far says that Q is wanted past a target above e^-90
-    from points 14 sqrt(a) past the mean: the iterates then stay past
-    13 sqrt(a), where `_upper_fraction` holds, with exponents above -100, which
-    float64 carries (`_log_tail`), so they take those two directly.  Returns
-    the points and ln of their tails as (hi, lo).
-    """
-    out_x, out_hi, out_lo = x.copy(), tail[0].copy(), tail[1].copy()
-    hi, lo, sums = tail
-    index = np.arange(len(a))
-    floor = None if upper else a * np.exp((ln_target[0] + c) / a - 1.0 - 2.0**-40)
-    for step_number in range(_NEWTON_STEPS):
-        f = (hi - ln_target[0]) + (lo - ln_target[1])
+    x = x.copy()
+    log_bound, bound = _tail_bound(a, x, upper)
+    moving = np.flatnonzero(log_bound > ln_target)
+    for _ in range(_EDGE_STEPS):
+        if not len(moving):
+            break
+        at, xt = a[moving], x[moving]
+        excess = log_bound[moving] - (ln_target - 0.5 * _EDGE_GAP)
         if upper:
-            slope = -a / (x * sums)
-            curve = (a - 1.0) / x - 1.0 - slope  # f'' / f'
+            x[moving] = xt - excess / (at / xt - 1.0 - 1.0 / (xt - (at - 1.0)))
         else:
-            slope = a / sums
-            curve = a - x - slope
-        ratio = f / slope
-        step = ratio / np.minimum(-0.5, 0.5 * ratio * curve - 1.0)
-        new = x + step if upper else np.maximum(x * np.exp(step), floor)
-        if step_number and (close := np.abs(f) <= 2.0**-16).any():
-            last = close.all()
-            done = slice(None) if last else close
-            start, slope, curve = x[done], slope[done], curve[done]
-            end = np.nextafter(new[done], np.inf if upper else 0.0)
-            step = end - start if upper else np.log1p((end - start) / start)
-            out_x[index[done]], out_hi[index[done]] = end, ln_target[0]
-            out_lo[index[done]] = ln_target[1] + f[done] + slope * step * (1.0 + 0.5 * curve * step)
-            if last:
-                break
-            keep = ~close
-            a, c, new, index = a[keep], c[keep], new[keep], index[keep]
-            floor = None if upper else floor[keep]
-        x = new
-        if far:
-            sums = _upper_fraction(a, x + 1.0 - a)
-            hi, lo = _log_poisson(a, x, c) + np.log(sums), 0.0
-        else:
-            hi, lo, sums = _log_tail(a, x, c, upper, ln_target[0] - 1.0)
-    else:
-        out_x[index], out_hi[index], out_lo[index] = x, hi, lo
-    return out_x, (out_hi, out_lo)
-
-
-def _gamma_tail(a, x, upper: bool) -> np.ndarray:
-    """Q(a, x) for x > a - 1 (upper) or P(a, x) for 0 < x < a, a >= 1 integer; within about 1e-13 relative."""
-    a, x = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(x, dtype=float))
-    hi, lo, _ = _log_tail(a.ravel(), x.ravel(), _stirling_remainder(a.ravel()), upper)
-    return (np.exp(hi) * (1.0 + lo)).reshape(a.shape)
-
-
-def _gamma_tail_inverse(a, target: float, upper: bool) -> np.ndarray:
-    """x with Q(a, x) (upper) or P(a, x) equal to target, a >= 1 integer, target normal and at most 0.4.
-
-    Within about 1e-13 relative of the quantile.  Q starts from the larger of a
-    and L + (a - 1) ln(L / a) + a - c, L = -ln target, where
-    ln Q = -x + (a - 1) ln x - ln (a - 1)! would reach it; P from
-    a e^((ln target + c) / a - 1), where x^a / a! does (`_tail_quantile`).
-    """
-    a = np.asarray(a, dtype=float).ravel()
-    c, ln_target = _stirling_remainder(a), _log_pair(target)
-    if upper:
-        x = np.maximum(a, a - c - ln_target[0] + (a - 1.0) * np.log(-ln_target[0] / a))
-    else:
-        x = a * np.exp((ln_target[0] + c) / a - 1.0)
-    return _tail_quantile(a, c, ln_target, x, _log_tail(a, x, c, upper), upper)[0]
-
-
-_REACH_BLOCK = 64  # indices per cached block of `_reach_block`
-
-
-@functools.cache
-def _reach_block(block: int) -> np.ndarray:
-    """Rows n = 64 block .. 64 block + 63: c, the reaches n -+ 14 sqrt(n + 1), and (hi, lo, S) of P and of Q there.
-
-    c is `_stirling_remainder(n + 1)` and the tails are `_log_tail`'s, within
-    about 1e-13 of their values; a lower reach at or below 0 reads hi = -inf.
-    They depend on n alone, so they are computed once per block and process;
-    an index gets the same bits in any block.  Read-only.
-    """
-    n = np.arange(float(_REACH_BLOCK * block), float(_REACH_BLOCK * (block + 1)))
-    shape, reach = n + 1.0, _PEAK_WINDOW_SIGMAS * np.sqrt(n + 1.0)
-    rows = np.zeros((len(n), 9))
-    rows[:, 0], rows[:, 1], rows[:, 2] = _stirling_remainder(shape), n - reach, n + reach
-    rows[:, 3], rows[:, 5] = -np.inf, 1.0
-    i = np.flatnonzero(rows[:, 1] > 0.0)
-    rows[i, 3:6] = np.transpose(_log_tail(shape[i], rows[i, 1], rows[i, 0], False))
-    rows[:, 6:] = np.transpose(_log_tail(shape, rows[:, 2], rows[:, 0], True))
-    rows.flags.writeable = False
-    return rows
+            x[moving] = xt * np.exp(-excess / (at - xt + xt / ((at + 1.0) - xt)))
+        log_bound[moving], bound[moving] = _tail_bound(at, x[moving], upper)
+        moved = log_bound[moving]
+        moving = moving[(moved > ln_target) | (moved < ln_target - _EDGE_GAP)]
+    return x, bound
 
 
 def _windows(ns, sup_g: float, rel_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The window [lo, hi] of each index n of ns, and the weight mass w_n leaves outside it; elementwise.
+    """The window [lo, hi] of each index n of ns, and a bound of the weight mass w_n leaves outside it; elementwise.
 
     Each window is centered on the peak r = n, at least 14 sqrt(n + 1) to each
     side, and leaves weight mass 0.05 * rel_tol / max(1, sup|g|) or less on
     each side; the floor of that mass keeps the window finite when sup|g| is inf.
-    w_n is the Gamma(n + 1, 1) density, so the masses are its tails: those at
-    the 14 sqrt(n + 1) reach come from `_reach_block`, and `_tail_quantile`
-    moves the edges whose tail there exceeds the target.
+    w_n is the Gamma(n + 1, 1) density, so the masses are its tails: the mass
+    returned is the sum of the `_tail_bound`s at the edges used, where
+    `_tail_edge` has moved each edge whose bound at the reach exceeds the
+    target.  A lower reach at or below 0 leaves no mass below it.
     """
     ns = np.asarray(ns, dtype=float)
-    ln_target = _log_pair(max(0.05 * rel_tol / max(1.0, sup_g), np.finfo(float).tiny))
-    blocks = int(ns.max()) // _REACH_BLOCK + 1 if len(ns) else 0
-    rows = np.concatenate([_reach_block(b) for b in range(blocks)] or [np.empty((0, 9))])[ns.astype(int)]
-    edges, mass = [rows[:, 1].copy(), rows[:, 2].copy()], np.zeros(len(ns))
-    for side, upper in enumerate((False, True)):
-        if not (upper or (edges[0] > 0.0).any()):
-            continue  # no lower reach above 0: P is 0 there
-        hi, lo, sums = rows[:, 3 + 3 * side].copy(), rows[:, 4 + 3 * side].copy(), rows[:, 5 + 3 * side]
-        wide = np.flatnonzero(hi + (lo - ln_target[1]) > ln_target[0])
-        if len(wide):
-            edges[side][wide], (hi[wide], lo[wide]) = _tail_quantile(
-                ns[wide] + 1.0, rows[wide, 0], ln_target, edges[side][wide], (hi[wide], lo[wide], sums[wide]), upper,
-                far=upper and ln_target[0] > -90.0,
-            )
-        mass += np.exp(hi) * (1.0 + lo)
-    return np.maximum(edges[0], 0.0), edges[1], mass
+    ln_target = math.log(max(0.05 * rel_tol / max(1.0, sup_g), np.finfo(float).tiny))
+    reach = _PEAK_WINDOW_SIGMAS * np.sqrt(ns + 1.0)
+    hi, mass = _tail_edge(ns + 1.0, ns + reach, ln_target, upper=True)
+    lo = ns - reach
+    inside = lo > 0.0
+    lo[inside], lower = _tail_edge(ns[inside] + 1.0, lo[inside], ln_target, upper=False)
+    mass[inside] += lower
+    return np.maximum(lo, 0.0), hi, mass
 
 
 def _symbol_scale(sym: Symbol) -> int | None:
@@ -925,8 +709,8 @@ def _integrals(sym: Symbol, ns, cfg: QuadConfig, symbol_err: float = 0.0) -> lis
     converges only there.
     Splitting fails fast at the floor of the finest pass there is.  Each
     value, and the record's tier, is the last pass's; each estimate is that
-    pass's, plus the window's tail, the subnormal roundoff and symbol_err,
-    which bounds the error of the symbol's own values; w_n has unit mass, so
+    pass's, plus the bound of the window's tail, the subnormal roundoff and
+    symbol_err, which bounds the error of the symbol's own values; w_n has unit mass, so
     each estimate carries it whole.
     """
     ns = list(ns)
@@ -1036,18 +820,20 @@ def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
 def _averaging_rule(j: int, sup_g: float, rel_tol: float, xi: int):
     """Nodes, weights and error of E[f(G)], G ~ Gamma(j, 1), as a composite Gauss-Legendre rule.
 
-    The horizon T, at least 15, is where the upper tail Q(j, T) of
-    Gamma(j, 1) falls to e^-2 * rel_tol / sup|g|, or to the smallest normal
-    float when sup|g| is inf (`_gamma_tail_inverse`).  The first panel is
-    2.5 / xi wide, the decay length of a scale-xi symbol's Gaussian factor, and
-    each panel is 1.5 times wider than the last, up to 2.5.  Ten nodes per
+    The horizon T is where the bound of the upper tail Q(j, T) of Gamma(j, 1)
+    falls to e^-2 * rel_tol / sup|g|, or to the smallest normal float when
+    sup|g| is inf, moved out from 15, or from j if larger (`_tail_edge`).
+    The first panel is 2.5 / xi wide, the decay length of a scale-xi
+    symbol's Gaussian factor, and each panel is 1.5 times wider than the
+    last, up to 2.5.  Ten nodes per
     panel (`_legendre_rule`, built once) keep the panel error of these smooth
-    integrands near machine precision.  The error, sup|g| times the tail
-    Q(j, T) past the last edge (`_gamma_tail`) plus sup|g| times the weights'
+    integrands near machine precision.  The error, sup|g| times the bound of
+    Q(j, T) past the last edge (`_tail_bound`) plus sup|g| times the weights'
     miss of unit mass, is the same at every point the rule averages over.
     """
     tail = max(min(1.0, rel_tol / max(sup_g, 1e-12)) * math.exp(-2.0), np.finfo(float).tiny)
-    horizon = max(15.0, float(_gamma_tail_inverse(j, tail, upper=True)[0]))
+    shape = np.array([float(j)])
+    horizon = float(_tail_edge(shape, np.array([max(15.0, j)]), math.log(tail), upper=True)[0][0])
     edges = [0.0]
     width = 2.5 / xi
     while edges[-1] < horizon:
@@ -1059,7 +845,7 @@ def _averaging_rule(j: int, sup_g: float, rel_tol: float, xi: int):
     half = 0.5 * np.diff(edges)
     nodes = (mid[:, None] + half[:, None] * base_x[None, :]).ravel()
     weights = (half[:, None] * base_w[None, :]).ravel() * _weight([j - 1])(nodes)[0]
-    miss = float(_gamma_tail(j, edges[-1], upper=True)) + abs(float(weights.sum()) - 1.0)
+    miss = float(_tail_bound(shape, edges[-1], upper=True)[1][0]) + abs(float(weights.sum()) - 1.0)
     return nodes, weights, _times_sup(sup_g, miss)
 
 

@@ -201,7 +201,8 @@ print(json.dumps(report))
 def test_cold_start_loads_scipy_and_mpmath_only_where_used(tmp_path, capsys):
     # one fresh interpreter runs the commands in turn and reports after each
     # which of scipy and mpmath it has loaded (scipy: never, since the package
-    # computes its incomplete-gamma windows itself); its quadrature is its first, so
+    # bounds the weight mass outside its windows itself, by an elementary
+    # bound, not a 1e-13 value); its quadrature is its first, so
     # the lazily built Gauss-Kronrod and double-double constants meet their
     # first use there, and its bytes must equal the same command run here
     sym = write_json(tmp_path / "s.json", {"type": "laguerre_basic", "m": 1, "xi": 4})
