@@ -136,11 +136,13 @@ def _weighted_sum(coefficients) -> float:
 
 
 def _plan(target: SeqWindow, epsilon: float, coefficients: tuple[complex, ...]) -> ApproximationPlan:
-    """The plan at the least admissible xi with sum |c_k| (k + 1) / xi <= epsilon / 2."""
+    """The plan at the least admissible xi with sum |c_k| (k + 1) / xi <= epsilon / 2, or OverflowError if none."""
     budget = 0.5 * epsilon
     xi = _min_admissible_scale(len(coefficients))
     weighted = _weighted_sum(coefficients)
     if weighted != 0.0:
+        if not math.isfinite(weighted / budget):
+            raise OverflowError("no scale xi: sum |c_k| (k + 1) / (epsilon / 2) is past the float range")
         xi = max(xi, math.ceil(weighted / budget))
         while weighted / xi > budget:
             xi += 1

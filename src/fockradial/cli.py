@@ -231,7 +231,7 @@ def _cmd_approximate(args) -> int:
     target = _load_target(args.target)
     try:
         plan = _make_plan(target, args.epsilon)
-    except InsufficientDataError as exc:
+    except (InsufficientDataError, OverflowError) as exc:  # a window too short, or a scale past the float range
         raise ValidationError(str(exc)) from None
     except ValueError as exc:  # an epsilon that is not finite and positive
         raise UsageError(str(exc)) from None

@@ -11,9 +11,8 @@ addition and subtraction are componentwise, and a product is error-free
 componentwise when one factor is real, so `DD` refuses complex times complex.
 
 `DD` is an array type for the adaptive quadrature: numpy's operators, `abs`
-(in float64 magnitudes, all an error estimate needs), `np.ldexp`, and
-`np.exp` and `np.log` (the vectorized double-double `exp` and `log`)
-dispatch to it, and `np.concatenate` accepts it.  Any other ufunc or
+(in float64 magnitudes, all an error estimate needs), `np.exp` and `np.log`
+(the vectorized double-double `exp` and `log`) dispatch to it, and `np.concatenate` accepts it.  Any other ufunc or
 array function raises rather than rounding silently, comparisons included:
 the quadrature keeps its panel edges in float64.
 """
@@ -99,7 +98,6 @@ _UFUNCS = {
     np.matmul: _matmul,
     np.negative: lambda x: DD(-x.hi, -x.lo),
     np.absolute: lambda x: np.abs(x.hi + x.lo),
-    np.ldexp: lambda x, k: DD(np.ldexp(x.hi, k), np.ldexp(x.lo, k)),
     np.exp: lambda x: exp(x),  # defined below
     np.log: lambda x: log(x),
 }

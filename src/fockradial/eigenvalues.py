@@ -33,16 +33,17 @@ loop integrates a block of weights against one set of panels, each index
 counting only the panels that meet its own window.  Each block runs one
 loop over an ordered list of precision passes (`_passes`): float64, then,
 for a structured symbol, longdouble and double-double (numpy pairs hi + lo
-of float64s, `fockradial.doubledouble`, about 32 digits on every platform),
-all running one integrand (`_combo_integrand`), the symbol's one scaled
-form, `fockradial.symbols._scaled_combo`.  A pass reruns the adaptive loop for
-the indices that missed the last pass's target with their panels settled,
-to tau / 10, with an error floored at the roundoff of its number type; an
+of float64s, `fockradial.doubledouble`, about 32 digits on every platform).
+Every pass runs one integrand (`_integrand`): the weight times the symbol's
+scaled form 2^-scale g (`fockradial.symbols._scaled_combo`; scale 0 for a
+callable), with 2^scale put back into each panel sum.  A pass reruns the
+adaptive loop for the indices that missed the last pass's target with their
+panels settled, to tau / 10, its error floored at its type's roundoff; an
 index leaves at the first pass that meets it.  Callables stay in float64.
 
 Each eigenvalue comes back as one `Eigenvalue` record: its value, the engine
-that produced it ("closed" or "quad"), the tier, the closed form or the last
-precision pass it ran, and, for quadrature, the error estimate, the
+that produced it ("closed" or "quad"), the tier (the closed form or the pass
+whose value it holds) and, for quadrature, the error estimate, the
 `converged` flag and the number of subdivisions.  `EigenSeq` holds one
 record per index.
 
@@ -81,6 +82,7 @@ from .symbols import (
     _check_scale,
     _in_type,
     _into,
+    _ldexp,
     _scaled_combo,
     _scaled_factors,
     describe_symbol,
@@ -199,7 +201,7 @@ class Eigenvalue:
     True, no subdivisions) or "quad" (`gamma_quadrature`: est_abs_err bounds
     |value - gamma(n)|, converged says the value met its tolerance).  tier
     names the arithmetic that produced the value: "closed" for the closed
-    form, else the last precision pass the index ran, "float64",
+    form, else the pass whose value the record holds, "float64",
     "longdouble" or "double-double".
     """
 
@@ -320,11 +322,13 @@ def _gk15_batch(f, convert, a: np.ndarray, b: np.ndarray, floor):
     return resk, np.maximum(err, floor * resabs), resabs
 
 
-def _adaptive_gk(f, convert, a, b, cfg: QuadConfig, floor, reach, windows, splits):
+def _adaptive_gk(f, convert, scale: int, a, b, cfg: QuadConfig, floor, reach, windows, splits):
     """Globally adaptive bisection of the panels [a, b] for many indices at once.
 
     The panels are float64 whatever the pass; only `_gk15_batch` works in
-    convert's number type.  f gives the integrand of every index at once; floor
+    convert's number type.  f gives 2^-scale times the integrand of every
+    index at once; each panel's sums are multiplied by 2^scale (`_ldexp`),
+    exactly in the normal range, so every test sees the integrand's; floor
     (a column), reach, the windows = (lo, hi) and splits have one entry per
     index.  An index counts only the panels that meet its own [lo, hi].  Until
     an index's summed error is within tau(its total), each round splits every
@@ -352,6 +356,7 @@ def _adaptive_gk(f, convert, a, b, cfg: QuadConfig, floor, reach, windows, split
         outside = ~meets(a, b)
         for part in sums:
             part[outside] = 0.0
+            _ldexp(part, scale)
         return sums
 
     vals, errs, resabs = batch(a, b)
@@ -390,46 +395,42 @@ def _adaptive_gk(f, convert, a, b, cfg: QuadConfig, floor, reach, windows, split
 # ---------------------------------------------------------------------------
 # The precision passes
 
-# sup|g| below 2^995 keeps |g w| < 2^995 and a panel's Kronrod sum of it below 2^996, the reach of `two_prod`
-_DD_SUP_LIMIT = 2.0**995
+def _integrand(values, ns, convert):
+    """nodes -> values(r) w_n(r) for each n of ns at the flattened nodes r, one row per n, in convert's number type.
 
-
-def _combo_integrand(sym: LaguerreCombo, ns, convert):
-    """r -> g(sqrt(r)) r^n e^-r / n! for each n of ns, on an array of nodes in convert's number type.
-
-    One row per index: the scaled form 2^-scale g (`_scaled_combo`) times the
-    weight, into which `np.ldexp` puts 2^scale.  An overflow is not finite.
-    In float64 and longdouble the weight's array (`_weight`) takes the ldexp
-    and, when g is real, the product in place (`symbols._into`), so the
-    integrand is that one array; a complex g gives a new complex array, and a
-    double-double pass computes out of place.
+    A real product goes into the weight's array in place (`symbols._into`),
+    so the integrand is that one array; a complex or double-double one is new.
     """
-    (scale, values), weight = _scaled_combo(sym, convert), _weight(ns, convert)
+    weight = _weight(ns, convert)
 
     def integrand(nodes):
         r = nodes.reshape(-1)
         g, w = values(r), weight(r)
-        return _into(w, np.multiply, g, _into(w, np.ldexp, w, scale))
+        return _into(w, np.multiply, g, w)
 
     return integrand
 
 
 class _Pass(NamedTuple):
-    """One precision pass: its number type (convert), its integrand of some indices, their floors, its name."""
+    """One precision pass: its number type (convert), r -> 2^-scale g(sqrt(r)) (values), floors per index, name."""
 
     convert: Callable
-    integrand: Callable
+    scale: int
+    values: Callable
     floors: np.ndarray
     tier: str
 
 
-def _passes(sym: Symbol, ns, callable_integrand) -> list[_Pass]:
+def _passes(sym: Symbol, ns, callable_values) -> list[_Pass]:
     """The precision passes for the indices ns, in order: float64, then longdouble and double-double.
 
-    A callable has no higher-precision form and gets float64 alone, running
-    callable_integrand (`_callable_integrand`).  A structured symbol gets all
-    three, each running `_combo_integrand` in its own number type, so they
-    differ only in convert, floors and tier.  The floors, one per index,
+    A callable has no higher-precision form and gets float64 alone, with
+    scale 0, running callable_values (`_callable_values`).  A structured
+    symbol gets all three, each running its scaled form (`_scaled_combo`)
+    in its own number type, so they differ only in convert, floors and tier.
+    Every pass integrates values times the weight (`_integrand`); the scaled
+    form stays within 2 and the weight within 1, so Dekker's split, which
+    overflows at 2^996, never sees a large number.  The floors, one per index,
     bound each Gauss-Kronrod estimate below per unit of absolute integral.
     In float64 that is the rounding of the weight's exponent at the scale of
     lgamma(n + 2), in longdouble 100 eps of the type.  In double-double it is
@@ -438,20 +439,19 @@ def _passes(sym: Symbol, ns, callable_integrand) -> list[_Pass]:
     sums of its exponent, n |ln r|, r and ln n!, which near the weight's mass
     are about 2 lgamma(n + 2) + n; `exp` adds a few u and about |x| u more,
     and the recurrence and the Gauss-Kronrod sums a few hundred u at most
-    (so about 6e-30 at n = 0 and 1.1e-28 at n = 100).  A structured symbol
-    with sup|g| at or past _DD_SUP_LIMIT stops at longdouble: its integrand
-    values and their panel sums reach 2^996, where Dekker's split overflows.
+    (so about 6e-30 at n = 0 and 1.1e-28 at n = 100).
     """
     lgammas = np.array([lgamma(n + 2) for n in ns])
     f64_floors = _ERR_FLOOR + _EPS * lgammas
     if not isinstance(sym, LaguerreCombo):
-        return [_Pass(_to_float64, callable_integrand, f64_floors, "float64")]
+        return [_Pass(_to_float64, 0, callable_values, f64_floors, "float64")]
     ld_eps = float(np.finfo(_to_longdouble(0.0).dtype).eps)
-    passes = [(_to_float64, f64_floors, "float64"), (_to_longdouble, np.full(len(ns), 100 * ld_eps), "longdouble")]
-    if sup_estimate(sym) < _DD_SUP_LIMIT:
-        dd_floors = _dd.UNIT * (2.0**9 + 8.0 * (lgammas + np.asarray(ns) + 1.0))
-        passes.append((_to_double_double, dd_floors, "double-double"))
-    return [_Pass(to, functools.partial(_combo_integrand, sym, convert=to), *rest) for to, *rest in passes]
+    passes = [
+        (_to_float64, f64_floors, "float64"),
+        (_to_longdouble, np.full(len(ns), 100 * ld_eps), "longdouble"),
+        (_to_double_double, _dd.UNIT * (2.0**9 + 8.0 * (lgammas + np.asarray(ns) + 1.0)), "double-double"),
+    ]
+    return [_Pass(to, *_scaled_combo(sym, to), *rest) for to, *rest in passes]
 
 
 # ---------------------------------------------------------------------------
@@ -616,19 +616,21 @@ def _underflow_bound(sym: Symbol, sup_g: float, width: float, panels: int) -> fl
     the two parts of a complex value.  The Gauss-Kronrod sums take eight per
     unit width and one per panel.  At a node, a callable's product with the
     weight takes three, and the weight's own rounding is scaled by sup|g|.
-    A structured symbol's integrand (`_combo_integrand`) takes four in each
-    of its K - 1 recurrence steps (K coefficients), two per term, three for
-    the Gaussian, offset and weight, and the weight's own: at most 6 K + 4,
-    each scaled by 2^scale times a factor or |g| 2^-scale of at most 2.  A
-    double-double below 2^-969 has a subnormal lo half and takes at most
+    A structured symbol's integrand, its scaled form 2^-scale g times the
+    weight (`_integrand`), takes four in each of its K - 1 recurrence steps
+    (K coefficients), two per term, three for the Gaussian, offset and
+    weight, and the weight's own: at most 6 K + 4, each times a factor or
+    |g| 2^-scale of at most 2.  Its panel sums, taken at 2^-scale too, are
+    multiplied by 2^scale, and so is each of these roundings.
+    A double-double below 2^-969 has a subnormal lo half and takes at most
     _DD_ROUNDINGS such roundings per operation where float64 takes one; all
     passes of a structured symbol run that integrand, so that factor multiplies its counts.
     """
     if not isinstance(sym, LaguerreCombo):
         return _SUBNORMAL * (width * (sup_g + 11.0) + panels)
-    exponent = _scaled_factors(sym)[0] + 1 - 1074
-    per_node = math.ldexp(6.0 * len(sym.coefficients) + 4.0, exponent) if exponent < 900 else math.inf
-    return (width * (per_node + 8.0 * _SUBNORMAL) + _SUBNORMAL * panels) * _DD_ROUNDINGS
+    exponent = _scaled_factors(sym)[0] - 1074
+    roundings = _DD_ROUNDINGS * (width * (12.0 * len(sym.coefficients) + 16.0) + panels)
+    return math.ldexp(roundings, exponent) if exponent < 900 else math.inf
 
 
 def _grid_edges(lo: float, hi: float, scale: int = 1) -> np.ndarray:
@@ -664,16 +666,16 @@ def _grid_panels(sym: Symbol, ns, lo: float, hi: float) -> tuple[np.ndarray, np.
     return edges[:-1], edges[1:]
 
 
-def _callable_integrand(sym: Symbol):
-    """ns -> (r -> g(sqrt(r)) w_n(r) for each n of ns) in float64, each panel's nodes evaluated once.
+def _callable_values(sym: Symbol):
+    """r -> g(sqrt(r)) on the flattened float64 nodes of whole panels, each panel's nodes evaluated once.
 
     A panel recurs in every block whose windows it meets, and bisection makes
     the same children in each, so g is kept by the bytes of a panel's nodes.
-    A real g is multiplied into the weight's array in place (`symbols._into`).
     """
     rows: dict[bytes, np.ndarray] = {}
 
     def values(r: np.ndarray) -> np.ndarray:
+        r = r.reshape(-1, len(_gk15_rule(_to_float64)[0]))  # one row per panel
         keys = [row.tobytes() for row in r]
         new = [i for i, key in enumerate(keys) if key not in rows]
         if new:
@@ -681,16 +683,7 @@ def _callable_integrand(sym: Symbol):
             rows.update(zip([keys[i] for i in new], fresh))
         return np.array([rows[key] for key in keys]).ravel()
 
-    def integrand(ns):
-        weight = _weight(ns)
-
-        def product(r):
-            g, w = values(r), weight(r.ravel())
-            return _into(w, np.multiply, g, w)
-
-        return product
-
-    return integrand
+    return values
 
 
 def _integrals(sym: Symbol, ns, cfg: QuadConfig, symbol_err: float = 0.0) -> list[Eigenvalue]:
@@ -707,15 +700,15 @@ def _integrals(sym: Symbol, ns, cfg: QuadConfig, symbol_err: float = 0.0) -> lis
     from one `_windows` call.  An index whose value overflowed has a nan
     error, so it goes on to the next pass, whose number type may hold it, and
     converges only there.
-    Splitting fails fast at the floor of the finest pass there is.  Each
-    value, and the record's tier, is the last pass's; each estimate is that
-    pass's, plus the bound of the window's tail, the subnormal roundoff and
-    symbol_err, which bounds the error of the symbol's own values; w_n has unit mass, so
-    each estimate carries it whole.
+    Splitting fails fast at the floor of the finest pass there is.  A later pass replaces an
+    index's value, error and tier only where its error is not nan and not larger than the one
+    it would replace.  Each estimate is the kept pass's, plus the bound of the window's tail,
+    the subnormal roundoff and symbol_err, which bounds the error of the symbol's own values;
+    w_n has unit mass, so each estimate carries it whole.
     """
     ns = list(ns)
     sup_g = sup_estimate(sym)
-    passes = _passes(sym, ns, _callable_integrand(sym))
+    passes = _passes(sym, ns, _callable_values(sym))
     reach = np.min([pass_.floors for pass_ in passes], axis=0)
     windows = np.array(_windows(ns, sup_g, cfg.rel_tol))
     out = []
@@ -727,7 +720,7 @@ def _integrals(sym: Symbol, ns, cfg: QuadConfig, symbol_err: float = 0.0) -> lis
         settled, splits = np.ones(len(block), dtype=bool), np.zeros(len(block), dtype=int)
         tiers = np.full(len(block), passes[0].tier, dtype=object)
         rows, pass_cfg = np.arange(len(block)), cfg
-        for p, (convert, integrand, floors, tier) in enumerate(passes):
+        for p, (convert, scale, g, floors, tier) in enumerate(passes):
             if p:
                 rows = rows[settled[rows] & ~(errs[rows] <= pass_cfg.tolerance(values[rows]))]
                 if not len(rows):
@@ -735,11 +728,12 @@ def _integrals(sym: Symbol, ns, cfg: QuadConfig, symbol_err: float = 0.0) -> lis
                 mine = ((a < hi[rows, None]) & (b > lo[rows, None])).any(axis=0)
                 a, b = a[mine], b[mine]
                 pass_cfg = QuadConfig(cfg.rel_tol / 10.0, cfg.max_subdivisions)
-            values[rows], errs[rows], settled[rows], splits[rows], a, b = _adaptive_gk(
-                integrand([block[i] for i in rows]), convert, a, b, pass_cfg,
+            found, found_errs, settled[rows], splits[rows], a, b = _adaptive_gk(
+                _integrand(g, [block[i] for i in rows], convert), convert, scale, a, b, pass_cfg,
                 floors[start + rows, None], reach[start + rows], (lo[rows], hi[rows]), splits[rows],
             )
-            tiers[rows] = tier
+            take = ~(np.isnan(found_errs) | (found_errs > errs[rows])) if p else slice(None)
+            values[rows[take]], errs[rows[take]], tiers[rows[take]] = found[take], found_errs[take], tier
             if not p:  # splits keep the outer edges of the grid
                 underflow = _underflow_bound(sym, sup_g, b.max() - a.min(), len(a))
         converged = errs <= cfg.tolerance(values)
@@ -759,7 +753,8 @@ def gamma_quadrature(sym: Symbol, n: int, cfg: QuadConfig | None = None, *, shar
     panel's roundoff floor, sum to the error err.  If err is not within
     tau(value), nan included, for a structured symbol with its panels settled
     in the budget, the later passes of `_passes` take over as `_integrals`
-    describes; `subdivisions` counts every split, and `tier` the last pass.
+    describes; `subdivisions` counts every split, and `tier` names the pass
+    whose value the record holds.
     The window leaves weight mass 0.05 * rel_tol / max(1, sup|g|) or less on
     each side, so the out-of-window bound sup|g| * (mass outside) is at most
     rel_tol / 10 for a finite sup|g|.  The record's `converged` is

@@ -120,16 +120,15 @@ class SeqWindow:
 # JSON target schema: {"values": [...], "tail": {"kind": ..., "p": ...}}
 
 def scalar_from_json(v) -> complex:
-    if isinstance(v, bool):
-        raise ValueError(f"cannot parse scalar {v!r}")
-    if isinstance(v, (int, float)):
-        return complex(v)
-    if (
-        isinstance(v, list)
-        and len(v) == 2
-        and all(isinstance(t, (int, float)) and not isinstance(t, bool) for t in v)
-    ):
-        return complex(v[0], v[1])
+    """A number or an [re, im] pair as a complex; ValueError for anything else or an integer past the floats."""
+    try:
+        if isinstance(v, (int, float)) and not isinstance(v, bool):
+            return complex(v)
+        pair = isinstance(v, list) and len(v) == 2
+        if pair and all(isinstance(t, (int, float)) and not isinstance(t, bool) for t in v):
+            return complex(*v)
+    except OverflowError:
+        raise ValueError("scalar integer is past the float range") from None
     raise ValueError(f"cannot parse scalar {v!r}; expected a number or an [re, im] pair")
 
 
@@ -195,15 +194,12 @@ def modulus_of_continuity(sigma: SeqWindow, delta: float) -> float:
     modulus.  With a limit tail it is the modulus of the window-completed
     sequence, which can exceed the true one: for q^j with q = 0.9 at
     delta = 0.4 it is 0.4305 over 10 values and 0.1010 from 25 values on.
+    Every index past the window holds the tail value, so one tail index is enough.
     """
     if not delta > 0.0:
         raise ValueError("delta must be positive")
     n = len(sigma)
-    if sigma.tail_known:
-        top = math.sqrt(n - 1) + delta
-        k_hi = max(int(math.floor(top * top + 1e-12)), n - 1)
-    else:
-        k_hi = n - 1
+    k_hi = n if sigma.tail_known else n - 1
     vals = sigma.as_array(k_hi + 1)
     sq = np.sqrt(np.arange(k_hi + 1, dtype=float))
     best = 0.0

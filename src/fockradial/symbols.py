@@ -166,6 +166,16 @@ def _into(out, ufunc, *args):
     return ufunc(*args)
 
 
+def _ldexp(x, k: int):
+    """x times 2^k in place, exact in the normal range; part by part, since numpy has no complex ldexp."""
+    if isinstance(x, _dd.DD):
+        return _dd.DD(_ldexp(x.hi, k), _ldexp(x.lo, k))
+    for part in (x.real, x.imag) if x.dtype.kind == "c" else (x,):
+        np.ldexp(part, k, out=part)
+    return x
+
+
+@functools.lru_cache(maxsize=64)
 def _scaled_combo(sym: LaguerreCombo, convert):
     """(scale, r -> 2^-scale g(sqrt(r))) for arrays r >= 0 in convert's number type; a constant gives a scalar.
 
@@ -177,7 +187,7 @@ def _scaled_combo(sym: LaguerreCombo, convert):
     A double-double product is complex times real.  An overflow is not finite.
     In float64 and longdouble the recurrence cycles through three arrays of
     r's shape and the sum through two, each updated in place (`_into`); a
-    double-double computes out of place.
+    double-double computes out of place.  Cached: every pass of every quadrature asks.
     """
     scale, re, im, _ = _scaled_factors(sym)
     factors = _in_type(re, convert) + 1j * _in_type(im, convert) if im.hi.any() else _in_type(re, convert)
@@ -228,8 +238,8 @@ def eval_symbol(sym: Symbol, x):
     """Pointwise value of the symbol at x >= 0 (scalar or array), in x's float type.
 
     A structured symbol runs its scaled form (`_scaled_combo`) in x's type
-    and then ldexp in place, part by part since numpy has no complex ldexp.  The value
-    is not finite, without a warning, where the recurrence or the value overflows.
+    and then multiplies by 2^scale (`_ldexp`).  The value is not finite,
+    without a warning, where the recurrence or the value overflows.
     """
     arr = _as_float_array(x)
     if not np.isfinite(arr).all():
@@ -240,9 +250,7 @@ def eval_symbol(sym: Symbol, x):
     if isinstance(sym, LaguerreCombo):
         scale, values = _scaled_combo(sym, functools.partial(np.asarray, dtype=pts.dtype))
         with np.errstate(over="ignore", invalid="ignore"):
-            out = values(pts * pts) + np.zeros_like(pts)
-            for part in (out.real, out.imag) if out.dtype.kind == "c" else (out,):
-                np.ldexp(part, scale, out=part)
+            out = _ldexp(values(pts * pts) + np.zeros_like(pts), scale)
     elif isinstance(sym, CallableSymbol):
         out = _eval_callable(sym.evaluator, pts)
     else:

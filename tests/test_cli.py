@@ -734,6 +734,45 @@ def test_generator_target_validation(capsys):
     assert "unknown generator parameters ['z']" in err
 
 
+_HUGE = 10**400  # an integer JSON holds exactly and no float does
+
+
+@pytest.mark.parametrize("reader", ["target", "symbol", "plan"])
+def test_an_integer_past_the_float_range_is_a_validation_error(tmp_path, capsys, reader):
+    # each reader parses its numbers through one scalar reader, which must
+    # refuse such an integer as invalid data, not end in an OverflowError
+    target = {"values": [1.0], "tail": {"kind": "zero"}}
+    plan = {"epsilon": 0.2, "N": 1, "xi": 10, "coefficients": [1.0], "p": 0.0}
+    if reader == "target":
+        argv = ["diagnose", write_json(tmp_path / "t.json", {**target, "values": [1.0, _HUGE]})]
+    elif reader == "symbol":
+        symbol = write_json(tmp_path / "s.json", {"type": "combo", "xi": 4, "coefficients": [[0, _HUGE]]})
+        argv = ["eigs", symbol, "--n-max", "2"]
+    else:
+        plan_path = write_json(tmp_path / "plan.json", {**plan, "coefficients": [_HUGE]})
+        argv = ["verify", "--plan", plan_path, "--target", write_json(tmp_path / "t.json", target)]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == "", reader
+    assert err.startswith("error: ") and "past the float range" in err, reader
+
+
+@pytest.mark.parametrize(
+    "target, epsilon",
+    [
+        ("generator:finite_support?values=1,2,3", "1e-320"),
+        ({"values": [1e308, 1e308], "tail": {"kind": "zero"}}, "0.1"),
+    ],
+    ids=["subnormal-epsilon", "huge-values"],
+)
+def test_a_scale_past_the_float_range_is_a_validation_error(tmp_path, capsys, target, epsilon):
+    # sum |c_k| (k + 1) / (epsilon / 2) is inf here: no scale can be planned
+    if isinstance(target, dict):
+        target = write_json(tmp_path / "t.json", target)
+    code, out, err = run(capsys, ["approximate", target, "--epsilon", epsilon])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "past the float range" in err
+
+
 def test_target_that_is_not_json_is_a_validation_error(tmp_path, capsys):
     path = tmp_path / "t.json"
     path.write_text("{not json", encoding="utf-8")

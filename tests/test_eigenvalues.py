@@ -431,12 +431,12 @@ def test_double_double_pass_error_covers_its_truncation():
     # has to cover it
     sym = LaguerreCombo(offset=1.0)
     dd_pass = eigenvalues._passes(sym, [3], None)[-1]
-    integrand = dd_pass.integrand([3])
+    integrand = eigenvalues._integrand(dd_pass.values, [3], dd_pass.convert)
     cfg = QuadConfig(max_subdivisions=0)
     floor = dd_pass.floors
     window = (np.array([0.0]), np.array([40.0]))
     (value,), (err,), *_ = eigenvalues._adaptive_gk(
-        integrand, eigenvalues._to_double_double, [0.0], [40.0], cfg, floor[:, None], floor, window, [0]
+        integrand, dd_pass.convert, dd_pass.scale, [0.0], [40.0], cfg, floor[:, None], floor, window, [0]
     )
     with mpmath.workdps(50):
         miss = abs(_mpf_sum(value.hi, value.lo).real - mpmath.gammainc(4, 0, 40) / 6)
@@ -471,15 +471,15 @@ def test_unreachable_cancellation_fails_fast(monkeypatch):
     # 17 terms at xi = 40 cancel past 32 digits at n = 0: no pass can meet
     # the tolerance, so the double-double pass evaluates its panels once and stops
     batches = []
-    combo_integrand = eigenvalues._combo_integrand
+    one_integrand = eigenvalues._integrand
 
-    def counted(sym, ns, convert):
-        integrand = combo_integrand(sym, ns, convert)
+    def counted(values, ns, convert):
+        integrand = one_integrand(values, ns, convert)
         if convert is not eigenvalues._to_double_double:
             return integrand
         return lambda r: batches.append(len(r)) or integrand(r)
 
-    monkeypatch.setattr(eigenvalues, "_combo_integrand", counted)
+    monkeypatch.setattr(eigenvalues, "_integrand", counted)
     coeffs = np.random.default_rng(0).normal(size=17)
     res = gamma_quadrature(combo_symbol(coeffs, 40), 0)
     assert not res.converged
@@ -512,9 +512,10 @@ def test_extended_passes_split_float64_panels():
     lo, hi, _ = eigenvalues._windows([0], sup_estimate(sym), cfg.rel_tol)
     start_a, start_b = eigenvalues._grid_panels(sym, [0], lo[0], hi[0])
     passes = eigenvalues._passes(sym, [0], None)
-    for convert, integrand, floors, tier in passes[1:]:
+    for convert, scale, values, floors, tier in passes[1:]:
         *_, splits, a, b = eigenvalues._adaptive_gk(
-            integrand([0]), convert, start_a, start_b, cfg, floors[:, None], passes[-1].floors, (lo, hi), [0]
+            eigenvalues._integrand(values, [0], convert), convert, scale,
+            start_a, start_b, cfg, floors[:, None], passes[-1].floors, (lo, hi), [0],
         )
         assert splits[0] > 0, tier
         assert a.dtype == b.dtype == np.float64, tier
@@ -524,43 +525,65 @@ def test_extended_passes_split_float64_panels():
         assert np.array_equal(a[1:], b[:-1]), tier
 
 
-def test_an_overflowing_integrand_is_no_certificate():
+def _pass_records(monkeypatch, sym, n):
+    """The record of gamma(n) and each pass's (tier, value, error), as its `_adaptive_gk` call returned them."""
+    tiers = {convert: tier for tier, convert in _PASSES.items()}
+    runs = []
+    adaptive = eigenvalues._adaptive_gk
+
+    def spy(f, convert, *args):
+        found = adaptive(f, convert, *args)
+        runs.append((tiers[convert], complex(np.asarray(found[0])[0]), float(found[1][0])))
+        return found
+
+    monkeypatch.setattr(eigenvalues, "_adaptive_gk", spy)
+    # the float64 recurrence may overflow far out in the window at these
+    # degrees, so its warnings are silenced and a nan shows in the passes
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = gamma_quadrature(sym, n)
+    return res, runs
+
+
+def _assert_no_pass_did_better(res, runs):
+    """The record holds a pass's value, and no pass found an error below that pass's, nan aside."""
+    kept = [run for run in runs if run[0] == res.tier][0]
+    assert res.value == kept[1], (res, runs)
+    assert all(math.isnan(err) or err >= kept[2] for _, _, err in runs), (res, runs)
+
+
+def test_an_overflowing_integrand_is_no_certificate(monkeypatch):
     # the float64 Laguerre recurrence of basic(997, 2) overflows inside the
     # window of n = 1000; that value came back as -4.56e272 with
     # converged=True when overflowed terms read 0, where gamma(1000) is
     # 20770875; an overflow has to show as an unconverged record, and its
     # nan error has to escalate to longdouble, whose range holds the
-    # recurrence (sup|g| = 2^998 keeps it from double-double), not stop at a
-    # float64 nan
+    # recurrence, not stop at a float64 nan.  The double-double recurrence
+    # overflows as float64's does; its nan must not replace the finite
+    # longdouble record
     sym = basic_symbol(997, 2)
     exact = closed_form_sequence(sym.coefficients, sym.xi, sym.offset, 1000).values[1000]
     assert exact == 20770875.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        res = gamma_quadrature(sym, 1000)
+    res, runs = _pass_records(monkeypatch, sym, 1000)
     assert not res.converged or abs(res.value - exact) <= res.est_abs_err, res
+    assert [tier for tier, *_ in runs] == list(_PASSES), runs
+    assert math.isnan(runs[-1][2]), runs
     assert res.tier == "longdouble", res
     assert np.isfinite(res.value) and np.isfinite(res.est_abs_err), res
+    _assert_no_pass_did_better(res, runs)
 
 
-def test_huge_symbols_stop_at_longdouble_before_the_split_overflows():
-    # from sup|g| = 2^995 on the double-double integrand's values reach 2^996,
-    # where Dekker's split overflows to inf - inf = nan; such a symbol keeps
-    # float64 and longdouble and gets a finite record.  basic(994, 2) has sup
-    # exactly 2^995 and stops there too; just below the limit, basic(993, 2)
-    # still runs double-double and stays finite.  The float64 recurrence may
-    # overflow far out in the window at these degrees, so its warnings are
-    # silenced here and a nan of any pass shows in the record instead
-    cases = (((187, 40), "longdouble"), ((997, 2), "longdouble"), ((994, 2), "longdouble"), ((993, 2), "double-double"))
-    for (m, xi), tier in cases:
-        sym = basic_symbol(m, xi)
-        assert (sup_estimate(sym) < eigenvalues._DD_SUP_LIMIT) == (tier == "double-double"), (m, xi)
-        tiers = [pass_.tier for pass_ in eigenvalues._passes(sym, [0], None)]
-        assert tiers == ["float64", "longdouble", "double-double"][: 2 + (tier == "double-double")], (m, xi)
-        with np.errstate(over="ignore", invalid="ignore"):
-            res = gamma_quadrature(sym, 0)
-        assert res.tier == tier, (m, xi, res)
+def test_huge_symbols_reach_double_double(monkeypatch):
+    # the panel sums are scaled by 2^scale only after they are summed, so the
+    # double-double integrand stays within 2 and Dekker's split (which
+    # overflows at 2^996) holds even where sup|g| is 2^995 (basic(994, 2)) or
+    # more; these records stopped at longdouble with the estimates below, and
+    # gamma_m(0) = 0 for m > 0
+    for (m, xi), longdouble_est in (((187, 40), 1.6262552829932253e297), ((994, 2), 5.110419308621071e297)):
+        res, runs = _pass_records(monkeypatch, basic_symbol(m, xi), 0)
+        assert res.tier == "double-double" and not res.converged, (m, xi, res)
         assert np.isfinite(res.value) and np.isfinite(res.est_abs_err), (m, xi, res)
-        assert abs(res.value) <= res.est_abs_err, (m, xi, res)  # gamma_m(0) = 0 for m > 0
+        assert abs(res.value) <= res.est_abs_err < longdouble_est, (m, xi, res)
+        _assert_no_pass_did_better(res, runs)
 
 
 def _exact_values(values):
@@ -573,10 +596,10 @@ def _exact_values(values):
 
 def test_dd_integrand_matches_mpmath_laguerre():
     # the one integrand of a structured symbol, run in each pass's number
-    # type, against mpmath's own hypergeometric L_k at 60 digits, which
-    # shares no code with the recurrence, on nodes with a lo half rounded
-    # into that type; the terms may cancel, so the error allowed is the
-    # pass's floor relative to the same sum taken with absolute values
+    # type, against 2^-scale times mpmath's own hypergeometric L_k at 60
+    # digits, which shares no code with the recurrence, on nodes with a lo
+    # half rounded into that type; the terms may cancel, so the error allowed
+    # is the pass's floor relative to the same sum taken with absolute values
     symbols = [
         basic_symbol(10, 8),
         combo_symbol(np.random.default_rng(0).normal(size=6), 40),
@@ -590,9 +613,9 @@ def test_dd_integrand_matches_mpmath_laguerre():
     for sym in symbols:
         passes = eigenvalues._passes(sym, ns, None)
         assert [pass_.tier for pass_ in passes] == ["float64", "longdouble", "double-double"]
-        for convert, integrand, floors, tier in passes:
+        for convert, scale, values, floors, tier in passes:
             nodes = eigenvalues._in_type(dd_nodes, convert)
-            rows = integrand(ns)(nodes)
+            rows = eigenvalues._integrand(values, ns, convert)(nodes)
             assert rows.shape == (len(ns), len(nodes)), tier
             if tier != "double-double":
                 assert rows.dtype.kind == "c" or rows.dtype == np.asarray(nodes).dtype, tier
@@ -607,9 +630,10 @@ def test_dd_integrand_matches_mpmath_laguerre():
                             for k, c in enumerate(sym.coefficients)
                         ]
                         offset = mpmath.mpmathify(complex(sym.offset))
-                        want = (mpmath.fsum(terms) + offset) * weight
-                        scale = (mpmath.fsum(abs(t) for t in terms) + abs(offset)) * weight
-                        assert abs(got - want) <= floor * scale, (sym, tier, n, r)
+                        unit = mpmath.ldexp(1, -scale)
+                        want = (mpmath.fsum(terms) + offset) * weight * unit
+                        size = (mpmath.fsum(abs(t) for t in terms) + abs(offset)) * weight * unit
+                        assert abs(got - want) <= floor * size, (sym, tier, n, r)
 
 
 @settings(max_examples=60, deadline=None)
@@ -710,10 +734,10 @@ def test_structured_sequence_evaluates_the_symbol_once_per_shared_node(monkeypat
     # n = 200, one evaluation per node of each block, where one adaptive
     # loop per index took 67620
     calls, points = [], [0]
-    combo_integrand = eigenvalues._combo_integrand
+    one_integrand = eigenvalues._integrand
 
-    def spy(sym, ns, convert):
-        integrand = combo_integrand(sym, ns, convert)
+    def spy(values, ns, convert):
+        integrand = one_integrand(values, ns, convert)
 
         def counted(r):
             if convert is eigenvalues._to_float64:
@@ -723,7 +747,7 @@ def test_structured_sequence_evaluates_the_symbol_once_per_shared_node(monkeypat
         return counted
 
     monkeypatch.setattr(eigenvalues, "eval_symbol", lambda *args: calls.append(args))
-    monkeypatch.setattr(eigenvalues, "_combo_integrand", spy)
+    monkeypatch.setattr(eigenvalues, "_integrand", spy)
     seq = gamma_sequence(basic_symbol(4, 8), 200, engine="quad")
     assert not calls
     assert 0 < points[0] < 10_000, points[0]
@@ -909,9 +933,14 @@ def _reference_scaled_combo(sym, convert):
     return scale, values
 
 
+def _reference_ldexp(x, k):
+    """A real array, or a real double-double half by half, times 2^k."""
+    return DD(np.ldexp(x.hi, k), np.ldexp(x.lo, k)) if isinstance(x, DD) else np.ldexp(x, k)
+
+
 def _reference_combo_integrand(sym, ns, convert):
     (scale, values), weight = _reference_scaled_combo(sym, convert), _reference_weight(ns, convert)
-    return lambda nodes: values(nodes.reshape(-1)) * np.ldexp(weight(nodes.reshape(-1)), scale)
+    return lambda nodes: values(nodes.reshape(-1)) * _reference_ldexp(weight(nodes.reshape(-1)), scale)
 
 
 def _reference_callable_integrand(sym, ns):
@@ -973,14 +1002,18 @@ def _block_panels(sym, ns):
     return a, b, 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * xgk[None, :]
 
 
-def _assert_same_bits(got, want, convert, a, b, nodes, rows):
-    """The integrand got, and the Gauss-Kronrod sums over it, have the bits of the reference want."""
-    assert _bits(got(nodes)) == _bits(want(nodes))
+def _assert_same_bits(got, want, convert, a, b, nodes, rows, scale=0):
+    """2^scale times the integrand got, and times its Gauss-Kronrod sums, has the bits of the reference want.
+
+    The reference puts 2^scale into the weight at every node; exact in the
+    normal range, so the bits agree wherever nothing leaves it.
+    """
+    assert _bits(symbols._ldexp(got(nodes), scale)) == _bits(want(nodes))
     floor = np.full((rows, 1), 1e-14)
     for new, old in zip(
         eigenvalues._gk15_batch(got, convert, a, b, floor), _reference_gk15_batch(want, convert, a, b, floor)
     ):
-        assert _bits(new) == _bits(old)
+        assert _bits(symbols._ldexp(new, scale)) == _bits(old)
 
 
 @pytest.mark.parametrize("tier", list(_PASSES))
@@ -994,13 +1027,14 @@ def _assert_same_bits(got, want, convert, a, b, nodes, rows):
     ids=["real", "complex", "constant"],
 )
 def test_in_place_combo_kernels_keep_every_bit(sym, tier):
-    # the integrand, and the Gauss-Kronrod sums over it, equal the
-    # out-of-place formulas bit for bit in every pass's number type
+    # the integrand, and the Gauss-Kronrod sums over it, each times 2^scale,
+    # equal the out-of-place formulas bit for bit in every pass's number type
     convert, ns = _PASSES[tier], list(range(40, 56))
     a, b, nodes = _block_panels(sym, ns)
-    got = eigenvalues._combo_integrand(sym, ns, convert)
+    scale, values = symbols._scaled_combo(sym, convert)
+    got = eigenvalues._integrand(values, ns, convert)
     want = _reference_combo_integrand(sym, ns, convert)
-    _assert_same_bits(got, want, convert, a, b, eigenvalues._in_type(to_dd(nodes), convert), len(ns))
+    _assert_same_bits(got, want, convert, a, b, eigenvalues._in_type(to_dd(nodes), convert), len(ns), scale)
 
 
 @pytest.mark.parametrize(
@@ -1015,7 +1049,7 @@ def test_in_place_combo_kernels_keep_every_bit(sym, tier):
 def test_in_place_callable_kernels_keep_every_bit(evaluator):
     sym, ns = CallableSymbol(evaluator), list(range(10, 26))
     a, b, nodes = _block_panels(sym, ns)
-    got = eigenvalues._callable_integrand(sym)(ns)
+    got = eigenvalues._integrand(eigenvalues._callable_values(sym), ns, eigenvalues._to_float64)
     want = _reference_callable_integrand(sym, ns)
     _assert_same_bits(got, want, eigenvalues._to_float64, a, b, nodes, len(ns))
 
@@ -1062,7 +1096,8 @@ def test_quadrature_kernels_allocate_each_array_once():
     assert len(a) == 74
     array = len(ns) * nodes.size * 8
     chunk, per_node, per_panel = np.getbufsize() * 8, nodes.size * 8, len(ns) * len(a) * 8
-    integrand = eigenvalues._combo_integrand(sym, ns, eigenvalues._to_float64)
+    values = symbols._scaled_combo(sym, eigenvalues._to_float64)[1]
+    integrand = eigenvalues._integrand(values, ns, eigenvalues._to_float64)
     floor = np.full((len(ns), 1), 1e-14)
     batch = functools.partial(eigenvalues._gk15_batch, integrand, eigenvalues._to_float64, a, b, floor)
     batch()  # builds the cached rule and factors

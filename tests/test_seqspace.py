@@ -158,6 +158,47 @@ def test_modulus_matches_brute_force():
                 assert modulus_of_continuity(w, delta) == brute_modulus(values, delta, tail_value)
 
 
+def _reference_modulus(sigma, delta):
+    """The modulus scanned to the last tail index that delta reaches, (sqrt(n - 1) + delta)^2."""
+    n = len(sigma)
+    if sigma.tail_known:
+        top = math.sqrt(n - 1) + delta
+        k_hi = max(int(math.floor(top * top + 1e-12)), n - 1)
+    else:
+        k_hi = n - 1
+    vals = sigma.as_array(k_hi + 1)
+    sq = np.sqrt(np.arange(k_hi + 1, dtype=float))
+    best = 0.0
+    for d in range(1, k_hi + 1):
+        m = min(n, k_hi + 1 - d)
+        keep = sq[d : d + m] - sq[:m] <= delta
+        if not keep.any():
+            break
+        best = max(best, float(np.abs(vals[d : d + m] - vals[:m])[keep].max()))
+    return best
+
+
+def test_modulus_needs_one_tail_index():
+    # every index past the window holds the tail value, so the pair (j, n)
+    # stands for all pairs (j, k >= n): scanning to the last tail index that
+    # delta reaches gives the same bits
+    rng = np.random.default_rng(17)
+    for _ in range(100):
+        n = int(rng.integers(1, 40))
+        values = rng.normal(size=n) + 1j * rng.normal(size=n) * rng.integers(0, 2)
+        tail = (UnknownTail(), ZeroTail(), LimitTail(complex(rng.normal())))[rng.integers(0, 3)]
+        w = window(values, tail)
+        for delta in (*rng.uniform(0.01, 3.0, size=3), math.sqrt(n) - math.sqrt(n - 1)):
+            assert modulus_of_continuity(w, delta) == _reference_modulus(w, delta), (n, tail, delta)
+    # a delta past every gap, which the last-index formula could not take,
+    # gives the largest difference of the window-completed sequence
+    w = SeqGenerator("geometric", q=0.5).window(10)
+    completed = w.as_array(len(w) + 1)
+    largest = float(np.abs(completed[:, None] - completed[None, :]).max())
+    for delta in (1e200, math.inf):
+        assert modulus_of_continuity(w, delta) == largest, delta
+
+
 def test_modulus_monotone_in_delta():
     rng = np.random.default_rng(3)
     w = window(rng.normal(size=80), ZeroTail())
