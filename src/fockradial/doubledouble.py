@@ -24,11 +24,11 @@ import math
 
 import numpy as np
 
-__all__ = ["DD", "DIGITS", "UNIT", "exp", "from_mpf", "log", "to_dd", "two_prod", "two_sum"]
+__all__ = ["DD", "LOG_BITS", "UNIT", "exp", "from_exact", "log", "log_fixed", "split", "to_dd", "two_prod", "two_sum"]
 
 UNIT = 2.0**-106  # the unit roundoff u of double-double
 _SPLITTER = 134217729.0  # 2^27 + 1: splits a float64 into two halves of 26 bits
-DIGITS = 40  # decimal digits that constants are read and computed at, past the 32 that double-double holds
+LOG_BITS = 200  # fraction bits of `log_fixed`, far past the 106 that double-double holds
 
 
 def two_sum(a, b):
@@ -155,38 +155,69 @@ class DD(np.lib.mixins.NDArrayOperatorsMixin):
         return x[..., 0]
 
 
-def from_mpf(values) -> DD:
-    """Real mpmath numbers as DD, each rounded twice: hi = float(v), lo = float(v - hi)."""
-    import mpmath
+def split(num: int, den: int = 1) -> tuple[float, float]:
+    """num / den, for integers and den > 0, rounded twice: hi = float(v), lo = float(v - hi).
 
-    with mpmath.workdps(DIGITS):
-        hi = [float(v) for v in values]
-        return DD(np.array(hi), np.array([float(v - h) for v, h in zip(values, hi)]))
+    Both halves are integer quotients, which Python rounds correctly, so hi
+    alone is v correctly rounded and hi + lo is v to 2^-106 of it, at no
+    working precision; num / den need not be in lowest terms.
+    """
+    hi = num / den
+    h, d = hi.as_integer_ratio()
+    return hi, (num * d - h * den) / (den * d)
+
+
+def from_exact(ratios) -> DD:
+    """Exact ratios (num, den) of integers as DD, each by `split`."""
+    return DD(*np.array([split(*ratio) for ratio in ratios], dtype=float).reshape(-1, 2).T)
 
 
 def to_dd(values) -> DD:
-    """values as DD: a tuple of decimal strings read at 40 digits, or floats of any width.
+    """values as DD: a tuple of decimal strings, read exactly, or floats of any width.
 
     A float x becomes hi = float(x), lo = float(x - hi), which is exact for
     longdouble and float64.
     """
     if isinstance(values, tuple) and isinstance(values[0], str):
-        import mpmath
-
-        with mpmath.workdps(DIGITS):
-            return from_mpf([mpmath.mpf(v) for v in values])
+        return from_exact((int(v.replace(".", "")), 10 ** len(v.partition(".")[2])) for v in values)
     x = np.asarray(values)
     hi = x.astype(float)
     return DD(hi, (x - hi).astype(float))
 
 
+def _atanh_fixed(p: int, q: int) -> int:
+    """atanh(p / q) 2^LOG_BITS for 0 <= p / q <= 1/3, by its series; each term's truncation costs under 3 units."""
+    power, total, k = (p << LOG_BITS) // q, 0, 1
+    while power:
+        total += power // k
+        power = power * p * p // (q * q)
+        k += 2
+    return total
+
+
+@functools.cache
+def _log2_fixed() -> int:
+    return 2 * _atanh_fixed(1, 3)
+
+
+def log_fixed(z: int) -> int:
+    """ln z 2^LOG_BITS for an integer z >= 1, to a few hundred units times log2 z.
+
+    z = 2^e (1 + t) / (1 - t) with 2^e the power of two nearest z in ratio,
+    so |t| <= 0.172 and ln z = e ln 2 + 2 atanh t, from the series in
+    integers: each term takes 2.5 bits or more, with no working precision.
+    """
+    e = z.bit_length() - 1
+    e += z * z >= 1 << (2 * e + 1)  # z / 2^e >= sqrt 2: the next power is nearer
+    p, q = z - (1 << e), z + (1 << e)
+    atanh = _atanh_fixed(abs(p), q)
+    return e * _log2_fixed() + 2 * (atanh if p >= 0 else -atanh)
+
+
 @functools.cache
 def _exp_constants() -> DD:
     """ln 2, 1/3! and 1/4! as double-doubles, built once."""
-    import mpmath
-
-    with mpmath.workdps(DIGITS):
-        return from_mpf([mpmath.log(2), 1 / mpmath.mpf(6), 1 / mpmath.mpf(24)])
+    return from_exact([(_log2_fixed(), 1 << LOG_BITS), (1, 6), (1, 24)])
 
 
 _EXP_HALVINGS = 10  # the reduced argument is divided by 2^10 and the result squared back 10 times

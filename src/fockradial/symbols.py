@@ -10,7 +10,7 @@ sum_k c_k basic(k, xi) sharing one scale, plus a constant offset p.  A
 constant has no terms, and basic(m, xi) has one-hot coefficients.  Black-box
 functions are `CallableSymbol`s.  A structured symbol has one scaled form,
 `_scaled_combo`, read by `eval_symbol`, `sup_estimate` and the quadrature:
-40-digit factors c_k (-1)^k xi^(k+1) 2^-scale and a Laguerre recurrence that
+exact factors c_k (-1)^k xi^(k+1) 2^-scale and a Laguerre recurrence that
 carries the Gaussian factor, so large m and xi neither overflow the power nor
 lose the underflowing Gaussian prematurely.
 
@@ -25,6 +25,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
 import warnings
 from dataclasses import dataclass, replace
 from numbers import Real
@@ -56,6 +57,8 @@ def _check_scale(xi) -> int:
         raise ValueError(f"scale xi must be an integer, got {xi!r}")
     if xi < 2:
         raise ValueError(f"scale xi must be >= 2, got {xi}")
+    if xi > sys.float_info.max:
+        raise ValueError("scale xi is past the float range")
     return int(xi)
 
 
@@ -100,9 +103,14 @@ class CallableSymbol:
 Symbol = Union[LaguerreCombo, CallableSymbol]
 
 
+_MAX_DEGREE = 10**6  # basic(m, xi) stores m + 1 coefficients, 40 MB at this cap
+
+
 def basic_symbol(m: int, xi: int) -> LaguerreCombo:
-    """The degree-m, scale-xi Laguerre-Gaussian symbol."""
+    """The degree-m, scale-xi Laguerre-Gaussian symbol, for m up to _MAX_DEGREE."""
     m = _check_index(m)
+    if m > _MAX_DEGREE:
+        raise ValueError(f"degree m must be at most {_MAX_DEGREE}")
     return LaguerreCombo(xi, (0.0,) * m + (1.0,))
 
 
@@ -127,24 +135,52 @@ def with_limit_offset(u: LaguerreCombo, p) -> LaguerreCombo:
 _LAG_START = 600.0  # the largest exponent the recurrence starts from: e^-600 and its lo half stay normal
 
 
+_MODULUS_BITS = 141  # a complex modulus in sup is rounded up to a relative 2^-141
+
+
+def _numerator(x: float, den: int) -> int:
+    """x times den, exact, for a power of two den that x's own denominator divides."""
+    num, own = x.as_integer_ratio()
+    return num * (den // own)
+
+
+def _modulus_bound(re: int, im: int) -> int:
+    """ceil(|re + i im| 2^_MODULUS_BITS), by an integer square root where both parts are nonzero."""
+    if not re or not im:
+        return (abs(re) + abs(im)) << _MODULUS_BITS
+    square = (re * re + im * im) << 2 * _MODULUS_BITS
+    root = math.isqrt(square)
+    return root + (root * root < square)
+
+
 @functools.lru_cache(maxsize=64)
 def _scaled_factors(sym: LaguerreCombo) -> tuple[int, _dd.DD, _dd.DD, float]:
-    """(scale, real and imaginary parts of c_k (-1)^k xi^(k+1) 2^-scale as double-doubles, sup), from 40 digits.
+    """(scale, real and imaginary parts of c_k (-1)^k xi^(k+1) 2^-scale as double-doubles, sup), exactly.
 
-    sup is sum_k |c_k| xi^(k+1) + |offset| rounded up to float, inf past its
-    range; scale, that sum's exponent or 0 if less, stays finite there.
+    Every part of every c_k and of the offset is an integer over den, the
+    largest of their power-of-two denominators, so each factor is an exact
+    integer ratio before its two roundings (`_dd.split`).  sup is the
+    least float >= sum_k |c_k| xi^(k+1) + |offset|, with a complex modulus
+    rounded up (`_modulus_bound`), inf past the float range; scale, that
+    bound's exponent floor(log2) or 0 if less, stays finite there.
     Cached: every evaluation and every pass of every block asks.
     """
-    import mpmath as _mp
-
-    with _mp.workdps(_dd.DIGITS):
-        terms = [_mp.mpmathify(c) * (-sym.xi) ** k * sym.xi for k, c in enumerate(sym.coefficients)]
-        total = _mp.fsum(abs(term) for term in terms) + abs(_mp.mpmathify(sym.offset))
-        sup = float(total)
-        sup = math.nextafter(sup, math.inf) if sup < total else sup
-        scale = max(0, int(_mp.frexp(total)[1]) - 1) if total else 0
-        re, im = (_dd.from_mpf([_mp.ldexp(part(term), -scale) for term in terms]) for part in (_mp.re, _mp.im))
-        return scale, re, im, sup
+    den = max(x.as_integer_ratio()[1] for z in (*sym.coefficients, sym.offset) for x in (z.real, z.imag))
+    terms, power = [], sym.xi
+    for c in sym.coefficients:
+        terms.append((_numerator(c.real, den) * power, _numerator(c.imag, den) * power))
+        power *= -sym.xi
+    offset = (_numerator(sym.offset.real, den), _numerator(sym.offset.imag, den))
+    total = sum(_modulus_bound(*part) for part in (*terms, offset))
+    unit = den << _MODULUS_BITS  # a power of two: total / unit bounds the sum
+    scale = max(0, total.bit_length() - unit.bit_length()) if total else 0
+    re, im = (_dd.from_exact((term[part], den << scale) for term in terms) for part in (0, 1))
+    try:
+        sup = total / unit
+    except OverflowError:  # the quotient rounds past the largest float
+        return scale, re, im, math.inf
+    h, d = sup.as_integer_ratio()  # sup = h / d exactly
+    return scale, re, im, math.nextafter(sup, math.inf) if h * unit < total * d else sup
 
 
 def _in_type(pair: _dd.DD, convert):
@@ -266,7 +302,7 @@ def sup_estimate(sym: Symbol) -> float:
 
     A structured symbol gets sum_k |c_k| xi^(k+1) + |offset|: |L_k(t)| <= e^(t/2) and
     xi >= 2 give |basic(k, xi)(x)| <= xi^(k+1) e^(-(xi/2 - 1) x^2), exact at x = 0.
-    Summed at 40 digits and rounded up; inf past the float range.  Callables
+    Summed exactly and rounded up; inf past the float range.  Callables
     report their declared bound.
     """
     if isinstance(sym, CallableSymbol):

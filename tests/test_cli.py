@@ -188,24 +188,31 @@ _COLD_START = """
 import contextlib, io, json, sys
 import fockradial
 from fockradial import cli
-report = [["import", 0, "", "scipy" in sys.modules, "mpmath" in sys.modules]]
+loaded = lambda: sorted({"scipy", "mpmath", "numpy.ma", "decimal", "fractions"} & set(sys.modules))
+report = [["import", 0, "", loaded()]]
 for argv in json.loads(sys.argv[1]):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.main(argv)
-    report.append([argv[0], code, out.getvalue(), "scipy" in sys.modules, "mpmath" in sys.modules])
+    report.append([argv[0], code, out.getvalue(), loaded()])
 print(json.dumps(report))
 """
 
 
-def test_cold_start_loads_scipy_and_mpmath_only_where_used(tmp_path, capsys):
+def test_cold_start_loads_no_scipy_mpmath_or_numpy_ma(tmp_path, capsys):
     # one fresh interpreter runs the commands in turn and reports after each
-    # which of scipy and mpmath it has loaded (scipy: never, since the package
-    # bounds the weight mass outside its windows itself, by an elementary
-    # bound, not a 1e-13 value); its quadrature is its first, so
-    # the lazily built Gauss-Kronrod and double-double constants meet their
-    # first use there, and its bytes must equal the same command run here
+    # which of scipy, mpmath, numpy.ma, decimal and fractions it has loaded:
+    # never the first three, since the package bounds the weight mass outside
+    # its windows itself, by an elementary bound, reads and computes its
+    # constants past float64 in integers, and merges its panel edges by a
+    # sort; fractions (which imports decimal) at most from the first
+    # quadrature on, for the Bernoulli numbers of ln n!; its first
+    # quadrature is its first, so the lazily built Gauss-Kronrod constants
+    # meet their first use there, and its bytes must equal the same command
+    # run here; basic(12, 8) at n = 0 ends in the double-double pass
+    # (test_double_double_rule_keeps_its_precision), which builds the rest
     sym = write_json(tmp_path / "s.json", {"type": "laguerre_basic", "m": 1, "xi": 4})
+    deep = write_json(tmp_path / "deep.json", {"type": "laguerre_basic", "m": 12, "xi": 8})
     plan = str(tmp_path / "plan.json")
     target = "generator:geometric?q=0.5&n=80"
     quad = ["eigs", sym, "--n-max", "2", "--engine", "quad", "--format", "json"]
@@ -217,6 +224,7 @@ def test_cold_start_loads_scipy_and_mpmath_only_where_used(tmp_path, capsys):
         ["eigs", sym, "--n-max", "2", "--engine", "closed"],
         ["symbol-eval", sym, "--x-max", "1", "--points", "2"],
         quad,
+        ["eigs", deep, "--n-max", "0", "--engine", "quad"],
     ]
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     done = subprocess.run(
@@ -225,18 +233,12 @@ def test_cold_start_loads_scipy_and_mpmath_only_where_used(tmp_path, capsys):
     )
     report = json.loads(done.stdout)
     assert [row[1] for row in report] == [0] * len(report), done.stderr
-    assert [(name, scipy, mpmath) for name, _, _, scipy, mpmath in report] == [
-        ("import", False, False),
-        ("diagnose", False, False),
-        ("approximate", False, False),
-        ("verify", False, False),
-        ("smooth", False, False),
-        ("eigs", False, False),
-        ("symbol-eval", False, True),
-        ("eigs", False, True),
+    assert [(name, loaded) for name, _, _, loaded in report[:-2]] == [
+        (name, []) for name in ["import", *(argv[0] for argv in commands[:-2])]
     ]
+    assert all(set(loaded) <= {"decimal", "fractions"} for *_, loaded in report[-2:]), report
     code, out, _ = run(capsys, quad)
-    assert code == 0 and report[-1][2] == out
+    assert code == 0 and report[-2][2] == out
 
 
 _WITHOUT_SCIPY = """
@@ -754,6 +756,21 @@ def test_an_integer_past_the_float_range_is_a_validation_error(tmp_path, capsys,
     code, out, err = run(capsys, argv)
     assert code == 2 and out == "", reader
     assert err.startswith("error: ") and "past the float range" in err, reader
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [("xi", _HUGE, "past the float range"), ("m", _HUGE, "at most"), ("m", 10**7, "at most")],
+    ids=["huge-xi", "huge-m", "ten-million-m"],
+)
+def test_a_basic_symbol_too_large_to_build_is_a_validation_error(tmp_path, capsys, field, value, message):
+    # a degree past the cap is refused before its coefficients are built,
+    # and a scale past the float range before any float meets it
+    symbol = write_json(tmp_path / "s.json", {"type": "laguerre_basic", "m": 1, "xi": 4, field: value})
+    for engine in ("closed", "quad"):
+        code, out, err = run(capsys, ["eigs", symbol, "--n-max", "2", "--engine", engine])
+        assert code == 2 and out == "", engine
+        assert err.startswith("error: invalid symbol") and message in err, engine
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,8 @@
+import decimal
 import functools
 import math
+import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -12,7 +15,9 @@ from scipy.special import gammaln
 
 from exact import gamma_closed_form
 from fockradial import eigenvalues, symbols
-from fockradial.doubledouble import DD, from_mpf, to_dd, two_sum
+from fockradial.doubledouble import DD, LOG_BITS, log_fixed, to_dd, two_sum
+from fockradial.doubledouble import _exp_constants as dd_exp_constants
+from fockradial.doubledouble import _log2_fixed as dd_log2_fixed
 from fockradial.doubledouble import exp as dd_exp
 from fockradial.doubledouble import log as dd_log
 from fockradial.eigenvalues import (
@@ -398,6 +403,13 @@ def _mpf_sum(hi, lo):
         return mpmath.mpmathify(complex(hi)) + mpmath.mpmathify(complex(lo))
 
 
+def _from_mpf(values) -> DD:
+    """Real mpmath numbers as DD, each rounded twice at 40 digits: hi = float(v), lo = float(v - hi)."""
+    with mpmath.workdps(40):
+        hi = [float(v) for v in values]
+        return DD(np.array(hi), np.array([float(v - h) for v, h in zip(values, hi)]))
+
+
 def test_gauss_kronrod_constants_are_exact():
     # in each number type both rules have unit-interval mass 2 and integrate
     # x^k exactly up to their degree: 22 for Kronrod-15, 13 for the embedded
@@ -443,28 +455,42 @@ def test_double_double_pass_error_covers_its_truncation():
     assert floor[0] < miss <= err
 
 
+def _constants():
+    """Every constant read past float64, built afresh: the double-double rule, exp's constants, ln n!, factors."""
+    eigenvalues._gk15_rule.cache_clear()
+    dd_exp_constants.cache_clear()
+    eigenvalues._log_factorial.cache_clear()
+    eigenvalues._stirling_coefficients.cache_clear()
+    dd_log2_fixed.cache_clear()
+    symbols._scaled_factors.cache_clear()
+    halves = [*eigenvalues._gk15_rule(eigenvalues._to_double_double), dd_exp_constants()]
+    scale, re, im, sup = symbols._scaled_factors(LaguerreCombo(40, (0.1, -1 / 3 + 0.2j, 2.0**-60), 1 / 7))
+    halves += [re, im]
+    return (
+        [(part.hi.tolist(), part.lo.tolist()) for part in halves],
+        [eigenvalues._log_factorial(n) for n in (7, 29, 30, 300, 12345)],
+        scale,
+        sup,
+    )
+
+
 def test_double_double_rule_keeps_its_precision():
-    # the double-double rule and ln n! read their constants at 40 digits
-    # whatever mpmath's working precision when they are first built, or the
-    # deepest cancellation cell is certified from a 15-digit rule
+    # the double-double rule, exp's ln 2, ln n! and a symbol's factors are
+    # read or computed exactly or in integers, so they do not change with the
+    # working precision of `decimal` or mpmath when they are first built,
+    # and the deepest cancellation cell is not certified from a 15-digit rule
     built = []
-    for dps in (15, 60):
-        eigenvalues._gk15_rule.cache_clear()
-        eigenvalues._log_factorial.cache_clear()
-        try:
-            with mpmath.workdps(dps):
-                rule = eigenvalues._gk15_rule(eigenvalues._to_double_double)
-                built.append(([(part.hi, part.lo) for part in rule], eigenvalues._log_factorial(7)))
+    try:
+        for prec in (15, 28, 60):
+            with decimal.localcontext() as ctx, mpmath.workdps(prec):
+                ctx.prec = prec
+                built.append(_constants())
                 res = gamma_quadrature(basic_symbol(12, 8), 0)
-            assert res.converged and res.tier == "double-double", dps
-            assert abs(res.value) <= res.est_abs_err, dps
-        finally:
-            eigenvalues._gk15_rule.cache_clear()
-            eigenvalues._log_factorial.cache_clear()
-    (rule_15, log_15), (rule_60, log_60) = built
-    assert log_15 == log_60
-    for (hi_15, lo_15), (hi_60, lo_60) in zip(rule_15, rule_60):
-        assert np.array_equal(hi_15, hi_60) and np.array_equal(lo_15, lo_60)
+            assert res.converged and res.tier == "double-double", prec
+            assert abs(res.value) <= res.est_abs_err, prec
+    finally:
+        _constants()
+    assert built[0] == built[1] == built[2]
 
 
 def test_unreachable_cancellation_fails_fast(monkeypatch):
@@ -609,7 +635,7 @@ def test_dd_integrand_matches_mpmath_laguerre():
     ]
     ns = (0, 1, 2, 5)
     with mpmath.workdps(40):
-        dd_nodes = from_mpf([mpmath.mpf(k) * 3 / 5 for k in range(1, 11)])
+        dd_nodes = _from_mpf([mpmath.mpf(k) * 3 / 5 for k in range(1, 11)])
     for sym in symbols:
         passes = eigenvalues._passes(sym, ns, None)
         assert [pass_.tier for pass_ in passes] == ["float64", "longdouble", "double-double"]
@@ -817,16 +843,39 @@ def test_records_do_not_depend_on_the_longdouble_width(monkeypatch):
             assert not res.converged or abs(res.value - exact[n]) <= res.est_abs_err, (sym, n, res)
 
 
+def test_fixed_point_log_meets_its_bound():
+    # ln z in units of 2^-LOG_BITS, against 90-digit mpmath: within 400
+    # units per bit of z, over small z, both sides of powers of two, the
+    # factorials below the switch to Stirling's series and a 200-bit z
+    zs = [*range(1, 300), *(2**k + d for k in range(2, 64, 7) for d in (-1, 0, 1)), math.factorial(29), 3**126]
+    with mpmath.workdps(90):
+        for z in zs:
+            exact = mpmath.log(z) * mpmath.mpf(2) ** LOG_BITS
+            assert abs(log_fixed(z) - exact) <= 400 * z.bit_length(), z
+
+
 def test_log_factorial_is_correctly_rounded():
     # the weight's normalizer ln n!; math.lgamma(92) is 1.5 ulp off, a bias
     # every w_91 would carry
-    # its lo half makes hi + lo ln n! to the double-double unit
+    # its lo half makes hi + lo ln n! to the double-double unit, on both
+    # sides of the switch to Stirling's series and on sampled n up to 10^7
+    rng = random.Random(26)
+    ns = [*range(1001), *(rng.randrange(1000, 10**k) for k in (4, 5, 6, 7) for _ in range(50)), 10**7]
     with mpmath.workdps(50):
-        for n in range(1001):
+        for n in ns:
             hi, lo = eigenvalues._log_factorial(n)
             exact = mpmath.loggamma(n + 1)
             assert hi == float(exact), n
             assert abs(_mpf_sum(hi, lo).real - exact) <= _DD_UNIT * exact, n
+    # one uncached call takes some 15 us at any n; the logarithm of the
+    # exact n! would take 0.15 s at n = 2 * 10^4 and grow from there
+    for n in (29, 2 * 10**4, 10**7):
+        best = math.inf
+        for _ in range(5):
+            start = time.perf_counter()
+            eigenvalues._log_factorial.__wrapped__(n)
+            best = min(best, time.perf_counter() - start)
+        assert best < 0.005, (n, best)
 
 
 def test_callables_get_no_extended_pass():

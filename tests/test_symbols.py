@@ -212,11 +212,56 @@ def test_sup_estimate_is_an_upper_bound():
     for m, xi in ((12, 8), (40, 16), (994, 2)):
         sym = basic_symbol(m, xi)
         assert sup_estimate(sym) == float(xi) ** (m + 1) == abs(eval_symbol(sym, 0.0)), (m, xi)
-    # otherwise the 40-digit sum is rounded up, never below the peak
+    # otherwise the exact sum is rounded up, never below the peak
     assert sup_estimate(basic_symbol(187, 40)) >= abs(eval_symbol(basic_symbol(187, 40), 0.0))
     # past the float range the bound is inf, not an error
     assert sup_estimate(combo_symbol(np.ones(528), 1_900_000)) == math.inf
     assert sup_estimate(basic_symbol(600, 10**6)) == math.inf
+
+
+def _scaled_reference(sym):
+    """(scale, exact factors c_k (-xi)^k xi 2^-scale, exact sup) of _scaled_factors, from 60-digit mpmath."""
+    with mpmath.workdps(60):
+        terms = [mpmath.mpmathify(c) * (-sym.xi) ** k * sym.xi for k, c in enumerate(sym.coefficients)]
+        total = mpmath.fsum(abs(t) for t in terms) + abs(mpmath.mpmathify(sym.offset))
+        scale = max(0, int(mpmath.frexp(total)[1]) - 1) if total else 0
+        return scale, [t * mpmath.ldexp(1, -scale) for t in terms], total
+
+
+def test_scaled_factors_match_60_digit_mpmath():
+    # each double-double factor is the exact factor rounded twice, hi to the
+    # nearest float and lo the rest to the nearest float; sup is at least the
+    # exact sum and within one ulp of it, with complex moduli bounded from
+    # exact parts and past the float range inf
+    rng = np.random.default_rng(26)
+    cases = [
+        basic_symbol(12, 8),
+        basic_symbol(187, 40),
+        LaguerreCombo(offset=1.0 + 2.0j),
+        with_limit_offset(combo_symbol([1.0, 2.0**-60, -3.0], 3), 1 / 3),
+        combo_symbol([1e-300, 1 / 7 + 1j / 3, 0.0, -1e-300j], 1_937_717),
+        combo_symbol(np.ones(528), 1_900_000),
+    ]
+    for _ in range(40):
+        size = int(rng.integers(1, 18))
+        coeffs = rng.normal(size=size) * 10.0 ** rng.integers(-8, 8, size=size)
+        coeffs = coeffs + 1j * rng.normal(size=size) * rng.integers(0, 2)
+        offset = complex(rng.normal(), rng.normal() * rng.integers(0, 2)) * rng.integers(0, 2)
+        cases.append(with_limit_offset(combo_symbol(coeffs, int(rng.choice([2, 5, 40, 999]))), offset))
+    # |0.75 + i| = 1.25 is exact, and so is the bound
+    assert sup_estimate(combo_symbol([0.75 + 1j], 4)) == 5.0
+    for sym in cases:
+        scale, re, im, sup = _scaled_factors(sym)
+        want_scale, factors, total = _scaled_reference(sym)
+        assert scale == want_scale, sym
+        with mpmath.workdps(60):
+            for part, got in ((mpmath.re, re), (mpmath.im, im)):
+                for exact, hi, lo in zip(factors, got.hi, got.lo):
+                    assert hi == float(part(exact)) and lo == float(part(exact) - hi), sym
+            if total > mpmath.mpf(np.finfo(float).max):
+                assert sup == math.inf, sym
+            else:
+                assert total <= sup and sup - total <= math.ulp(sup), sym
 
 
 _coefficients = st.lists(
