@@ -34,7 +34,7 @@ from .approx import (
     plan_to_json,
     verify_plan,
 )
-from .eigenvalues import QuadConfig, gamma_sequence
+from .eigenvalues import QuadConfig, _closed_form_params, closed_form_sequence, gamma_sequence
 from .seqspace import (
     LimitTail,
     SeqGenerator,
@@ -151,18 +151,28 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _emit(args, header: list[str], rows: list[dict], summary: dict | None = None) -> None:
+def _emit(args, columns: dict[str, list], summary: dict | None = None) -> None:
+    """Write the table given by its columns (name -> cells), as CSV or JSON, and the summary.
+
+    CSV formats a column of Python floats with one map of "%.17g" %, the
+    same conversion as `_cell`'s format(v, ".17g"), and any other column
+    cell by cell through `_cell`; csv.writer quotes.  The summary is one
+    "# k=v ..." line.  JSON builds its rows, one object per index, only here.
+    """
     if args.format == "json":
-        payload: dict = {"rows": rows}
+        payload: dict = {"rows": [dict(zip(columns, row)) for row in zip(*columns.values())]}
         if summary is not None:
             payload["summary"] = summary
         text = json.dumps(payload, indent=2) + "\n"
     else:
+        cells = [
+            map("%.17g".__mod__ if {float}.issuperset(map(type, column)) else _cell, column)
+            for column in columns.values()
+        ]
         buf = io.StringIO()
         writer = csv.writer(buf)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(row.get(h)) for h in header])
+        writer.writerow(columns)
+        writer.writerows(zip(*cells))
         text = buf.getvalue()
         if summary is not None:
             text += "# " + " ".join(f"{k}={_cell(v)}" for k, v in summary.items()) + "\r\n"
@@ -184,28 +194,25 @@ def _cmd_eigs(args) -> int:
         raise UsageError("--n-max must be nonnegative")
     sym = _load_symbol(args.symbol)
     cfg = _quad_config(args)
-    both = args.engine == "both"
+    size = args.n_max + 1
     # with --engine both the table shows the closed form and the quadrature's distance from it
-    shown = gamma_sequence(sym, args.n_max, cfg, engine="closed").values if both else None
-    seq = gamma_sequence(sym, args.n_max, cfg, engine="quad" if both else args.engine)
-    header = ["n", "gamma_re", "gamma_im", "engine", "est_abs_err"] + (["abs_diff"] if both else [])
-    rows = []
-    failed = False
-    for n, res in enumerate(seq.entries):
-        value = shown[n] if both else res.value
-        row = {
-            "n": n,
-            "gamma_re": value.real,
-            "gamma_im": value.imag,
-            "engine": "both" if both else res.engine,
-            "est_abs_err": res.est_abs_err,
-        }
-        failed = failed or not res.converged
-        if both:
-            row["abs_diff"] = abs(value - res.value)
-            failed = failed or row["abs_diff"] > res.est_abs_err
-        rows.append(row)
-    _emit(args, header, rows)
+    closed = None
+    if args.engine != "quad":
+        closed = closed_form_sequence(*_closed_form_params(sym), args.n_max).values.tolist()
+    records = None if args.engine == "closed" else gamma_sequence(sym, args.n_max, cfg, engine="quad").entries
+    values = [res.value for res in records] if closed is None else closed
+    columns = {
+        "n": list(range(size)),
+        "gamma_re": [value.real for value in values],
+        "gamma_im": [value.imag for value in values],
+        "engine": [args.engine] * size,
+        "est_abs_err": [None] * size if records is None else [res.est_abs_err for res in records],
+    }
+    failed = records is not None and not all(res.converged for res in records)
+    if args.engine == "both":
+        columns["abs_diff"] = [abs(value - res.value) for value, res in zip(closed, records)]
+        failed = failed or any(diff > err for diff, err in zip(columns["abs_diff"], columns["est_abs_err"]))
+    _emit(args, columns)
     if failed:
         raise NumericError(
             "quadrature could not certify its tolerance: split budget or precision tiers ran out"
@@ -244,24 +251,17 @@ def _cmd_approximate(args) -> int:
     plan_text = json.dumps(plan_to_json(plan, report), indent=2) + "\n"
     _write_text(args.plan_out, plan_text)
     if args.report_out:
-        rows = []
-        window = zip(report.gamma.tolist(), report.sigma.tolist(), report.abs_error.tolist())
-        for n, (gamma, sigma, err) in enumerate(window):
-            rows.append(
-                {
-                    "n": n,
-                    "target_re": sigma.real,
-                    "target_im": sigma.imag,
-                    "gamma_re": gamma.real,
-                    "gamma_im": gamma.imag,
-                    "abs_error": err,
-                }
-            )
-        report_args = argparse.Namespace(format=args.format, output=args.report_out)
+        columns = {
+            "n": list(range(len(report.abs_error))),
+            "target_re": report.sigma.real.tolist(),
+            "target_im": report.sigma.imag.tolist(),
+            "gamma_re": report.gamma.real.tolist(),
+            "gamma_im": report.gamma.imag.tolist(),
+            "abs_error": report.abs_error.tolist(),
+        }
         _emit(
-            report_args,
-            ["n", "target_re", "target_im", "gamma_re", "gamma_im", "abs_error"],
-            rows,
+            argparse.Namespace(format=args.format, output=args.report_out),
+            columns,
             _report_fields(report, ("verified_error", "tail_certificate", "epsilon", "passed")),
         )
     if not report.passed:
@@ -298,13 +298,11 @@ def _cmd_symbol_eval(args) -> int:
     if not 0 <= args.x_max < math.inf:
         raise UsageError("--x-max must be finite and nonnegative")
     sym = _load_symbol(args.symbol)
-    rows = []
-    for i in range(args.points):
-        x = args.x_max * i / max(args.points - 1, 1)
-        value = complex(eval_symbol(sym, x))
-        rows.append({"x": x, "value_re": value.real, "value_im": value.imag})
-    _emit(args, ["x", "value_re", "value_im"], rows)
-    if not all(math.isfinite(row[key]) for row in rows for key in ("value_re", "value_im")):
+    xs = [args.x_max * i / max(args.points - 1, 1) for i in range(args.points)]
+    values = [complex(eval_symbol(sym, x)) for x in xs]
+    columns = {"x": xs, "value_re": [v.real for v in values], "value_im": [v.imag for v in values]}
+    _emit(args, columns)
+    if not all(map(math.isfinite, columns["value_re"] + columns["value_im"])):
         raise NumericError("a symbol value is not finite: its float evaluation overflowed")
     return EXIT_OK
 
@@ -314,29 +312,21 @@ def _cmd_smooth(args) -> int:
         raise UsageError("--delta must lie in (0, 1)")
     target = _load_target(args.target)
     smoothed = vp_smooth(target, args.delta)
-    rows = []
-    sup_diff = 0.0
-    for j in range(len(smoothed)):
-        sigma = target.values[j]
-        y = smoothed.values[j]
-        diff = abs(y - sigma)
-        sup_diff = max(sup_diff, diff)
-        rows.append(
-            {
-                "j": j,
-                "sigma_re": sigma.real,
-                "sigma_im": sigma.imag,
-                "y_re": y.real,
-                "y_im": y.imag,
-                "abs_diff": diff,
-            }
-        )
+    sigmas, ys = target.values[: len(smoothed)], smoothed.values
+    columns = {
+        "j": list(range(len(smoothed))),
+        "sigma_re": [sigma.real for sigma in sigmas],
+        "sigma_im": [sigma.imag for sigma in sigmas],
+        "y_re": [y.real for y in ys],
+        "y_im": [y.imag for y in ys],
+        "abs_diff": [abs(y - sigma) for y, sigma in zip(ys, sigmas)],
+    }
     summary = {
-        "sup_abs_diff": sup_diff,
+        "sup_abs_diff": max([0.0, *columns["abs_diff"]]),
         "modulus_windowed": modulus_of_continuity(target, args.delta),
         "delta": args.delta,
     }
-    _emit(args, ["j", "sigma_re", "sigma_im", "y_re", "y_im", "abs_diff"], rows, summary)
+    _emit(args, columns, summary)
     return EXIT_OK
 
 
@@ -353,27 +343,17 @@ def _cmd_diagnose(args) -> int:
         lipschitz = lipschitz_seminorm(target)
     except ValueError as exc:
         raise ValidationError(str(exc)) from None
-    rows = [{"quantity": "lipschitz_seminorm", "param": "", "value": lipschitz}]
-    for delta in _DIAGNOSE_DELTAS:
-        rows.append(
-            {
-                "quantity": "modulus",
-                "param": f"delta={delta}",
-                "value": modulus_of_continuity(target, delta),
-            }
-        )
+    cells = [("lipschitz_seminorm", "", lipschitz)]
+    cells += [("modulus", f"delta={delta}", modulus_of_continuity(target, delta)) for delta in _DIAGNOSE_DELTAS]
     n_win = len(target)
-    for k in (1, 2):
-        for n_from in sorted({n_win // 4, n_win // 2}):
-            if n_from + k < n_win:
-                rows.append(
-                    {
-                        "quantity": "shift_diff_sup",
-                        "param": f"k={k},n_from={n_from}",
-                        "value": shift_difference_sup(target, k, n_from),
-                    }
-                )
-    _emit(args, ["quantity", "param", "value"], rows)
+    cells += [
+        ("shift_diff_sup", f"k={k},n_from={n_from}", shift_difference_sup(target, k, n_from))
+        for k in (1, 2)
+        for n_from in sorted({n_win // 4, n_win // 2})
+        if n_from + k < n_win
+    ]
+    columns = dict(zip(("quantity", "param", "value"), map(list, zip(*cells))))
+    _emit(args, columns)
     return EXIT_OK
 
 

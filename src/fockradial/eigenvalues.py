@@ -11,10 +11,11 @@ and gamma is linear in the symbol with gamma(constant c) = c.  Whole
 sequences of a combination sum_k c_k basic(k, xi) + p come from one float
 engine, `closed_form_sequence`: it carries the vector a(n) = (a_k(n))_k
 through the Pascal recurrence a_k(n+1) = a_k(n) / xi + a_{k-1}(n), starting
-from a(0) = e_0, and takes one dot product with the coefficients per n.
-That is O(N) float work per index, O(N * n_max) for the sequence, with every
-term nonnegative, so nothing cancels and each a_k(n) carries a relative
-error of at most about 2n roundings.
+from a(0) = e_0, into a block of rows, and takes one dot product with the
+coefficients per n, a block at a time.  That is O(N) float work per index,
+O(N * n_max) for the sequence in O(N) memory per row of the block, with
+every term nonnegative, so nothing cancels and each a_k(n) carries a
+relative error of at most about 2n roundings.
 Everything else goes through quadrature against the normalized weight
 w_n(r) = exp(n ln r - r - ln n!), a probability density peaked at
 r = n with width sqrt(n + 1).  The quadrature window is centered on the
@@ -113,12 +114,19 @@ class ClosedSequence(NamedTuple):
     next_terms: np.ndarray  # a_k(n_max + 1) for k < N
 
 
+_CLOSED_BLOCK = 256  # indices per block of rows a(n); bounds the (block x N) array
+
+
 def closed_form_sequence(coeffs, xi: int, p, n_max: int) -> ClosedSequence:
     """gamma(0..n_max) of sum_k coeffs[k] * basic(k, xi) plus the constant p.
 
-    Streams a(n) = (binom(n, k) xi^-(n-k))_k through the Pascal recurrence
-    a_k(n+1) = a_k(n) / xi + a_{k-1}(n) from a(0) = e_0, one dot product
-    per n, in O(N * n_max) float work and O(N) memory.  gamma(n) is within
+    Steps a(n) = (binom(n, k) xi^-(n-k))_k through the Pascal recurrence
+    a_k(n+1) = a_k(n) / xi + a_{k-1}(n) from a(0) = e_0 into the rows of a
+    block of _CLOSED_BLOCK indices, two ufunc calls per n on row views made
+    once, then takes the block's dot products with the coefficients in one
+    stacked matmul: a (1 x N) @ (N x 1) per row, the same dot routine and
+    the same bits as one vector dot per n.  O(N * n_max) float work and
+    O(N * _CLOSED_BLOCK) memory.  gamma(n) is within
     (2n + N + 1) * 2^-53 * (sum_k |coeffs[k]| a_k(n) + |p|) of the exact
     value, up to subnormal roundoff once terms underflow.  The value at n
     does not depend on n_max, so every caller gets the same bits for it.
@@ -128,26 +136,28 @@ def closed_form_sequence(coeffs, xi: int, p, n_max: int) -> ClosedSequence:
     n_max = _check_index(n_max, "n_max")
     coeffs = np.asarray(coeffs, dtype=complex).reshape(-1)
     p = complex(p)
-    real = np.ascontiguousarray(coeffs.real)
-    imag = np.ascontiguousarray(coeffs.imag)
-    has_imag = bool(imag.any())
-    terms = np.zeros(len(coeffs))
-    spare = np.empty_like(terms)
-    if len(terms):
-        terms[0] = 1.0
-    out_re = np.zeros(n_max + 1)
-    out_im = np.zeros(n_max + 1)
-    for n in range(n_max + 1):
-        out_re[n] = real @ terms
-        if has_imag:
-            out_im[n] = imag @ terms
-        np.divide(terms, xi, out=spare)
-        spare[1:] += terms[:-1]
-        terms, spare = spare, terms
+    parts = [np.ascontiguousarray(coeffs.real)[:, None]]
+    if coeffs.imag.any():
+        parts.append(np.ascontiguousarray(coeffs.imag)[:, None])
+    rows = np.zeros((min(n_max + 1, _CLOSED_BLOCK) + 1, len(coeffs)))
+    if len(coeffs):
+        rows[0, 0] = 1.0
+    steps = list(zip(rows, rows[1:], rows[1:, 1:], rows[:-1, :-1]))
+    scale, divide, add = np.float64(xi), np.divide, np.add  # a float64 xi rounds as the int does, once
+    sums = [np.zeros(n_max + 1) for _ in range(2)]
+    for start in range(0, n_max + 1, len(steps)):
+        count = min(len(steps), n_max + 1 - start)
+        for term, after, tail, head in steps[:count]:
+            divide(term, scale, out=after)
+            add(tail, head, out=tail)
+        for part, out in zip(parts, sums):
+            # a stack of (1 x N) @ (N x 1) runs numpy's vector dot per row; gemv on the 2-D block rounds otherwise
+            out[start : start + count] = np.matmul(rows[:count, None, :], part)[:, 0, 0]
+        rows[0] = rows[count]
     values = np.empty(n_max + 1, dtype=complex)
-    values.real = out_re + p.real
-    values.imag = out_im + p.imag
-    return ClosedSequence(values, terms)
+    values.real = sums[0] + p.real
+    values.imag = sums[1] + p.imag
+    return ClosedSequence(values, rows[0].copy())
 
 
 def has_closed_form(sym: Symbol) -> bool:
@@ -400,13 +410,16 @@ def _integrand(values, ns, convert):
 
     A real product goes into the weight's array in place (`symbols._into`),
     so the integrand is that one array; a complex or double-double one is new.
+    A value that overflows comes out not finite, without a warning; its nan
+    error sends the index on to the next pass (`_integrals`).
     """
     weight = _weight(ns, convert)
 
     def integrand(nodes):
         r = nodes.reshape(-1)
-        g, w = values(r), weight(r)
-        return _into(w, np.multiply, g, w)
+        with np.errstate(over="ignore", invalid="ignore"):
+            g, w = values(r), weight(r)
+            return _into(w, np.multiply, g, w)
 
     return integrand
 

@@ -4,6 +4,7 @@ import math
 import random
 import time
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -133,6 +134,61 @@ def test_closed_form_sequence_slow_decay_at_xi_two():
         assert abs(Fraction(a) - exact) <= (2 * n_max + 4) * _UNIT_ROUNDOFF * exact
 
 
+def _closed_form_loop(coeffs, xi: int, p, n_max: int):
+    """(values, next_terms) by one vector step and one dot product per n: the engine before it went by blocks."""
+    coeffs = np.asarray(coeffs, dtype=complex).reshape(-1)
+    p = complex(p)
+    real = np.ascontiguousarray(coeffs.real)
+    imag = np.ascontiguousarray(coeffs.imag)
+    has_imag = bool(imag.any())
+    terms = np.zeros(len(coeffs))
+    spare = np.empty_like(terms)
+    if len(terms):
+        terms[0] = 1.0
+    out_re = np.zeros(n_max + 1)
+    out_im = np.zeros(n_max + 1)
+    for n in range(n_max + 1):
+        out_re[n] = real @ terms
+        if has_imag:
+            out_im[n] = imag @ terms
+        np.divide(terms, xi, out=spare)
+        spare[1:] += terms[:-1]
+        terms, spare = spare, terms
+    values = np.empty(n_max + 1, dtype=complex)
+    values.real = out_re + p.real
+    values.imag = out_im + p.imag
+    return values, terms
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_terms=st.integers(0, 130),
+    xi=st.integers(2, 2 * 10**6),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["real", "complex", "tiny", "huge"]),
+    p=st.one_of(st.just(0.0), _offsets),
+    n_max=st.sampled_from([0, 1, 254, 255, 256, 257, 511, 512, 513]),
+)
+@example(n_terms=130, xi=2, seed=0, kind="complex", p=0.5 - 0.25j, n_max=513)
+@example(n_terms=130, xi=2 * 10**6, seed=1, kind="real", p=0.0, n_max=513)
+@example(n_terms=0, xi=3, seed=0, kind="real", p=-2.0, n_max=257)
+def test_closed_form_sequence_matches_the_per_index_loop(n_terms, xi, seed, kind, p, n_max):
+    # blocks of rows and one stacked matmul per block give the loop's bits,
+    # across block edges (n_max + 1 = 256, 257, 258, 512, 513, 514) and into underflow
+    rng = np.random.default_rng(seed)
+    coeffs = rng.normal(size=n_terms) * 10.0 ** rng.uniform(-3, 3, size=n_terms)
+    if kind == "complex":
+        coeffs = coeffs + 1j * rng.normal(size=n_terms)
+    elif kind == "tiny":
+        coeffs = coeffs * 1e-300
+    elif kind == "huge":
+        coeffs = coeffs * 1e290
+    seq = closed_form_sequence(coeffs, xi, p, n_max)
+    values, next_terms = _closed_form_loop(coeffs, xi, p, n_max)
+    assert seq.values.tobytes() == values.tobytes()
+    assert seq.next_terms.tobytes() == next_terms.tobytes()
+
+
 def _sqrt_lipschitz_constants(n_max: int) -> np.ndarray:
     """L_n for n < n_max, the paper's sqrt-Lipschitz constants of gamma per unit sup|g|.
 
@@ -242,6 +298,16 @@ def test_gamma_quadrature_gaussian_callable():
 def test_gamma_quadrature_cross_engine():
     res = gamma_quadrature(basic_symbol(1, 4), 3)
     assert abs(res.value - 3 / 16) <= 1e-8
+
+
+def test_quadrature_of_an_overflowing_symbol_warns_nothing():
+    # basic(500, 2) overflows in float64 and double-double near r = 600
+    # (the recurrence starts at e^-600); those passes' nan errors are thrown
+    # away without a numpy RuntimeWarning, which pytest's filter makes an error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = gamma_quadrature(basic_symbol(500, 2), 600)
+    assert res.engine == "quad" and not res.converged
 
 
 def test_gamma_quadrature_cancellation_cells():
