@@ -34,7 +34,7 @@ from .approx import (
     plan_to_json,
     verify_plan,
 )
-from .eigenvalues import QuadConfig, _closed_form_params, closed_form_sequence, gamma_sequence
+from .eigenvalues import QuadConfig, closed_form_sequence, gamma_sequence
 from .seqspace import (
     LimitTail,
     SeqGenerator,
@@ -198,7 +198,7 @@ def _cmd_eigs(args) -> int:
     # with --engine both the table shows the closed form and the quadrature's distance from it
     closed = None
     if args.engine != "quad":
-        closed = closed_form_sequence(*_closed_form_params(sym), args.n_max).values.tolist()
+        closed = closed_form_sequence(sym.coefficients, sym.xi, sym.offset, args.n_max).values.tolist()
     records = None if args.engine == "closed" else gamma_sequence(sym, args.n_max, cfg, engine="quad").entries
     values = [res.value for res in records] if closed is None else closed
     columns = {
@@ -213,6 +213,8 @@ def _cmd_eigs(args) -> int:
         columns["abs_diff"] = [abs(value - res.value) for value, res in zip(closed, records)]
         failed = failed or any(diff > err for diff, err in zip(columns["abs_diff"], columns["est_abs_err"]))
     _emit(args, columns)
+    if not all(map(math.isfinite, columns["gamma_re"] + columns["gamma_im"])):
+        raise NumericError("an eigenvalue is not finite: its float evaluation overflowed")
     if failed:
         raise NumericError(
             "quadrature could not certify its tolerance: split budget or precision tiers ran out"

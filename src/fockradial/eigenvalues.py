@@ -75,14 +75,13 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import doubledouble as _dd
-from .laguerre import _check_index, _check_positive
+from .laguerre import _check_index, _check_positive, _into
 from .symbols import (
     CallableSymbol,
     LaguerreCombo,
     Symbol,
     _check_scale,
     _in_type,
-    _into,
     _ldexp,
     _scaled_combo,
     _scaled_factors,
@@ -130,7 +129,9 @@ def closed_form_sequence(coeffs, xi: int, p, n_max: int) -> ClosedSequence:
     (2n + N + 1) * 2^-53 * (sum_k |coeffs[k]| a_k(n) + |p|) of the exact
     value, up to subnormal roundoff once terms underflow.  The value at n
     does not depend on n_max, so every caller gets the same bits for it.
-    `next_terms` is a(n_max + 1), the start of the sequence's tail.
+    A sum past the float range is not finite, without a warning (the blocks
+    run under `np.errstate`), as in `eval_symbol`.  `next_terms` is
+    a(n_max + 1), the start of the sequence's tail.
     """
     xi = _check_scale(xi)
     n_max = _check_index(n_max, "n_max")
@@ -145,15 +146,16 @@ def closed_form_sequence(coeffs, xi: int, p, n_max: int) -> ClosedSequence:
     steps = list(zip(rows, rows[1:], rows[1:, 1:], rows[:-1, :-1]))
     scale, divide, add = np.float64(xi), np.divide, np.add  # a float64 xi rounds as the int does, once
     sums = [np.zeros(n_max + 1) for _ in range(2)]
-    for start in range(0, n_max + 1, len(steps)):
-        count = min(len(steps), n_max + 1 - start)
-        for term, after, tail, head in steps[:count]:
-            divide(term, scale, out=after)
-            add(tail, head, out=tail)
-        for part, out in zip(parts, sums):
-            # a stack of (1 x N) @ (N x 1) runs numpy's vector dot per row; gemv on the 2-D block rounds otherwise
-            out[start : start + count] = np.matmul(rows[:count, None, :], part)[:, 0, 0]
-        rows[0] = rows[count]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n_max + 1, len(steps)):
+            count = min(len(steps), n_max + 1 - start)
+            for term, after, tail, head in steps[:count]:
+                divide(term, scale, out=after)
+                add(tail, head, out=tail)
+            for part, out in zip(parts, sums):
+                # a stack of (1 x N) @ (N x 1) runs numpy's vector dot per row; gemv on the 2-D block rounds otherwise
+                out[start : start + count] = np.matmul(rows[:count, None, :], part)[:, 0, 0]
+            rows[0] = rows[count]
     values = np.empty(n_max + 1, dtype=complex)
     values.real = sums[0] + p.real
     values.imag = sums[1] + p.imag
@@ -162,13 +164,6 @@ def closed_form_sequence(coeffs, xi: int, p, n_max: int) -> ClosedSequence:
 
 def has_closed_form(sym: Symbol) -> bool:
     return isinstance(sym, LaguerreCombo)
-
-
-def _closed_form_params(sym: Symbol) -> tuple[tuple, int, complex]:
-    """(coefficients, xi, p) of a structured symbol."""
-    if not has_closed_form(sym):
-        raise ValueError(f"no closed form for {describe_symbol(sym)}")
-    return sym.coefficients, sym.xi, sym.offset
 
 
 # The two single-index reads below stay only because the benchmark's span
@@ -181,7 +176,9 @@ def gamma_combo_closed_form(coeffs, xi: int, p, n: int) -> complex:
 
 def gamma_for_symbol_closed(sym: Symbol, n: int) -> complex:
     """Closed-form eigenvalue for structured symbols."""
-    return gamma_combo_closed_form(*_closed_form_params(sym), n)
+    if not has_closed_form(sym):
+        raise ValueError(f"no closed form for {describe_symbol(sym)}")
+    return gamma_combo_closed_form(sym.coefficients, sym.xi, sym.offset, n)
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +405,7 @@ def _adaptive_gk(f, convert, scale: int, a, b, cfg: QuadConfig, floor, reach, wi
 def _integrand(values, ns, convert):
     """nodes -> values(r) w_n(r) for each n of ns at the flattened nodes r, one row per n, in convert's number type.
 
-    A real product goes into the weight's array in place (`symbols._into`),
+    A real product goes into the weight's array in place (`laguerre._into`),
     so the integrand is that one array; a complex or double-double one is new.
     A value that overflows comes out not finite, without a warning; its nan
     error sends the index on to the next pass (`_integrals`).
@@ -531,7 +528,7 @@ def _weight(ns, convert=_to_float64):
     Each row integrates to 1 on [0, oo); every rule here has interior nodes,
     so r = 0 never comes up.  ln n! is rounded from its double-double, once.
     Each call makes one (indices x points) array, n ln r, and takes the
-    subtractions and exp in place (`symbols._into`); a double-double computes
+    subtractions and exp in place (`laguerre._into`); a double-double computes
     out of place.  Nothing is kept between calls, so the array is the caller's.
     """
     log_norm = _in_type(_dd.DD(*np.array([_log_factorial(n) for n in ns]).T), convert).reshape(-1, 1)
@@ -846,7 +843,7 @@ def gamma_sequence(
         raise ValueError(f"{describe_symbol(sym)} has no closed form")
     use_closed = closed if engine == "auto" else engine == "closed"
     if use_closed:
-        values = closed_form_sequence(*_closed_form_params(sym), n_max).values.tolist()
+        values = closed_form_sequence(sym.coefficients, sym.xi, sym.offset, n_max).values.tolist()
         return EigenSeq([Eigenvalue(value, "closed") for value in values])
     return EigenSeq(_quadrature_records(sym, range(n_max + 1), cfg or QuadConfig()))
 
@@ -933,7 +930,7 @@ def shifted_gamma_residual(sym: Symbol, j: int, n_max: int, cfg: QuadConfig | No
         sup_bound=sup_g,
     )
     if has_closed_form(sym):
-        lefts = closed_form_sequence(*_closed_form_params(sym), n_max + j).values[j:].tolist()
+        lefts = closed_form_sequence(sym.coefficients, sym.xi, sym.offset, n_max + j).values[j:].tolist()
     else:
         lefts = [res.value for res in _quadrature_records(sym, range(j, n_max + j + 1), cfg)]
     rights = _quadrature_records(averaged, range(n_max + 1), cfg, rule_err)

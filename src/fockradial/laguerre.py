@@ -11,7 +11,11 @@ and satisfies the three-term recurrence
 
 Floating-point evaluation goes through the recurrence, which stays well
 behaved on [0, oo); the explicit sum cancels catastrophically for large
-arguments.
+arguments.  `_laguerre_rows` is the package's only recurrence: the
+evaluators here start it from ones, every structured symbol
+(`fockradial.symbols`) from its Gaussian factor.  This is the bottom layer;
+`_into`, the in-place update of the recurrence's rows, also serves the
+quadrature.
 """
 
 from __future__ import annotations
@@ -39,49 +43,61 @@ def _check_positive(value, name: str) -> float:
     return float(value)
 
 
-def _as_float_array(x) -> np.ndarray:
-    # keep extended-precision floats as they are; everything else becomes float64
-    arr = np.asarray(x)
-    if arr.dtype.kind != "f":
-        arr = arr.astype(float)
-    return arr
+def _into(out, ufunc, *args):
+    """ufunc(*args), written into out when out is a numpy array of the result's type, else a new result.
 
-
-def _laguerre_rows(m: int, t):
-    """Yield L_0(t), ..., L_m(t) by the recurrence in t's number type, keeping two rows alive.
-
-    It serves `laguerre_eval` and `laguerre_eval_all`; structured symbols
-    run their own scaled recurrence, `fockradial.symbols._scaled_combo`.
-    Steps work in place (a temporary row per step page-faults large rows
-    anew), so a yielded row is overwritten two steps later.
+    Each large array of the recurrence and the quadrature is made once and
+    updated this way, by the same operations in the same order, so the bits
+    do not change.  A double-double (`fockradial.doubledouble.DD`) is no
+    numpy array, so it is computed out of place, and so is a result of a
+    wider type than out, such as a complex product.
     """
-    prev, row = None, np.ones_like(t)
+    if isinstance(out, np.ndarray) and np.result_type(*args) == out.dtype:
+        return ufunc(*args, out=out)
+    return ufunc(*args)
+
+
+def _laguerre_rows(m: int, t, first):
+    """Yield first * L_k(t) for k = 0..m by the recurrence, in the number type of t and first.
+
+    The package's one Laguerre recurrence: `laguerre_eval` and
+    `laguerre_eval_all` start it from ones, the structured symbols
+    (`fockradial.symbols._scaled_combo`) from their Gaussian factor.  The
+    rows cycle through three arrays, first among them, each step updated in
+    place (`_into`; a temporary row per step page-faults large rows anew),
+    so a yielded row is overwritten two steps later; a double-double
+    computes out of place.
+    """
+    prev, row, spare = None, first, None
     yield row
-    for k in range(m):
-        new = 2 * k + 1 - t
-        if k:
-            new *= row
-            prev *= k
-            new -= prev
-            new /= k + 1
-        prev, row = row, new
+    for k in range(1, m + 1):
+        # l_k = ((2k - 1 - t) l_(k-1) - (k - 1) l_(k-2)) / k, written over l_(k-3); l_1 has no l_(-1) term
+        step = _into(spare, np.subtract, 2 * k - 1, t)
+        step = _into(step, np.multiply, step, row)
+        if k > 1:
+            step = _into(step, np.subtract, step, _into(prev, np.multiply, k - 1, prev))
+        prev, row, spare = row, _into(step, np.true_divide, step, k), prev
         yield row
 
 
 def _finite_arg(x) -> np.ndarray:
-    arr = np.atleast_1d(_as_float_array(x))
-    if not np.all(np.isfinite(arr)):
+    # at least one dimension; a float array keeps its type (float32, longdouble), anything else becomes float64
+    arr = np.atleast_1d(x)
+    if arr.dtype.kind != "f":
+        arr = arr.astype(float)
+    if not np.isfinite(arr).all():
         raise ValueError("x must be finite")
     return arr
 
 
 def laguerre_eval(m: int, x):
-    """Evaluate L_m at x (scalar or array), keeping two rows of the recurrence.
+    """Evaluate L_m at x (scalar or array), keeping three rows of the recurrence.
 
     The float dtype of `x` is preserved, so extended-precision input yields
     extended-precision output; a scalar `x` gives a float.
     """
-    for row in _laguerre_rows(_check_index(m), _finite_arg(x)):
+    m, arr = _check_index(m), _finite_arg(x)
+    for row in _laguerre_rows(m, arr, np.ones_like(arr)):
         pass
     return float(row[0]) if np.ndim(x) == 0 else row
 
@@ -94,6 +110,6 @@ def laguerre_eval_all(m_max: int, x) -> np.ndarray:
     m_max = _check_index(m_max, "m_max")
     arr = _finite_arg(x)
     out = np.empty((m_max + 1,) + arr.shape, dtype=arr.dtype)
-    for k, row in enumerate(_laguerre_rows(m_max, arr)):
+    for k, row in enumerate(_laguerre_rows(m_max, arr, np.ones_like(arr))):
         out[k] = row
     return out

@@ -10,9 +10,10 @@ sum_k c_k basic(k, xi) sharing one scale, plus a constant offset p.  A
 constant has no terms, and basic(m, xi) has one-hot coefficients.  Black-box
 functions are `CallableSymbol`s.  A structured symbol has one scaled form,
 `_scaled_combo`, read by `eval_symbol`, `sup_estimate` and the quadrature:
-exact factors c_k (-1)^k xi^(k+1) 2^-scale and a Laguerre recurrence that
-carries the Gaussian factor, so large m and xi neither overflow the power nor
-lose the underflowing Gaussian prematurely.
+exact factors c_k (-1)^k xi^(k+1) 2^-scale and the package's one Laguerre
+recurrence (`fockradial.laguerre._laguerre_rows`) started from the Gaussian
+factor, so large m and xi neither overflow the power nor lose the
+underflowing Gaussian prematurely.
 
 Averaging a symbol j times shifts its eigenvalue sequence left by j; the j
 exponential averages compose into one expectation E[g(sqrt(r + G))] with G
@@ -34,7 +35,7 @@ from typing import Callable, Union
 import numpy as np
 
 from . import doubledouble as _dd
-from .laguerre import _as_float_array, _check_index
+from .laguerre import _check_index, _finite_arg, _into, _laguerre_rows
 from .seqspace import scalar_from_json, scalar_to_json
 
 __all__ = [
@@ -188,20 +189,6 @@ def _in_type(pair: _dd.DD, convert):
     return convert(pair.hi) + convert(pair.lo)
 
 
-def _into(out, ufunc, *args):
-    """ufunc(*args), written into out when out is a numpy array of the result's type, else a new result.
-
-    Each large array of the quadrature is made once and updated this way, by
-    the same operations in the same order, so the bits do not change.  A
-    double-double (`fockradial.doubledouble.DD`) is no numpy array, so it is
-    computed out of place, and so is a result of a wider type than out, such
-    as a complex product.
-    """
-    if isinstance(out, np.ndarray) and np.result_type(*args) == out.dtype:
-        return ufunc(*args, out=out)
-    return ufunc(*args)
-
-
 def _ldexp(x, k: int):
     """x times 2^k in place, exact in the normal range; part by part, since numpy has no complex ldexp."""
     if isinstance(x, _dd.DD):
@@ -215,15 +202,17 @@ def _ldexp(x, k: int):
 def _scaled_combo(sym: LaguerreCombo, convert):
     """(scale, r -> 2^-scale g(sqrt(r))) for arrays r >= 0 in convert's number type; a constant gives a scalar.
 
-    The one evaluation of a structured symbol: the Laguerre recurrence on
-    l_k = L_k(xi r) e^-c, with c = min((xi - 1) r, 600) a float64 array
-    (exact in every type, and l_0 stays normal), times e^(c - (xi - 1) r);
-    |L_k(t)| <= e^(t/2) and xi >= 2 keep each term within 1, and the factors
+    The one evaluation of a structured symbol: the Laguerre recurrence
+    (`fockradial.laguerre._laguerre_rows`) started from e^-c, with
+    c = min((xi - 1) r, 600) a float64 array (exact in every type, and the
+    first row stays normal), so that row k is l_k = L_k(xi r) e^-c, summed
+    against the factors and times e^(c - (xi - 1) r); |L_k(t)| <= e^(t/2)
+    and xi >= 2 keep each term within 1, and the factors
     (`_scaled_factors`) and offset, which carry 2^-scale, the sum within 2.
     A double-double product is complex times real.  An overflow is not finite.
-    In float64 and longdouble the recurrence cycles through three arrays of
-    r's shape and the sum through two, each updated in place (`_into`); a
-    double-double computes out of place.  Cached: every pass of every quadrature asks.
+    In float64 and longdouble the sum cycles through two arrays of r's shape,
+    updated in place (`_into`) as the recurrence's rows are; a double-double
+    computes out of place.  Cached: every pass of every quadrature asks.
     """
     scale, re, im, _ = _scaled_factors(sym)
     factors = _in_type(re, convert) + 1j * _in_type(im, convert) if im.hi.any() else _in_type(re, convert)
@@ -236,18 +225,11 @@ def _scaled_combo(sym: LaguerreCombo, convert):
             return offset
         decay = r * (sym.xi - 1.0)
         c = np.minimum(np.asarray(decay, dtype=float), _LAG_START)
-        t, prev, lag, terms = r * float(sym.xi), 0.0, np.exp(-convert(c)), 0.0
-        spare = spare_terms = None
-        for k in range(live[-1] + 1):
-            if k:
-                # l_k = ((2k - 1 - t) l_(k-1) - (k - 1) l_(k-2)) / k, written over l_(k-3)
-                step = _into(spare, np.subtract, 2 * k - 1, t)
-                step = _into(step, np.multiply, step, lag)
-                step = _into(step, np.subtract, step, _into(prev, np.multiply, k - 1, prev))
-                prev, lag, spare = lag, _into(step, np.true_divide, step, k), prev
+        terms = spare = 0.0
+        for k, lag in enumerate(_laguerre_rows(live[-1], r * float(sym.xi), np.exp(-convert(c)))):
             if sym.coefficients[k]:
-                product = _into(spare_terms, np.multiply, factors[k], lag)
-                terms, spare_terms = _into(product, np.add, product, terms), terms
+                product = _into(spare, np.multiply, factors[k], lag)
+                terms, spare = _into(product, np.add, product, terms), terms
         gauss = _into(decay, np.subtract, c, decay)
         terms = _into(terms, np.multiply, terms, _into(gauss, np.exp, gauss))
         return _into(terms, np.add, offset, terms)
@@ -277,12 +259,9 @@ def eval_symbol(sym: Symbol, x):
     and then multiplies by 2^scale (`_ldexp`).  The value is not finite,
     without a warning, where the recurrence or the value overflows.
     """
-    arr = _as_float_array(x)
-    if not np.isfinite(arr).all():
-        raise ValueError("x must be finite")
-    if (arr < 0.0).any():
+    pts = _finite_arg(x)
+    if (pts < 0.0).any():
         raise ValueError("x must be nonnegative")
-    pts = np.atleast_1d(arr)
     if isinstance(sym, LaguerreCombo):
         scale, values = _scaled_combo(sym, functools.partial(np.asarray, dtype=pts.dtype))
         with np.errstate(over="ignore", invalid="ignore"):
@@ -291,7 +270,7 @@ def eval_symbol(sym: Symbol, x):
         out = _eval_callable(sym.evaluator, pts)
     else:
         raise TypeError(f"not a symbol: {sym!r}")
-    return out[0] if arr.ndim == 0 else out
+    return out[0] if np.ndim(x) == 0 else out
 
 
 # ---------------------------------------------------------------------------

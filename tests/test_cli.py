@@ -157,6 +157,18 @@ def test_eigs_rejects_non_finite_symbol_values(tmp_path, capsys):
         assert err.startswith("error: invalid symbol") and "finite" in err, text
 
 
+def test_eigs_fails_on_a_closed_form_past_the_float_range(tmp_path, capsys):
+    # sixty coefficients of 1e300 at xi = 2: the closed form's sums pass the
+    # float range from some n on; those rows print inf, without a numpy
+    # warning, and the run exits 3 after writing the table
+    sym = write_json(tmp_path / "s.json", {"type": "combo", "xi": 2, "coefficients": [1e300] * 60})
+    code, out, err = run(capsys, ["eigs", sym, "--n-max", "120"])
+    assert code == 3 and "not finite" in err
+    _, data = read_csv(out)
+    values = [float(row[1]) for row in data]
+    assert len(values) == 121 and math.isfinite(values[0]) and math.inf in values
+
+
 def test_eigs_output_bytes_are_pinned(tmp_path, capsys):
     # the records carry a tier, but the table is built by column name, so
     # CSV and JSON keep their bytes: pinned for the closed form, and the

@@ -147,13 +147,14 @@ def _closed_form_loop(coeffs, xi: int, p, n_max: int):
         terms[0] = 1.0
     out_re = np.zeros(n_max + 1)
     out_im = np.zeros(n_max + 1)
-    for n in range(n_max + 1):
-        out_re[n] = real @ terms
-        if has_imag:
-            out_im[n] = imag @ terms
-        np.divide(terms, xi, out=spare)
-        spare[1:] += terms[:-1]
-        terms, spare = spare, terms
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(n_max + 1):
+            out_re[n] = real @ terms
+            if has_imag:
+                out_im[n] = imag @ terms
+            np.divide(terms, xi, out=spare)
+            spare[1:] += terms[:-1]
+            terms, spare = spare, terms
     values = np.empty(n_max + 1, dtype=complex)
     values.real = out_re + p.real
     values.imag = out_im + p.imag
@@ -172,9 +173,11 @@ def _closed_form_loop(coeffs, xi: int, p, n_max: int):
 @example(n_terms=130, xi=2, seed=0, kind="complex", p=0.5 - 0.25j, n_max=513)
 @example(n_terms=130, xi=2 * 10**6, seed=1, kind="real", p=0.0, n_max=513)
 @example(n_terms=0, xi=3, seed=0, kind="real", p=-2.0, n_max=257)
+@example(n_terms=59, xi=2, seed=0, kind="huge", p=0.0, n_max=254)
 def test_closed_form_sequence_matches_the_per_index_loop(n_terms, xi, seed, kind, p, n_max):
     # blocks of rows and one stacked matmul per block give the loop's bits,
-    # across block edges (n_max + 1 = 256, 257, 258, 512, 513, 514) and into underflow
+    # across block edges (n_max + 1 = 256, 257, 258, 512, 513, 514), into
+    # underflow and past the float range, where a sum is inf without a warning
     rng = np.random.default_rng(seed)
     coeffs = rng.normal(size=n_terms) * 10.0 ** rng.uniform(-3, 3, size=n_terms)
     if kind == "complex":

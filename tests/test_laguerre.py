@@ -57,8 +57,32 @@ def test_eval_all_matches_single_evals():
         np.testing.assert_allclose(table[m], laguerre_eval(m, grid), rtol=1e-13)
 
 
+def _out_of_place_rows(m_max: int, t: np.ndarray) -> list[np.ndarray]:
+    """L_0(t), ..., L_m_max(t) by ((2k - 1 - t) L_(k-1) - (k - 1) L_(k-2)) / k, each row a new array."""
+    rows = [np.ones_like(t), 1 - t]
+    for k in range(2, m_max + 1):
+        rows.append(((2 * k - 1 - t) * rows[-1] - (k - 1) * rows[-2]) / k)
+    return rows[: m_max + 1]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64, np.longdouble])
+def test_evaluators_match_the_out_of_place_recurrence_bit_for_bit(dtype):
+    # the evaluators step three recycled rows in place, in x's type; the values
+    # are those of the plain recurrence, compared by value so longdouble's
+    # padding bytes do not count (|L_150| <= e^75 on [0, 150] stays in float32's range)
+    t = np.concatenate([np.linspace(0.0, 150.0, 301), np.random.default_rng(3).uniform(0.0, 60.0, 200)]).astype(dtype)
+    rows = _out_of_place_rows(150, t)
+    table = laguerre_eval_all(150, t)
+    assert table.dtype == dtype and all(map(np.array_equal, table, rows))
+    for m in (0, 1, 2, 3, 17, 150):
+        row = laguerre_eval(m, t)
+        assert row.dtype == dtype and np.array_equal(row, rows[m])
+    if dtype == np.float64:
+        assert [laguerre_eval(40, x) for x in t[:50].tolist()] == rows[40][:50].tolist()
+
+
 def test_single_degree_keeps_two_rows():
-    # L_200 on 10 000 points needs two rows of the recurrence (80 kB each),
+    # L_200 on 10 000 points needs three rows of the recurrence (80 kB each),
     # not the 201-row table of laguerre_eval_all (16 MB)
     grid = np.linspace(0.0, 50.0, 10_000)
     tracemalloc.start()
