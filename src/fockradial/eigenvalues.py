@@ -85,6 +85,8 @@ from .symbols import (
     _ldexp,
     _scaled_combo,
     _scaled_factors,
+    _to_float64,
+    _to_longdouble,
     describe_symbol,
     eval_symbol,
     sup_estimate,
@@ -267,8 +269,6 @@ _WG_POS = (
     "0.417959183673469387755102040816327",
 )
 
-_to_longdouble = functools.partial(np.asarray, dtype=np.longdouble)
-_to_float64 = functools.partial(np.asarray, dtype=float)
 _to_double_double = _dd.to_dd
 
 
@@ -543,9 +543,9 @@ def _weight(ns, convert=_to_float64):
     return weight
 
 
-def _times_sup(sup_g: float, mass: float) -> float:
-    """sup|g| times a weight mass, 0 for no mass even when sup|g| is inf."""
-    return sup_g * mass if mass else 0.0
+def _times_sup(sup_g: float, mass: np.ndarray) -> np.ndarray:
+    """sup|g| times each weight mass, elementwise; 0 for no mass even when sup|g| is inf."""
+    return np.multiply(sup_g, mass, out=np.zeros_like(mass), where=mass != 0)
 
 
 # ---------------------------------------------------------------------------
@@ -744,10 +744,11 @@ def _integrals(sym: Symbol, ns, cfg: QuadConfig, symbol_err: float = 0.0) -> lis
     the last pass's target with their panels settled within the budget, on
     that pass's final panels that meet at least one of their windows, to
     tau / 10.  The budget is per index over all passes, and `subdivisions`
-    counts the splits of every pass.  The windows of the whole sequence come
-    from one `_windows` call.  An index whose value overflowed has a nan
-    error, so it goes on to the next pass, whose number type may hold it, and
-    converges only there.
+    counts the splits of every pass.  The windows come from one `_windows`
+    call, each index's state is one column over the whole sequence, and the
+    records are built from those columns once.  An index whose value
+    overflowed has a nan error, so it goes on to the next pass, whose number
+    type may hold it, and converges only there.
     Splitting fails fast at the floor of the finest pass there is.  A later pass replaces an
     index's value, error and tier only where its error is not nan and not larger than the one
     it would replace.  Each estimate is the kept pass's, plus the bound of the window's tail,
@@ -758,16 +759,13 @@ def _integrals(sym: Symbol, ns, cfg: QuadConfig, symbol_err: float = 0.0) -> lis
     sup_g = sup_estimate(sym)
     passes = _passes(sym, ns, _callable_values(sym))
     reach = np.min([pass_.floors for pass_ in passes], axis=0)
-    windows = np.array(_windows(ns, sup_g, cfg.rel_tol))
-    out = []
+    lo, hi, mass = _windows(ns, sup_g, cfg.rel_tol)
+    values, errs, underflow = np.zeros(len(ns), dtype=complex), np.zeros(len(ns)), np.zeros(len(ns))
+    settled, splits = np.ones(len(ns), dtype=bool), np.zeros(len(ns), dtype=int)
+    tiers = np.full(len(ns), passes[0].tier, dtype=object)
     for start in range(0, len(ns), _INDEX_BLOCK):
-        block = ns[start : start + _INDEX_BLOCK]
-        lo, hi, mass = windows[:, start : start + _INDEX_BLOCK]
-        a, b = _grid_panels(sym, block, lo.min(), hi.max())
-        values, errs = np.zeros(len(block), dtype=complex), np.zeros(len(block))
-        settled, splits = np.ones(len(block), dtype=bool), np.zeros(len(block), dtype=int)
-        tiers = np.full(len(block), passes[0].tier, dtype=object)
-        rows, pass_cfg = np.arange(len(block)), cfg
+        rows, pass_cfg = np.arange(start, min(start + _INDEX_BLOCK, len(ns))), cfg
+        a, b = _grid_panels(sym, ns[start : start + _INDEX_BLOCK], lo[rows].min(), hi[rows].max())
         for p, (convert, scale, g, floors, tier) in enumerate(passes):
             if p:
                 rows = rows[settled[rows] & ~(errs[rows] <= pass_cfg.tolerance(values[rows]))]
@@ -777,20 +775,16 @@ def _integrals(sym: Symbol, ns, cfg: QuadConfig, symbol_err: float = 0.0) -> lis
                 a, b = a[mine], b[mine]
                 pass_cfg = QuadConfig(cfg.rel_tol / 10.0, cfg.max_subdivisions)
             found, found_errs, settled[rows], splits[rows], a, b = _adaptive_gk(
-                _integrand(g, [block[i] for i in rows], convert), convert, scale, a, b, pass_cfg,
-                floors[start + rows, None], reach[start + rows], (lo[rows], hi[rows]), splits[rows],
+                _integrand(g, [ns[i] for i in rows], convert), convert, scale, a, b, pass_cfg,
+                floors[rows, None], reach[rows], (lo[rows], hi[rows]), splits[rows],
             )
             take = ~(np.isnan(found_errs) | (found_errs > errs[rows])) if p else slice(None)
             values[rows[take]], errs[rows[take]], tiers[rows[take]] = found[take], found_errs[take], tier
             if not p:  # splits keep the outer edges of the grid
-                underflow = _underflow_bound(sym, sup_g, b.max() - a.min(), len(a))
-        converged = errs <= cfg.tolerance(values)
-        for i in range(len(block)):
-            est_abs_err = errs[i] + _times_sup(sup_g, mass[i]) + underflow + symbol_err
-            out.append(Eigenvalue(
-                complex(values[i]), "quad", float(est_abs_err), bool(converged[i]), int(splits[i]), tiers[i]
-            ))
-    return out
+                underflow[rows] = _underflow_bound(sym, sup_g, b.max() - a.min(), len(a))
+    est_abs_errs = errs + _times_sup(sup_g, mass) + underflow + symbol_err
+    columns = values, np.full(len(ns), "quad", dtype=object), est_abs_errs, errs <= cfg.tolerance(values), splits, tiers
+    return list(map(Eigenvalue, *(column.tolist() for column in columns)))
 
 
 def gamma_quadrature(sym: Symbol, n: int, cfg: QuadConfig | None = None, *, shared=None) -> Eigenvalue:
@@ -889,7 +883,7 @@ def _averaging_rule(j: int, sup_g: float, rel_tol: float, xi: int):
     nodes = (mid[:, None] + half[:, None] * base_x[None, :]).ravel()
     weights = (half[:, None] * base_w[None, :]).ravel() * _weight([j - 1])(nodes)[0]
     miss = float(_tail_bound(shape, edges[-1], upper=True)[1][0]) + abs(float(weights.sum()) - 1.0)
-    return nodes, weights, _times_sup(sup_g, miss)
+    return nodes, weights, float(_times_sup(sup_g, np.array(miss)))
 
 
 _AVERAGE_ROWS = 128  # points r averaged per call of the symbol; bounds the (points x nodes) array

@@ -133,6 +133,8 @@ def with_limit_offset(u: LaguerreCombo, p) -> LaguerreCombo:
 # ---------------------------------------------------------------------------
 # Evaluation
 
+_to_float64 = functools.partial(np.asarray, dtype=float)  # one converter per type: `_scaled_combo`'s cache key
+_to_longdouble = functools.partial(np.asarray, dtype=np.longdouble)
 _LAG_START = 600.0  # the largest exponent the recurrence starts from: e^-600 and its lo half stay normal
 
 
@@ -253,17 +255,19 @@ def _eval_callable(fn: Callable, x: np.ndarray) -> np.ndarray:
 
 
 def eval_symbol(sym: Symbol, x):
-    """Pointwise value of the symbol at x >= 0 (scalar or array), in x's float type.
+    """Pointwise value of the symbol at x >= 0 (scalar or array); a callable gets x unchanged.
 
-    A structured symbol runs its scaled form (`_scaled_combo`) in x's type
-    and then multiplies by 2^scale (`_ldexp`).  The value is not finite,
-    without a warning, where the recurrence or the value overflows.
+    A structured symbol converts x to longdouble if it is longdouble, else to float64, so float32
+    evaluates in float64; it runs its scaled form (`_scaled_combo`) in that type, multiplies by
+    2^scale (`_ldexp`) and returns that type (complex for complex coefficients).  The value is not
+    finite, without a warning, where the recurrence or the value overflows.
     """
     pts = _finite_arg(x)
     if (pts < 0.0).any():
         raise ValueError("x must be nonnegative")
     if isinstance(sym, LaguerreCombo):
-        scale, values = _scaled_combo(sym, functools.partial(np.asarray, dtype=pts.dtype))
+        convert = _to_longdouble if pts.dtype == np.longdouble else _to_float64
+        (scale, values), pts = _scaled_combo(sym, convert), convert(pts)
         with np.errstate(over="ignore", invalid="ignore"):
             out = _ldexp(values(pts * pts) + np.zeros_like(pts), scale)
     elif isinstance(sym, CallableSymbol):

@@ -864,6 +864,23 @@ def test_no_false_certificates_at_large_scale():
                 assert not res.converged or abs(res.value - exact[n]) <= res.est_abs_err, (m, xi, n, res)
 
 
+def test_quad_records_carry_python_scalars():
+    # the CLI's "%.17g" fast path reads every field as a Python scalar, whichever
+    # pass made the record; basic(8, 8) to n = 10 has float64 and double-double
+    # records, and longdouble ones where that type is wider than float64
+    entries = gamma_sequence(basic_symbol(8, 8), 10, engine="quad").entries
+    assert {"float64", "double-double"} <= {res.tier for res in entries}
+    kinds = {"value": complex, "engine": str, "est_abs_err": float, "converged": bool, "subdivisions": int, "tier": str}
+    for res in entries:
+        assert {name: type(getattr(res, name)) for name in kinds} == kinds, res
+
+
+def test_times_sup_keeps_no_mass_at_zero():
+    got = eigenvalues._times_sup(math.inf, np.array([0.0, 1e-300, 2.0]))
+    assert got.tolist() == [0.0, math.inf, math.inf]
+    assert eigenvalues._times_sup(3.0, np.array([0.0, 0.5])).tolist() == [0.0, 1.5]
+
+
 def test_each_precision_tier_runs_once_per_block(monkeypatch):
     # the zero eigenvalues of basic(8, 8) at n < 5 need longdouble and double-double;
     # the indices of a block that miss tau share each tier's one adaptive loop

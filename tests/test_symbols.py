@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from fockradial.symbols import (
     CallableSymbol,
     LaguerreCombo,
+    _scaled_combo,
     _scaled_factors,
     basic_symbol,
     combo_symbol,
@@ -140,6 +141,27 @@ def test_eval_validation():
         eval_symbol(basic_symbol(0, 2), -1.0)
     with pytest.raises(ValueError):
         eval_symbol(basic_symbol(0, 2), float("nan"))
+
+
+def test_eval_symbol_finds_its_scaled_form_again():
+    # one converter per number type, so repeated calls hit _scaled_combo's cache
+    # and leave the quadrature's entries in it
+    sym = basic_symbol(3, 4)
+    _scaled_combo.cache_clear()
+    for _ in range(100):
+        eval_symbol(sym, 1.5)
+    assert _scaled_combo.cache_info().hits == 99
+
+
+@pytest.mark.parametrize("square", [100.0, 150.0])
+def test_float32_x_evaluates_in_float64(square):
+    # in float32 the recurrence's first row e^-(xi - 1) x^2 is subnormal at x^2 = 100
+    # and 0 at 150; x is converted before it is squared, so the value is the float64
+    # one at the same x
+    x = np.float32(math.sqrt(square))
+    got = eval_symbol(basic_symbol(200, 2), x)
+    assert got.dtype == np.float64
+    assert got == eval_symbol(basic_symbol(200, 2), float(x)) != 0.0
 
 
 def test_constructor_validation():
