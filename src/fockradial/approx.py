@@ -1,11 +1,12 @@
 """Constructive approximation of prescribed eigenvalue sequences.
 
-Given a target sequence window, the planner picks a truncation length N, a
-single integer scale xi, and uses the target's leading values as coefficients
-of a Laguerre-Gaussian combination.  Each basic term of degree m and scale xi
-reproduces the standard basis sequence at position m up to a sup error of
-exactly (m + 1) / xi (valid once xi >= (m + 2) / 2), so the synthesis error
-is controlled by sum |coeff_k| (k + 1) / xi and shrinks linearly in 1 / xi.
+Given a target sequence window with limit p, the planner picks a truncation
+length N, a single integer scale xi, and uses the target's first N deviations
+from p as coefficients of a Laguerre-Gaussian combination offset by p.  Each
+basic term of degree m and scale xi reproduces the standard basis sequence at
+position m up to a sup error of exactly (m + 1) / xi (valid once
+xi >= (m + 2) / 2), so the synthesis error is controlled by
+sum |coeff_k| (k + 1) / xi and shrinks linearly in 1 / xi.
 
 Planning budgets an epsilon/2 for truncating the target and an epsilon/2 for
 the synthesis, mirroring how the density argument splits the error.  A plan
@@ -20,20 +21,13 @@ of N terms over n_verify indices costs O(N * n_verify) float operations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from itertools import accumulate
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .eigenvalues import closed_form_sequence
 from .laguerre import _check_index, _check_positive
-from .seqspace import (
-    LimitTail,
-    SeqWindow,
-    ZeroTail,
-    scalar_from_json,
-    scalar_to_json,
-)
+from .seqspace import LimitTail, SeqWindow, ZeroTail, scalar_from_json, scalar_to_json
 from .symbols import (
     LaguerreCombo,
     Symbol,
@@ -86,7 +80,7 @@ class ApproximationPlan:
     @property
     def truncation_bound(self) -> float:
         """max |sigma(n) - p| over the window past the first N values; 0 when there are none."""
-        return max((abs(v - self.limit) for v in self.target.values[self.n_terms :]), default=0.0)
+        return float(_deviation_sups(self.target.values[self.n_terms :], self.limit)[0])
 
     @property
     def predicted_bound(self) -> float:
@@ -135,10 +129,28 @@ def _weighted_sum(coefficients) -> float:
     return sum(abs(c) * (k + 1) for k, c in enumerate(coefficients))
 
 
-def _plan(target: SeqWindow, epsilon: float, coefficients: tuple[complex, ...]) -> ApproximationPlan:
-    """The plan at the least admissible xi with sum |c_k| (k + 1) / xi <= epsilon / 2, or OverflowError if none."""
+def _deviation_sups(values, limit: complex) -> np.ndarray:
+    """sups[k] = max |values[n] - limit| over n >= k, and sups[len] = 0; hypot rounds like abs()."""
+    with np.errstate(over="ignore"):
+        diff = np.asarray(values, dtype=complex) - limit
+        deviation = np.hypot(diff.real, diff.imag)
+    return np.append(np.maximum.accumulate(deviation[::-1])[::-1], 0.0)
+
+
+def _plan(target: SeqWindow, epsilon: float, limit: complex, n_terms: int | None = None) -> ApproximationPlan:
+    """c_k = sigma(k) - limit for k < N, at the least admissible xi with sum |c_k| (k + 1) / xi <= epsilon / 2.
+
+    n_terms None takes the smallest N past which the window stays strictly
+    within epsilon / 2 of the limit.  OverflowError if no float xi exists.
+    """
+    if n_terms is None:
+        sups = _deviation_sups(target.values, limit)
+        n_terms = int(np.argmax(sups <= 0.5 * epsilon * _STRICT))
+        if n_terms == len(target) and not isinstance(target.tail, ZeroTail):
+            raise InsufficientDataError("window never falls below epsilon / 2; cannot certify the tail")
+    coefficients = tuple(v - limit for v in target.values[:n_terms])
     budget = 0.5 * epsilon
-    xi = _min_admissible_scale(len(coefficients))
+    xi = _min_admissible_scale(n_terms)
     weighted = _weighted_sum(coefficients)
     if weighted != 0.0:
         if not math.isfinite(weighted / budget):
@@ -146,7 +158,7 @@ def _plan(target: SeqWindow, epsilon: float, coefficients: tuple[complex, ...]) 
         xi = max(xi, math.ceil(weighted / budget))
         while weighted / xi > budget:
             xi += 1
-    return ApproximationPlan(target, epsilon, xi, coefficients, limit=0j)
+    return ApproximationPlan(target, epsilon, xi, coefficients, limit)
 
 
 def plan_finite(target: SeqWindow, epsilon: float) -> ApproximationPlan:
@@ -158,7 +170,7 @@ def plan_finite(target: SeqWindow, epsilon: float) -> ApproximationPlan:
     epsilon = _check_positive(epsilon, "epsilon")
     if not isinstance(target.tail, ZeroTail):
         raise ValueError("finite planning needs a zero-tail target")
-    return _plan(target, epsilon, target.values)
+    return _plan(target, epsilon, 0j, len(target))
 
 
 def plan_c0(target: SeqWindow, epsilon: float) -> ApproximationPlan:
@@ -169,29 +181,17 @@ def plan_c0(target: SeqWindow, epsilon: float) -> ApproximationPlan:
     descriptor), and synthesis of the prefix within the other epsilon / 2.
     """
     epsilon = _check_positive(epsilon, "epsilon")
-    zero_tail = isinstance(target.tail, ZeroTail)
-    limit_zero = isinstance(target.tail, LimitTail) and target.tail.p == 0
-    if not (zero_tail or limit_zero):
+    if target.tail not in (ZeroTail(), LimitTail(0j)):
         raise ValueError("null-convergent planning needs a zero or limit-0 tail")
-    threshold = 0.5 * epsilon * _STRICT
-    # sups[k] = max |values[k:]|, and sups[len] = 0
-    sups = list(accumulate(map(abs, reversed(target.values)), max, initial=0.0))[::-1]
-    n_win = len(target)
-    trunc = next((k for k in range(n_win + 1) if sups[k] <= threshold), n_win)
-    if trunc == n_win and sups[n_win - 1] > threshold and not zero_tail:
-        raise InsufficientDataError(
-            "window never falls below epsilon / 2; cannot certify the tail"
-        )
-    return _plan(target, epsilon, target.values[:trunc])
+    return _plan(target, epsilon, 0j)
 
 
 def plan_convergent(target: SeqWindow, epsilon: float) -> ApproximationPlan:
-    """Plan for a convergent target with limit p: `plan_c0` of target - p, offset by p."""
+    """Plan for a convergent target with limit p: the `plan_c0` recipe on sigma - p, offset by p."""
     if not isinstance(target.tail, LimitTail):
         raise ValueError("convergent planning needs a limit tail")
-    p = target.tail.p
-    recentered = SeqWindow(tuple(v - p for v in target.values), LimitTail(0j))
-    return replace(plan_c0(recentered, epsilon), target=target, limit=p)
+    epsilon = _check_positive(epsilon, "epsilon")
+    return _plan(target, epsilon, target.tail.p)
 
 
 def verify_plan(plan: ApproximationPlan, n_verify: int | None = None) -> VerifyReport:
@@ -230,8 +230,7 @@ def verify_plan(plan: ApproximationPlan, n_verify: int | None = None) -> VerifyR
     abs_error = np.hypot(diff.real, diff.imag)
     worst = float(abs_error.max())
     synth_tail = float(np.abs(np.asarray(plan.coefficients, dtype=complex)) @ seq.next_terms)
-    rest = np.asarray(plan.target.values[n_verify + 1 :], dtype=complex) - plan.limit
-    target_tail = float(np.hypot(rest.real, rest.imag).max(initial=0.0))
+    target_tail = float(_deviation_sups(plan.target.values[n_verify + 1 :], plan.limit)[0])
     tail_certificate = synth_tail + target_tail
     passed = worst + tail_certificate <= plan.epsilon
     return VerifyReport(

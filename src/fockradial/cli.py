@@ -26,6 +26,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .approx import (
     InsufficientDataError,
     plan_convergent,
@@ -41,11 +43,11 @@ from .seqspace import (
     SeqWindow,
     UnknownTail,
     ZeroTail,
+    _vp_averages,
     lipschitz_seminorm,
     modulus_of_continuity,
     shift_difference_sup,
     target_from_json,
-    vp_smooth,
 )
 from .symbols import eval_symbol, symbol_from_json
 
@@ -301,8 +303,8 @@ def _cmd_symbol_eval(args) -> int:
         raise UsageError("--x-max must be finite and nonnegative")
     sym = _load_symbol(args.symbol)
     xs = [args.x_max * i / max(args.points - 1, 1) for i in range(args.points)]
-    values = [complex(eval_symbol(sym, x)) for x in xs]
-    columns = {"x": xs, "value_re": [v.real for v in values], "value_im": [v.imag for v in values]}
+    values = eval_symbol(sym, xs)
+    columns = {"x": xs, "value_re": values.real.tolist(), "value_im": values.imag.tolist()}
     _emit(args, columns)
     if not all(map(math.isfinite, columns["value_re"] + columns["value_im"])):
         raise NumericError("a symbol value is not finite: its float evaluation overflowed")
@@ -313,15 +315,19 @@ def _cmd_smooth(args) -> int:
     if not 0.0 < args.delta < 1.0:
         raise UsageError("--delta must lie in (0, 1)")
     target = _load_target(args.target)
-    smoothed = vp_smooth(target, args.delta)
-    sigmas, ys = target.values[: len(smoothed)], smoothed.values
+    y = _vp_averages(target, args.delta)
+    sigma = target.as_array(len(y))
+    # hypot rounds like abs() of a Python complex, and reads inf where abs() would raise
+    with np.errstate(over="ignore"):
+        diff = y - sigma
+        abs_diff = np.hypot(diff.real, diff.imag)
     columns = {
-        "j": list(range(len(smoothed))),
-        "sigma_re": [sigma.real for sigma in sigmas],
-        "sigma_im": [sigma.imag for sigma in sigmas],
-        "y_re": [y.real for y in ys],
-        "y_im": [y.imag for y in ys],
-        "abs_diff": [abs(y - sigma) for y, sigma in zip(ys, sigmas)],
+        "j": list(range(len(y))),
+        "sigma_re": sigma.real.tolist(),
+        "sigma_im": sigma.imag.tolist(),
+        "y_re": y.real.tolist(),
+        "y_im": y.imag.tolist(),
+        "abs_diff": abs_diff.tolist(),
     }
     summary = {
         "sup_abs_diff": max([0.0, *columns["abs_diff"]]),
@@ -329,6 +335,9 @@ def _cmd_smooth(args) -> int:
         "delta": args.delta,
     }
     _emit(args, columns, summary)
+    # abs_diff is not finite where y is not
+    if not all(map(math.isfinite, columns["abs_diff"] + [summary["modulus_windowed"]])):
+        raise NumericError("a smoothed value or the modulus is not finite: a sum or difference overflowed")
     return EXIT_OK
 
 
@@ -356,6 +365,8 @@ def _cmd_diagnose(args) -> int:
     ]
     columns = dict(zip(("quantity", "param", "value"), map(list, zip(*cells))))
     _emit(args, columns)
+    if not all(map(math.isfinite, columns["value"])):
+        raise NumericError("a diagnostic is not finite: a difference of values overflowed")
     return EXIT_OK
 
 

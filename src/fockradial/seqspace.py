@@ -12,7 +12,8 @@ untruncated quantities, except the modulus of continuity with a limit tail:
 that is the modulus of the window-completed sequence, which may be larger.
 Operations that must read past the window (Vallee-Poussin smoothing near the
 right edge) consume the descriptor; with an unknown tail they fall back to
-the largest prefix they can smooth honestly.
+the largest prefix they can smooth honestly.  A difference or running sum past
+the float range reads inf or nan, without a numpy warning.
 """
 
 from __future__ import annotations
@@ -204,12 +205,13 @@ def modulus_of_continuity(sigma: SeqWindow, delta: float) -> float:
     sq = np.sqrt(np.arange(k_hi + 1, dtype=float))
     best = 0.0
     # band d holds the pairs (j, j + d); gaps grow with d, so an empty band ends the scan
-    for d in range(1, k_hi + 1):
-        m = min(n, k_hi + 1 - d)
-        keep = sq[d : d + m] - sq[:m] <= delta
-        if not keep.any():
-            break
-        best = max(best, float(np.abs(vals[d : d + m] - vals[:m])[keep].max()))
+    with np.errstate(over="ignore"):
+        for d in range(1, k_hi + 1):
+            m = min(n, k_hi + 1 - d)
+            keep = sq[d : d + m] - sq[:m] <= delta
+            if not keep.any():
+                break
+            best = max(best, float(np.abs(vals[d : d + m] - vals[:m])[keep].max()))
     return best
 
 
@@ -222,8 +224,8 @@ def lipschitz_seminorm(sigma: SeqWindow) -> float:
     n = len(sigma)
     if n < 2:
         raise ValueError("window too short; need at least two values")
-    v = sigma.as_array()
-    steps = np.abs(np.diff(v))
+    with np.errstate(over="ignore"):
+        steps = np.abs(np.diff(sigma.as_array()))
     return float(np.max(np.sqrt(np.arange(1, n, dtype=float)) * steps))
 
 
@@ -241,8 +243,9 @@ def shift_difference_sup(sigma: SeqWindow, k: int, n_from: int = 0) -> float:
     n = len(sigma)
     if n_from < 0 or n_from + k >= n:
         raise ValueError("window too short for the requested range")
-    v = sigma.as_array()
-    return float(np.max(np.abs(v[n_from : n - k] - v[n_from + k : n])))
+    v = np.asarray(sigma.values[n_from:], dtype=complex)  # only the part the scan reads
+    with np.errstate(over="ignore"):
+        return float(np.max(np.abs(v[: n - n_from - k] - v[k:])))
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +259,17 @@ def vp_smooth(sigma: SeqWindow, delta: float) -> SeqWindow:
     right window edge need values past the window: with a known tail these
     come from the descriptor and the output has the same length as the input;
     with an unknown tail the output is the largest prefix whose averaging
-    windows stay inside the data.
+    windows stay inside the data.  OverflowError if a running sum of the
+    values passes the float range.
     """
+    y = _vp_averages(sigma, delta)
+    if not np.isfinite(y).all():
+        raise OverflowError("a running sum of the window passed the float range")
+    return SeqWindow(tuple(y), sigma.tail)
+
+
+def _vp_averages(sigma: SeqWindow, delta: float) -> np.ndarray:
+    """The averages of `vp_smooth`, by differences of running sums; inf or nan where a sum overflows."""
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     n = len(sigma)
@@ -271,11 +283,11 @@ def vp_smooth(sigma: SeqWindow, delta: float) -> SeqWindow:
         usable = n if fits.all() else int(np.argmin(fits))
     need = (usable - 1) + int(radii[usable - 1]) + 1
     vals = sigma.as_array(max(need, usable))
-    csum = np.concatenate([[0j], np.cumsum(vals)])
     j = np.arange(usable)
     r = radii[:usable]
-    y = (csum[j + r + 1] - csum[j]) / (r + 1)
-    return SeqWindow(tuple(y), sigma.tail)
+    with np.errstate(over="ignore", invalid="ignore"):
+        csum = np.concatenate([[0j], np.cumsum(vals)])
+        return (csum[j + r + 1] - csum[j]) / (r + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,17 @@
 import dataclasses
+import itertools
 import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from exact import gamma_closed_form
 from fockradial.approx import (
+    ApproximationPlan,
     InsufficientDataError,
     _weighted_sum,
     plan_c0,
@@ -363,3 +365,78 @@ def test_plan_bounds_are_derived_from_its_inputs(kind, entries, limit, epsilon, 
     moved = dataclasses.replace(plan, xi=xi)
     assert moved.truncation_bound == plan.truncation_bound
     assert moved.predicted_bound == _weighted_sum(plan.coefficients) / xi + plan.truncation_bound
+
+
+# ---------------------------------------------------------------------------
+# The three planners against an oracle built apart from them: the null-convergent
+# construction by Python abs() through itertools.accumulate, and for a limit p
+# the same on a recentered copy of the window, then moved onto the target
+
+
+def _accumulated_c0(target, epsilon):
+    epsilon = float(epsilon)
+    threshold = 0.5 * epsilon * (1.0 - 1e-12)
+    sups = list(itertools.accumulate(map(abs, reversed(target.values)), max, initial=0.0))[::-1]
+    n_win = len(target)
+    trunc = next((k for k in range(n_win + 1) if sups[k] <= threshold), n_win)
+    if trunc == n_win and sups[n_win - 1] > threshold and not isinstance(target.tail, ZeroTail):
+        raise InsufficientDataError("window never falls below epsilon / 2")
+    return _scaled_plan(target, epsilon, target.values[:trunc])
+
+
+def _scaled_plan(target, epsilon, coefficients):
+    budget = 0.5 * epsilon
+    xi = max(2, math.ceil((len(coefficients) + 1) / 2))
+    weighted = sum(abs(c) * (k + 1) for k, c in enumerate(coefficients))
+    if weighted != 0.0:
+        xi = max(xi, math.ceil(weighted / budget))
+        while weighted / xi > budget:
+            xi += 1
+    return ApproximationPlan(target, epsilon, xi, coefficients, limit=0j)
+
+
+def _recentered_convergent(target, epsilon):
+    p = target.tail.p
+    recentered = SeqWindow(tuple(v - p for v in target.values), LimitTail(0j))
+    return dataclasses.replace(_accumulated_c0(recentered, epsilon), target=target, limit=p)
+
+
+_SIZED = _ENTRY | st.sampled_from([1e-300, -3e7, 2.5e12]) | st.floats(-1e6, 1e6)
+
+
+@settings(max_examples=50, deadline=None)
+@example([(0.25, 0.0), (0.0, -0.25)], "limit", (0.0, 0.0), 0.5, 0)
+@example([(1.0, 0.0), (1.5, 0.0), (0.5, 0.0)], "limit", (1.0, 0.0), 1.0, 3)
+@given(
+    st.lists(st.tuples(_SIZED, _SIZED), min_size=1, max_size=30),
+    st.sampled_from(["zero", "limit"]),
+    st.tuples(_ENTRY | st.just(1e6), _ENTRY),
+    st.sampled_from([0.5, 1.0, 0.06]) | st.floats(1e-3, 10.0),  # |c| = epsilon / 2 meets the strict test
+    st.integers(0, 30),
+)
+def test_planners_match_the_recentered_construction(entries, tail, limit, epsilon, extra):
+    values = tuple(complex(re, im) for re, im in entries)
+    p = complex(*limit) if tail == "limit" else 0j
+    target = SeqWindow(values, ZeroTail() if tail == "zero" else LimitTail(p))
+    cases = [(plan_finite, lambda t, e: _scaled_plan(t, e, t.values))] if tail == "zero" else []
+    cases.append((plan_convergent, _recentered_convergent) if tail == "limit" else (plan_c0, _accumulated_c0))
+    if tail == "limit" and p == 0:
+        cases.append((plan_c0, _accumulated_c0))
+    for planner, oracle in cases:
+        try:
+            expected = oracle(target, epsilon)
+        except InsufficientDataError:
+            with pytest.raises(InsufficientDataError):
+                planner(target, epsilon)
+            continue
+        plan = planner(target, epsilon)
+        # field by field, with the sign of every zero
+        assert repr(dataclasses.astuple(plan)) == repr(dataclasses.astuple(expected))
+        past = plan.target.values[plan.n_terms :]
+        assert plan.truncation_bound == max((abs(v - plan.limit) for v in past), default=0.0)
+        n_verify = plan.n_terms + extra
+        report = verify_plan(plan, n_verify)
+        seq = closed_form_sequence(plan.coefficients, plan.xi, plan.limit, n_verify)
+        synth_tail = float(np.abs(np.asarray(plan.coefficients, dtype=complex)) @ seq.next_terms)
+        rest = np.asarray(values[n_verify + 1 :], dtype=complex) - plan.limit
+        assert report.tail_certificate == synth_tail + float(np.hypot(rest.real, rest.imag).max(initial=0.0))

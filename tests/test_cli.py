@@ -429,6 +429,23 @@ def test_non_finite_limit_tail_is_an_invalid_target(tmp_path, capsys):
             assert err.startswith("error: invalid target") and "finite" in err, (p, command)
 
 
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ([1e308, 0.5], "window never falls below epsilon / 2"),
+        ([1e308, -1e308, -1e308], "past the float range"),
+    ],
+    ids=["insufficient", "no-scale"],
+)
+def test_a_deviation_past_the_float_range_is_a_validation_error(tmp_path, capsys, values, message):
+    # sigma(0) - p = 2e308 is inf: no index before it lies within epsilon / 2 of p, and
+    # as a coefficient it leaves no scale; filterwarnings = error fails on any numpy warning
+    target = write_json(tmp_path / "t.json", {"values": values, "tail": {"kind": "limit", "p": -1e308}})
+    code, out, err = run(capsys, ["approximate", target, "--epsilon", "0.1"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+
+
 def test_approximate_window_shorter_than_the_plan_is_a_usage_error(capsys):
     # the plan truncates at N = 36, so a 5-index window cannot certify it
     argv = ["approximate", "generator:geometric?q=0.9&n=400", "--epsilon", "0.05"]
@@ -660,6 +677,16 @@ def test_smooth_generator_bound(capsys):
     assert summary["sup_abs_diff"] <= summary["modulus_windowed"] + 1e-12
 
 
+def test_smooth_fails_after_its_table_when_a_running_sum_overflows(tmp_path, capsys):
+    # every average is 1e308, but the running sums pass the float range from the second on
+    target = write_json(tmp_path / "big.json", {"values": [1e308] * 40, "tail": {"kind": "zero"}})
+    code, out, err = run(capsys, ["smooth", target, "--delta", "0.5"])
+    assert code == 3 and err.startswith("numeric failure: ")
+    _, data = read_csv(out)
+    assert len(data) == 40 and float(data[0][3]) == 1e308
+    assert not all(math.isfinite(float(row[3])) for row in data)
+
+
 def test_smooth_usage_error_on_bad_delta(capsys):
     code, _, _ = run(capsys, ["smooth", "generator:cos_sqrt?n=50", "--delta", "1.5"])
     assert code == 1
@@ -700,6 +727,19 @@ def test_diagnose_detects_non_lipschitz(capsys):
     rows = json.loads(out)["rows"]
     seminorm = next(r["value"] for r in rows if r["quantity"] == "lipschitz_seminorm")
     assert seminorm > 5.0
+
+
+def test_diagnose_fails_after_its_table_when_a_difference_overflows(tmp_path, capsys):
+    # neighbours 1e308 and -1e308 differ by more than the largest float
+    target = write_json(tmp_path / "alt.json", {"values": [1e308, -1e308] * 20, "tail": {"kind": "limit", "p": 0}})
+    code, out, err = run(capsys, ["diagnose", target])
+    assert code == 3 and err.startswith("numeric failure: ")
+    _, data = read_csv(out)
+    values = {(row[0], row[1]): float(row[2]) for row in data}
+    assert values["lipschitz_seminorm", ""] == math.inf
+    assert values["shift_diff_sup", "k=2,n_from=10"] == 0.0
+    code, out, err = run(capsys, ["smooth", target, "--delta", "0.9"])
+    assert code == 3 and "modulus_windowed=inf" in out
 
 
 def test_diagnose_constant_target_is_all_zero(tmp_path, capsys):

@@ -299,6 +299,18 @@ def test_vp_smooth_unknown_tail_gives_prefix():
         assert j + int(0.5 * math.sqrt(j)) <= 199
 
 
+def test_vp_smooth_raises_overflow_past_the_float_range():
+    # the running sums overflow although every average is 1e308; no numpy warning leaks
+    with pytest.raises(OverflowError, match="float range"):
+        vp_smooth(window([1e308] * 40, ZeroTail()), 0.5)
+    # alternating signs keep every running sum finite, while the neighbours' differences are not
+    w = window([1e308, -1e308] * 20, LimitTail(0.0))
+    assert len(vp_smooth(w, 0.9)) == 40
+    assert modulus_of_continuity(w, 0.9) == math.inf
+    assert lipschitz_seminorm(w) == math.inf
+    assert shift_difference_sup(w, 1) == math.inf and shift_difference_sup(w, 2) == 0.0
+
+
 def test_vp_smooth_bounds():
     rng = np.random.default_rng(23)
     for trial in range(40):
