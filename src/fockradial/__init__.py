@@ -56,4 +56,4 @@ from .symbols import (
     with_limit_offset,
 )
 
-__version__ = "0.10.13"
+__version__ = "0.10.14"

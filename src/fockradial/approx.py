@@ -132,7 +132,7 @@ def _weighted_sum(coefficients) -> float:
 def _deviation_sups(values, limit: complex) -> np.ndarray:
     """sups[k] = max |values[n] - limit| over n >= k, and sups[len] = 0; hypot rounds like abs()."""
     with np.errstate(over="ignore"):
-        diff = np.asarray(values, dtype=complex) - limit
+        diff = values - limit
         deviation = np.hypot(diff.real, diff.imag)
     return np.append(np.maximum.accumulate(deviation[::-1])[::-1], 0.0)
 
@@ -148,7 +148,8 @@ def _plan(target: SeqWindow, epsilon: float, limit: complex, n_terms: int | None
         n_terms = int(np.argmax(sups <= 0.5 * epsilon * _STRICT))
         if n_terms == len(target) and not isinstance(target.tail, ZeroTail):
             raise InsufficientDataError("window never falls below epsilon / 2; cannot certify the tail")
-    coefficients = tuple(v - limit for v in target.values[:n_terms])
+    with np.errstate(over="ignore"):  # a deviation past the float range is inf, which leaves no scale
+        coefficients = tuple((target.values[:n_terms] - limit).tolist())
     budget = 0.5 * epsilon
     xi = _min_admissible_scale(n_terms)
     weighted = _weighted_sum(coefficients)

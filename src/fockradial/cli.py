@@ -17,10 +17,8 @@ certification failure, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import functools
-import io
 import json
 import math
 import sys
@@ -153,13 +151,36 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _emit(args, columns: dict[str, list], summary: dict | None = None) -> None:
-    """Write the table given by its columns (name -> cells), as CSV or JSON, and the summary.
+def _csv_field(text: str, lone: bool) -> str:
+    """text as csv's excel dialect writes one field: quoted, with '"' doubled, if it holds , " \\r or \\n.
 
-    CSV formats a column of Python floats with one map of "%.17g" %, the
-    same conversion as `_cell`'s format(v, ".17g"), and any other column
-    cell by cell through `_cell`; csv.writer quotes.  The summary is one
-    "# k=v ..." line.  JSON builds its rows, one object per index, only here.
+    A row whose only field is empty (lone) is written as "".
+    """
+    if any(c in text for c in ',"\r\n') or (lone and not text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _csv_column(column: list, lone: bool) -> tuple[str, list]:
+    """A column's conversion and cells: "%.17g" of Python floats, "%d" of Python ints, else "%s" of quoted `_cell`s."""
+    kinds = set(map(type, column))
+    if kinds <= {float}:
+        return "%.17g", column
+    if kinds <= {int}:
+        return "%d", column
+    return "%s", [_csv_field(_cell(value), lone) for value in column]
+
+
+def _emit(args, columns: dict[str, list], summary: dict | None = None) -> None:
+    """Write the table given by its columns (name -> cells of one length), as CSV or JSON, and the summary.
+
+    CSV picks one conversion per column (`_csv_column`): "%.17g" is the
+    same conversion as `_cell`'s format(v, ".17g") and "%d" as its str(v).
+    The columns are interleaved into one flat list, and the body is one
+    % of the row template repeated once per row; the header, and the cells
+    that go through `_cell`, are quoted as csv.writer quotes (`_csv_field`).
+    The summary is one "# k=v ..." line.  JSON builds its rows, one object
+    per index, only here.
     """
     if args.format == "json":
         payload: dict = {"rows": [dict(zip(columns, row)) for row in zip(*columns.values())]}
@@ -167,15 +188,14 @@ def _emit(args, columns: dict[str, list], summary: dict | None = None) -> None:
             payload["summary"] = summary
         text = json.dumps(payload, indent=2) + "\n"
     else:
-        cells = [
-            map("%.17g".__mod__ if {float}.issuperset(map(type, column)) else _cell, column)
-            for column in columns.values()
-        ]
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(columns)
-        writer.writerows(zip(*cells))
-        text = buf.getvalue()
+        width, lone = len(columns), len(columns) == 1
+        size = len(next(iter(columns.values()), []))
+        conversions, flat = [], [None] * (width * size)
+        for i, column in enumerate(columns.values()):
+            conversion, flat[i::width] = _csv_column(column, lone)
+            conversions.append(conversion)
+        header = ",".join(_csv_field(name, lone) for name in columns)
+        text = header + "\r\n" + ((",".join(conversions) + "\r\n") * size) % tuple(flat)
         if summary is not None:
             text += "# " + " ".join(f"{k}={_cell(v)}" for k, v in summary.items()) + "\r\n"
     _write_text(getattr(args, "output", None), text)

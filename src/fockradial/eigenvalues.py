@@ -753,7 +753,8 @@ def _integrals(sym: Symbol, ns, cfg: QuadConfig, symbol_err: float = 0.0) -> lis
     index's value, error and tier only where its error is not nan and not larger than the one
     it would replace.  Each estimate is the kept pass's, plus the bound of the window's tail,
     the subnormal roundoff and symbol_err, which bounds the error of the symbol's own values;
-    w_n has unit mass, so each estimate carries it whole.
+    w_n has unit mass, so each estimate carries it whole.  A record converges only with its
+    value and estimate finite: past the float range, sup|g| or a sum reads inf.
     """
     ns = list(ns)
     sup_g = sup_estimate(sym)
@@ -763,27 +764,30 @@ def _integrals(sym: Symbol, ns, cfg: QuadConfig, symbol_err: float = 0.0) -> lis
     values, errs, underflow = np.zeros(len(ns), dtype=complex), np.zeros(len(ns)), np.zeros(len(ns))
     settled, splits = np.ones(len(ns), dtype=bool), np.zeros(len(ns), dtype=int)
     tiers = np.full(len(ns), passes[0].tier, dtype=object)
-    for start in range(0, len(ns), _INDEX_BLOCK):
-        rows, pass_cfg = np.arange(start, min(start + _INDEX_BLOCK, len(ns))), cfg
-        a, b = _grid_panels(sym, ns[start : start + _INDEX_BLOCK], lo[rows].min(), hi[rows].max())
-        for p, (convert, scale, g, floors, tier) in enumerate(passes):
-            if p:
-                rows = rows[settled[rows] & ~(errs[rows] <= pass_cfg.tolerance(values[rows]))]
-                if not len(rows):
-                    break
-                mine = ((a < hi[rows, None]) & (b > lo[rows, None])).any(axis=0)
-                a, b = a[mine], b[mine]
-                pass_cfg = QuadConfig(cfg.rel_tol / 10.0, cfg.max_subdivisions)
-            found, found_errs, settled[rows], splits[rows], a, b = _adaptive_gk(
-                _integrand(g, [ns[i] for i in rows], convert), convert, scale, a, b, pass_cfg,
-                floors[rows, None], reach[rows], (lo[rows], hi[rows]), splits[rows],
-            )
-            take = ~(np.isnan(found_errs) | (found_errs > errs[rows])) if p else slice(None)
-            values[rows[take]], errs[rows[take]], tiers[rows[take]] = found[take], found_errs[take], tier
-            if not p:  # splits keep the outer edges of the grid
-                underflow[rows] = _underflow_bound(sym, sup_g, b.max() - a.min(), len(a))
+    # a panel sum, total or error past the float range reads inf or nan, which never converges
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, len(ns), _INDEX_BLOCK):
+            rows, pass_cfg = np.arange(start, min(start + _INDEX_BLOCK, len(ns))), cfg
+            a, b = _grid_panels(sym, ns[start : start + _INDEX_BLOCK], lo[rows].min(), hi[rows].max())
+            for p, (convert, scale, g, floors, tier) in enumerate(passes):
+                if p:
+                    rows = rows[settled[rows] & ~(errs[rows] <= pass_cfg.tolerance(values[rows]))]
+                    if not len(rows):
+                        break
+                    mine = ((a < hi[rows, None]) & (b > lo[rows, None])).any(axis=0)
+                    a, b = a[mine], b[mine]
+                    pass_cfg = QuadConfig(cfg.rel_tol / 10.0, cfg.max_subdivisions)
+                found, found_errs, settled[rows], splits[rows], a, b = _adaptive_gk(
+                    _integrand(g, [ns[i] for i in rows], convert), convert, scale, a, b, pass_cfg,
+                    floors[rows, None], reach[rows], (lo[rows], hi[rows]), splits[rows],
+                )
+                take = ~(np.isnan(found_errs) | (found_errs > errs[rows])) if p else slice(None)
+                values[rows[take]], errs[rows[take]], tiers[rows[take]] = found[take], found_errs[take], tier
+                if not p:  # splits keep the outer edges of the grid
+                    underflow[rows] = _underflow_bound(sym, sup_g, b.max() - a.min(), len(a))
     est_abs_errs = errs + _times_sup(sup_g, mass) + underflow + symbol_err
-    columns = values, np.full(len(ns), "quad", dtype=object), est_abs_errs, errs <= cfg.tolerance(values), splits, tiers
+    converged = (errs <= cfg.tolerance(values)) & np.isfinite(values) & np.isfinite(est_abs_errs)
+    columns = values, np.full(len(ns), "quad", dtype=object), est_abs_errs, converged, splits, tiers
     return list(map(Eigenvalue, *(column.tolist() for column in columns)))
 
 
@@ -799,9 +803,10 @@ def gamma_quadrature(sym: Symbol, n: int, cfg: QuadConfig | None = None, *, shar
     whose value the record holds.
     The window leaves weight mass 0.05 * rel_tol / max(1, sup|g|) or less on
     each side, so the out-of-window bound sup|g| * (mass outside) is at most
-    rel_tol / 10 for a finite sup|g|.  The record's `converged` is
-    err <= tau(value); its `est_abs_err` is err plus that bound plus the
-    subnormal roundoff, which no relative floor covers (`_underflow_bound`).
+    rel_tol / 10 for a finite sup|g|.  The record's `est_abs_err` is err
+    plus that bound plus the subnormal roundoff, which no relative floor
+    covers (`_underflow_bound`); its `converged` is err <= tau(value) with
+    the value and `est_abs_err` finite, so no record is certified at inf.
     `shared` is this index's record, returned as it is, from the batch that
     `gamma_sequence` and `shifted_gamma_residual` run over a whole sequence
     on one panel grid (`_integrals`); without it the batch runs for n alone.

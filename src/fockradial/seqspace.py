@@ -69,20 +69,35 @@ class UnknownTail:
 Tail = Union[ZeroTail, LimitTail, UnknownTail]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SeqWindow:
-    """A finite prefix of a complex sequence plus a tail descriptor."""
+    """A finite prefix of a complex sequence plus a tail descriptor.
 
-    values: tuple[complex, ...]
+    values is one read-only complex128 array, copied from the input and
+    checked once; every reader uses it as it is.  Two windows are equal when
+    their tails are and their values are as numbers (so -0.0 == 0.0), and
+    equal windows hash alike.
+    """
+
+    values: np.ndarray
     tail: Tail = UnknownTail()
 
     def __post_init__(self):
-        vals = tuple(map(complex, self.values))
-        if len(vals) < 1:
-            raise ValueError("window must hold at least one value")
-        if not all(map(cmath.isfinite, vals)):
+        vals = np.array(self.values, dtype=complex)
+        if vals.ndim != 1 or len(vals) < 1:
+            raise ValueError("window must hold at least one value, in one dimension")
+        if not np.isfinite(vals).all():
             raise ValueError("window values must be finite")
+        vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
+
+    def __eq__(self, other):
+        if not isinstance(other, SeqWindow):
+            return NotImplemented
+        return self.tail == other.tail and np.array_equal(self.values, other.values)
+
+    def __hash__(self) -> int:
+        return hash((self.tail, tuple(self.values.tolist())))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -102,16 +117,17 @@ class SeqWindow:
     @property
     def sup_norm(self) -> float:
         """Sup of |values|, including the tail constant when the tail is known."""
-        s = max(abs(v) for v in self.values)
+        with np.errstate(over="ignore"):  # hypot rounds like abs(); a modulus past the float range is inf
+            s = float(np.hypot(self.values.real, self.values.imag).max())
         if self.tail_known:
             s = max(s, abs(self.tail_value()))
         return s
 
     def as_array(self, upto: int | None = None) -> np.ndarray:
-        """Values for indices 0..upto-1, completed from the tail when needed."""
+        """Values for indices 0..upto-1, completed from the tail when needed; a read-only view inside the window."""
         n = len(self.values) if upto is None else upto
         if n <= len(self.values):
-            return np.asarray(self.values[:n], dtype=complex)
+            return self.values[:n]
         out = np.full(n, self.tail_value(), dtype=complex)
         out[: len(self.values)] = self.values
         return out
@@ -144,7 +160,8 @@ def target_from_json(obj) -> SeqWindow:
     values = obj["values"]
     if not isinstance(values, list) or not values:
         raise ValueError("target 'values' must be a nonempty list")
-    vals = tuple(scalar_from_json(v) for v in values)
+    # plain floats go into the window's array at once; anything else is read, or refused, one by one
+    vals = values if {float}.issuperset(map(type, values)) else [scalar_from_json(v) for v in values]
     tail_obj = obj.get("tail", {"kind": "unknown"})
     if not isinstance(tail_obj, dict) or "kind" not in tail_obj:
         raise ValueError("target 'tail' must be an object with a 'kind'")
@@ -169,7 +186,7 @@ def target_to_json(window: SeqWindow) -> dict:
         tail = {"kind": "limit", "p": scalar_to_json(window.tail.p)}
     else:
         tail = {"kind": "unknown"}
-    return {"values": [scalar_to_json(v) for v in window.values], "tail": tail}
+    return {"values": [scalar_to_json(v) for v in window.values.tolist()], "tail": tail}
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +242,7 @@ def lipschitz_seminorm(sigma: SeqWindow) -> float:
     if n < 2:
         raise ValueError("window too short; need at least two values")
     with np.errstate(over="ignore"):
-        steps = np.abs(np.diff(sigma.as_array()))
+        steps = np.abs(np.diff(sigma.values))
     return float(np.max(np.sqrt(np.arange(1, n, dtype=float)) * steps))
 
 
@@ -243,7 +260,7 @@ def shift_difference_sup(sigma: SeqWindow, k: int, n_from: int = 0) -> float:
     n = len(sigma)
     if n_from < 0 or n_from + k >= n:
         raise ValueError("window too short for the requested range")
-    v = np.asarray(sigma.values[n_from:], dtype=complex)  # only the part the scan reads
+    v = sigma.values[n_from:]
     with np.errstate(over="ignore"):
         return float(np.max(np.abs(v[: n - n_from - k] - v[k:])))
 
@@ -265,7 +282,7 @@ def vp_smooth(sigma: SeqWindow, delta: float) -> SeqWindow:
     y = _vp_averages(sigma, delta)
     if not np.isfinite(y).all():
         raise OverflowError("a running sum of the window passed the float range")
-    return SeqWindow(tuple(y), sigma.tail)
+    return SeqWindow(y, sigma.tail)
 
 
 def _vp_averages(sigma: SeqWindow, delta: float) -> np.ndarray:
@@ -345,14 +362,14 @@ class SeqGenerator:
             raise ValueError("window must cover the full support")
         j = np.arange(n_win, dtype=float)
         if self.kind == "cos_sqrt":
-            vals = np.cos(np.sqrt(j)).astype(complex)
+            vals = np.cos(np.sqrt(j))
         elif self.kind == "sqrt_abs_sin_pi_sqrt":
-            vals = np.sqrt(np.abs(np.sin(np.pi * np.sqrt(j)))).astype(complex)
+            vals = np.sqrt(np.abs(np.sin(np.pi * np.sqrt(j))))
         elif self.kind == "geometric":
             vals = np.power(self.q, np.arange(n_win))
         elif self.kind == "inverse_plus_one":
-            vals = (1.0 / (j + 1.0)).astype(complex)
+            vals = 1.0 / (j + 1.0)
         else:
             vals = np.zeros(n_win, dtype=complex)
             vals[: len(self.support)] = self.support
-        return SeqWindow(tuple(vals), self.tail())
+        return SeqWindow(vals, self.tail())

@@ -311,6 +311,17 @@ def test_eigs_both_fails_when_the_budget_runs_out(tmp_path, capsys):
     assert code == 3 and "certify" in err
 
 
+def test_eigs_gives_no_certificate_at_infinity(tmp_path, capsys):
+    # the window bound sup|g| * mass reads inf, and the panel sums overflow; the table is
+    # written, with est_abs_err inf, and no record converges (filterwarnings = error: no warning)
+    coefficients = [[1.5e308, 1.5e308], [-1.5e308, -1.5e308]]
+    sym = write_json(tmp_path / "s.json", {"type": "combo", "xi": 2, "coefficients": coefficients})
+    code, out, err = run(capsys, ["eigs", sym, "--n-max", "2", "--engine", "both"])
+    assert code == 3 and "certify" in err
+    _, data = read_csv(out)
+    assert [row[4] for row in data] == ["inf"] * 3
+
+
 def test_eigs_both_fails_when_the_closed_form_is_outside_the_estimate(tmp_path, capsys, monkeypatch):
     # every quadrature value claims convergence, but one estimate no longer
     # covers its distance from the closed form; the quadrature may hit the

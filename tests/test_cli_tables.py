@@ -9,7 +9,9 @@ and are compared only on the platform and numpy that wrote the file.
 Regenerate it with `PYTHONPATH=src python tests/test_cli_tables.py`.
 
 The column writer itself is checked against the row-by-row writer it
-replaced, on awkward cells.
+replaced, csv.writer over `_cell`s, on awkward cells: floats, ints, bools,
+None, text that csv must quote, mixed columns, lone empty fields and empty
+tables.
 """
 
 import argparse
@@ -186,18 +188,48 @@ def test_column_writer_matches_the_row_writer_on_awkward_cells(tmp_path, fmt, wi
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_column_writer_handles_an_empty_table(tmp_path, fmt):
-    columns = {"n": [], "x": []}
-    assert _written(fmt, columns, None, tmp_path / "t") == _reference(fmt, columns, None)
+    # no rows, and no columns at all (csv writes an empty header line)
+    for columns in ({"n": [], "x": []}, {"": []}, {}):
+        assert _written(fmt, columns, None, tmp_path / "t") == _reference(fmt, columns, None)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_column_writer_quotes_a_lone_empty_cell(tmp_path, fmt):
+    # csv writes a row whose only field is empty as "", and so must the writer, header included
+    for columns in ({"x": ["", "a", None, ","]}, {"": [1.5, 2.0]}, {"x": ["", None], "y": [None, ""]}):
+        assert _written(fmt, columns, None, tmp_path / "t") == _reference(fmt, columns, None)
+    assert _written("csv", {"x": ["", 1]}, None, tmp_path / "t") == 'x\r\n""\r\n1\r\n'
+
+
+_TEXT = st.text(st.sampled_from([",", '"', "\r", "\n", " ", "a", "=", "#", "'", ";", "\t", "é", "%"]), max_size=5)
+_CELLS = [
+    st.floats(allow_subnormal=True),
+    st.integers(-(10**20), 10**20),
+    st.booleans(),
+    st.none(),
+    _TEXT,
+    st.floats().map(np.float64),
+]
+
+
+@st.composite
+def _tables(draw) -> dict:
+    """Columns of one length: each all floats, all ints, all bools, all None, all text, or mixed."""
+    size, width = draw(st.integers(0, 12)), draw(st.integers(1, 4))
+    names = draw(st.lists(_TEXT, min_size=width, max_size=width, unique=True))
+    columns = {}
+    for name in names:
+        cell = draw(st.sampled_from([*_CELLS, st.one_of(_CELLS)]))
+        columns[name] = draw(st.lists(cell, min_size=size, max_size=size))
+    return columns
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True), max_size=40))
-def test_column_writer_formats_any_float_as_the_row_writer(tmp_path_factory, values):
-    path = tmp_path_factory.mktemp("floats") / "t"
-    columns = {"n": list(range(len(values))), "x": values, "y": values[::-1]}
-    assert _written("csv", columns, {"x": values[0] if values else 0.0}, path) == _reference(
-        "csv", columns, {"x": values[0] if values else 0.0}
-    )
+@given(_tables(), st.none() | st.floats(allow_subnormal=True))
+def test_column_writer_matches_the_row_writer_on_any_cells(tmp_path_factory, columns, summary_value):
+    path = tmp_path_factory.mktemp("cells") / "t"
+    summary = None if summary_value is None else {"x": summary_value, "n": len(columns), "text": "a b"}
+    assert _written("csv", columns, summary, path) == _reference("csv", columns, summary)
 
 
 if __name__ == "__main__":  # regenerate the golden file from the package under src

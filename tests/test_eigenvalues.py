@@ -1,3 +1,4 @@
+import cmath
 import decimal
 import functools
 import math
@@ -767,6 +768,35 @@ def test_converged_quadrature_lies_within_its_estimate(coeffs, xi, n_max):
         exact = sum(Fraction(c) * gamma_closed_form(k, xi, n) for k, c in enumerate(coeffs))
         err = math.hypot(float(Fraction(res.value.real) - exact), res.value.imag)
         assert not res.converged or err <= res.est_abs_err, (n, err, res)
+
+
+_HUGE = st.floats(1e306, 1.7976931348623157e308) | st.floats(1e300, 1e306) | st.sampled_from([0.0, 1.0, -0.5])
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    coeffs=st.lists(st.tuples(_HUGE, _HUGE, st.booleans(), st.booleans()), min_size=1, max_size=4),
+    xi=st.sampled_from([2, 3, 4, 8]),
+    n_max=st.integers(0, 6),
+)
+# the terms of gamma(0) and gamma(2) cancel exactly, and the window bound reads inf
+@example(coeffs=[(1.5e308, 1.5e308, False, False), (1.5e308, 1.5e308, True, True)], xi=2, n_max=2)
+# sup|g| is finite, but the panel sums times 2^scale pass the float range
+@example(coeffs=[(1e306, 1e306, False, False)], xi=2, n_max=0)
+def test_converged_quadrature_near_the_float_range_lies_within_a_finite_estimate(coeffs, xi, n_max):
+    # sup|g| and the panel sums pass the float range here; such a record may not converge,
+    # and filterwarnings = error fails the test on a leaked overflow warning
+    terms = [complex(-re if neg_re else re, -im if neg_im else im) for re, im, neg_re, neg_im in coeffs]
+    seq = gamma_sequence(LaguerreCombo(xi, tuple(terms)), n_max, engine="quad")
+    for n, res in enumerate(seq.entries):
+        if not res.converged:
+            continue
+        assert math.isfinite(res.est_abs_err) and cmath.isfinite(res.value), (n, res)
+        closed = [gamma_closed_form(k, xi, n) for k in range(len(terms))]
+        exact_re = sum(Fraction(c.real) * g for c, g in zip(terms, closed))
+        exact_im = sum(Fraction(c.imag) * g for c, g in zip(terms, closed))
+        err_squared = (Fraction(res.value.real) - exact_re) ** 2 + (Fraction(res.value.imag) - exact_im) ** 2
+        assert err_squared <= Fraction(res.est_abs_err) ** 2, (n, res)
 
 
 def test_error_estimate_covers_oscillating_callable():

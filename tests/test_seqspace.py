@@ -13,6 +13,7 @@ from fockradial.seqspace import (
     ZeroTail,
     lipschitz_seminorm,
     modulus_of_continuity,
+    scalar_from_json,
     shift_difference_sup,
     sqrt_dist,
     target_from_json,
@@ -87,12 +88,15 @@ def test_sup_norm_includes_tail():
     w = window([1.0, -2.0], LimitTail(5.0))
     assert w.sup_norm == 5.0
     assert window([1.0, -2.0]).sup_norm == 2.0
+    # a finite value whose modulus passes the float range reads inf, without a warning
+    assert window([1.0, 1.7e308 + 1.7e308j]).sup_norm == math.inf
+    assert window([1.0, 1.7e308 + 1.7e308j], ZeroTail()).sup_norm == math.inf
 
 
 def test_target_json_roundtrip():
     w = window([1.0, 0.5 + 0.25j], LimitTail(1.0 + 2.0j))
     again = target_from_json(target_to_json(w))
-    assert again.values == w.values
+    assert again.values.tolist() == w.values.tolist()
     assert again.tail == w.tail
     for tail in (ZeroTail(), UnknownTail()):
         w = window([0.5, 0.25], tail)
@@ -108,6 +112,96 @@ def test_target_json_rejects_garbage():
         target_from_json({"values": ["x"]})
     with pytest.raises(ValueError):
         target_from_json({"values": [1], "tail": {"kind": "limit"}})
+
+
+def test_window_values_are_one_read_only_copy():
+    source = np.array([1.0, 2.0, 3.0])
+    w = SeqWindow(source, ZeroTail())
+    source[0] = 9.0
+    assert w.values.dtype == np.complex128 and w.values.tolist() == [1, 2, 3]
+    with pytest.raises(ValueError):
+        w.values[0] = 5.0
+    with pytest.raises(ValueError):
+        w.as_array(2)[0] = 5.0  # a view inside the window is read-only too
+    assert w.as_array(5).tolist() == [1, 2, 3, 0, 0]
+    with pytest.raises(ValueError):
+        SeqWindow(np.ones((2, 2)))
+
+
+_SIGNED = st.sampled_from([0.0, -0.0, 1.0, -2.5])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(st.tuples(_SIGNED, _SIGNED), min_size=1, max_size=4),
+    st.lists(st.tuples(_SIGNED, _SIGNED), min_size=1, max_size=4),
+    st.sampled_from([ZeroTail(), UnknownTail(), LimitTail(0j), LimitTail(complex(-0.0, 0.0))]),
+    st.sampled_from([ZeroTail(), LimitTail(0j)]),
+)
+def test_window_equality_is_tuple_equality_and_agrees_with_hash(left, right, left_tail, right_tail):
+    a = SeqWindow([complex(*z) for z in left], left_tail)
+    b = SeqWindow([complex(*z) for z in right], right_tail)
+    as_tuples = (tuple(complex(*z) for z in left), left_tail) == (tuple(complex(*z) for z in right), right_tail)
+    assert (a == b) is as_tuples and (a != b) is not as_tuples
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+def test_window_equality_ignores_the_sign_of_zero():
+    a, b = window([0.0, complex(1.0, -0.0)], ZeroTail()), window([-0.0, complex(1.0, 0.0)], ZeroTail())
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != window([0.0, 1.0], UnknownTail()) and a != (0j, 1 + 0j) and a != window([0.0], ZeroTail())
+
+
+def _rejection(values) -> str:
+    with pytest.raises(ValueError) as info:
+        target_from_json({"values": values, "tail": {"kind": "zero"}})
+    return str(info.value)
+
+
+def test_target_json_fast_path_keeps_every_rejection():
+    # a list that is not all plain floats is read item by item, as before, with the same messages
+    assert _rejection([1.0, True]) == "cannot parse scalar True; expected a number or an [re, im] pair"
+    assert _rejection([1.0, 10**400]) == "scalar integer is past the float range"
+    assert _rejection([1.0, [[1.0]]]) == "cannot parse scalar [[1.0]]; expected a number or an [re, im] pair"
+    assert _rejection([1.0, [0.5, False]]).startswith("cannot parse scalar [0.5, False]")
+    assert _rejection([1.0, "x"]).startswith("cannot parse scalar 'x'")
+    assert _rejection([1.0, math.nan]) == "window values must be finite"
+    assert _rejection([[1.0, math.inf]]) == "window values must be finite"
+    mixed = target_from_json({"values": [1, [0.5, -0.25], -0.0], "tail": {"kind": "zero"}})
+    assert repr(mixed.values.tolist()) == repr([1 + 0j, 0.5 - 0.25j, complex(-0.0, 0.0)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True), min_size=1, max_size=20))
+def test_target_json_fast_path_reads_floats_as_scalar_from_json(values):
+    fast = target_from_json({"values": values})
+    assert repr(fast.values.tolist()) == repr([scalar_from_json(v) for v in values])
+
+
+@pytest.mark.parametrize(
+    "gen",
+    [
+        SeqGenerator("cos_sqrt"),
+        SeqGenerator("sqrt_abs_sin_pi_sqrt"),
+        SeqGenerator("geometric", q=0.9),
+        SeqGenerator("geometric", q=-0.5 + 0.25j),
+        SeqGenerator("inverse_plus_one"),
+        SeqGenerator("finite_support", support=(1.0, -0.0, 2.5j)),
+    ],
+    ids=lambda gen: gen.kind,
+)
+def test_generator_windows_match_the_tuple_path(gen):
+    # the values the generators built before their arrays went into the window as they are
+    j = np.arange(300, dtype=float)
+    old = {
+        "cos_sqrt": lambda: np.cos(np.sqrt(j)).astype(complex),
+        "sqrt_abs_sin_pi_sqrt": lambda: np.sqrt(np.abs(np.sin(np.pi * np.sqrt(j)))).astype(complex),
+        "geometric": lambda: np.power(gen.q, np.arange(300)),
+        "inverse_plus_one": lambda: (1.0 / (j + 1.0)).astype(complex),
+        "finite_support": lambda: np.concatenate([np.array(gen.support), np.zeros(297, dtype=complex)]),
+    }[gen.kind]()
+    assert repr(gen.window(300).values.tolist()) == repr(list(map(complex, old)))
 
 
 # ---------------------------------------------------------------------------
