@@ -137,6 +137,21 @@ def _deviation_sups(values, limit: complex) -> np.ndarray:
     return np.append(np.maximum.accumulate(deviation[::-1])[::-1], 0.0)
 
 
+def _least_scale(weighted: float, budget: float, xi: int) -> int:
+    """The least int k >= xi with weighted / k <= budget, where the quotient divides by float(k).
+
+    Steps from float to float, since past 2^53 a step of 1 can leave float(k)
+    as it is, then takes the least int that rounds to the first float passing.
+    """
+    below = None
+    while weighted / xi > budget:
+        below, xi = xi, xi + max(1, int(math.ulp(xi)))
+    if below is None:
+        return xi
+    mid = (below + xi) // 2  # ints below mid round to below, above it to xi, mid itself half to even
+    return mid if float(mid) == xi else mid + 1
+
+
 def _plan(target: SeqWindow, epsilon: float, limit: complex, n_terms: int | None = None) -> ApproximationPlan:
     """c_k = sigma(k) - limit for k < N, at the least admissible xi with sum |c_k| (k + 1) / xi <= epsilon / 2.
 
@@ -156,9 +171,7 @@ def _plan(target: SeqWindow, epsilon: float, limit: complex, n_terms: int | None
     if weighted != 0.0:
         if not math.isfinite(weighted / budget):
             raise OverflowError("no scale xi: sum |c_k| (k + 1) / (epsilon / 2) is past the float range")
-        xi = max(xi, math.ceil(weighted / budget))
-        while weighted / xi > budget:
-            xi += 1
+        xi = _least_scale(weighted, budget, max(xi, math.ceil(weighted / budget)))
     return ApproximationPlan(target, epsilon, xi, coefficients, limit)
 
 

@@ -21,6 +21,8 @@ import dataclasses
 import functools
 import json
 import math
+import os
+import stat
 import sys
 from pathlib import Path
 
@@ -168,6 +170,8 @@ def _csv_column(column: list, lone: bool) -> tuple[str, list]:
         return "%.17g", column
     if kinds <= {int}:
         return "%d", column
+    if kinds == {str} and column.count(column[0]) == len(column):  # one string, such as eigs' engine
+        return "%s", [_csv_field(column[0], lone)] * len(column)
     return "%s", [_csv_field(_cell(value), lone) for value in column]
 
 
@@ -202,10 +206,26 @@ def _emit(args, columns: dict[str, list], summary: dict | None = None) -> None:
 
 
 def _write_text(path: str | None, text: str) -> None:
-    if path:
-        Path(path).write_text(text, encoding="utf-8")
-    else:
+    """Write text to the file at path as UTF-8, or to stdout when path is empty.
+
+    The file is overwritten in place and, when it is a regular file, cut to
+    the length written: truncating an existing file to zero before the write
+    costs far more than cutting its tail after it.  The bytes, a new file's
+    mode (0o666 less the umask), an existing file's inode and mode, and the
+    following of symlinks are what `open(path, "w")` gives; FIFOs, devices
+    and ttys are written without the cut.  Text that cannot be encoded leaves
+    the file as it was.  A write that fails partway (a full disk) leaves the
+    new prefix followed by the old file's tail.
+    """
+    if not path:
         sys.stdout.write(text)
+        return
+    data = text.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    with open(fd, "wb") as out:
+        out.write(data)
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            out.truncate()
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from exact import gamma_closed_form
 from fockradial.approx import (
     ApproximationPlan,
     InsufficientDataError,
+    _least_scale,
     _weighted_sum,
     plan_c0,
     plan_convergent,
@@ -97,6 +98,32 @@ def test_plan_finite_scale_respects_admissibility():
     # large support with loose epsilon: the (N+1)/2 floor must kick in
     plan = plan_finite(zero_window([1e-9] * 20), 1.0)
     assert plan.xi >= math.ceil(21 / 2)
+
+
+def _unit_step_scale(weighted, budget, xi, steps=10**5):
+    """The least scale by steps of 1 from xi, or None after `steps` steps."""
+    for _ in range(steps):
+        if weighted / xi <= budget:
+            return xi
+        xi += 1
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@example(1.776, 57, 0.05)  # 1025 steps of 1; a step of ulp(xi), 2048, would overshoot
+@example(1.762, 52, 0.1)
+@example(1.8988382879679934, 186, 0.1)  # a step of 1 never changes float(xi) here
+@given(st.floats(1.0, 2.0), st.integers(0, 200), st.floats(1e-4, 1.0))
+def test_least_scale_is_the_unit_step_scale_wherever_that_ends(mantissa, exponent, epsilon):
+    # past 2^53 the planner steps from float to float; it must end, at the least
+    # passing int, which is the scale the steps of 1 reach whenever they do
+    weighted, budget = mantissa * 2.0**exponent, 0.5 * epsilon
+    start = max(2, math.ceil(weighted / budget))
+    xi = _least_scale(weighted, budget, start)
+    assert weighted / xi <= budget
+    assert xi == start or weighted / (xi - 1) > budget
+    expected = _unit_step_scale(weighted, budget, start)
+    assert expected is None or xi == expected
 
 
 # ---------------------------------------------------------------------------

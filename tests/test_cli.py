@@ -6,15 +6,17 @@ import json
 import math
 import os
 import pathlib
+import stat
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
 from fockradial import eigenvalues
 from fockradial.approx import plan_from_json
-from fockradial.cli import main
+from fockradial.cli import _write_text, main
 from fockradial.seqspace import SeqGenerator
 from fockradial.symbols import CallableSymbol, combo_symbol, symbol_to_json
 
@@ -348,6 +350,91 @@ def test_eigs_output_file(tmp_path, capsys):
     assert out == ""
     header, data = read_csv(out_path.read_text(encoding="utf-8"))
     assert len(data) == 3
+
+
+# ---------------------------------------------------------------------------
+# Output files: each is overwritten in place and cut to the length written
+
+
+def test_a_shorter_rewrite_leaves_no_stale_tail(tmp_path):
+    path = tmp_path / "out.txt"
+    for text in ["a long first text\n" * 100, "short\n", "", "é, a longer one\n" * 3]:
+        _write_text(str(path), text)
+        assert path.read_bytes() == text.encode("utf-8")
+
+
+def test_a_new_output_file_gets_the_mode_open_gives(tmp_path):
+    old = os.umask(0o027)
+    try:
+        _write_text(str(tmp_path / "new.txt"), "x")
+        with open(tmp_path / "by_open.txt", "w") as f:
+            f.write("x")
+    finally:
+        os.umask(old)
+    mode = stat.S_IMODE((tmp_path / "new.txt").stat().st_mode)
+    assert mode == 0o666 & ~0o027 == stat.S_IMODE((tmp_path / "by_open.txt").stat().st_mode)
+
+
+def test_an_existing_output_file_keeps_its_inode_and_mode(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_text("old text that is longer\n", encoding="utf-8")
+    path.chmod(0o600)
+    before = path.stat()
+    _write_text(str(path), "new\n")
+    after = path.stat()
+    assert path.read_bytes() == b"new\n"
+    assert (after.st_ino, stat.S_IMODE(after.st_mode)) == (before.st_ino, 0o600)
+
+
+def test_an_output_symlink_writes_through_to_its_target(tmp_path):
+    target, link = tmp_path / "target.txt", tmp_path / "link.txt"
+    target.write_text("old text that is longer\n", encoding="utf-8")
+    try:
+        link.symlink_to(target)
+    except OSError:
+        pytest.skip("no symlinks here")
+    _write_text(str(link), "new\n")
+    assert link.is_symlink() and target.read_bytes() == b"new\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs here")
+def test_output_to_a_fifo_or_the_null_device_is_not_cut(tmp_path, capsys):
+    # neither can be truncated; both are written as open(path, "w") writes them
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()))
+    reader.start()
+    _write_text(str(fifo), "through a pipe\n")
+    reader.join(timeout=10)
+    assert received == [b"through a pipe\n"]
+    _write_text(os.devnull, "nothing\n")
+    sym = write_json(tmp_path / "s.json", {"type": "laguerre_basic", "m": 0, "xi": 2})
+    code, out, err = run(capsys, ["eigs", sym, "--n-max", "2", "-o", os.devnull])
+    assert (code, out, err) == (0, "", "")
+
+
+def test_an_output_directory_still_raises(tmp_path):
+    with pytest.raises(IsADirectoryError):
+        _write_text(str(tmp_path), "x")
+
+
+def test_text_that_cannot_be_encoded_leaves_the_old_bytes(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_bytes(b"old bytes\n")
+    with pytest.raises(UnicodeEncodeError):
+        _write_text(str(path), "a lone surrogate \udc80\n")
+    assert path.read_bytes() == b"old bytes\n"
+
+
+def test_approximate_over_its_longer_outputs_writes_the_fresh_bytes(tmp_path, capsys):
+    target = "generator:geometric?q=0.9&n=400"
+    argv = ["approximate", target, "--epsilon", "0.05"]
+    old, fresh = [[tmp_path / f"{side}.{ext}" for ext in ("json", "csv")] for side in ("old", "fresh")]
+    for paths, extra in [(old, ["--n-verify", "2000"]), (old, []), (fresh, [])]:
+        code, _, _ = run(capsys, argv + extra + ["--plan-out", str(paths[0]), "--report-out", str(paths[1])])
+        assert code == 0
+    assert [p.read_bytes() for p in old] == [p.read_bytes() for p in fresh]
 
 
 def test_one_process_runs_calls_independently(tmp_path, capsys):
@@ -851,6 +938,26 @@ def test_a_scale_past_the_float_range_is_a_validation_error(tmp_path, capsys, ta
     code, out, err = run(capsys, ["approximate", target, "--epsilon", epsilon])
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "past the float range" in err
+
+
+def test_a_scale_past_2_53_is_planned_in_time(tmp_path, capsys):
+    # weighted / (epsilon / 2) is 3.8e187, where a step of 1 in xi leaves the float
+    # the planner divides by as it is; a fresh interpreter, so that a loop that never
+    # ends fails the test instead of stalling the suite
+    target = write_json(tmp_path / "t.json", {"values": [1.8988382879679934e186], "tail": {"kind": "zero"}})
+    plan_path = tmp_path / "plan.json"
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "fockradial.cli", "approximate", target, "--epsilon", "0.1", "--plan-out", str(plan_path)],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=10,
+    )
+    assert done.returncode == 0, done.stderr
+    plan = json.loads(plan_path.read_text())
+    weighted = sum(abs(c) * (k + 1) for k, c in enumerate(plan["coefficients"]))
+    assert weighted / plan["xi"] <= 0.5 * 0.1
+    assert plan["verified_error"] + plan["tail_certificate"] <= 0.1
+    code, out, _ = run(capsys, ["verify", "--plan", str(plan_path), "--target", target])
+    assert code == 0 and json.loads(out)["verified_error"] == plan["verified_error"]
 
 
 def test_target_that_is_not_json_is_a_validation_error(tmp_path, capsys):

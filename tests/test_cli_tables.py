@@ -26,7 +26,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 GOLDEN = pathlib.Path(__file__).with_name("cli_tables.json")
@@ -210,21 +210,29 @@ _CELLS = [
     _TEXT,
     st.floats().map(np.float64),
 ]
+_ONE_TEXT = _TEXT | st.sampled_from([",", '"', ""])  # a column of one string, as eigs' engine is
 
 
 @st.composite
 def _tables(draw) -> dict:
-    """Columns of one length: each all floats, all ints, all bools, all None, all text, or mixed."""
+    """Columns of one length: each all floats, all ints, all bools, all None, all text, one repeated text, or mixed."""
     size, width = draw(st.integers(0, 12)), draw(st.integers(1, 4))
     names = draw(st.lists(_TEXT, min_size=width, max_size=width, unique=True))
     columns = {}
     for name in names:
-        cell = draw(st.sampled_from([*_CELLS, st.one_of(_CELLS)]))
-        columns[name] = draw(st.lists(cell, min_size=size, max_size=size))
+        cell = draw(st.sampled_from([*_CELLS, st.one_of(_CELLS), _ONE_TEXT]))
+        if cell is _ONE_TEXT:
+            columns[name] = [draw(_ONE_TEXT)] * size
+        else:
+            columns[name] = draw(st.lists(cell, min_size=size, max_size=size))
     return columns
 
 
 @settings(max_examples=60, deadline=None)
+@example(columns={"n": [0, 1, 2], "engine": [","] * 3}, summary_value=None)
+@example(columns={"engine": ['say "hi"'] * 2, "x": [0.5, 1.5]}, summary_value=None)
+@example(columns={"engine": [""] * 2}, summary_value=None)
+@example(columns={"engine": [""] * 2, "x": ["", ""]}, summary_value=None)
 @given(_tables(), st.none() | st.floats(allow_subnormal=True))
 def test_column_writer_matches_the_row_writer_on_any_cells(tmp_path_factory, columns, summary_value):
     path = tmp_path_factory.mktemp("cells") / "t"
