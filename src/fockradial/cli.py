@@ -94,20 +94,18 @@ def _parse_generator(source: str) -> SeqWindow:
     body = source[len("generator:") :]
     kind, _, query = body.partition("?")
     params: dict[str, str] = {}
-    if query:
-        for item in query.split("&"):
-            key, _, value = item.partition("=")
-            params[key] = value
     try:
+        for key, _, value in (item.partition("=") for item in query.split("&") if query):
+            if key in params:
+                raise ValueError(f"parameter {key!r} is given twice")
+            params[key] = value
         n_win = int(params.pop("n", "256"))
         q = complex(params.pop("q")) if "q" in params else None
-        support = None
-        if "values" in params:
-            support = tuple(complex(v) for v in params.pop("values").split(","))
+        support = tuple(complex(v) for v in params.pop("values").split(",")) if "values" in params else None
         if params:
             raise ValueError(f"unknown generator parameters {sorted(params)}")
-        gen = SeqGenerator(kind=kind, q=q, support=support)
-        return gen.window(n_win)
+        # the kind refuses a parameter it does not take, by the name written here
+        return SeqGenerator(kind=kind, q=q, support=support).window(n_win)
     except ValueError as exc:
         raise ValidationError(f"bad generator target {source!r}: {exc}") from None
 
@@ -492,6 +490,9 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except OSError as exc:  # an output path the OS refuses (`_write_text` is the one writer)
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

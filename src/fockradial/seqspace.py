@@ -310,24 +310,32 @@ def _vp_averages(sigma: SeqWindow, delta: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Builtin test-sequence generators
 
-_GENERATOR_KINDS = (
-    "cos_sqrt",
-    "sqrt_abs_sin_pi_sqrt",
-    "geometric",
-    "inverse_plus_one",
-    "finite_support",
-)
+# kind -> (the one SeqGenerator parameter it takes, or None; its values from the
+# generator and the indices j = 0..n-1 as floats; its tail)
+_GENERATORS = {
+    "cos_sqrt": (None, lambda gen, j: np.cos(np.sqrt(j)), UnknownTail()),
+    "sqrt_abs_sin_pi_sqrt": (None, lambda gen, j: np.sqrt(np.abs(np.sin(np.pi * np.sqrt(j)))), UnknownTail()),
+    "geometric": ("q", lambda gen, j: np.power(gen.q, j), LimitTail(0j)),
+    "inverse_plus_one": (None, lambda gen, j: 1.0 / (j + 1.0), LimitTail(0j)),
+    "finite_support": (
+        "support",
+        lambda gen, j: np.concatenate([gen.support, np.zeros(len(j) - len(gen.support), dtype=complex)]),
+        ZeroTail(),
+    ),
+}
 
 
 @dataclass(frozen=True)
 class SeqGenerator:
-    """Index-to-value rules for the builtin families.
+    """Index-to-value rules for the builtin families, one `_GENERATORS` entry each.
 
     cos_sqrt:             j -> cos(sqrt(j))                (bounded, no limit)
     sqrt_abs_sin_pi_sqrt: j -> sqrt(|sin(pi sqrt(j))|)     (bounded, no limit)
     geometric:            j -> q^j with |q| < 1            (limit 0)
     inverse_plus_one:     j -> 1 / (j + 1)                 (limit 0)
     finite_support:       j -> support[j], 0 past the end  (zero tail)
+
+    A kind refuses a parameter it does not take.
     """
 
     kind: str
@@ -335,8 +343,11 @@ class SeqGenerator:
     support: tuple[complex, ...] | None = None
 
     def __post_init__(self):
-        if self.kind not in _GENERATOR_KINDS:
+        if self.kind not in _GENERATORS:
             raise ValueError(f"unknown generator kind {self.kind!r}")
+        for name, word in (("q", "q"), ("support", "values")):
+            if getattr(self, name) is not None and name != _GENERATORS[self.kind][0]:
+                raise ValueError(f"{self.kind} generator takes no {word}")
         if self.kind == "geometric":
             if self.q is None:
                 raise ValueError("geometric generator needs a ratio q")
@@ -349,27 +360,12 @@ class SeqGenerator:
             object.__setattr__(self, "support", tuple(complex(v) for v in self.support))
 
     def tail(self) -> Tail:
-        if self.kind in ("geometric", "inverse_plus_one"):
-            return LimitTail(0j)
-        if self.kind == "finite_support":
-            return ZeroTail()
-        return UnknownTail()
+        return _GENERATORS[self.kind][2]
 
     def window(self, n_win: int) -> SeqWindow:
         if n_win < 1:
             raise ValueError("window length must be >= 1")
-        if self.kind == "finite_support" and n_win < len(self.support):
+        if self.support is not None and n_win < len(self.support):
             raise ValueError("window must cover the full support")
-        j = np.arange(n_win, dtype=float)
-        if self.kind == "cos_sqrt":
-            vals = np.cos(np.sqrt(j))
-        elif self.kind == "sqrt_abs_sin_pi_sqrt":
-            vals = np.sqrt(np.abs(np.sin(np.pi * np.sqrt(j))))
-        elif self.kind == "geometric":
-            vals = np.power(self.q, np.arange(n_win))
-        elif self.kind == "inverse_plus_one":
-            vals = 1.0 / (j + 1.0)
-        else:
-            vals = np.zeros(n_win, dtype=complex)
-            vals[: len(self.support)] = self.support
-        return SeqWindow(vals, self.tail())
+        _, values, tail = _GENERATORS[self.kind]
+        return SeqWindow(values(self, np.arange(n_win, dtype=float)), tail)

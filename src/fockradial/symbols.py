@@ -303,27 +303,26 @@ def describe_symbol(sym: Symbol) -> str:
 # JSON symbol schema
 
 def symbol_from_json(obj) -> Symbol:
+    """A symbol from its schema entry; an 'offset' adds to a symbol of any type."""
     if not isinstance(obj, dict) or "type" not in obj:
         raise ValueError("symbol must be an object with a 'type'")
     kind = obj["type"]
     if kind == "constant":
         if "value" not in obj:
             raise ValueError("constant symbol needs a 'value'")
-        return LaguerreCombo(offset=scalar_from_json(obj["value"]))
-    if kind == "laguerre_basic":
+        sym = LaguerreCombo(offset=scalar_from_json(obj["value"]))
+    elif kind == "laguerre_basic":
         try:
-            return basic_symbol(obj["m"], obj["xi"])
+            sym = basic_symbol(obj["m"], obj["xi"])
         except KeyError as exc:
             raise ValueError(f"laguerre_basic symbol needs {exc}") from None
-    if kind == "combo":
+    elif kind == "combo":
         if "xi" not in obj or not isinstance(obj.get("coefficients"), list):
             raise ValueError("combo symbol needs 'xi' and a 'coefficients' list")
-        coeffs = [scalar_from_json(c) for c in obj["coefficients"]]
-        combo = combo_symbol(coeffs, obj["xi"])
-        if "offset" in obj:
-            return with_limit_offset(combo, scalar_from_json(obj["offset"]))
-        return combo
-    raise ValueError(f"unknown symbol type {kind!r}")
+        sym = combo_symbol([scalar_from_json(c) for c in obj["coefficients"]], obj["xi"])
+    else:
+        raise ValueError(f"unknown symbol type {kind!r}")
+    return with_limit_offset(sym, scalar_from_json(obj["offset"])) if "offset" in obj else sym
 
 
 def symbol_to_json(sym: Symbol) -> dict:

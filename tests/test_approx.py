@@ -160,6 +160,8 @@ def test_plan_c0_rejects_wrong_tail():
         plan_c0(SeqWindow((1.0,), LimitTail(2.0)), 0.1)
     with pytest.raises(ValueError):
         plan_c0(SeqWindow((1.0,), UnknownTail()), 0.1)
+    with pytest.raises(ValueError, match="limit tail"):
+        plan_convergent(SeqWindow((1.0,), ZeroTail()), 0.1)
 
 
 # ---------------------------------------------------------------------------

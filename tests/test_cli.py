@@ -73,6 +73,20 @@ def test_eigs_empty_combo_with_offset_zero(tmp_path, capsys):
     assert all(float(r[1]) == 0.0 for r in data)
 
 
+def test_an_offset_adds_to_a_symbol_of_any_type(tmp_path, capsys):
+    # the closed form of basic(1, 4), plus 0.5 in every row, and the quadrature agrees
+    plain = write_json(tmp_path / "s.json", {"type": "laguerre_basic", "m": 1, "xi": 4})
+    shifted = write_json(tmp_path / "o.json", {"type": "laguerre_basic", "m": 1, "xi": 4, "offset": 0.5})
+    code, out, _ = run(capsys, ["eigs", plain, "--n-max", "6"])
+    assert code == 0
+    base = [float(r[1]) for r in read_csv(out)[1]]
+    code, out, _ = run(capsys, ["eigs", shifted, "--n-max", "6", "--engine", "both"])
+    assert code == 0
+    _, data = read_csv(out)
+    assert [float(r[1]) for r in data] == [b + 0.5 for b in base]
+    assert all(float(r[-1]) <= float(r[-2]) for r in data)
+
+
 def test_eigs_engine_both_adds_diff_column(tmp_path, capsys):
     sym = write_json(tmp_path / "s.json", {"type": "laguerre_basic", "m": 1, "xi": 4})
     code, out, _ = run(capsys, ["eigs", sym, "--n-max", "6", "--engine", "both"])
@@ -412,6 +426,23 @@ def test_output_to_a_fifo_or_the_null_device_is_not_cut(tmp_path, capsys):
     sym = write_json(tmp_path / "s.json", {"type": "laguerre_basic", "m": 0, "xi": 2})
     code, out, err = run(capsys, ["eigs", sym, "--n-max", "2", "-o", os.devnull])
     assert (code, out, err) == (0, "", "")
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+@pytest.mark.parametrize("flag", ["eigs -o", "approximate --plan-out", "approximate --report-out"])
+def test_an_output_path_the_os_refuses_exits_2(tmp_path, capsys, flag, where):
+    # one "error: cannot write" line and exit 2, not a traceback
+    path = str(tmp_path / "no" / "x.csv") if where == "missing-directory" else str(tmp_path)
+    command, option = flag.split()
+    if command == "eigs":
+        argv = ["eigs", write_json(tmp_path / "s.json", {"type": "laguerre_basic", "m": 1, "xi": 4}), "--n-max", "2"]
+    else:
+        argv = ["approximate", "generator:geometric?q=0.5&n=80", "--epsilon", "0.05"]
+        if option == "--report-out":
+            argv += ["--plan-out", str(tmp_path / "plan.json")]
+    code, out, err = run(capsys, [*argv, option, path])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write output: ") and path in err and err.count("\n") == 1
 
 
 def test_an_output_directory_still_raises(tmp_path):
@@ -884,6 +915,17 @@ def test_generator_target_validation(capsys):
     code, out, err = run(capsys, ["diagnose", "generator:cos_sqrt?n=10&z=3"])
     assert code == 2 and out == ""
     assert "unknown generator parameters ['z']" in err
+    # a parameter the kind does not take is refused, named as the target writes it,
+    # and so is a key given twice
+    for source, message in [
+        ("generator:cos_sqrt?q=0.5&n=10", "cos_sqrt generator takes no q"),
+        ("generator:geometric?q=0.5&values=9,9&n=10", "geometric generator takes no values"),
+        ("generator:finite_support?values=1,2&q=0.3&n=4", "finite_support generator takes no q"),
+        ("generator:cos_sqrt?n=10&n=20", "parameter 'n' is given twice"),
+    ]:
+        code, out, err = run(capsys, ["diagnose", source])
+        assert (code, out) == (2, ""), source
+        assert err == f"error: bad generator target {source!r}: {message}\n"
 
 
 _HUGE = 10**400  # an integer JSON holds exactly and no float does

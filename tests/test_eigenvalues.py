@@ -599,6 +599,10 @@ def test_double_double_defines_no_comparison():
     for compare in (lambda: x < 2.0, lambda: x > 2.0, lambda: np.lexsort((x,))):
         with pytest.raises(TypeError):
             compare()
+    # nor is a complex times complex product, which two_prod cannot make error-free
+    z = DD(np.array([1.0 + 1.0j]))
+    with pytest.raises(TypeError, match="complex times complex"):
+        z * z
 
 
 def test_extended_passes_split_float64_panels():

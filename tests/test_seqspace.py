@@ -33,6 +33,9 @@ def test_sqrt_dist_examples():
     assert sqrt_dist(0, 0) == 0.0
     assert sqrt_dist(1, 4) == 1.0
     assert sqrt_dist(9, 16) == 1.0
+    for j, k in ((-1, 0), (0, -1)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            sqrt_dist(j, k)
 
 
 @settings(max_examples=200, deadline=None)
@@ -112,6 +115,10 @@ def test_target_json_rejects_garbage():
         target_from_json({"values": ["x"]})
     with pytest.raises(ValueError):
         target_from_json({"values": [1], "tail": {"kind": "limit"}})
+    with pytest.raises(ValueError, match="must be an object"):
+        target_from_json([1.0, 0.5])
+    with pytest.raises(ValueError, match="'tail' must be an object"):
+        target_from_json({"values": [1.0], "tail": "zero"})
 
 
 def test_window_values_are_one_read_only_copy():
@@ -192,16 +199,23 @@ def test_target_json_fast_path_reads_floats_as_scalar_from_json(values):
     ids=lambda gen: gen.kind,
 )
 def test_generator_windows_match_the_tuple_path(gen):
-    # the values the generators built before their arrays went into the window as they are
-    j = np.arange(300, dtype=float)
-    old = {
-        "cos_sqrt": lambda: np.cos(np.sqrt(j)).astype(complex),
-        "sqrt_abs_sin_pi_sqrt": lambda: np.sqrt(np.abs(np.sin(np.pi * np.sqrt(j)))).astype(complex),
-        "geometric": lambda: np.power(gen.q, np.arange(300)),
-        "inverse_plus_one": lambda: (1.0 / (j + 1.0)).astype(complex),
-        "finite_support": lambda: np.concatenate([np.array(gen.support), np.zeros(297, dtype=complex)]),
-    }[gen.kind]()
-    assert repr(gen.window(300).values.tolist()) == repr(list(map(complex, old)))
+    # the values the generators built as tuples, then as one expression per kind
+    # in an if/elif chain, byte for byte over a grid of lengths
+    for n in (3, 4, 10, 300, 1001):
+        j = np.arange(n, dtype=float)
+        if gen.kind == "finite_support":
+            old = np.zeros(n, dtype=complex)
+            old[: len(gen.support)] = gen.support
+        else:
+            old = {
+                "cos_sqrt": lambda: np.cos(np.sqrt(j)),
+                "sqrt_abs_sin_pi_sqrt": lambda: np.sqrt(np.abs(np.sin(np.pi * np.sqrt(j)))),
+                "geometric": lambda: np.power(gen.q, np.arange(n)),
+                "inverse_plus_one": lambda: 1.0 / (j + 1.0),
+            }[gen.kind]()
+        got = gen.window(n)
+        assert got.values.tobytes() == np.asarray(old, dtype=complex).tobytes(), n
+        assert got.tail == gen.tail()
 
 
 # ---------------------------------------------------------------------------
@@ -464,3 +478,14 @@ def test_generator_validation():
         SeqGenerator("finite_support")
     with pytest.raises(ValueError):
         SeqGenerator("finite_support", support=(1.0, 2.0)).window(1)
+    with pytest.raises(ValueError, match=">= 1"):
+        SeqGenerator("cos_sqrt").window(0)
+    # each kind takes the one parameter of its entry and refuses any other
+    with pytest.raises(ValueError, match="cos_sqrt generator takes no q"):
+        SeqGenerator("cos_sqrt", q=0.5)
+    with pytest.raises(ValueError, match="geometric generator takes no values"):
+        SeqGenerator("geometric", q=0.5, support=(1.0,))
+    with pytest.raises(ValueError, match="finite_support generator takes no q"):
+        SeqGenerator("finite_support", support=(1.0, 2.0), q=0.3)
+    with pytest.raises(ValueError, match="inverse_plus_one generator takes no values"):
+        SeqGenerator("inverse_plus_one", support=())

@@ -134,6 +134,9 @@ def test_constant_and_callable():
     scalar_only = CallableSymbol(lambda x: math.exp(-float(x)), sup_bound=1.0)
     got = eval_symbol(scalar_only, np.array([0.0, 1.0]))
     np.testing.assert_allclose(got, [1.0, math.exp(-1)])
+    # an array call of the wrong shape falls back to one call per point
+    summed = CallableSymbol(lambda x: np.sum(np.exp(-np.asarray(x))), sup_bound=1.0)
+    assert eval_symbol(summed, np.array([0.0, 1.0])).tolist() == [1.0, math.exp(-1.0)]
 
 
 def test_eval_validation():
@@ -141,6 +144,12 @@ def test_eval_validation():
         eval_symbol(basic_symbol(0, 2), -1.0)
     with pytest.raises(ValueError):
         eval_symbol(basic_symbol(0, 2), float("nan"))
+    with pytest.raises(TypeError, match="not a symbol"):
+        eval_symbol(lambda x: x, 1.0)
+    # integer points are read as float64
+    sym = basic_symbol(1, 4)
+    assert eval_symbol(sym, 2) == eval_symbol(sym, 2.0)
+    assert eval_symbol(sym, [0, 3]).tolist() == eval_symbol(sym, np.array([0.0, 3.0])).tolist()
 
 
 def test_eval_symbol_finds_its_scaled_form_again():
@@ -352,9 +361,17 @@ def test_symbol_json_roundtrip():
         {"type": "combo", "xi": 2, "coefficients": [1.0]},
         {"type": "combo", "xi": 5, "coefficients": [0.0, 0.0, 1.0], "offset": 0.0},
         {"type": "combo", "xi": 3, "coefficients": [[0.5, 1.0], -1.0], "offset": 2.0},
+        {"type": "laguerre_basic", "m": 1, "xi": 4, "offset": 0.5},
+        {"type": "constant", "value": 1.0, "offset": [0.0, 2.0]},
     ):
         sym = symbol_from_json(obj)
         assert symbol_from_json(symbol_to_json(sym)) == sym
+    # an offset is read for every type: it adds to the symbol, and a symbol that
+    # carries one is written as a combo (or a constant) and read back the same
+    with_offset = symbol_from_json({"type": "laguerre_basic", "m": 1, "xi": 4, "offset": 0.5})
+    assert with_offset == with_limit_offset(basic_symbol(1, 4), 0.5)
+    assert symbol_to_json(with_offset) == {"type": "combo", "xi": 4, "coefficients": [0.0, 1.0], "offset": 0.5}
+    assert symbol_from_json({"type": "constant", "value": 1.0, "offset": 2.0}) == LaguerreCombo(offset=3.0)
 
 
 def test_symbol_json_rejects_garbage():
@@ -366,5 +383,9 @@ def test_symbol_json_rejects_garbage():
         symbol_from_json({"type": "laguerre_basic", "m": 1})
     with pytest.raises(ValueError):
         symbol_from_json({"type": "combo", "xi": 2, "coefficients": []})
+    with pytest.raises(ValueError, match="constant symbol needs a 'value'"):
+        symbol_from_json({"type": "constant"})
+    with pytest.raises(ValueError, match="cannot parse scalar"):
+        symbol_from_json({"type": "laguerre_basic", "m": 1, "xi": 4, "offset": "half"})
     with pytest.raises(ValueError):
         symbol_to_json(CallableSymbol(lambda x: x, 1.0))
