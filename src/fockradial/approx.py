@@ -230,6 +230,7 @@ def verify_plan(plan: ApproximationPlan, n_verify: int | None = None) -> VerifyR
         n_verify = max(4 * plan.n_terms, plan.n_terms + 50)
     if n_verify < plan.n_terms:
         raise ValueError("n_verify must be at least the truncation length")
+    n_verify = _check_index(n_verify, "n_verify")
     xi_min = _min_admissible_scale(plan.n_terms)
     if plan.xi < xi_min:
         raise ValueError(

@@ -173,6 +173,17 @@ def _csv_column(column: list, lone: bool) -> tuple[str, list]:
     return "%s", [_csv_field(_cell(value), lone) for value in column]
 
 
+def _json_text(obj) -> str:
+    """obj as indented JSON and a newline, a float that is not finite as null: RFC 8259 has no NaN or Infinity.
+
+    Finite output is one json.dumps; only text it refuses is read back with those constants as None.
+    """
+    try:
+        return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        return json.dumps(json.loads(json.dumps(obj), parse_constant=lambda _: None), indent=2) + "\n"
+
+
 def _emit(args, columns: dict[str, list], summary: dict | None = None) -> None:
     """Write the table given by its columns (name -> cells of one length), as CSV or JSON, and the summary.
 
@@ -188,7 +199,7 @@ def _emit(args, columns: dict[str, list], summary: dict | None = None) -> None:
         payload: dict = {"rows": [dict(zip(columns, row)) for row in zip(*columns.values())]}
         if summary is not None:
             payload["summary"] = summary
-        text = json.dumps(payload, indent=2) + "\n"
+        text = _json_text(payload)
     else:
         width, lone = len(columns), len(columns) == 1
         size = len(next(iter(columns.values()), []))
@@ -290,7 +301,7 @@ def _cmd_approximate(args) -> int:
         report = verify_plan(plan, args.n_verify)
     except ValueError as exc:  # a scale below xi_min or a window shorter than N
         raise UsageError(str(exc)) from None
-    plan_text = json.dumps(plan_to_json(plan, report), indent=2) + "\n"
+    plan_text = _json_text(plan_to_json(plan, report))
     _write_text(args.plan_out, plan_text)
     if args.report_out:
         columns = {
@@ -330,7 +341,7 @@ def _cmd_verify(args) -> int:
     payload = _report_fields(
         report, ("verified_error", "tail_certificate", "total", "epsilon", "passed", "n_verify")
     )
-    _write_text(getattr(args, "output", None), json.dumps(payload, indent=2) + "\n")
+    _write_text(getattr(args, "output", None), _json_text(payload))
     return EXIT_OK if report.passed else EXIT_VALIDATION
 
 

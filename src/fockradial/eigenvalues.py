@@ -55,13 +55,14 @@ compose into the single integral
 
     A_j g(r) = E[g(sqrt(r + G))] = integral_0^oo g(sqrt(r + s)) s^{j-1} e^{-s} / (j-1)! ds,
 
-which `_averaging_rule` discretizes by one composite Gauss-Legendre rule on
-panels that start at the symbol's own decay length 1/xi and widen
-geometrically, and `_average` applies.  Averaging j times realizes the j-fold
-left shift of gamma_g at the symbol level, which `shifted_gamma_residual`
-checks numerically.  The rule's own error, sup|g| times the Gamma(j, 1) mass
-past its horizon plus sup|g| times its weights' miss of unit mass, goes into
-the estimate of every averaged record.
+which `_averaging_rule` discretizes by the Gauss-Kronrod rule on panels
+that start at 1.5 times the symbol's decay length 1/xi and widen
+geometrically, within the window of w_{j-1}, the Gamma(j, 1) density, and
+`_average` applies.  Averaging j times realizes the j-fold left shift of
+gamma_g at the symbol level, which `shifted_gamma_residual` checks
+numerically.  The rule's own error, sup|g| times the Gamma(j, 1) mass
+outside that window plus sup|g| times its weights' miss of unit mass, goes
+into the estimate of every averaged record.
 """
 
 from __future__ import annotations
@@ -274,15 +275,19 @@ _to_double_double = _dd.to_dd
 
 @functools.cache
 def _gk15_rule(convert):
-    """(Kronrod nodes, Kronrod weights, Gauss-7 weights) on [-1, 1], in convert's number type.
+    """(Kronrod nodes, Kronrod weights, Gauss-7 weights) on [-1, 1], in convert's number type, read-only.
 
     Each number is converted straight from its string, so a double-double
     rule splits the 33 digits into hi + lo, read exactly (`_dd.to_dd`).
-    Gauss-7 uses the odd Kronrod nodes.
+    Gauss-7 uses the odd Kronrod nodes.  Every pass and the averaging rule share the cached arrays.
     """
     nodes = tuple("-" + x for x in _XGK_POS) + ("0",) + _XGK_POS[::-1]
     wgk, wg7 = _WGK_POS + _WGK_POS[-2::-1], _WG_POS + _WG_POS[-2::-1]
-    return convert(nodes), convert(wgk), convert(wg7)
+    rule = convert(nodes), convert(wgk), convert(wg7)
+    for part in rule:
+        for array in (part.hi, part.lo) if isinstance(part, _dd.DD) else (part,):
+            array.flags.writeable = False
+    return rule
 
 
 _ERR_FLOOR = 1.1e-14  # ~50 ulp of the panel's absolute integral
@@ -850,45 +855,29 @@ def gamma_sequence(
 # ---------------------------------------------------------------------------
 # Exponential averaging and the shift identity
 
-@functools.cache
-def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
-    """The 10-point Gauss-Legendre nodes and weights on [-1, 1], built once and read-only."""
-    rule = np.polynomial.legendre.leggauss(10)
-    for part in rule:
-        part.flags.writeable = False
-    return rule
-
-
 def _averaging_rule(j: int, sup_g: float, rel_tol: float, xi: int):
-    """Nodes, weights and error of E[f(G)], G ~ Gamma(j, 1), as a composite Gauss-Legendre rule.
+    """Nodes, weights and error of E[f(G)], G ~ Gamma(j, 1), on Gauss-Kronrod panels.
 
-    The horizon T is where the bound of the upper tail Q(j, T) of Gamma(j, 1)
-    falls to e^-2 * rel_tol / sup|g|, or to the smallest normal float when
-    sup|g| is inf, moved out from 15, or from j if larger (`_tail_edge`).
-    The first panel is 2.5 / xi wide, the decay length of a scale-xi
-    symbol's Gaussian factor, and each panel is 1.5 times wider than the
-    last, up to 2.5.  Ten nodes per
-    panel (`_legendre_rule`, built once) keep the panel error of these smooth
-    integrands near machine precision.  The error, sup|g| times the bound of
-    Q(j, T) past the last edge (`_tail_bound`) plus sup|g| times the weights'
-    miss of unit mass, is the same at every point the rule averages over.
+    w_{j-1} is the Gamma(j, 1) density: its window (`_windows`) is the rule's
+    span [lo, hi] with a bound of the mass outside, and `_weight` its density.
+    The first panel is 3.75 / xi wide, 1.5 times the decay length of a
+    scale-xi symbol's Gaussian factor, each is 1.5 times wider than the last,
+    up to 3.75, and the last ends at hi; 15 nodes per panel (`_gk15_rule`)
+    keep the panel error of these smooth integrands near machine precision.
+    The error, sup|g| times the mass outside [lo, hi] plus sup|g| times the
+    weights' miss of unit mass, is the same at every point averaged over.
     """
-    tail = max(min(1.0, rel_tol / max(sup_g, 1e-12)) * math.exp(-2.0), np.finfo(float).tiny)
-    shape = np.array([float(j)])
-    horizon = float(_tail_edge(shape, np.array([max(15.0, j)]), math.log(tail), upper=True)[0][0])
-    edges = [0.0]
-    width = 2.5 / xi
-    while edges[-1] < horizon:
+    (lo,), (hi,), mass = _windows([j - 1], sup_g, rel_tol)
+    edges, width = [lo], 3.75 / xi
+    while edges[-1] + width < hi:
         edges.append(edges[-1] + width)
-        width = min(1.5 * width, 2.5)
-    edges = np.array(edges)
-    base_x, base_w = _legendre_rule()
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * np.diff(edges)
-    nodes = (mid[:, None] + half[:, None] * base_x[None, :]).ravel()
-    weights = (half[:, None] * base_w[None, :]).ravel() * _weight([j - 1])(nodes)[0]
-    miss = float(_tail_bound(shape, edges[-1], upper=True)[1][0]) + abs(float(weights.sum()) - 1.0)
-    return nodes, weights, float(_times_sup(sup_g, np.array(miss)))
+        width = min(1.5 * width, 3.75)
+    edges = np.array([*edges, hi])
+    xgk, wgk, _ = _gk15_rule(_to_float64)
+    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
+    nodes = (mid[:, None] + half[:, None] * xgk).ravel()
+    weights = (half[:, None] * wgk).ravel() * _weight([j - 1])(nodes)[0]
+    return nodes, weights, float(_times_sup(sup_g, mass + abs(weights.sum() - 1.0))[0])
 
 
 _AVERAGE_ROWS = 128  # points r averaged per call of the symbol; bounds the (points x nodes) array
@@ -920,14 +909,8 @@ def shifted_gamma_residual(sym: Symbol, j: int, n_max: int, cfg: QuadConfig | No
     n_max = _check_index(n_max, "n_max")
     sup_g = sup_estimate(sym)
     nodes, weights, rule_err = _averaging_rule(j, sup_g, cfg.rel_tol, _symbol_scale(sym) or 1)
-
-    def base(x):
-        return eval_symbol(sym, x)
-
-    averaged = CallableSymbol(
-        lambda x: _average(base, np.asarray(x, dtype=float) ** 2, nodes, weights),
-        sup_bound=sup_g,
-    )
+    base = functools.partial(eval_symbol, sym)
+    averaged = CallableSymbol(lambda x: _average(base, np.asarray(x, dtype=float) ** 2, nodes, weights), sup_g)
     if has_closed_form(sym):
         lefts = closed_form_sequence(sym.coefficients, sym.xi, sym.offset, n_max + j).values[j:].tolist()
     else:

@@ -25,6 +25,8 @@ from typing import Union
 
 import numpy as np
 
+from .laguerre import _check_index
+
 __all__ = [
     "LimitTail",
     "SeqGenerator",
@@ -260,6 +262,7 @@ def shift_difference_sup(sigma: SeqWindow, k: int, n_from: int = 0) -> float:
     n = len(sigma)
     if n_from < 0 or n_from + k >= n:
         raise ValueError("window too short for the requested range")
+    k, n_from = _check_index(k, "k"), _check_index(n_from, "n_from")
     v = sigma.values[n_from:]
     with np.errstate(over="ignore"):
         return float(np.max(np.abs(v[: n - n_from - k] - v[k:])))
@@ -365,6 +368,7 @@ class SeqGenerator:
     def window(self, n_win: int) -> SeqWindow:
         if n_win < 1:
             raise ValueError("window length must be >= 1")
+        n_win = _check_index(n_win, "n_win")
         if self.support is not None and n_win < len(self.support):
             raise ValueError("window must cover the full support")
         _, values, tail = _GENERATORS[self.kind]

@@ -231,6 +231,9 @@ def test_verify_rejects_short_window():
     plan = plan_finite(zero_window([1.0, 1.0]), 0.1)
     with pytest.raises(ValueError):
         verify_plan(plan, 1)
+    # a window length is an integer, refused under its own name
+    with pytest.raises(ValueError, match="n_verify must be an integer"):
+        verify_plan(plan, 100.5)
 
 
 def test_verify_rejects_inadmissible_scale():

@@ -16,7 +16,7 @@ import pytest
 
 from fockradial import eigenvalues
 from fockradial.approx import plan_from_json
-from fockradial.cli import _write_text, main
+from fockradial.cli import _json_text, _write_text, main
 from fockradial.seqspace import SeqGenerator
 from fockradial.symbols import CallableSymbol, combo_symbol, symbol_to_json
 
@@ -269,6 +269,34 @@ def test_cold_start_loads_no_scipy_mpmath_or_numpy_ma(tmp_path, capsys):
     assert code == 0 and report[-2][2] == out
 
 
+_SHIFT_MODULES = """
+import json, sys
+import numpy as np
+by_numpy = set(sys.modules)
+from fockradial import eigenvalues, symbols
+gauss = symbols.CallableSymbol(lambda x: np.exp(-x * x), sup_bound=1.0)
+residuals = [eigenvalues.shifted_gamma_residual(sym, 2, 2) for sym in (gauss, symbols.basic_symbol(1, 4))]
+added = sorted(set(sys.modules) - by_numpy)
+print(json.dumps([residuals, [name for name in added if name.split(".")[:2] in (["numpy", "polynomial"], ["numpy", "linalg"])]]))
+"""
+
+
+def test_shift_identity_loads_no_numpy_polynomial_or_linalg(tmp_path):
+    # a fresh interpreter runs the shift identity of a callable and of a
+    # structured symbol; its averaging rule is the quadrature's Gauss-Kronrod
+    # rule, so it loads nothing of numpy.polynomial or numpy.linalg past what
+    # `import numpy` loads itself (numpy 2 loads numpy.linalg for
+    # numpy.matrixlib, numpy 1 loads both)
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", _SHIFT_MODULES],
+        env={**os.environ, "PYTHONPATH": str(src)}, cwd=tmp_path, capture_output=True, text=True, check=True,
+    )
+    residuals, loaded = json.loads(done.stdout)
+    assert loaded == []
+    assert max(residuals) < 1e-9
+
+
 _WITHOUT_SCIPY = """
 import contextlib, io, json, sys
 sys.modules["scipy"] = None  # every import of scipy now raises ImportError
@@ -336,6 +364,35 @@ def test_eigs_gives_no_certificate_at_infinity(tmp_path, capsys):
     assert code == 3 and "certify" in err
     _, data = read_csv(out)
     assert [row[4] for row in data] == ["inf"] * 3
+
+
+def _strict_json(text):
+    """text read as RFC 8259 JSON, which has no NaN or Infinity."""
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_json_output_writes_a_non_finite_number_as_null(tmp_path, capsys):
+    # the CLI refuses NaN and Infinity on input, and writes them as null: the
+    # estimates past the float range, and a smoothed table whose sums overflow
+    coefficients = [[1.5e308, 1.5e308], [-1.5e308, -1.5e308]]
+    sym = write_json(tmp_path / "s.json", {"type": "combo", "xi": 2, "coefficients": coefficients})
+    code, out, err = run(capsys, ["eigs", sym, "--n-max", "1", "--engine", "both", "--format", "json"])
+    assert code == 3 and "certify" in err
+    assert [row["est_abs_err"] for row in _strict_json(out)["rows"]] == [None, None]
+    big = write_json(tmp_path / "big.json", {"values": [1e308] * 40, "tail": {"kind": "zero"}})
+    code, out, _ = run(capsys, ["smooth", big, "--delta", "0.5", "--format", "json"])
+    assert code == 3 and _strict_json(out)["summary"]["sup_abs_diff"] is None
+    # the plan of approximate and the payload of verify take the same writer;
+    # finite text is json.dumps's, byte for byte
+    payload = {"a": [1.5, math.inf, (-math.inf, math.nan)], "b": {"c": 2, "d": "x", "e": None}}
+    cleaned = {"a": [1.5, None, [None, None]], "b": {"c": 2, "d": "x", "e": None}}
+    assert _json_text(payload) == json.dumps(cleaned, indent=2) + "\n"
+    finite = {"a": [1.5, 2, (0.1, -0.0)], "b": True, "c": 1e308}
+    assert _json_text(finite) == json.dumps(finite, indent=2) + "\n"
 
 
 def test_eigs_both_fails_when_the_closed_form_is_outside_the_estimate(tmp_path, capsys, monkeypatch):

@@ -135,16 +135,22 @@ def test_golden_cases_cover_every_table_command():
 
 
 def _reference(fmt: str, columns: dict, summary: dict | None) -> str:
-    """One dict per row, one `_cell` per cell, as the CLI wrote tables before they went by column."""
+    """One dict per row, one `_cell` per cell, as the CLI wrote tables before they went by column.
+
+    JSON writes a float that is not finite as null, as RFC 8259 has no NaN or Infinity.
+    """
     from fockradial.cli import _cell
 
     header = list(columns)
     rows = [dict(zip(header, row)) for row in zip(*columns.values())]
     if fmt == "json":
-        payload: dict = {"rows": rows}
+        def finite(cells: dict) -> dict:
+            return {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in cells.items()}
+
+        payload: dict = {"rows": [finite(row) for row in rows]}
         if summary is not None:
-            payload["summary"] = summary
-        return json.dumps(payload, indent=2) + "\n"
+            payload["summary"] = finite(summary)
+        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(header)

@@ -1347,11 +1347,11 @@ def test_averaging_square_example():
 @pytest.mark.parametrize("sup_g", [1.0, 8.0**9, 1e30])
 def test_averaging_miss_bounds_the_tail_past_the_last_edge(sup_g):
     # the rule's error is at least sup|g| times the 50-digit Gamma(j, 1) mass
-    # past its last edge; the last panel's ten nodes are mid -+ half * x_k
-    x_max = np.polynomial.legendre.leggauss(10)[0][-1]
+    # past its last edge; the last panel's 15 Kronrod nodes are mid -+ half * x_k
+    x_max = eigenvalues._gk15_rule(eigenvalues._to_float64)[0][-1]
     for j in (1, 2, 3):
         nodes, _, miss = _averaging_rule(j, sup_g, QuadConfig().rel_tol, 1)
-        mid, half = 0.5 * (nodes[-1] + nodes[-10]), 0.5 * (nodes[-1] - nodes[-10]) / x_max
+        mid, half = 0.5 * (nodes[-1] + nodes[-15]), 0.5 * (nodes[-1] - nodes[-15]) / x_max
         assert mpmath.mpf(miss) >= sup_g * _mp_tail(j, mid + half, True), j
 
 
@@ -1382,7 +1382,7 @@ def test_shift_identity_gaussian_level_two():
 
 def test_averaged_records_carry_the_averaging_error(monkeypatch):
     # the averaged constant 1.3 has gamma = 1.3 at every index; the rule's
-    # weights miss unit mass by about 5e-12, which the quadrature of the
+    # weights miss unit mass by about 4e-12, which the quadrature of the
     # averaged symbol cannot see, so each record's estimate has to carry it
     records = []
     quadrature = eigenvalues.gamma_quadrature

@@ -376,6 +376,10 @@ def test_shift_difference_sup():
         shift_difference_sup(window([1.0, 2.0]), 2)
     with pytest.raises(ValueError):
         shift_difference_sup(window([1.0, 2.0]), 0, 0)
+    # k and n_from are integers: a float is not sliced, and True is not 1
+    for k, n_from, name in ((1.5, 3, "k"), (True, 3, "k"), (1, 2.0, "n_from")):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            shift_difference_sup(geom, k, n_from)
 
 
 # ---------------------------------------------------------------------------
@@ -480,6 +484,10 @@ def test_generator_validation():
         SeqGenerator("finite_support", support=(1.0, 2.0)).window(1)
     with pytest.raises(ValueError, match=">= 1"):
         SeqGenerator("cos_sqrt").window(0)
+    # the length is an integer: 2.5 gave 3 values and True one
+    for n_win in (2.5, True):
+        with pytest.raises(ValueError, match="n_win must be an integer"):
+            SeqGenerator("geometric", q=0.5).window(n_win)
     # each kind takes the one parameter of its entry and refuses any other
     with pytest.raises(ValueError, match="cos_sqrt generator takes no q"):
         SeqGenerator("cos_sqrt", q=0.5)
